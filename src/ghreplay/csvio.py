@@ -7,11 +7,17 @@ Schema (comma-separated, header required, UTF-8):
 Timestamps are integer seconds; floats are printed with 9 significant
 digits, so one write/read cycle quantizes values to that precision and is
 a fixed point afterwards.
+
+The reader is the boundary for outside data, and every error names the
+file and line. Every value must be finite (``nan``, ``inf`` and ``-inf``
+are rejected here, so no non-finite input reaches the normalizer or the
+model), and rh, radiation and co2 must lie in their physical ranges.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from pathlib import Path
 
 from .climate import SAMPLE_INTERVAL_S, ClimateRecord
@@ -85,6 +91,14 @@ def read_records(path: str | Path) -> list[ClimateRecord]:
                     raise ValueError(
                         f"{path}:{line_no}: non-numeric value {cell!r} in column {col}"
                     ) from None
+            # one test per row: a nan or inf cell makes the sum non-finite
+            # (a sum that merely overflows finds no bad cell below)
+            if not math.isfinite(sum(values)):
+                for col, cell, value in zip(COLUMNS[1:], row[1:], values):
+                    if not math.isfinite(value):
+                        raise ValueError(
+                            f"{path}:{line_no}: non-finite value {cell!r} in column {col}"
+                        )
             t_air, rh, radiation, co2, t_leaf, transp, photo = values
             if prev_ts is not None and ts != prev_ts + SAMPLE_INTERVAL_S:
                 raise ValueError(

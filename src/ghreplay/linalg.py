@@ -1,10 +1,16 @@
 """Dense float64 matrix primitives for the recurrent model and its tests.
 
 Matrices are 2-D C-contiguous numpy float64 arrays; numpy supplies the
-kernels. These wrappers pin down the contracts the rest of the package
-relies on: shape errors that name both operands, finite results, a
-sigmoid that never exponentiates a large positive argument, and
-activation derivatives expressed in terms of the activation *output*.
+kernels. These wrappers pin down the contracts the model relies on:
+shape errors that name both operands, finite results, a sigmoid that
+never exponentiates a large positive argument, and activation
+derivatives expressed in terms of the activation *output*.
+
+The LSTM forward kernel in ``model.py`` does not call ``matmul`` or
+``activation`` per operation: it runs the same arithmetic on numpy
+directly and checks finiteness once per step. ``matmul`` and
+``activation`` stay as the checked reference that the kernel's
+bit-identity test is written against.
 """
 
 from __future__ import annotations

@@ -9,6 +9,12 @@ candidate g:
     c_t = f_t * c_{t-1} + i_t * g_t
     h_t = o_t * tanh(c_t)
 
+One step loop serves training (keeping the BPTT cache) and prediction
+(keeping only the running state). Finiteness is checked at the
+boundaries, not per operation: the windows once on entry, the four gate
+pre-activations once per step, then the dense pre-activation and the
+output product. Values read from CSV are already finite (``csvio``).
+
 The training loss is the batch-mean MSE that evaluation also uses.
 Gradients are derived by hand through the unrolled window (no autodiff);
 the finite-difference suite checks every parameter entry. The optimizer
@@ -160,58 +166,88 @@ def _check_windows(params: ModelParams, inputs: np.ndarray) -> np.ndarray:
     return inputs
 
 
-def _forward_batch(params: ModelParams, inputs: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
-    """Full forward pass over a (B, T, D) batch, caching activations."""
-    inputs = _check_windows(params, inputs)
+def _sigmoid_inplace(x: np.ndarray, e: np.ndarray) -> None:
+    """Sigmoid of finite x into x, with e a scratch buffer of x's shape.
+
+    Bit-identical to linalg.activation(SIGMOID, x): exp() only sees
+    -|x|, so 1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below.
+    """
+    np.abs(x, out=e)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    numerator = np.where(x >= 0, 1.0, e)
+    e += 1.0
+    np.divide(numerator, e, out=x)
+
+
+def _forward(
+    params: ModelParams, inputs: np.ndarray, keep_cache: bool
+) -> tuple[np.ndarray, ForwardCache | None]:
+    """The LSTM forward pass over a shape-checked (B, T, D) batch.
+
+    Each gate's pre-activation is x_t @ W^T + h @ U^T + b, summed in that
+    order, and finiteness is checked once per step on all four sums: a
+    non-finite product or bias makes its sum non-finite. With keep_cache
+    the per-step activations are written straight into the BPTT cache;
+    without it the state buffers are updated in place.
+    """
+    if not np.isfinite(inputs).all():
+        raise ValueError("windows contain non-finite values")
     batch, steps, _ = inputs.shape
     hidden = params.u_i.shape[0]
+    w = (params.w_i.T, params.w_f.T, params.w_o.T, params.w_g.T)
+    u = (params.u_i.T, params.u_f.T, params.u_o.T, params.u_g.T)
+    b = (params.b_i, params.b_f, params.b_o, params.b_g)
 
-    shape = (steps, batch, hidden)
-    i_s = np.empty(shape); f_s = np.empty(shape); o_s = np.empty(shape)
-    g_s = np.empty(shape); c_s = np.empty(shape); tc_s = np.empty(shape)
-    h_s = np.empty(shape)
+    shape = (batch, hidden)
+    h = np.zeros(shape)
+    c = np.zeros(shape)
+    ig = np.empty(shape)
+    e = np.empty((3,) + shape)
+    if keep_cache:
+        gates_s = np.empty((steps, 4) + shape)
+        c_s, tc_s, h_s = np.empty((3, steps) + shape)
+    else:
+        z = np.empty((4,) + shape)
+        tc = np.empty(shape)
 
-    w_iT, w_fT, w_oT, w_gT = params.w_i.T, params.w_f.T, params.w_o.T, params.w_g.T
-    u_iT, u_fT, u_oT, u_gT = params.u_i.T, params.u_f.T, params.u_o.T, params.u_g.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(steps):
+            if keep_cache:
+                z, tc = gates_s[t], tc_s[t]
+                c_out, h_out = c_s[t], h_s[t]
+            else:
+                c_out, h_out = c, h
+            x_t = inputs[:, t, :]
+            for k in range(4):
+                np.matmul(x_t, w[k], out=z[k])
+                z[k] += h @ u[k]
+                z[k] += b[k]
+            if not np.isfinite(z).all():
+                raise ValueError(f"LSTM step {t}: gate pre-activation contains non-finite values")
+            _sigmoid_inplace(z[:3], e)
+            np.tanh(z[3], out=z[3])
+            i, f, o, g = z
+            np.multiply(f, c, out=c_out)
+            np.multiply(i, g, out=ig)
+            c_out += ig
+            np.tanh(c_out, out=tc)
+            np.multiply(o, tc, out=h_out)
+            c, h = c_out, h_out
 
-    h = np.zeros((batch, hidden))
-    c = np.zeros((batch, hidden))
-    for t in range(steps):
-        x_t = inputs[:, t, :]
-        i = linalg.activation(SIGMOID, linalg.matmul(x_t, w_iT) + linalg.matmul(h, u_iT) + params.b_i)
-        f = linalg.activation(SIGMOID, linalg.matmul(x_t, w_fT) + linalg.matmul(h, u_fT) + params.b_f)
-        o = linalg.activation(SIGMOID, linalg.matmul(x_t, w_oT) + linalg.matmul(h, u_oT) + params.b_o)
-        g = linalg.activation(TANH, linalg.matmul(x_t, w_gT) + linalg.matmul(h, u_gT) + params.b_g)
-        c = f * c + i * g
-        tc = np.tanh(c)
-        h = o * tc
-        i_s[t] = i; f_s[t] = f; o_s[t] = o; g_s[t] = g
-        c_s[t] = c; tc_s[t] = tc; h_s[t] = h
+        pre_dense = h @ params.w1.T + params.b1
+        if not np.isfinite(pre_dense).all():
+            raise ValueError("dense layer pre-activation contains non-finite values")
+        dense = np.tanh(pre_dense)
+        head = dense @ params.w2.T
+        if not np.isfinite(head).all():
+            raise ValueError("output layer product contains non-finite values")
+    outputs = head + params.b2
 
-    dense = linalg.activation(TANH, linalg.matmul(h, params.w1.T) + params.b1)
-    outputs = linalg.matmul(dense, params.w2.T) + params.b2
+    if not keep_cache:
+        return outputs, None
+    i_s, f_s, o_s, g_s = (gates_s[:, k] for k in range(4))
     return outputs, ForwardCache(inputs, i_s, f_s, o_s, g_s, c_s, tc_s, h_s, dense, outputs)
-
-
-def _forward_only(params: ModelParams, inputs: np.ndarray) -> np.ndarray:
-    """Forward pass keeping only the running state (for prediction)."""
-    inputs = _check_windows(params, inputs)
-    batch, steps, _ = inputs.shape
-    hidden = params.u_i.shape[0]
-    w_iT, w_fT, w_oT, w_gT = params.w_i.T, params.w_f.T, params.w_o.T, params.w_g.T
-    u_iT, u_fT, u_oT, u_gT = params.u_i.T, params.u_f.T, params.u_o.T, params.u_g.T
-    h = np.zeros((batch, hidden))
-    c = np.zeros((batch, hidden))
-    for t in range(steps):
-        x_t = inputs[:, t, :]
-        i = linalg.activation(SIGMOID, linalg.matmul(x_t, w_iT) + linalg.matmul(h, u_iT) + params.b_i)
-        f = linalg.activation(SIGMOID, linalg.matmul(x_t, w_fT) + linalg.matmul(h, u_fT) + params.b_f)
-        o = linalg.activation(SIGMOID, linalg.matmul(x_t, w_oT) + linalg.matmul(h, u_oT) + params.b_o)
-        g = linalg.activation(TANH, linalg.matmul(x_t, w_gT) + linalg.matmul(h, u_gT) + params.b_g)
-        c = f * c + i * g
-        h = o * np.tanh(c)
-    dense = linalg.activation(TANH, linalg.matmul(h, params.w1.T) + params.b1)
-    return linalg.matmul(dense, params.w2.T) + params.b2
 
 
 def forward(params: ModelParams, window: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
@@ -219,7 +255,7 @@ def forward(params: ModelParams, window: np.ndarray) -> tuple[np.ndarray, Forwar
     window = np.asarray(window, dtype=np.float64)
     if window.ndim != 2:
         raise ValueError(f"forward: expected a 2-D window, got shape {window.shape}")
-    outputs, cache = _forward_batch(params, window[None, :, :])
+    outputs, cache = _forward(params, _check_windows(params, window[None, :, :]), keep_cache=True)
     return outputs[0], cache
 
 
@@ -227,7 +263,7 @@ def predict_batch(params: ModelParams, windows: np.ndarray, chunk: int = 512) ->
     """Stateless predictions for a (B, T, D) stack of windows."""
     windows = _check_windows(params, windows)
     pieces = [
-        _forward_only(params, windows[start : start + chunk])
+        _forward(params, windows[start : start + chunk], keep_cache=False)[0]
         for start in range(0, windows.shape[0], chunk)
     ]
     return np.concatenate(pieces, axis=0)
@@ -262,7 +298,7 @@ def backward(
     """
     if inputs.shape[0] == 0:
         raise ValueError("backward: empty batch")
-    outputs, cache = _forward_batch(params, inputs)
+    outputs, cache = _forward(params, _check_windows(params, inputs), keep_cache=True)
     targets = np.asarray(targets, dtype=np.float64)
 
     if not np.isfinite(outputs).all():

@@ -52,6 +52,35 @@ def test_non_numeric_cell_names_line(tmp_path):
         read_records(path)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("column", COLUMNS[1:])
+def test_non_finite_cell_names_line_and_column(tmp_path, column, value):
+    cells = dict(zip(COLUMNS, "300,20,80,0,650,20,0.01,0".split(",")))
+    cells[column] = value
+    path = tmp_path / "bad.csv"
+    path.write_text(
+        ",".join(COLUMNS) + "\n"
+        "0,20,80,0,650,20,0.01,0\n"
+        + ",".join(cells.values()) + "\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(
+        ValueError, match=rf"bad\.csv:3: non-finite value '{value}' in column {column}$"
+    ):
+        read_records(path)
+
+
+def test_finite_values_whose_row_sum_overflows_are_accepted(tmp_path):
+    path = tmp_path / "huge.csv"
+    path.write_text(
+        ",".join(COLUMNS) + "\n"
+        "0,1.7e308,80,0,650,1.7e308,0.01,0\n",
+        encoding="utf-8",
+    )
+    (record,) = read_records(path)
+    assert record.t_air == record.t_leaf == 1.7e308
+
+
 def test_shuffled_timestamps_name_first_offending_line(tmp_path):
     records = generate_series(PRESETS["GH-A"], days=1, rng=SeededRng(3))[:10]
     records[4], records[5] = records[5], records[4]

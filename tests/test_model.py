@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from ghreplay import linalg
+from ghreplay.linalg import SIGMOID, TANH
 from ghreplay.model import (
     AdamState,
     ModelConfig,
@@ -18,6 +20,7 @@ from ghreplay.model import (
     predict_batch,
     zeros_params,
 )
+from ghreplay.model import _check_windows, _forward
 from ghreplay.rng import SeededRng
 
 
@@ -293,3 +296,85 @@ def test_clip_gradients_scales_to_max_norm():
     assert norm > 1.0
     total = sum(float(np.sum(g * g)) for _, g in grads.items())
     assert total ** 0.5 == pytest.approx(1.0, rel=1e-12)
+
+
+# --- kernel boundary checks -------------------------------------------------
+
+def _poison_windows(params, x):
+    x[1, 3, 2] = np.nan
+
+
+def _poison_u_f(params, x):
+    params.u_f[2, 1] = np.nan
+
+
+def _poison_b_g(params, x):
+    params.b_g[0] = np.inf
+
+
+def _overflow_w_i(params, x):
+    params.w_i[:] = 1e308
+    x[:] = 1.0
+
+
+@pytest.mark.parametrize(
+    "poison", [_poison_windows, _poison_u_f, _poison_b_g, _overflow_w_i],
+    ids=["nan-window", "nan-u_f", "inf-b_g", "overflow-w_i"],
+)
+@pytest.mark.parametrize("entry", ["predict_batch", "backward"])
+def test_kernel_rejects_non_finite_values(poison, entry):
+    cfg = small_cfg()
+    params = init_model(cfg, SeededRng(22))
+    x = random_windows(SeededRng(23), 3, cfg.window_len)
+    poison(params, x)
+    with pytest.raises(ValueError, match="non-finite"):
+        if entry == "predict_batch":
+            predict_batch(params, x)
+        else:
+            backward(params, x, random_targets(SeededRng(24), 3))
+
+
+# --- bit-identity against the per-gate reference loop -----------------------
+
+def reference_forward(params, inputs):
+    """The LSTM forward pass written gate by gate against the checked linalg
+    helpers: the kernel must reproduce its every bit."""
+    batch, steps, _ = inputs.shape
+    hidden = params.u_i.shape[0]
+    cache = {name: np.empty((steps, batch, hidden)) for name in ("i", "f", "o", "g", "c", "tc", "h")}
+    h = np.zeros((batch, hidden))
+    c = np.zeros((batch, hidden))
+    for t in range(steps):
+        x_t = inputs[:, t, :]
+        i = linalg.activation(SIGMOID, linalg.matmul(x_t, params.w_i.T) + linalg.matmul(h, params.u_i.T) + params.b_i)
+        f = linalg.activation(SIGMOID, linalg.matmul(x_t, params.w_f.T) + linalg.matmul(h, params.u_f.T) + params.b_f)
+        o = linalg.activation(SIGMOID, linalg.matmul(x_t, params.w_o.T) + linalg.matmul(h, params.u_o.T) + params.b_o)
+        g = linalg.activation(TANH, linalg.matmul(x_t, params.w_g.T) + linalg.matmul(h, params.u_g.T) + params.b_g)
+        c = f * c + i * g
+        tc = np.tanh(c)
+        h = o * tc
+        for name, value in (("i", i), ("f", f), ("o", o), ("g", g), ("c", c), ("tc", tc), ("h", h)):
+            cache[name][t] = value
+    dense = linalg.activation(TANH, linalg.matmul(h, params.w1.T) + params.b1)
+    return linalg.matmul(dense, params.w2.T) + params.b2, cache
+
+
+def test_predict_batch_bit_identical_to_reference_at_paper_shape():
+    cfg = ModelConfig(hidden_dim=32, dense_dim=32, window_len=250)
+    params = init_model(cfg, SeededRng(25))
+    windows = np.random.default_rng(26).uniform(0.0, 1.0, (600, 250, 5))
+    expected = np.concatenate(
+        [reference_forward(params, windows[s : s + 512])[0] for s in (0, 512)]
+    )
+    assert np.array_equal(predict_batch(params, windows), expected)
+
+
+def test_training_forward_bit_identical_to_reference_at_desk_shape():
+    cfg = ModelConfig(hidden_dim=16, dense_dim=16, window_len=50)
+    params = init_model(cfg, SeededRng(27))
+    inputs = np.random.default_rng(28).uniform(0.0, 1.0, (200, 50, 5))
+    expected_out, expected = reference_forward(params, inputs)
+    outputs, cache = _forward(params, _check_windows(params, inputs), keep_cache=True)
+    assert np.array_equal(outputs, expected_out)
+    for name in ("i", "f", "o", "g", "c", "tc", "h"):
+        assert np.array_equal(getattr(cache, f"{name}_s"), expected[name]), name
