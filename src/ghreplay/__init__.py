@@ -4,7 +4,19 @@ The package trains a small recurrent model incrementally on streamed
 climate windows, protects it from catastrophic forgetting with a
 fixed-capacity replay memory, and measures how well the trained model
 transfers between greenhouses with different dynamics.
+
+Importing the package pins the BLAS and OpenMP pools to one thread
+unless the environment already sets them: evaluation runs one chunk
+per usable CPU itself, and at this model's shapes a BLAS thread per
+chunk thread only adds contention. The pin takes effect only when
+``ghreplay`` is imported before numpy.
 """
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+del _var
 
 from .climate import (
     ClimateRecord,

@@ -16,7 +16,7 @@ import numpy as np
 
 from .dataset import WindowedSample
 from .memory import EpisodicMemory, MemoryConfig, SubstitutionStrategy
-from .model import AdamState, ModelConfig, ModelParams, PARAM_FIELDS, init_adam
+from .model import AdamState, ModelConfig, ModelParams, zeros_params
 
 
 @dataclass
@@ -95,6 +95,21 @@ def save_checkpoint(
     np.savez_compressed(Path(path), **arrays)
 
 
+def _checked_params(path, data, prefix: str, expected: ModelParams) -> ModelParams:
+    """The ``{prefix}__*`` arrays of a loaded archive, each checked to have
+    its parameter's shape in ``expected`` and only finite values."""
+    arrays = {}
+    for name, like in expected.items():
+        key = f"{prefix}__{name}"
+        arr = data[key]
+        if arr.shape != like.shape:
+            raise ValueError(f"{path}: array {key} has shape {arr.shape}, the model needs {like.shape}")
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{path}: array {key} contains non-finite values")
+        arrays[name] = arr
+    return ModelParams(**arrays)
+
+
 def load_checkpoint(path: str | Path) -> CheckpointBundle:
     with np.load(Path(path), allow_pickle=False) as data:
         meta = json.loads(str(data["meta_json"][()]))
@@ -106,12 +121,13 @@ def load_checkpoint(path: str | Path) -> CheckpointBundle:
             strategy=SubstitutionStrategy(mem_meta["strategy"]),
         )
 
-        params = ModelParams(**{name: data[f"param__{name}"] for name in PARAM_FIELDS})
-        adam = init_adam(model_cfg)
-        for name in PARAM_FIELDS:
-            setattr(adam.m, name, data[f"adam_m__{name}"])
-            setattr(adam.v, name, data[f"adam_v__{name}"])
-        adam.t = int(data["adam_t"])
+        expected = zeros_params(model_cfg)
+        params = _checked_params(path, data, "param", expected)
+        adam = AdamState(
+            m=_checked_params(path, data, "adam_m", expected),
+            v=_checked_params(path, data, "adam_v", expected),
+            t=int(data["adam_t"]),
+        )
 
         memory = EpisodicMemory(memory_cfg)
         memory.slots = _unstack_slot_arrays(

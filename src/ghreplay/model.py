@@ -13,7 +13,14 @@ One step loop serves training (keeping the BPTT cache) and prediction
 (keeping only the running state). Finiteness is checked at the
 boundaries, not per operation: the windows once on entry, the four gate
 pre-activations once per step, then the dense pre-activation and the
-output product. Values read from CSV are already finite (``csvio``).
+output product; prediction also checks the outputs after the bias b2,
+which training reports as divergence. Values read from CSV are already
+finite (``csvio``).
+
+Evaluation runs the test set in chunks of 512 windows, one worker thread
+per usable CPU. Results are bit-identical for any CPU count. Importing
+``ghreplay`` pins BLAS to one thread unless the environment already sets
+its thread count, so chunk threads do not multiply with BLAS threads.
 
 The training loss is the batch-mean MSE that evaluation also uses.
 Gradients are derived by hand through the unrolled window (no autodiff);
@@ -24,6 +31,8 @@ is Adam with bias correction.
 from __future__ import annotations
 
 import dataclasses
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,8 +101,6 @@ class ModelParams:
 
 # Gradients share the ModelParams layout: one array per parameter.
 Gradients = ModelParams
-
-PARAM_FIELDS = tuple(f.name for f in dataclasses.fields(ModelParams))
 
 
 def zeros_params(cfg: ModelConfig) -> ModelParams:
@@ -166,16 +173,20 @@ def _check_windows(params: ModelParams, inputs: np.ndarray) -> np.ndarray:
     return inputs
 
 
-def _sigmoid_inplace(x: np.ndarray, e: np.ndarray) -> None:
-    """Sigmoid of finite x into x, with e a scratch buffer of x's shape.
+def _sigmoid_inplace(x: np.ndarray, e: np.ndarray, numerator: np.ndarray) -> None:
+    """Sigmoid of finite x into x, with e and numerator scratch buffers of
+    x's shape.
 
     Bit-identical to linalg.activation(SIGMOID, x): exp() only sees
     -|x|, so 1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below.
+    The numerator max(e, x >= 0) is that select without a data-dependent
+    branch, because 0 <= e <= 1.
     """
     np.abs(x, out=e)
     np.negative(e, out=e)
     np.exp(e, out=e)
-    numerator = np.where(x >= 0, 1.0, e)
+    np.greater_equal(x, 0.0, out=numerator, casting="unsafe")
+    np.maximum(e, numerator, out=numerator)
     e += 1.0
     np.divide(numerator, e, out=x)
 
@@ -187,22 +198,26 @@ def _forward(
 
     Each gate's pre-activation is x_t @ W^T + h @ U^T + b, summed in that
     order, and finiteness is checked once per step on all four sums: a
-    non-finite product or bias makes its sum non-finite. With keep_cache
-    the per-step activations are written straight into the BPTT cache;
-    without it the state buffers are updated in place.
+    non-finite product or bias makes its sum non-finite. The four gates'
+    weights are stacked, so each product is one broadcast matmul that
+    issues the same per-gate gemm calls as four separate ones. With
+    keep_cache the per-step activations are written straight into the
+    BPTT cache; without it the state buffers are updated in place.
     """
     if not np.isfinite(inputs).all():
         raise ValueError("windows contain non-finite values")
     batch, steps, _ = inputs.shape
     hidden = params.u_i.shape[0]
-    w = (params.w_i.T, params.w_f.T, params.w_o.T, params.w_g.T)
-    u = (params.u_i.T, params.u_f.T, params.u_o.T, params.u_g.T)
-    b = (params.b_i, params.b_f, params.b_o, params.b_g)
-
+    w = np.stack((params.w_i, params.w_f, params.w_o, params.w_g)).transpose(0, 2, 1)
+    u = np.stack((params.u_i, params.u_f, params.u_o, params.u_g)).transpose(0, 2, 1)
     shape = (batch, hidden)
+    # full-shape, because a broadcast add over rows of H is twice as slow
+    b = np.empty((4,) + shape)
+    b[:] = np.stack((params.b_i, params.b_f, params.b_o, params.b_g))[:, None, :]
     h = np.zeros(shape)
     c = np.zeros(shape)
     ig = np.empty(shape)
+    hu = np.empty((4,) + shape)
     e = np.empty((3,) + shape)
     if keep_cache:
         gates_s = np.empty((steps, 4) + shape)
@@ -218,14 +233,13 @@ def _forward(
                 c_out, h_out = c_s[t], h_s[t]
             else:
                 c_out, h_out = c, h
-            x_t = inputs[:, t, :]
-            for k in range(4):
-                np.matmul(x_t, w[k], out=z[k])
-                z[k] += h @ u[k]
-                z[k] += b[k]
+            np.matmul(inputs[:, t, :], w, out=z)
+            np.matmul(h, u, out=hu)
+            z += hu
+            z += b
             if not np.isfinite(z).all():
                 raise ValueError(f"LSTM step {t}: gate pre-activation contains non-finite values")
-            _sigmoid_inplace(z[:3], e)
+            _sigmoid_inplace(z[:3], e, hu[:3])  # hu is free once added
             np.tanh(z[3], out=z[3])
             i, f, o, g = z
             np.multiply(f, c, out=c_out)
@@ -259,14 +273,43 @@ def forward(params: ModelParams, window: np.ndarray) -> tuple[np.ndarray, Forwar
     return outputs[0], cache
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the platform has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def predict_batch(params: ModelParams, windows: np.ndarray, chunk: int = 512) -> np.ndarray:
-    """Stateless predictions for a (B, T, D) stack of windows."""
+    """Stateless predictions for a (B, T, D) stack of windows.
+
+    The stack runs in independent chunks of ``chunk`` windows, spread
+    over one worker per usable CPU: the calling thread takes chunks 0,
+    w, 2w, ... and w - 1 helper threads take the rest. A chunk's result
+    does not depend on the thread that computes it, so the output is
+    bit-identical for any CPU count; the chunk size does change bits.
+    """
     windows = _check_windows(params, windows)
-    pieces = [
-        _forward(params, windows[start : start + chunk], keep_cache=False)[0]
-        for start in range(0, windows.shape[0], chunk)
-    ]
-    return np.concatenate(pieces, axis=0)
+    if windows.shape[0] == 0:
+        raise ValueError("predict_batch: empty batch")
+    starts = range(0, windows.shape[0], chunk)
+    workers = min(len(starts), _usable_cpus())
+
+    def run(share: range) -> list[np.ndarray]:
+        return [_forward(params, windows[s : s + chunk], keep_cache=False)[0] for s in share]
+
+    if workers == 1:
+        pieces = run(starts)
+    else:
+        with ThreadPoolExecutor(workers - 1) as pool:
+            helpers = [pool.submit(run, starts[j::workers]) for j in range(1, workers)]
+            shares = [run(starts[0::workers])] + [f.result() for f in helpers]
+        pieces = [shares[k % workers][k // workers] for k in range(len(starts))]
+    outputs = np.concatenate(pieces, axis=0)
+    if not np.isfinite(outputs).all():
+        raise ValueError("output layer plus bias b2 contains non-finite values")
+    return outputs
 
 
 def mse_loss(predictions: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:

@@ -171,7 +171,7 @@ def train_update(
     return UpdateStats(loss=loss, new_count=len(new_batch), replay_count=len(replay))
 
 
-def evaluate(params: ModelParams, test_set, chunk: int = 512) -> tuple[float, np.ndarray]:
+def evaluate(params: ModelParams, test_set) -> tuple[float, np.ndarray]:
     """Test-set MSE; accepts a Phase (cached arrays) or a sample list."""
     if isinstance(test_set, Phase):
         inputs, targets = test_set.test_arrays()
@@ -181,7 +181,7 @@ def evaluate(params: ModelParams, test_set, chunk: int = 512) -> tuple[float, np
         inputs, targets, _ = stack_samples(test_set)
     if inputs.shape[0] == 0:
         raise ValueError("evaluate: empty test set")
-    predictions = predict_batch(params, inputs, chunk=chunk)
+    predictions = predict_batch(params, inputs)
     return mse_loss(predictions, targets)
 
 

@@ -87,3 +87,25 @@ def test_checkpoint_empty_memory(tmp_path):
     bundle = load_checkpoint(path)
     assert bundle.memory.slots == [] and bundle.memory._pending == []
     assert bundle.memory.observed_count == 0
+
+
+
+@pytest.mark.parametrize(
+    "key, corrupt, message",
+    [
+        ("param__b2", lambda a: np.concatenate([[np.inf], a[1:]]), "param__b2 contains non-finite"),
+        ("param__u_f", lambda a: a[:, :-1], r"param__u_f has shape \(6, 5\)"),
+        ("adam_v__w1", lambda a: np.full_like(a, np.nan), "adam_v__w1 contains non-finite"),
+    ],
+    ids=["inf-b2", "shape-u_f", "nan-adam_v"],
+)
+def test_load_checkpoint_rejects_corrupt_arrays(tmp_path, key, corrupt, message):
+    cfg, params, adam, memory, rng_states = trained_bundle(seed=7)
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(path, cfg, params, adam, memory, rng_states)
+    with np.load(path, allow_pickle=False) as data:
+        arrays = dict(data)
+    arrays[key] = corrupt(arrays[key])
+    np.savez_compressed(path, **arrays)
+    with pytest.raises(ValueError, match=f"ckpt.npz: array {message}"):
+        load_checkpoint(path)

@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ghreplay import linalg
+from ghreplay import linalg, model
 from ghreplay.linalg import SIGMOID, TANH
 from ghreplay.model import (
     AdamState,
@@ -317,9 +322,13 @@ def _overflow_w_i(params, x):
     x[:] = 1.0
 
 
+def _poison_b2(params, x):
+    params.b2[0] = np.inf
+
+
 @pytest.mark.parametrize(
-    "poison", [_poison_windows, _poison_u_f, _poison_b_g, _overflow_w_i],
-    ids=["nan-window", "nan-u_f", "inf-b_g", "overflow-w_i"],
+    "poison", [_poison_windows, _poison_u_f, _poison_b_g, _overflow_w_i, _poison_b2],
+    ids=["nan-window", "nan-u_f", "inf-b_g", "overflow-w_i", "inf-b2"],
 )
 @pytest.mark.parametrize("entry", ["predict_batch", "backward"])
 def test_kernel_rejects_non_finite_values(poison, entry):
@@ -327,11 +336,70 @@ def test_kernel_rejects_non_finite_values(poison, entry):
     params = init_model(cfg, SeededRng(22))
     x = random_windows(SeededRng(23), 3, cfg.window_len)
     poison(params, x)
-    with pytest.raises(ValueError, match="non-finite"):
-        if entry == "predict_batch":
+    if entry == "predict_batch":
+        with pytest.raises(ValueError, match="non-finite"):
             predict_batch(params, x)
-        else:
+    elif poison is _poison_b2:
+        # b2 is added after the kernel's last check: training reports the rows
+        with pytest.raises(TrainingDivergedError, match=r"non-finite predictions for batch rows \[0, 1, 2\]"):
             backward(params, x, random_targets(SeededRng(24), 3))
+    else:
+        with pytest.raises(ValueError, match="non-finite"):
+            backward(params, x, random_targets(SeededRng(24), 3))
+
+
+def test_predict_batch_rejects_empty_batch():
+    params = init_model(small_cfg(), SeededRng(29))
+    with pytest.raises(ValueError, match="predict_batch: empty batch"):
+        predict_batch(params, np.zeros((0, 6, 5)))
+
+
+# --- chunks spread over CPUs ------------------------------------------------
+
+def test_predict_batch_bit_identical_for_any_cpu_count(monkeypatch):
+    cfg = ModelConfig(hidden_dim=32, dense_dim=32, window_len=250)
+    params = init_model(cfg, SeededRng(30))
+    windows = np.random.default_rng(31).uniform(0.0, 1.0, (1100, 250, 5))  # last chunk ragged
+    expected = np.concatenate(
+        [reference_forward(params, windows[s : s + 512])[0] for s in (0, 512, 1024)]
+    )
+    threads = set()
+
+    def recording_forward(*args, **kwargs):
+        threads.add(threading.get_ident())
+        return _forward(*args, **kwargs)
+
+    monkeypatch.setattr(model, "_forward", recording_forward)
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(model, "_usable_cpus", lambda: cpus)
+        threads.clear()
+        assert np.array_equal(predict_batch(params, windows), expected), cpus
+        assert len(threads) == cpus
+
+
+@pytest.mark.parametrize("bad_chunk", [1, 2], ids=["helper-chunk", "last-chunk"])
+def test_predict_batch_threads_raise_non_finite(monkeypatch, bad_chunk):
+    cfg = small_cfg()
+    params = init_model(cfg, SeededRng(32))
+    windows = np.random.default_rng(33).uniform(0.0, 1.0, (1100, cfg.window_len, 5))
+    windows[512 * bad_chunk + 3, 2, 1] = np.nan
+    monkeypatch.setattr(model, "_usable_cpus", lambda: 2)
+    with pytest.raises(ValueError, match="non-finite"):
+        predict_batch(params, windows)
+
+
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])
+def test_import_pins_blas_threads_unless_set(preset, expected):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    out = subprocess.run(
+        [sys.executable, "-c", "import os, ghreplay; print(os.environ['OPENBLAS_NUM_THREADS'])"],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert out.stdout.strip() == expected
 
 
 # --- bit-identity against the per-gate reference loop -----------------------
