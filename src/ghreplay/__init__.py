@@ -28,7 +28,7 @@ from .climate import (
     transpiration_rate,
     vapor_pressure_deficit,
 )
-from .dataset import Normalizer, WindowedSample, build_samples, default_normalizer, extract_windows
+from .dataset import Normalizer, WindowedSample, build_samples, default_normalizer
 from .memory import EpisodicMemory, MemoryConfig, SubstitutionStrategy
 from .model import (
     AdamState,
@@ -36,7 +36,6 @@ from .model import (
     ModelParams,
     adam_step,
     backward,
-    forward,
     init_adam,
     init_model,
     mse_loss,
@@ -78,8 +77,6 @@ __all__ = [
     "build_samples",
     "default_normalizer",
     "evaluate",
-    "extract_windows",
-    "forward",
     "generate_series",
     "init_adam",
     "init_model",

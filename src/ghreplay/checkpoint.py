@@ -28,30 +28,21 @@ class CheckpointBundle:
     rng_states: dict[str, dict]
 
 
-def _stack_slot_arrays(samples: list[WindowedSample], window_len: int, input_dim: int):
+SLOT_ARRAYS = ("inputs", "targets", "labels", "end_ts")
+
+
+def _stack_slot_arrays(samples: list[WindowedSample], cfg: ModelConfig):
     if samples:
         inputs = np.stack([s.inputs for s in samples])
         targets = np.stack([s.targets for s in samples])
         labels = np.array([s.label for s in samples])
         end_ts = np.array([s.end_timestamp for s in samples], dtype=np.int64)
     else:
-        inputs = np.zeros((0, window_len, input_dim))
-        targets = np.zeros((0, 2))
+        inputs = np.zeros((0, cfg.window_len, cfg.input_dim))
+        targets = np.zeros((0, cfg.output_dim))
         labels = np.array([], dtype="U1")
         end_ts = np.array([], dtype=np.int64)
     return inputs, targets, labels, end_ts
-
-
-def _unstack_slot_arrays(inputs, targets, labels, end_ts) -> list[WindowedSample]:
-    return [
-        WindowedSample(
-            inputs=inputs[i],
-            targets=targets[i],
-            label=str(labels[i]),
-            end_timestamp=int(end_ts[i]),
-        )
-        for i in range(inputs.shape[0])
-    ]
 
 
 def save_checkpoint(
@@ -63,23 +54,14 @@ def save_checkpoint(
     rng_states: dict[str, dict],
 ) -> None:
     arrays: dict[str, np.ndarray] = {}
-    for name, arr in params.items():
-        arrays[f"param__{name}"] = arr
-    for name, arr in adam.m.items():
-        arrays[f"adam_m__{name}"] = arr
-    for name, arr in adam.v.items():
-        arrays[f"adam_v__{name}"] = arr
+    for prefix, store in (("param", params), ("adam_m", adam.m), ("adam_v", adam.v)):
+        for name, arr in store.items():
+            arrays[f"{prefix}__{name}"] = arr
     arrays["adam_t"] = np.array(adam.t, dtype=np.int64)
 
-    slots = _stack_slot_arrays(memory.slots, model_cfg.window_len, model_cfg.input_dim)
-    arrays["mem_inputs"], arrays["mem_targets"], arrays["mem_labels"], arrays["mem_end_ts"] = slots
-    pending = _stack_slot_arrays(memory._pending, model_cfg.window_len, model_cfg.input_dim)
-    (
-        arrays["mem_pending_inputs"],
-        arrays["mem_pending_targets"],
-        arrays["mem_pending_labels"],
-        arrays["mem_pending_end_ts"],
-    ) = pending
+    for prefix, samples in (("mem", memory.slots), ("mem_pending", memory._pending)):
+        for name, arr in zip(SLOT_ARRAYS, _stack_slot_arrays(samples, model_cfg)):
+            arrays[f"{prefix}_{name}"] = arr
     arrays["mem_observed_count"] = np.array(memory.observed_count, dtype=np.int64)
 
     meta = {
@@ -95,19 +77,44 @@ def save_checkpoint(
     np.savez_compressed(Path(path), **arrays)
 
 
+def _array(path, data, key: str) -> np.ndarray:
+    if key not in data.files:
+        raise ValueError(f"{path}: array {key} is missing")
+    return data[key]
+
+
+def _checked(path, key: str, arr: np.ndarray, shape: tuple, finite: bool = True) -> np.ndarray:
+    """``arr``, loaded as ``key``, checked to have ``shape`` and, if
+    ``finite``, only finite values."""
+    if arr.shape != shape:
+        raise ValueError(f"{path}: array {key} has shape {arr.shape}, expected {shape}")
+    if finite and not np.isfinite(arr).all():
+        raise ValueError(f"{path}: array {key} contains non-finite values")
+    return arr
+
+
 def _checked_params(path, data, prefix: str, expected: ModelParams) -> ModelParams:
-    """The ``{prefix}__*`` arrays of a loaded archive, each checked to have
-    its parameter's shape in ``expected`` and only finite values."""
+    """The ``{prefix}__*`` arrays, each with its parameter's shape in ``expected``."""
     arrays = {}
     for name, like in expected.items():
         key = f"{prefix}__{name}"
-        arr = data[key]
-        if arr.shape != like.shape:
-            raise ValueError(f"{path}: array {key} has shape {arr.shape}, the model needs {like.shape}")
-        if not np.isfinite(arr).all():
-            raise ValueError(f"{path}: array {key} contains non-finite values")
-        arrays[name] = arr
+        arrays[name] = _checked(path, key, _array(path, data, key), like.shape)
     return ModelParams(**arrays)
+
+
+def _checked_slots(path, data, prefix: str, cfg: ModelConfig) -> list[WindowedSample]:
+    """The memory samples stored as ``{prefix}_*`` arrays: N finite windows
+    of the model's shape, N finite targets, N labels and N end timestamps."""
+    inputs, targets, labels, end_ts = (_array(path, data, f"{prefix}_{name}") for name in SLOT_ARRAYS)
+    n = inputs.shape[0] if inputs.ndim else 0
+    _checked(path, f"{prefix}_inputs", inputs, (n, cfg.window_len, cfg.input_dim))
+    _checked(path, f"{prefix}_targets", targets, (n, cfg.output_dim))
+    _checked(path, f"{prefix}_labels", labels, (n,), finite=False)
+    _checked(path, f"{prefix}_end_ts", end_ts, (n,), finite=False)
+    return [
+        WindowedSample(inputs=inputs[i], targets=targets[i], label=str(labels[i]), end_timestamp=int(end_ts[i]))
+        for i in range(n)
+    ]
 
 
 def load_checkpoint(path: str | Path) -> CheckpointBundle:
@@ -130,15 +137,8 @@ def load_checkpoint(path: str | Path) -> CheckpointBundle:
         )
 
         memory = EpisodicMemory(memory_cfg)
-        memory.slots = _unstack_slot_arrays(
-            data["mem_inputs"], data["mem_targets"], data["mem_labels"], data["mem_end_ts"]
-        )
-        memory._pending = _unstack_slot_arrays(
-            data["mem_pending_inputs"],
-            data["mem_pending_targets"],
-            data["mem_pending_labels"],
-            data["mem_pending_end_ts"],
-        )
+        memory.slots = _checked_slots(path, data, "mem", model_cfg)
+        memory._pending = _checked_slots(path, data, "mem_pending", model_cfg)
         memory.observed_count = int(data["mem_observed_count"])
 
     return CheckpointBundle(

@@ -11,7 +11,7 @@ and every clamp is counted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,12 +76,6 @@ class Normalizer:
     def normalize_targets(self, values: np.ndarray) -> np.ndarray:
         return self._normalize(values, self.target_low, self.target_high)
 
-    def denormalize_inputs(self, values: np.ndarray) -> np.ndarray:
-        return np.asarray(values, dtype=np.float64) * (self.input_high - self.input_low) + self.input_low
-
-    def denormalize_targets(self, values: np.ndarray) -> np.ndarray:
-        return np.asarray(values, dtype=np.float64) * (self.target_high - self.target_low) + self.target_low
-
 
 def default_normalizer() -> Normalizer:
     input_bounds = np.array(DEFAULT_INPUT_BOUNDS, dtype=np.float64)
@@ -114,39 +108,6 @@ def window_count(n_records: int, window_len: int, stride: int) -> int:
     if n_records < window_len:
         return 0
     return (n_records - window_len) // stride + 1
-
-
-@dataclass
-class RawWindow:
-    """A window of raw (physical-unit) features before normalization."""
-
-    features: np.ndarray     # (window_len, 5) view into the series
-    target: np.ndarray       # (2,) raw target pair at the final record
-    end_timestamp: int
-
-
-def extract_windows(
-    records: list[ClimateRecord], window_len: int, stride: int
-) -> list[RawWindow]:
-    """Contiguous raw windows; the target comes from each window's last record."""
-    count = window_count(len(records), window_len, stride)
-    if count == 0:
-        return []
-    inputs, targets, timestamps = records_to_arrays(records)
-    inputs.flags.writeable = False
-    targets.flags.writeable = False
-    windows = []
-    for w in range(count):
-        start = w * stride
-        end = start + window_len
-        windows.append(
-            RawWindow(
-                features=inputs[start:end],
-                target=targets[end - 1],
-                end_timestamp=int(timestamps[end - 1]),
-            )
-        )
-    return windows
 
 
 def build_samples(

@@ -23,7 +23,7 @@ import jsonschema
 from .climate import PRESETS, GreenhouseParams, generate_series
 from .csvio import read_records, write_records
 from .dataset import Normalizer, build_samples, default_normalizer
-from .memory import MemoryConfig, SubstitutionStrategy
+from .memory import MemoryConfig
 from .model import ModelConfig
 from .rng import SeededRng
 from .trainer import Phase, ScenarioConfig
@@ -227,28 +227,13 @@ def greenhouse_params(entry: dict) -> GreenhouseParams:
 
 
 def build_model_config(spec: dict) -> ModelConfig:
-    model = spec.get("model", {})
-    cfg = ModelConfig(
-        hidden_dim=model.get("hidden_dim", 32),
-        dense_dim=model.get("dense_dim", 32),
-        window_len=spec.get("data", {}).get("window_len", 250),
-        learning_rate=model.get("learning_rate", 1e-3),
-        adam_beta1=model.get("adam_beta1", 0.9),
-        adam_beta2=model.get("adam_beta2", 0.999),
-        adam_epsilon=model.get("adam_epsilon", 1e-8),
-        grad_clip=model.get("grad_clip"),
-    )
+    cfg = ModelConfig(window_len=spec["data"]["window_len"], **spec["model"])
     cfg.validate()
     return cfg
 
 
 def build_memory_config(spec: dict) -> MemoryConfig:
-    memory = spec.get("memory", {})
-    cfg = MemoryConfig(
-        capacity=memory.get("capacity", 10000),
-        substitution_probability=memory.get("substitution_probability", 0.1),
-        strategy=SubstitutionStrategy(memory.get("strategy", "per-batch")),
-    )
+    cfg = MemoryConfig(**spec["memory"])
     cfg.validate()
     return cfg
 
@@ -261,9 +246,9 @@ def dataset_path(spec: dict, entry: dict, out_dir: Path) -> Path:
 
 def generate_datasets(spec: dict, out_dir: Path) -> list[Path]:
     """Write one CSV per generated greenhouse plus a manifest of the inputs."""
-    seed = spec.get("seed", 0)
-    days = spec.get("days_per_phase", 30)
-    start_ts = spec.get("data", {}).get("start_timestamp", 0)
+    seed = spec["seed"]
+    days = spec["days_per_phase"]
+    start_ts = spec["data"]["start_timestamp"]
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     manifest_entries = []
@@ -291,11 +276,10 @@ def generate_datasets(spec: dict, out_dir: Path) -> list[Path]:
 
 def build_phases(spec: dict, out_dir: Path) -> tuple[list[Phase], Normalizer]:
     """Load every greenhouse CSV and split windows into stream/test sets."""
-    seed = spec.get("seed", 0)
-    data = spec.get("data", {})
-    window_len = data.get("window_len", 250)
-    stride = data.get("stride", 2)
-    test_size = spec.get("scenario", {}).get("test_size", 10000)
+    seed = spec["seed"]
+    window_len = spec["data"]["window_len"]
+    stride = spec["data"]["stride"]
+    test_size = spec["scenario"]["test_size"]
     normalizer = default_normalizer()
 
     phases = []
@@ -319,14 +303,13 @@ def build_phases(spec: dict, out_dir: Path) -> tuple[list[Phase], Normalizer]:
 
 
 def build_scenario(spec: dict, phases: list[Phase]) -> ScenarioConfig:
-    scenario = spec.get("scenario", {})
+    scenario = spec["scenario"]
     cfg = ScenarioConfig(
         phases=phases,
-        batch_size=scenario.get("batch_size", 100),
-        replay_size=scenario.get("replay_size", 100),
-        eval_every=scenario.get("eval_every", 3),
-        test_size=scenario.get("test_size", 10000),
-        seed=spec.get("seed", 0),
+        batch_size=scenario["batch_size"],
+        replay_size=scenario["replay_size"],
+        eval_every=scenario["eval_every"],
+        seed=spec["seed"],
     )
     cfg.validate()
     return cfg

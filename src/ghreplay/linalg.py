@@ -28,14 +28,6 @@ LINEAR = "linear"
 _KINDS = (SIGMOID, TANH, LINEAR)
 
 
-def as_matrix(values) -> np.ndarray:
-    """Coerce to a 2-D float64 C-order array."""
-    a = np.ascontiguousarray(values, dtype=np.float64)
-    if a.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got ndim={a.ndim}")
-    return a
-
-
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product with shape and finiteness checking."""
     if a.ndim != 2 or b.ndim != 2:

@@ -9,6 +9,11 @@ candidate g:
     c_t = f_t * c_{t-1} + i_t * g_t
     h_t = o_t * tanh(c_t)
 
+The weights are stored gate-stacked in the order i, f, o, g: ``w``
+(4, hidden, input), ``u`` (4, hidden, hidden) and ``b`` (4, hidden),
+then the head's ``w1``, ``b1``, ``w2`` and ``b2``. These seven arrays are
+the unit of the gradients, the Adam moments and the checkpoint.
+
 One step loop serves training (keeping the BPTT cache) and prediction
 (keeping only the running state). Finiteness is checked at the
 boundaries, not per operation: the windows once on entry, the four gate
@@ -38,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .linalg import LINEAR, SIGMOID, TANH
+from .linalg import SIGMOID, TANH
 from .rng import SeededRng
 
 
@@ -71,21 +76,14 @@ class ModelConfig:
 
 @dataclass
 class ModelParams:
-    """All weights. Gate matrices are (hidden x input), recurrent matrices
-    (hidden x hidden), head weights (dense x hidden) and (output x dense)."""
+    """All weights. The LSTM gates are stacked in the order i, f, o, g:
+    input weights w (4, hidden, input), recurrent weights u (4, hidden,
+    hidden) and biases b (4, hidden). The head is w1 (dense, hidden), b1,
+    w2 (output, dense) and b2."""
 
-    w_i: np.ndarray
-    w_f: np.ndarray
-    w_o: np.ndarray
-    w_g: np.ndarray
-    u_i: np.ndarray
-    u_f: np.ndarray
-    u_o: np.ndarray
-    u_g: np.ndarray
-    b_i: np.ndarray
-    b_f: np.ndarray
-    b_o: np.ndarray
-    b_g: np.ndarray
+    w: np.ndarray
+    u: np.ndarray
+    b: np.ndarray
     w1: np.ndarray
     b1: np.ndarray
     w2: np.ndarray
@@ -108,30 +106,25 @@ def zeros_params(cfg: ModelConfig) -> ModelParams:
     dn, out = cfg.dense_dim, cfg.output_dim
     z = np.zeros
     return ModelParams(
-        w_i=z((h, d)), w_f=z((h, d)), w_o=z((h, d)), w_g=z((h, d)),
-        u_i=z((h, h)), u_f=z((h, h)), u_o=z((h, h)), u_g=z((h, h)),
-        b_i=z(h), b_f=z(h), b_o=z(h), b_g=z(h),
+        w=z((4, h, d)), u=z((4, h, h)), b=z((4, h)),
         w1=z((dn, h)), b1=z(dn), w2=z((out, dn)), b2=z(out),
     )
 
 
 def init_model(cfg: ModelConfig, rng: SeededRng) -> ModelParams:
-    """Glorot weights drawn in a fixed order; zero biases except forget
-    gate biases at 1 so gradients flow through long windows from the start."""
+    """Glorot weights drawn in a fixed order (the four input gates, the four
+    recurrent gates, w1, w2); zero biases except the forget gate's at 1 so
+    gradients flow through long windows from the start."""
     cfg.validate()
     h, d = cfg.hidden_dim, cfg.input_dim
     params = zeros_params(cfg)
-    params.w_i = linalg.glorot_init(h, d, rng)
-    params.w_f = linalg.glorot_init(h, d, rng)
-    params.w_o = linalg.glorot_init(h, d, rng)
-    params.w_g = linalg.glorot_init(h, d, rng)
-    params.u_i = linalg.glorot_init(h, h, rng)
-    params.u_f = linalg.glorot_init(h, h, rng)
-    params.u_o = linalg.glorot_init(h, h, rng)
-    params.u_g = linalg.glorot_init(h, h, rng)
+    for k in range(4):
+        params.w[k] = linalg.glorot_init(h, d, rng)
+    for k in range(4):
+        params.u[k] = linalg.glorot_init(h, h, rng)
     params.w1 = linalg.glorot_init(cfg.dense_dim, h, rng)
     params.w2 = linalg.glorot_init(cfg.output_dim, cfg.dense_dim, rng)
-    params.b_f = np.ones(h)
+    params.b[1] = 1.0
     return params
 
 
@@ -151,11 +144,8 @@ class ForwardCache:
     """Per-step activations retained for backpropagation through time."""
 
     inputs: np.ndarray    # (B, T, D)
-    i_s: np.ndarray       # (T, B, H) input gates
-    f_s: np.ndarray       # forget gates
-    o_s: np.ndarray       # output gates
-    g_s: np.ndarray       # candidates
-    c_s: np.ndarray       # cell states
+    gates: np.ndarray     # (T, 4, B, H) gates i, f, o and candidate g
+    c_s: np.ndarray       # (T, B, H) cell states
     tc_s: np.ndarray      # tanh(cell)
     h_s: np.ndarray       # hidden states
     dense: np.ndarray     # (B, dense) tanh layer output
@@ -166,9 +156,9 @@ def _check_windows(params: ModelParams, inputs: np.ndarray) -> np.ndarray:
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim != 3:
         raise ValueError(f"expected windows of shape (batch, window_len, input_dim), got {inputs.shape}")
-    if inputs.shape[2] != params.w_i.shape[1]:
+    if inputs.shape[2] != params.w.shape[2]:
         raise ValueError(
-            f"window input_dim {inputs.shape[2]} does not match model input_dim {params.w_i.shape[1]}"
+            f"window input_dim {inputs.shape[2]} does not match model input_dim {params.w.shape[2]}"
         )
     return inputs
 
@@ -198,22 +188,22 @@ def _forward(
 
     Each gate's pre-activation is x_t @ W^T + h @ U^T + b, summed in that
     order, and finiteness is checked once per step on all four sums: a
-    non-finite product or bias makes its sum non-finite. The four gates'
-    weights are stacked, so each product is one broadcast matmul that
-    issues the same per-gate gemm calls as four separate ones. With
+    non-finite product or bias makes its sum non-finite. The gates'
+    weights are stored stacked, so each product is one broadcast matmul
+    over transposed views that issues one gemm call per gate. With
     keep_cache the per-step activations are written straight into the
     BPTT cache; without it the state buffers are updated in place.
     """
     if not np.isfinite(inputs).all():
         raise ValueError("windows contain non-finite values")
     batch, steps, _ = inputs.shape
-    hidden = params.u_i.shape[0]
-    w = np.stack((params.w_i, params.w_f, params.w_o, params.w_g)).transpose(0, 2, 1)
-    u = np.stack((params.u_i, params.u_f, params.u_o, params.u_g)).transpose(0, 2, 1)
+    hidden = params.u.shape[1]
+    w = params.w.transpose(0, 2, 1)
+    u = params.u.transpose(0, 2, 1)
     shape = (batch, hidden)
     # full-shape, because a broadcast add over rows of H is twice as slow
     b = np.empty((4,) + shape)
-    b[:] = np.stack((params.b_i, params.b_f, params.b_o, params.b_g))[:, None, :]
+    b[:] = params.b[:, None, :]
     h = np.zeros(shape)
     c = np.zeros(shape)
     ig = np.empty(shape)
@@ -260,17 +250,7 @@ def _forward(
 
     if not keep_cache:
         return outputs, None
-    i_s, f_s, o_s, g_s = (gates_s[:, k] for k in range(4))
-    return outputs, ForwardCache(inputs, i_s, f_s, o_s, g_s, c_s, tc_s, h_s, dense, outputs)
-
-
-def forward(params: ModelParams, window: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
-    """Predict one window (window_len, input_dim) -> ((output_dim,), cache)."""
-    window = np.asarray(window, dtype=np.float64)
-    if window.ndim != 2:
-        raise ValueError(f"forward: expected a 2-D window, got shape {window.shape}")
-    outputs, cache = _forward(params, _check_windows(params, window[None, :, :]), keep_cache=True)
-    return outputs[0], cache
+    return outputs, ForwardCache(inputs, gates_s, c_s, tc_s, h_s, dense, outputs)
 
 
 def _usable_cpus() -> int:
@@ -338,6 +318,9 @@ def backward(
         do = dh * tanh(c);        dc += dh * o * (1 - tanh(c)^2)
         di = dc * g;  df = dc * c_prev;  dg = dc * i
         dh_prev = sum_gate (d_pre_gate @ U_gate);  dc_prev = dc * f
+
+    The four gate deltas share one (4, B, H) buffer, so each weight
+    gradient is one broadcast matmul that issues one gemm call per gate.
     """
     if inputs.shape[0] == 0:
         raise ValueError("backward: empty batch")
@@ -366,35 +349,30 @@ def backward(
     grads.b1 = d_z1.sum(axis=0)
     dh = d_z1 @ params.w1
 
-    # unrolled LSTM
+    # unrolled LSTM; da holds the gate pre-activation deltas in gate order
     dc = np.zeros_like(dh)
+    zero = np.zeros_like(dh)
+    da = np.empty((4,) + dh.shape)
     for t in range(steps - 1, -1, -1):
-        i, f, o, g = cache.i_s[t], cache.f_s[t], cache.o_s[t], cache.g_s[t]
+        i, f, o, g = cache.gates[t]
         tc = cache.tc_s[t]
-        c_prev = cache.c_s[t - 1] if t > 0 else np.zeros_like(tc)
-        h_prev = cache.h_s[t - 1] if t > 0 else np.zeros_like(tc)
+        c_prev = cache.c_s[t - 1] if t > 0 else zero
+        h_prev = cache.h_s[t - 1] if t > 0 else zero
         x_t = cache.inputs[:, t, :]
 
-        da_o = dh * tc * linalg.activation_grad(SIGMOID, o)
+        da[2] = dh * tc * linalg.activation_grad(SIGMOID, o)
         dc = dc + dh * o * linalg.activation_grad(TANH, tc)
-        da_i = dc * g * linalg.activation_grad(SIGMOID, i)
-        da_f = dc * c_prev * linalg.activation_grad(SIGMOID, f)
-        da_g = dc * i * linalg.activation_grad(TANH, g)
+        da[0] = dc * g * linalg.activation_grad(SIGMOID, i)
+        da[1] = dc * c_prev * linalg.activation_grad(SIGMOID, f)
+        da[3] = dc * i * linalg.activation_grad(TANH, g)
 
-        grads.w_i += da_i.T @ x_t
-        grads.w_f += da_f.T @ x_t
-        grads.w_o += da_o.T @ x_t
-        grads.w_g += da_g.T @ x_t
-        grads.u_i += da_i.T @ h_prev
-        grads.u_f += da_f.T @ h_prev
-        grads.u_o += da_o.T @ h_prev
-        grads.u_g += da_g.T @ h_prev
-        grads.b_i += da_i.sum(axis=0)
-        grads.b_f += da_f.sum(axis=0)
-        grads.b_o += da_o.sum(axis=0)
-        grads.b_g += da_g.sum(axis=0)
+        da_t = da.transpose(0, 2, 1)
+        grads.w += da_t @ x_t
+        grads.u += da_t @ h_prev
+        grads.b += da.sum(axis=1)
 
-        dh = da_i @ params.u_i + da_f @ params.u_f + da_o @ params.u_o + da_g @ params.u_g
+        p = da @ params.u
+        dh = p[0] + p[1] + p[2] + p[3]
         dc = dc * f
 
     return loss, grads

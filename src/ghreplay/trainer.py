@@ -68,7 +68,6 @@ class ScenarioConfig:
     batch_size: int = 100
     replay_size: int = 100
     eval_every: int = 3
-    test_size: int = 10000
     seed: int = 0
 
     def validate(self) -> None:
@@ -336,21 +335,20 @@ RETENTION_COLUMNS = (
 MEMORY_COLUMNS = ("update_index", "label", "fraction")
 
 
-def write_curve_csv(path: str | Path, curve: LearningCurve) -> None:
+def _write_table(path: str | Path, columns: tuple[str, ...], rows) -> None:
+    """A header row, then one row per item; floats are written with repr."""
     with Path(path).open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(CURVE_COLUMNS)
-        for p in curve.points:
-            writer.writerow(
-                [
-                    p.update_index,
-                    p.eval_index,
-                    p.phase,
-                    repr(p.mse_total),
-                    repr(p.mse_transpiration),
-                    repr(p.mse_photosynthesis),
-                ]
-            )
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+
+
+def write_curve_csv(path: str | Path, curve: LearningCurve) -> None:
+    _write_table(path, CURVE_COLUMNS, (
+        (p.update_index, p.eval_index, p.phase, p.mse_total, p.mse_transpiration, p.mse_photosynthesis)
+        for p in curve.points
+    ))
 
 
 def read_curve_csv(path: str | Path) -> list[EvalPoint]:
@@ -379,11 +377,7 @@ def boundaries_path_for(curve_path: str | Path) -> Path:
 
 
 def write_boundaries_csv(path: str | Path, curve: LearningCurve) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(BOUNDARY_COLUMNS)
-        for label, start in curve.phase_starts:
-            writer.writerow([label, start])
+    _write_table(path, BOUNDARY_COLUMNS, curve.phase_starts)
 
 
 def read_boundaries_csv(path: str | Path) -> list[tuple[str, int]]:
@@ -398,29 +392,15 @@ def read_boundaries_csv(path: str | Path) -> list[tuple[str, int]]:
 
 
 def write_retention_csv(path: str | Path, points: list[RetentionPoint]) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RETENTION_COLUMNS)
-        for p in points:
-            writer.writerow(
-                [
-                    p.update_index,
-                    p.eval_index,
-                    p.train_phase,
-                    p.test_phase,
-                    repr(p.mse_total),
-                    repr(p.mse_transpiration),
-                    repr(p.mse_photosynthesis),
-                ]
-            )
+    _write_table(path, RETENTION_COLUMNS, (
+        (p.update_index, p.eval_index, p.train_phase, p.test_phase,
+         p.mse_total, p.mse_transpiration, p.mse_photosynthesis)
+        for p in points
+    ))
 
 
 def write_memory_csv(path: str | Path, rows: list[tuple[int, str, float]]) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(MEMORY_COLUMNS)
-        for update_index, label, fraction in rows:
-            writer.writerow([update_index, label, repr(fraction)])
+    _write_table(path, MEMORY_COLUMNS, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -486,17 +466,8 @@ COMPARE_COLUMNS = (
 
 
 def write_compare_csv(path: str | Path, rows: list[CompareRow]) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(COMPARE_COLUMNS)
-        for r in rows:
-            writer.writerow(
-                [
-                    r.phase,
-                    r.boundary_update,
-                    repr(r.transferred_mse),
-                    repr(r.fresh_mse),
-                    repr(r.ratio),
-                    "pass" if r.transfer_benefit else "fail",
-                ]
-            )
+    _write_table(path, COMPARE_COLUMNS, (
+        (r.phase, r.boundary_update, r.transferred_mse, r.fresh_mse, r.ratio,
+         "pass" if r.transfer_benefit else "fail")
+        for r in rows
+    ))

@@ -55,7 +55,6 @@ def transfer_runs():
             batch_size=100,
             replay_size=100,
             eval_every=3,
-            test_size=1000,
             seed=seed,
         )
         with_replay = run_scenario(scenario, DESK_MODEL, memory_cfg, retention=True)
@@ -64,7 +63,6 @@ def transfer_runs():
             batch_size=100,
             replay_size=0,
             eval_every=3,
-            test_size=1000,
             seed=seed,
         )
         ablation = run_scenario(ablation_cfg, DESK_MODEL, memory_cfg, retention=True)
@@ -111,7 +109,7 @@ def test_acceptance_3_learning_progress():
             phase = build_phase("GH-A", days=30, seed=seed)
             scenario = ScenarioConfig(
                 phases=[phase], batch_size=100, replay_size=100,
-                eval_every=3, test_size=1000, seed=seed,
+                eval_every=3, seed=seed,
             )
             result = run_scenario(scenario, DESK_MODEL, MemoryConfig())
             mses = [p.mse_total for p in result.curve.points]

@@ -94,10 +94,12 @@ def test_checkpoint_empty_memory(tmp_path):
     "key, corrupt, message",
     [
         ("param__b2", lambda a: np.concatenate([[np.inf], a[1:]]), "param__b2 contains non-finite"),
-        ("param__u_f", lambda a: a[:, :-1], r"param__u_f has shape \(6, 5\)"),
+        ("param__u", lambda a: a[:, :, :-1], r"param__u has shape \(4, 6, 5\), expected \(4, 6, 6\)"),
         ("adam_v__w1", lambda a: np.full_like(a, np.nan), "adam_v__w1 contains non-finite"),
+        ("mem_inputs", lambda a: a[:, :5], r"mem_inputs has shape \(10, 5, 5\), expected \(10, 8, 5\)"),
+        ("mem_targets", lambda a: np.vstack([[np.nan, a[0, 1]], a[1:]]), "mem_targets contains non-finite"),
     ],
-    ids=["inf-b2", "shape-u_f", "nan-adam_v"],
+    ids=["inf-b2", "shape-u", "nan-adam_v", "short-mem_inputs", "nan-mem_targets"],
 )
 def test_load_checkpoint_rejects_corrupt_arrays(tmp_path, key, corrupt, message):
     cfg, params, adam, memory, rng_states = trained_bundle(seed=7)
@@ -108,4 +110,18 @@ def test_load_checkpoint_rejects_corrupt_arrays(tmp_path, key, corrupt, message)
     arrays[key] = corrupt(arrays[key])
     np.savez_compressed(path, **arrays)
     with pytest.raises(ValueError, match=f"ckpt.npz: array {message}"):
+        load_checkpoint(path)
+
+
+def test_load_checkpoint_rejects_per_gate_layout(tmp_path):
+    cfg, params, adam, memory, rng_states = trained_bundle(seed=8)
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(path, cfg, params, adam, memory, rng_states)
+    with np.load(path, allow_pickle=False) as data:
+        arrays = dict(data)
+    w = arrays.pop("param__w")
+    for k, gate in enumerate("ifog"):
+        arrays[f"param__w_{gate}"] = w[k]
+    np.savez_compressed(path, **arrays)
+    with pytest.raises(ValueError, match="ckpt.npz: array param__w is missing"):
         load_checkpoint(path)

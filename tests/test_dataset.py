@@ -10,7 +10,6 @@ from ghreplay.dataset import (
     Normalizer,
     build_samples,
     default_normalizer,
-    extract_windows,
     window_count,
 )
 from ghreplay.rng import SeededRng
@@ -48,8 +47,9 @@ def test_normalize_roundtrip_in_range(frac, feature):
     value = n.input_low[feature] + frac * (n.input_high[feature] - n.input_low[feature])
     row = ((n.input_low + n.input_high) / 2.0).copy()
     row[feature] = value
-    back = n.denormalize_inputs(n.normalize_inputs(row[None, :]))
-    assert abs(back[0, feature] - value) < 1e-12
+    low, high = n.input_low[feature], n.input_high[feature]
+    out = n.normalize_inputs(row[None, :])
+    assert out[0, feature] == (value - low) / (high - low)
     assert n.clamp_count == 0
 
 
@@ -62,8 +62,10 @@ def test_roundtrip_thousand_random_values():
             for _ in range(1000)
         ]
     )
-    back = n.denormalize_inputs(n.normalize_inputs(values))
-    assert np.max(np.abs(back - values)) < 1e-12
+    out = n.normalize_inputs(values)
+    for j in range(5):
+        low, high = n.input_low[j], n.input_high[j]
+        assert all(out[r, j] == (values[r, j] - low) / (high - low) for r in range(1000))
     assert n.clamp_count == 0
 
 
@@ -110,32 +112,33 @@ def test_window_count_closed_form_random_triples():
         assert window_count(n, window_len, stride) == expected
 
 
-def test_extract_windows_counts_match_formula():
+def test_build_samples_counts_match_formula():
     records = generate_series(PRESETS["GH-A"], days=1, rng=SeededRng(5))
     rng = SeededRng(23)
     for _ in range(10):
         window_len = rng.randbelow(100) + 1
         stride = rng.randbelow(8) + 1
-        windows = extract_windows(records, window_len, stride)
-        assert len(windows) == window_count(len(records), window_len, stride)
+        samples = build_samples(records, "GH-A", window_len, stride, default_normalizer())
+        assert len(samples) == window_count(len(records), window_len, stride)
 
 
-def test_extract_windows_contiguous_targets_from_final_record():
+def test_build_samples_contiguous_targets_from_final_record():
     records = generate_series(PRESETS["GH-A"], days=1, rng=SeededRng(6))
-    windows = extract_windows(records, window_len=12, stride=3)
-    for w_idx, window in enumerate(windows):
+    n = default_normalizer()
+    samples = build_samples(records, "GH-A", window_len=12, stride=3, normalizer=n)
+    for w_idx, sample in enumerate(samples):
         start = w_idx * 3
         final = records[start + 11]
-        assert window.end_timestamp == final.timestamp
-        assert window.features.shape == (12, 5)
-        assert window.target[0] == final.transpiration
-        assert window.target[1] == final.photosynthesis
-        assert window.features[0, 0] == records[start].t_air
+        assert sample.end_timestamp == final.timestamp
+        assert sample.inputs.shape == (12, 5)
+        assert sample.targets[0] == (final.transpiration - n.target_low[0]) / (n.target_high[0] - n.target_low[0])
+        assert sample.targets[1] == (final.photosynthesis - n.target_low[1]) / (n.target_high[1] - n.target_low[1])
+        assert sample.inputs[0, 0] == (records[start].t_air - n.input_low[0]) / (n.input_high[0] - n.input_low[0])
 
 
-def test_extract_windows_too_short_series():
+def test_build_samples_too_short_series():
     records = generate_series(PRESETS["GH-A"], days=1, rng=SeededRng(7))
-    assert extract_windows(records[:5], window_len=6, stride=1) == []
+    assert build_samples(records[:5], "GH-A", window_len=6, stride=1, normalizer=default_normalizer()) == []
 
 
 def test_build_samples_normalized_and_labeled():

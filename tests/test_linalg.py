@@ -9,7 +9,6 @@ from ghreplay.linalg import (
     TANH,
     activation,
     activation_grad,
-    as_matrix,
     glorot_init,
     matmul,
 )
@@ -148,10 +147,3 @@ def test_glorot_mean_within_three_sigma():
 def test_glorot_rejects_bad_shape():
     with pytest.raises(ValueError):
         glorot_init(0, 3, SeededRng(0))
-
-
-def test_as_matrix_coerces_and_validates():
-    m = as_matrix([[1, 2], [3, 4]])
-    assert m.dtype == np.float64 and m.shape == (2, 2)
-    with pytest.raises(ValueError):
-        as_matrix([1.0, 2.0])

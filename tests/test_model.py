@@ -18,7 +18,6 @@ from ghreplay.model import (
     adam_step,
     backward,
     clip_gradients,
-    forward,
     init_adam,
     init_model,
     mse_loss,
@@ -49,15 +48,15 @@ def random_targets(rng, batch, outputs=2):
 
 def test_init_biases():
     params = init_model(small_cfg(), SeededRng(0))
-    assert np.array_equal(params.b_f, np.ones(4))
-    for name in ("b_i", "b_o", "b_g", "b1", "b2"):
-        assert np.array_equal(getattr(params, name), np.zeros_like(getattr(params, name)))
+    assert np.array_equal(params.b[1], np.ones(4))
+    for bias in (params.b[0], params.b[2], params.b[3], params.b1, params.b2):
+        assert np.array_equal(bias, np.zeros_like(bias))
 
 
 def test_init_shapes():
     cfg = ModelConfig(input_dim=5, hidden_dim=7, dense_dim=3, output_dim=2, window_len=9)
     p = init_model(cfg, SeededRng(1))
-    assert p.w_i.shape == (7, 5) and p.u_g.shape == (7, 7)
+    assert p.w.shape == (4, 7, 5) and p.u.shape == (4, 7, 7) and p.b.shape == (4, 7)
     assert p.w1.shape == (3, 7) and p.b1.shape == (3,)
     assert p.w2.shape == (2, 3) and p.b2.shape == (2,)
 
@@ -76,29 +75,23 @@ def test_config_validation():
         ModelConfig(learning_rate=0.0).validate()
 
 
-# --- forward ----------------------------------------------------------------
+# --- forward pass, one window at a time -------------------------------------
 
 def test_forward_all_zero_params_outputs_exact_zero():
     cfg = small_cfg()
     params = zeros_params(cfg)
     rng = SeededRng(2)
-    pred, _ = forward(params, random_windows(rng, 1, cfg.window_len)[0])
-    assert np.array_equal(pred, np.zeros(2))
+    pred = predict_batch(params, random_windows(rng, 1, cfg.window_len))
+    assert np.array_equal(pred, np.zeros((1, 2)))
 
 
 def test_forward_scalar_hand_computation():
     # hidden 1, dense 1, window 1: the whole network in plain floats
     cfg = ModelConfig(input_dim=2, hidden_dim=1, dense_dim=1, output_dim=2, window_len=1)
     p = zeros_params(cfg)
-    p.w_i[:] = [[0.3, -0.1]]
-    p.w_f[:] = [[-0.2, 0.4]]
-    p.w_o[:] = [[0.5, 0.2]]
-    p.w_g[:] = [[0.7, -0.6]]
-    p.u_i[:] = 0.11  # unused at t=0 (h0 = 0) but set to catch misuse
-    p.b_i[:] = 0.1
-    p.b_f[:] = 1.0
-    p.b_o[:] = -0.3
-    p.b_g[:] = 0.2
+    p.w[:, 0] = [[0.3, -0.1], [-0.2, 0.4], [0.5, 0.2], [0.7, -0.6]]  # gates i, f, o, g
+    p.u[0] = 0.11  # unused at t=0 (h0 = 0) but set to catch misuse
+    p.b[:, 0] = [0.1, 1.0, -0.3, 0.2]
     p.w1[:] = 0.9
     p.b1[:] = 0.05
     p.w2[:] = [[-1.1], [0.8]]
@@ -118,7 +111,7 @@ def test_forward_scalar_hand_computation():
     d = math.tanh(0.9 * h + 0.05)
     expected = np.array([-1.1 * d + 0.4, 0.8 * d - 0.6])
 
-    pred, _ = forward(p, np.array([x]))
+    pred = predict_batch(p, np.array([[x]]))[0]
     assert np.max(np.abs(pred - expected)) < 1e-12
     assert f == pytest.approx(sig(-0.2 * 0.6 + 0.4 * -0.4 + 1.0))  # sanity on the oracle itself
 
@@ -126,26 +119,26 @@ def test_forward_scalar_hand_computation():
 def test_forward_protocol_scale_window_shape():
     cfg = ModelConfig()  # defaults: window 250, hidden 32, output 2
     params = init_model(cfg, SeededRng(3))
-    window = random_windows(SeededRng(4), 1, 250)[0]
-    pred, _ = forward(params, window)
-    assert pred.shape == (2,)
+    window = random_windows(SeededRng(4), 1, 250)
+    pred = predict_batch(params, window)
+    assert pred.shape == (1, 2)
 
 
 def test_forward_deterministic_and_stateless():
     cfg = small_cfg()
     params = init_model(cfg, SeededRng(5))
-    window = random_windows(SeededRng(6), 1, cfg.window_len)[0]
-    first, _ = forward(params, window)
-    second, _ = forward(params, window)
+    window = random_windows(SeededRng(6), 1, cfg.window_len)
+    first = predict_batch(params, window)
+    second = predict_batch(params, window)
     assert np.array_equal(first, second)
 
 
 def test_forward_shape_errors():
     params = init_model(small_cfg(), SeededRng(7))
     with pytest.raises(ValueError, match="input_dim"):
-        forward(params, np.zeros((6, 3)))
-    with pytest.raises(ValueError, match="2-D"):
-        forward(params, np.zeros(6))
+        predict_batch(params, np.zeros((1, 6, 3)))
+    with pytest.raises(ValueError, match=r"expected windows of shape \(batch, window_len, input_dim\)"):
+        predict_batch(params, np.zeros((6, 5)))
 
 
 # --- mse --------------------------------------------------------------------
@@ -188,9 +181,8 @@ def test_predict_batch_of_one_equals_forward():
     cfg = small_cfg()
     params = init_model(cfg, SeededRng(9))
     windows = random_windows(SeededRng(10), 1, cfg.window_len)
-    single, _ = forward(params, windows[0])
-    batched = predict_batch(params, windows)
-    assert np.array_equal(batched[0], single)
+    training, _ = _forward(params, windows, keep_cache=True)
+    assert np.array_equal(predict_batch(params, windows), training)
 
 
 def test_predict_batch_permutation_equivariant():
@@ -209,7 +201,7 @@ def test_predict_batch_matches_individual_forwards():
     windows = random_windows(SeededRng(14), 100, cfg.window_len)
     batched = predict_batch(params, windows, chunk=32)
     for b in range(100):
-        single, _ = forward(params, windows[b])
+        single = predict_batch(params, windows[b : b + 1])[0]
         assert np.max(np.abs(batched[b] - single)) < 1e-12
 
 
@@ -256,7 +248,7 @@ def test_adam_zero_learning_rate_leaves_params_unchanged():
     cfg.learning_rate = 0.0  # after init; adam_step itself must be inert
     before = params.copy()
     grads = zeros_params(cfg)
-    grads.w_i[:] = 1.0
+    grads.w[0] = 1.0
     adam_step(params, grads, init_adam(cfg), cfg)
     for (_, a), (_, b) in zip(params.items(), before.items()):
         assert np.array_equal(a, b)
@@ -296,7 +288,7 @@ def test_overfit_tiny_batch():
 def test_clip_gradients_scales_to_max_norm():
     cfg = small_cfg()
     grads = zeros_params(cfg)
-    grads.w_i[:] = 3.0
+    grads.w[0] = 3.0
     norm = clip_gradients(grads, 1.0)
     assert norm > 1.0
     total = sum(float(np.sum(g * g)) for _, g in grads.items())
@@ -310,15 +302,15 @@ def _poison_windows(params, x):
 
 
 def _poison_u_f(params, x):
-    params.u_f[2, 1] = np.nan
+    params.u[1, 2, 1] = np.nan
 
 
 def _poison_b_g(params, x):
-    params.b_g[0] = np.inf
+    params.b[3, 0] = np.inf
 
 
 def _overflow_w_i(params, x):
-    params.w_i[:] = 1e308
+    params.w[0] = 1e308
     x[:] = 1.0
 
 
@@ -402,29 +394,78 @@ def test_import_pins_blas_threads_unless_set(preset, expected):
     assert out.stdout.strip() == expected
 
 
-# --- bit-identity against the per-gate reference loop -----------------------
+# --- bit-identity against the per-gate reference loops ----------------------
+
+GATES = "ifog"
+
 
 def reference_forward(params, inputs):
     """The LSTM forward pass written gate by gate against the checked linalg
     helpers: the kernel must reproduce its every bit."""
     batch, steps, _ = inputs.shape
-    hidden = params.u_i.shape[0]
+    hidden = params.u.shape[1]
     cache = {name: np.empty((steps, batch, hidden)) for name in ("i", "f", "o", "g", "c", "tc", "h")}
+    w, u, b = params.w, params.u, params.b
     h = np.zeros((batch, hidden))
     c = np.zeros((batch, hidden))
     for t in range(steps):
         x_t = inputs[:, t, :]
-        i = linalg.activation(SIGMOID, linalg.matmul(x_t, params.w_i.T) + linalg.matmul(h, params.u_i.T) + params.b_i)
-        f = linalg.activation(SIGMOID, linalg.matmul(x_t, params.w_f.T) + linalg.matmul(h, params.u_f.T) + params.b_f)
-        o = linalg.activation(SIGMOID, linalg.matmul(x_t, params.w_o.T) + linalg.matmul(h, params.u_o.T) + params.b_o)
-        g = linalg.activation(TANH, linalg.matmul(x_t, params.w_g.T) + linalg.matmul(h, params.u_g.T) + params.b_g)
+        i = linalg.activation(SIGMOID, linalg.matmul(x_t, w[0].T) + linalg.matmul(h, u[0].T) + b[0])
+        f = linalg.activation(SIGMOID, linalg.matmul(x_t, w[1].T) + linalg.matmul(h, u[1].T) + b[1])
+        o = linalg.activation(SIGMOID, linalg.matmul(x_t, w[2].T) + linalg.matmul(h, u[2].T) + b[2])
+        g = linalg.activation(TANH, linalg.matmul(x_t, w[3].T) + linalg.matmul(h, u[3].T) + b[3])
         c = f * c + i * g
         tc = np.tanh(c)
         h = o * tc
         for name, value in (("i", i), ("f", f), ("o", o), ("g", g), ("c", c), ("tc", tc), ("h", h)):
             cache[name][t] = value
     dense = linalg.activation(TANH, linalg.matmul(h, params.w1.T) + params.b1)
+    cache["dense"] = dense
     return linalg.matmul(dense, params.w2.T) + params.b2, cache
+
+
+def reference_backward(params, inputs, targets):
+    """Loss and gradients written gate by gate on linalg.activation_grad,
+    one array per gate (``w_i`` ... ``b_g``) plus the head's: backward must
+    reproduce their every bit."""
+    outputs, cache = reference_forward(params, inputs)
+    loss, _ = mse_loss(outputs, targets)
+    batch, steps, _ = inputs.shape
+    grads = {}
+    for k, gate in enumerate(GATES):
+        grads[f"w_{gate}"] = np.zeros_like(params.w[k])
+        grads[f"u_{gate}"] = np.zeros_like(params.u[k])
+        grads[f"b_{gate}"] = np.zeros_like(params.b[k])
+
+    d_out = 2.0 * (outputs - targets) / (batch * targets.shape[1])
+    grads["w2"] = d_out.T @ cache["dense"]
+    grads["b2"] = d_out.sum(axis=0)
+    d_z1 = (d_out @ params.w2) * linalg.activation_grad(TANH, cache["dense"])
+    grads["w1"] = d_z1.T @ cache["h"][steps - 1]
+    grads["b1"] = d_z1.sum(axis=0)
+    dh = d_z1 @ params.w1
+
+    dc = np.zeros_like(dh)
+    for t in range(steps - 1, -1, -1):
+        i, f, o, g = (cache[gate][t] for gate in GATES)
+        tc = cache["tc"][t]
+        c_prev = cache["c"][t - 1] if t > 0 else np.zeros_like(tc)
+        h_prev = cache["h"][t - 1] if t > 0 else np.zeros_like(tc)
+        x_t = inputs[:, t, :]
+
+        da_o = dh * tc * linalg.activation_grad(SIGMOID, o)
+        dc = dc + dh * o * linalg.activation_grad(TANH, tc)
+        da_i = dc * g * linalg.activation_grad(SIGMOID, i)
+        da_f = dc * c_prev * linalg.activation_grad(SIGMOID, f)
+        da_g = dc * i * linalg.activation_grad(TANH, g)
+
+        for gate, da in zip(GATES, (da_i, da_f, da_o, da_g)):
+            grads[f"w_{gate}"] += da.T @ x_t
+            grads[f"u_{gate}"] += da.T @ h_prev
+            grads[f"b_{gate}"] += da.sum(axis=0)
+        dh = da_i @ params.u[0] + da_f @ params.u[1] + da_o @ params.u[2] + da_g @ params.u[3]
+        dc = dc * f
+    return loss, grads
 
 
 def test_predict_batch_bit_identical_to_reference_at_paper_shape():
@@ -444,5 +485,26 @@ def test_training_forward_bit_identical_to_reference_at_desk_shape():
     expected_out, expected = reference_forward(params, inputs)
     outputs, cache = _forward(params, _check_windows(params, inputs), keep_cache=True)
     assert np.array_equal(outputs, expected_out)
-    for name in ("i", "f", "o", "g", "c", "tc", "h"):
+    for k, gate in enumerate(GATES):
+        assert np.array_equal(cache.gates[:, k], expected[gate]), gate
+    for name in ("c", "tc", "h"):
         assert np.array_equal(getattr(cache, f"{name}_s"), expected[name]), name
+
+
+def test_backward_bit_identical_to_reference_at_desk_shape():
+    cfg = ModelConfig(hidden_dim=16, dense_dim=16, window_len=50, learning_rate=1e-2)
+    params = init_model(cfg, SeededRng(34))
+    adam = init_adam(cfg)
+    rng = np.random.default_rng(35)
+    for update in range(3):
+        inputs = rng.uniform(0.0, 1.0, (200, 50, 5))
+        targets = rng.uniform(0.0, 1.0, (200, 2))
+        expected_loss, expected = reference_backward(params, inputs, targets)
+        loss, grads = backward(params, inputs, targets)
+        assert loss == expected_loss
+        for k, gate in enumerate(GATES):
+            for kind in ("w", "u", "b"):
+                assert np.array_equal(getattr(grads, kind)[k], expected[f"{kind}_{gate}"]), (update, kind, gate)
+        for name in ("w1", "b1", "w2", "b2"):
+            assert np.array_equal(getattr(grads, name), expected[name]), (update, name)
+        adam_step(params, grads, adam, cfg)
