@@ -28,7 +28,7 @@ from .climate import (
     transpiration_rate,
     vapor_pressure_deficit,
 )
-from .dataset import Normalizer, WindowedSample, build_samples, default_normalizer
+from .dataset import Normalizer, Windows, build_samples, default_normalizer
 from .memory import EpisodicMemory, MemoryConfig, SubstitutionStrategy
 from .model import (
     AdamState,
@@ -71,7 +71,7 @@ __all__ = [
     "ScenarioConfig",
     "SeededRng",
     "SubstitutionStrategy",
-    "WindowedSample",
+    "Windows",
     "adam_step",
     "backward",
     "build_samples",

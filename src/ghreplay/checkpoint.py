@@ -2,7 +2,26 @@
 
 The container is a numpy ``.npz`` archive (self-describing named arrays)
 with configuration and RNG stream states embedded as JSON strings. All
-float64 payloads round-trip bit-exactly.
+float64 payloads round-trip bit-exactly. The file is written to a
+temporary name and moved into place, so a failed save keeps the
+previous checkpoint.
+
+The memory is stored in its index layout, compacted to what its windows
+use (``R`` rows, ``n`` slots, ``P`` pending rows):
+
+* ``mem_inputs`` (R, D): every table row that some stored window
+  covers, once, in table order, so each window stays ``window_len``
+  consecutive rows;
+* ``mem_rows`` (n,): each slot's final-record row into that block, in
+  ``[window_len - 1, R)``, with its target ``mem_targets`` (n, K), the
+  timestamp of that record ``mem_timestamps`` (n,) and its index into
+  ``mem_labels``, ``mem_label_ids`` (n,);
+* ``mem_pending_rows``, ``mem_pending_targets``, ``mem_pending_timestamps``
+  and ``mem_pending_label_ids``: the same for windows held back until
+  the next per-batch sweep.
+
+Checkpoints in the earlier layout, which stored every slot's whole
+window (``mem_end_ts`` and per-slot label strings), are refused.
 """
 
 from __future__ import annotations
@@ -14,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import WindowedSample
+from .atomic import atomic_open
 from .memory import EpisodicMemory, MemoryConfig, SubstitutionStrategy
 from .model import AdamState, ModelConfig, ModelParams, zeros_params
 
@@ -28,21 +47,30 @@ class CheckpointBundle:
     rng_states: dict[str, dict]
 
 
-SLOT_ARRAYS = ("inputs", "targets", "labels", "end_ts")
-
-
-def _stack_slot_arrays(samples: list[WindowedSample], cfg: ModelConfig):
-    if samples:
-        inputs = np.stack([s.inputs for s in samples])
-        targets = np.stack([s.targets for s in samples])
-        labels = np.array([s.label for s in samples])
-        end_ts = np.array([s.end_timestamp for s in samples], dtype=np.int64)
-    else:
-        inputs = np.zeros((0, cfg.window_len, cfg.input_dim))
-        targets = np.zeros((0, cfg.output_dim))
-        labels = np.array([], dtype="U1")
-        end_ts = np.array([], dtype=np.int64)
-    return inputs, targets, labels, end_ts
+def _memory_arrays(memory: EpisodicMemory, cfg: ModelConfig) -> dict[str, np.ndarray]:
+    """The memory's slots and pending rows over the table rows they cover."""
+    ends = np.concatenate([memory.rows, memory._pending])
+    table_rows = len(memory.timestamps)
+    # +1 where a window starts, -1 past where it ends: rows with a positive
+    # running sum lie inside some window
+    edges = (np.bincount(ends - (cfg.window_len - 1), minlength=table_rows + 1)
+             - np.bincount(ends + 1, minlength=table_rows + 1))
+    covered = np.cumsum(edges[:table_rows]) > 0
+    block_row = np.cumsum(covered) - 1
+    keep = np.flatnonzero(covered)
+    arrays = {
+        "mem_inputs": memory.inputs[keep] if len(keep) else np.zeros((0, cfg.input_dim)),
+        "mem_labels": np.array(memory.labels, dtype=str),
+        "mem_observed_count": np.array(memory.observed_count, dtype=np.int64),
+    }
+    for prefix, rows in (("mem", memory.rows), ("mem_pending", memory._pending)):
+        arrays[f"{prefix}_rows"] = block_row[rows]
+        arrays[f"{prefix}_targets"] = (
+            memory.targets[rows] if len(rows) else np.zeros((0, cfg.output_dim))
+        )
+        arrays[f"{prefix}_timestamps"] = memory.timestamps[rows]
+        arrays[f"{prefix}_label_ids"] = memory.row_label_ids[rows]
+    return arrays
 
 
 def save_checkpoint(
@@ -59,10 +87,7 @@ def save_checkpoint(
             arrays[f"{prefix}__{name}"] = arr
     arrays["adam_t"] = np.array(adam.t, dtype=np.int64)
 
-    for prefix, samples in (("mem", memory.slots), ("mem_pending", memory._pending)):
-        for name, arr in zip(SLOT_ARRAYS, _stack_slot_arrays(samples, model_cfg)):
-            arrays[f"{prefix}_{name}"] = arr
-    arrays["mem_observed_count"] = np.array(memory.observed_count, dtype=np.int64)
+    arrays.update(_memory_arrays(memory, model_cfg))
 
     meta = {
         "model_config": dataclasses.asdict(model_cfg),
@@ -74,7 +99,8 @@ def save_checkpoint(
         "rng_states": rng_states,
     }
     arrays["meta_json"] = np.array(json.dumps(meta, sort_keys=True))
-    np.savez_compressed(Path(path), **arrays)
+    with atomic_open(path, "wb") as fh:
+        np.savez_compressed(fh, **arrays)
 
 
 def _array(path, data, key: str) -> np.ndarray:
@@ -83,13 +109,21 @@ def _array(path, data, key: str) -> np.ndarray:
     return data[key]
 
 
-def _checked(path, key: str, arr: np.ndarray, shape: tuple, finite: bool = True) -> np.ndarray:
+def _checked(path, key: str, arr: np.ndarray, shape: tuple, finite: bool = True,
+             within: tuple[int, int] | None = None) -> np.ndarray:
     """``arr``, loaded as ``key``, checked to have ``shape`` and, if
-    ``finite``, only finite values."""
+    ``finite``, only finite values; if ``within`` is ``(low, high)``, to
+    hold integers in ``[low, high)``."""
     if arr.shape != shape:
         raise ValueError(f"{path}: array {key} has shape {arr.shape}, expected {shape}")
     if finite and not np.isfinite(arr).all():
         raise ValueError(f"{path}: array {key} contains non-finite values")
+    if within is not None:
+        low, high = within
+        if not np.issubdtype(arr.dtype, np.integer):
+            raise ValueError(f"{path}: array {key} has dtype {arr.dtype}, expected integers")
+        if len(arr) and (arr.min() < low or arr.max() >= high):
+            raise ValueError(f"{path}: array {key} has values outside [{low}, {high})")
     return arr
 
 
@@ -102,19 +136,44 @@ def _checked_params(path, data, prefix: str, expected: ModelParams) -> ModelPara
     return ModelParams(**arrays)
 
 
-def _checked_slots(path, data, prefix: str, cfg: ModelConfig) -> list[WindowedSample]:
-    """The memory samples stored as ``{prefix}_*`` arrays: N finite windows
-    of the model's shape, N finite targets, N labels and N end timestamps."""
-    inputs, targets, labels, end_ts = (_array(path, data, f"{prefix}_{name}") for name in SLOT_ARRAYS)
-    n = inputs.shape[0] if inputs.ndim else 0
-    _checked(path, f"{prefix}_inputs", inputs, (n, cfg.window_len, cfg.input_dim))
-    _checked(path, f"{prefix}_targets", targets, (n, cfg.output_dim))
-    _checked(path, f"{prefix}_labels", labels, (n,), finite=False)
-    _checked(path, f"{prefix}_end_ts", end_ts, (n,), finite=False)
-    return [
-        WindowedSample(inputs=inputs[i], targets=targets[i], label=str(labels[i]), end_timestamp=int(end_ts[i]))
-        for i in range(n)
-    ]
+def _checked_memory(path, data, memory: EpisodicMemory, cfg: ModelConfig) -> None:
+    """Load the memory arrays into ``memory``: a finite (R, input_dim) row
+    block, slot and pending rows that end whole windows inside it, finite
+    targets, timestamps and label ids into the stored label list. The
+    loaded row table holds a target, a timestamp and a label id only at
+    those final rows."""
+    if "mem_end_ts" in data.files:
+        raise ValueError(
+            f"{path}: the memory is stored as whole windows (array mem_end_ts), "
+            f"an earlier checkpoint layout that this version does not load"
+        )
+    inputs = _array(path, data, "mem_inputs")
+    n_rows = inputs.shape[0] if inputs.ndim else 0
+    _checked(path, "mem_inputs", inputs, (n_rows, cfg.input_dim))
+    labels = _array(path, data, "mem_labels")
+    _checked(path, "mem_labels", labels, (labels.size,), finite=False)
+    targets = np.zeros((n_rows, cfg.output_dim))
+    timestamps = np.zeros(n_rows, dtype=np.int64)
+    row_label_ids = np.full(n_rows, -1, dtype=np.int64)
+    ends = {}
+    for prefix in ("mem", "mem_pending"):
+        rows = _array(path, data, f"{prefix}_rows")
+        n = rows.shape[0] if rows.ndim else 0
+        _checked(path, f"{prefix}_rows", rows, (n,), finite=False, within=(cfg.window_len - 1, n_rows))
+        targets[rows] = _checked(path, f"{prefix}_targets", _array(path, data, f"{prefix}_targets"),
+                                 (n, cfg.output_dim))
+        timestamps[rows] = _checked(path, f"{prefix}_timestamps",
+                                    _array(path, data, f"{prefix}_timestamps"), (n,), finite=False)
+        row_label_ids[rows] = _checked(path, f"{prefix}_label_ids",
+                                       _array(path, data, f"{prefix}_label_ids"), (n,),
+                                       finite=False, within=(0, len(labels)))
+        ends[prefix] = rows.astype(np.int64)
+    memory.rows, memory._pending = ends["mem"], ends["mem_pending"]
+    inputs.flags.writeable = targets.flags.writeable = False
+    memory.labels = [str(label) for label in labels]
+    memory.inputs, memory.targets = inputs, targets
+    memory.timestamps, memory.row_label_ids = timestamps, row_label_ids
+    memory.observed_count = int(data["mem_observed_count"])
 
 
 def load_checkpoint(path: str | Path) -> CheckpointBundle:
@@ -137,9 +196,7 @@ def load_checkpoint(path: str | Path) -> CheckpointBundle:
         )
 
         memory = EpisodicMemory(memory_cfg)
-        memory.slots = _checked_slots(path, data, "mem", model_cfg)
-        memory._pending = _checked_slots(path, data, "mem_pending", model_cfg)
-        memory.observed_count = int(data["mem_observed_count"])
+        _checked_memory(path, data, memory, model_cfg)
 
     return CheckpointBundle(
         model_cfg=model_cfg,

@@ -20,6 +20,7 @@ import csv
 import math
 from pathlib import Path
 
+from .atomic import atomic_open
 from .climate import SAMPLE_INTERVAL_S, ClimateRecord
 
 COLUMNS = (
@@ -35,8 +36,7 @@ COLUMNS = (
 
 
 def write_records(path: str | Path, records: list[ClimateRecord]) -> None:
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="") as fh:
+    with atomic_open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(COLUMNS)
         for r in records:

@@ -3,7 +3,14 @@
 A sample is a sliding window over the series: the model input is the
 window's normalized feature rows and the target is the (transpiration,
 photosynthesis) pair at the window's *final* timestep, which keeps the
-prediction task causal. Normalization bounds are fixed physical ranges
+prediction task causal.
+
+Windows are indices, not objects: ``build_samples`` normalizes a series
+once into read-only ``inputs`` (N, D) and ``targets`` (N, K) arrays and
+names each window by the row of its final record (``ends``). The
+window ending at row e is ``inputs[e - window_len + 1 : e + 1]`` and its
+target is ``targets[e]``; a batch of windows is gathered in one step
+from those arrays. Normalization bounds are fixed physical ranges
 rather than data statistics, so the mapping is identical across
 greenhouses and across time; out-of-range values are clamped to [0, 1]
 and every clamp is counted.
@@ -34,14 +41,19 @@ DEFAULT_TARGET_BOUNDS = (
 )
 
 
-@dataclass
-class WindowedSample:
-    """One training/test unit: a normalized window plus its target pair."""
+@dataclass(eq=False)
+class Windows:
+    """Every window of one normalized series, named by its final-record row."""
 
-    inputs: np.ndarray       # (window_len, 5), values in [0, 1]
-    targets: np.ndarray      # (2,), values in [0, 1]
     label: str               # originating greenhouse
-    end_timestamp: int       # timestamp of the window's final record
+    inputs: np.ndarray       # (N, 5), values in [0, 1], read-only
+    targets: np.ndarray      # (N, 2), values in [0, 1], read-only
+    timestamps: np.ndarray   # (N,) record timestamps
+    ends: np.ndarray         # (W,) final-record row of each window, in temporal order
+    window_len: int
+
+    def __len__(self) -> int:
+        return len(self.ends)
 
 
 @dataclass
@@ -116,26 +128,14 @@ def build_samples(
     window_len: int,
     stride: int,
     normalizer: Normalizer,
-) -> list[WindowedSample]:
-    """Normalized window samples in temporal order (zero-copy views)."""
+) -> Windows:
+    """The series normalized once, with its windows in temporal order."""
     count = window_count(len(records), window_len, stride)
-    if count == 0:
-        return []
     inputs, targets, timestamps = records_to_arrays(records)
     norm_inputs = normalizer.normalize_inputs(inputs)
     norm_targets = normalizer.normalize_targets(targets)
     norm_inputs.flags.writeable = False
     norm_targets.flags.writeable = False
-    samples = []
-    for w in range(count):
-        start = w * stride
-        end = start + window_len
-        samples.append(
-            WindowedSample(
-                inputs=norm_inputs[start:end],
-                targets=norm_targets[end - 1],
-                label=label,
-                end_timestamp=int(timestamps[end - 1]),
-            )
-        )
-    return samples
+    timestamps.flags.writeable = False
+    ends = np.arange(count, dtype=np.int64) * stride + (window_len - 1)
+    return Windows(label, norm_inputs, norm_targets, timestamps, ends, window_len)

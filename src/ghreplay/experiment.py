@@ -20,6 +20,7 @@ from pathlib import Path
 
 import jsonschema
 
+from .atomic import atomic_open
 from .climate import PRESETS, GreenhouseParams, generate_series
 from .csvio import read_records, write_records
 from .dataset import Normalizer, build_samples, default_normalizer
@@ -269,7 +270,8 @@ def generate_datasets(spec: dict, out_dir: Path) -> list[Path]:
         "greenhouses": manifest_entries,
     }
     manifest_path = out_dir / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    with atomic_open(manifest_path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     written.append(manifest_path)
     return written
 
@@ -288,17 +290,14 @@ def build_phases(spec: dict, out_dir: Path) -> tuple[list[Phase], Normalizer]:
         if not path.exists():
             raise SpecError(f"dataset file not found: {path} (run `generate` first?)")
         records = read_records(path)
-        samples = build_samples(records, entry["name"], window_len, stride, normalizer)
-        if len(samples) <= test_size:
+        windows = build_samples(records, entry["name"], window_len, stride, normalizer)
+        if len(windows) <= test_size:
             raise SpecError(
-                f"greenhouse {entry['name']!r}: {len(samples)} windows is not "
+                f"greenhouse {entry['name']!r}: {len(windows)} windows is not "
                 f"enough for a test set of {test_size}"
             )
         rng = SeededRng(seed).split(f"test-sampling/{entry['name']}")
-        test_idx = set(rng.sample_indices(len(samples), test_size))
-        test_set = [samples[i] for i in sorted(test_idx)]
-        stream = [s for i, s in enumerate(samples) if i not in test_idx]
-        phases.append(Phase(label=entry["name"], stream=stream, test_set=test_set))
+        phases.append(Phase.split(windows, rng.sample_indices(len(windows), test_size)))
     return phases, normalizer
 
 

@@ -18,16 +18,36 @@ of magnitude:
 
 Replay is drawn uniformly with replacement, so a draw size larger than
 the number of distinct stored samples stays well-defined.
+
+Index layout: the memory holds no window data. It keeps a row table
+(``inputs`` (R, D), ``targets`` (R, K), ``timestamps`` and a label id
+per row), to which ``add_series`` appends each series the memory
+observes; a window is named by the table row of its final record, and
+its inputs are the ``window_len`` table rows ending there. A slot is one
+such row in the ``rows`` array. Observing and replaying move integers
+only; the trainer gathers the windows of a batch in one step.
+
+Block draws: a sweep consumes the same SplitMix64 outputs, in the same
+order, as the scalar loop it replaces (``random()`` per slot, then
+``randbelow`` by masked rejection on a hit). It computes a block of
+upcoming outputs with ``SeededRng.peek_u64``, finds the hits and the
+accepted rejection draws with array operations, walks over the hits
+only (about p of the slots) to line each one up with the draws its
+``randbelow`` used, and advances the stream past exactly the outputs
+the loop would have used. Slots, picks and the final stream state are
+therefore identical to the scalar loop's.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
-from .dataset import WindowedSample
+import numpy as np
+
 from .rng import SeededRng
+
+_INV_2_53 = 2.0 ** -53
 
 
 class SubstitutionStrategy(str, Enum):
@@ -59,80 +79,188 @@ class OccupancyStats:
     fractions: dict[str, float]
 
 
+def _uniforms(block: np.ndarray) -> np.ndarray:
+    """``SeededRng.random`` of each output in a ``peek_u64`` block."""
+    return (block >> np.uint64(11)).astype(np.float64) * _INV_2_53
+
+
+def _rejection_mask(m: int) -> int:
+    """The bit mask ``SeededRng.randbelow(m)`` applies before rejecting."""
+    return (1 << (m - 1).bit_length()) - 1
+
+
+def _block_size(decisions: int, picks: float, m: int) -> int:
+    """Outputs to peek for ``decisions`` single draws plus about ``picks``
+    ``randbelow(m)`` calls: the expected count with a 25 % margin. A
+    consumer that runs out peeks again with twice as many."""
+    return decisions + int(picks * (_rejection_mask(m) + 1) / m * 1.25) + 64
+
+
+def _randbelow_many(rng: SeededRng, n: int, m: int) -> np.ndarray:
+    """``[rng.randbelow(m) for _ in range(n)]`` as an array, from one block."""
+    if m == 1:
+        return np.zeros(n, dtype=np.int64)  # randbelow(1) draws nothing
+    mask = _rejection_mask(m)
+    size = _block_size(0, n, m)
+    while True:
+        low = (rng.peek_u64(size) & np.uint64(mask)).astype(np.int64)
+        accepted = np.flatnonzero(low < m)
+        if len(accepted) >= n:
+            rng.skip(int(accepted[n - 1]) + 1)
+            return low[accepted[:n]]
+        size *= 2
+
+
+def _sweep(rng: SeededRng, count: int, p: float, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The hits and picks of the scalar loop
+
+        for i in range(count):
+            if rng.random() < p:
+                hit i, pick rng.randbelow(m)
+
+    as two arrays, leaving ``rng`` where that loop leaves it."""
+    if m == 1:
+        hits = np.flatnonzero(_uniforms(rng.peek_u64(count)) < p)
+        rng.skip(count)
+        return hits, np.zeros(len(hits), dtype=np.int64)
+    mask = _rejection_mask(m)
+    size = _block_size(count, count * p, m)
+    while True:
+        block = rng.peek_u64(size)
+        low = (block & np.uint64(mask)).astype(np.int64)
+        accepted = np.flatnonzero(low < m)
+        candidates = np.flatnonzero(_uniforms(block) < p)
+        # the draw that ends randbelow if draw k is a hit (size: beyond the block)
+        resolving = np.append(accepted, size)[np.searchsorted(accepted, candidates + 1)]
+        hits, picks = [], []
+        drawn = decided = 0
+        for k, r in zip(candidates.tolist(), resolving.tolist()):
+            if k < drawn:
+                continue  # a rejection draw of an earlier hit, not a slot's draw
+            slot = decided + k - drawn
+            if slot >= count or r == size:
+                break
+            hits.append(slot)
+            picks.append(r)
+            decided, drawn = slot + 1, r + 1
+        else:
+            slot = count
+        drawn += count - decided
+        if slot >= count and drawn <= size:
+            rng.skip(drawn)
+            return np.array(hits, dtype=np.int64), low[np.array(picks, dtype=np.int64)]
+        size *= 2
+
+
 class EpisodicMemory:
     """Single-owner sample buffer; mutations must stay sequential."""
 
     def __init__(self, config: MemoryConfig):
         config.validate()
         self.config = config
-        self.slots: list[WindowedSample] = []
+        self.labels: list[str] = []
+        self.inputs: np.ndarray | None = None
+        self.targets: np.ndarray | None = None
+        self.timestamps = np.zeros(0, dtype=np.int64)
+        self.row_label_ids = np.zeros(0, dtype=np.int64)
+        self.rows = np.zeros(0, dtype=np.int64)
         self.observed_count = 0
-        # samples observed one-by-one post-fill under per-batch, held back
+        # rows observed one by one post-fill under per-batch, held back
         # until the next batch boundary
-        self._pending: list[WindowedSample] = []
+        self._pending = np.zeros(0, dtype=np.int64)
 
     def __len__(self) -> int:
-        return len(self.slots)
+        return len(self.rows)
 
     @property
     def is_full(self) -> bool:
-        return len(self.slots) >= self.config.capacity
+        return len(self.rows) >= self.config.capacity
 
-    def observe(self, sample: WindowedSample, rng: SeededRng) -> None:
+    @property
+    def label_ids(self) -> np.ndarray:
+        """Each slot's index into ``labels``."""
+        return self.row_label_ids[self.rows]
+
+    def add_series(self, label: str, inputs: np.ndarray, targets: np.ndarray,
+                   timestamps: np.ndarray) -> int:
+        """Append one series to the row table; returns the table row of its
+        first record, to add to the series' own row numbers."""
+        if not len(inputs) == len(targets) == len(timestamps):
+            raise ValueError(
+                f"add_series: {label}: need one input, target and timestamp row per record, "
+                f"got {len(inputs)}, {len(targets)} and {len(timestamps)}"
+            )
+        if label not in self.labels:
+            self.labels.append(label)
+        label_id = self.labels.index(label)
+        offset = len(self.timestamps)
+        if self.inputs is None:
+            self.inputs, self.targets = inputs, targets
+        else:
+            self.inputs = np.concatenate([self.inputs, inputs])
+            self.targets = np.concatenate([self.targets, targets])
+            self.inputs.flags.writeable = self.targets.flags.writeable = False
+        self.timestamps = np.concatenate([self.timestamps, timestamps])
+        self.row_label_ids = np.concatenate(
+            [self.row_label_ids, np.full(len(timestamps), label_id, dtype=np.int64)]
+        )
+        return offset
+
+    def observe(self, row: int, rng: SeededRng) -> None:
         """Absorb one sample: append while filling, substitute once full."""
-        self.observed_count += 1
-        if len(self.slots) < self.config.capacity:
-            self.slots.append(sample)
+        if self.is_full and self.config.strategy is SubstitutionStrategy.PER_BATCH:
+            self.observed_count += 1
+            self._pending = np.append(self._pending, row)
+            return
+        self.observe_batch([row], rng)
+
+    def observe_batch(self, rows, rng: SeededRng) -> None:
+        """Absorb a batch of table rows; under per-batch, run one
+        substitution sweep, otherwise substitute sample by sample."""
+        rows = np.asarray(rows, dtype=np.int64)
+        if len(rows) == 0:
+            raise ValueError("observe_batch: empty batch")
+        self.observed_count += len(rows)
+        strategy = self.config.strategy
+        if strategy is SubstitutionStrategy.PER_BATCH:
+            rows = np.concatenate([self._pending, rows])
+            self._pending = self._pending[:0]
+        room = self.config.capacity - len(self.rows)
+        if room > 0:
+            self.rows = np.concatenate([self.rows, rows[:room]])
+            rows = rows[room:]
+        if len(rows) == 0:
             return
         p = self.config.substitution_probability
-        strategy = self.config.strategy
+        capacity = len(self.rows)
         if strategy is SubstitutionStrategy.PER_ELEMENT:
-            for idx in range(len(self.slots)):
-                if rng.random() < p:
-                    self.slots[idx] = sample
+            for row in rows.tolist():
+                hits, _ = _sweep(rng, capacity, p, 1)
+                self.rows[hits] = row
         elif strategy is SubstitutionStrategy.PER_SAMPLE:
-            if rng.random() < p:
-                self.slots[rng.randbelow(len(self.slots))] = sample
+            hits, slots = _sweep(rng, len(rows), p, capacity)
+            # a later sample overwrites an earlier one in the same slot
+            slots, last = np.unique(slots[::-1], return_index=True)
+            self.rows[slots] = rows[hits[::-1][last]]
         else:
-            self._pending.append(sample)
+            hits, picks = _sweep(rng, capacity, p, len(rows))
+            self.rows[hits] = rows[picks]
 
-    def observe_batch(self, batch: list[WindowedSample], rng: SeededRng) -> None:
-        """Absorb a batch; under per-batch, run one substitution sweep."""
-        batch = list(batch)
-        if not batch:
-            raise ValueError("observe_batch: empty batch")
-        if self.config.strategy is not SubstitutionStrategy.PER_BATCH:
-            for sample in batch:
-                self.observe(sample, rng)
-            return
-        self.observed_count += len(batch)
-        pool = self._pending + batch
-        self._pending = []
-        filled = 0
-        while len(self.slots) < self.config.capacity and filled < len(pool):
-            self.slots.append(pool[filled])
-            filled += 1
-        rest = pool[filled:]
-        if rest:
-            p = self.config.substitution_probability
-            for idx in range(len(self.slots)):
-                if rng.random() < p:
-                    self.slots[idx] = rest[rng.randbelow(len(rest))]
-
-    def draw_replay(self, n: int, rng: SeededRng) -> list[WindowedSample]:
-        """n independent uniform draws with replacement from current slots."""
+    def draw_replay(self, n: int, rng: SeededRng) -> np.ndarray:
+        """Table rows of n independent uniform draws with replacement from
+        the current slots."""
         if n < 0:
             raise ValueError(f"draw_replay: n must be >= 0, got {n}")
         if n == 0:
-            return []
-        if not self.slots:
+            return np.zeros(0, dtype=np.int64)
+        if not len(self.rows):
             raise ValueError("draw_replay: memory is empty")
-        size = len(self.slots)
-        return [self.slots[rng.randbelow(size)] for _ in range(n)]
+        return self.rows[_randbelow_many(rng, n, len(self.rows))]
 
     def occupancy_stats(self) -> OccupancyStats:
         """Per-origin-label slot counts and fractions (fractions sum to 1)."""
-        counts = Counter(sample.label for sample in self.slots)
-        total = len(self.slots)
-        fractions = {label: count / total for label, count in counts.items()} if total else {}
-        return OccupancyStats(counts=dict(counts), fractions=fractions)
+        total = len(self.rows)
+        per_id = np.bincount(self.label_ids, minlength=len(self.labels)).tolist()
+        counts = {label: count for label, count in zip(self.labels, per_id) if count}
+        fractions = {label: count / total for label, count in counts.items()}
+        return OccupancyStats(counts=counts, fractions=fractions)

@@ -17,11 +17,19 @@ Independent child streams come from ``split(label)``: the child seed is
 the SplitMix64 mix of (parent seed XOR FNV-1a(label)). A child therefore
 depends only on (seed, label), never on how far the parent stream has
 advanced, so enabling one consumer cannot shift another's sequence.
+
+The recurrence is a counter: output k after a state s is the output
+function applied to s + k * gamma. ``peek_u64`` uses that form to compute
+a block of upcoming outputs at once in ``uint64`` arithmetic, and
+``skip`` advances past the outputs a vectorized consumer actually used,
+so block and scalar consumers leave the stream in the same state.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN_GAMMA = 0x9E3779B97F4A7C15
@@ -72,6 +80,22 @@ class SeededRng:
         z = ((z ^ (z >> 30)) * _MIX_A) & _MASK64
         z = ((z ^ (z >> 27)) * _MIX_B) & _MASK64
         return z ^ (z >> 31)
+
+    def peek_u64(self, n: int) -> np.ndarray:
+        """The next ``n`` outputs of ``next_u64`` as a ``uint64`` array,
+        without advancing the stream."""
+        k = np.arange(1, n + 1, dtype=np.uint64)
+        z = np.uint64(self._state) + k * np.uint64(_GOLDEN_GAMMA)
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(_MIX_A)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(_MIX_B)
+        z ^= z >> np.uint64(31)
+        return z
+
+    def skip(self, n: int) -> None:
+        """Advance the stream past ``n`` outputs."""
+        self._state = (self._state + n * _GOLDEN_GAMMA) & _MASK64
 
     def random(self) -> float:
         """Uniform float in [0, 1) with 53 random bits."""

@@ -8,6 +8,11 @@ phases: one model and one memory persist across the greenhouse switches.
 A baseline reruns a single phase with a fresh model and empty memory,
 with its update counter offset so its curve overlays the scenario's.
 
+Windows travel as integer rows (see ``dataset``): a phase's stream and
+test set are arrays of final-record rows, and when a phase starts its
+series is appended to the memory's row table, so new and replayed
+windows of an update are gathered together by ``stack_samples``.
+
 Randomness discipline: one root seed is split into labeled streams
 (init / replay / memory), so toggling replay or memory settings never
 shifts another consumer's sequence.
@@ -20,8 +25,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .dataset import WindowedSample
+from .atomic import atomic_open
+from .dataset import Windows
 from .memory import EpisodicMemory, MemoryConfig
 from .model import (
     AdamState,
@@ -38,27 +45,71 @@ from .model import (
 from .rng import SeededRng
 
 
-@dataclass
+def _read_only(arr, dtype) -> np.ndarray:
+    """A read-only view of ``arr`` as ``dtype`` (a copy only to convert)."""
+    out = np.asarray(arr, dtype=dtype).view()
+    out.flags.writeable = False
+    return out
+
+
+@dataclass(eq=False)
 class Phase:
-    """One greenhouse's training stream and its held-out test set."""
+    """One greenhouse's normalized series, its training stream and its
+    held-out test set; the stream and the test set are final-record rows."""
 
     label: str
-    stream: list[WindowedSample]
-    test_set: list[WindowedSample]
+    inputs: np.ndarray       # (N, D)
+    targets: np.ndarray      # (N, K)
+    timestamps: np.ndarray   # (N,)
+    stream: np.ndarray       # training windows in temporal order
+    test_set: np.ndarray     # held-out windows
+    window_len: int
 
     def __post_init__(self):
-        stream_ts = {s.end_timestamp for s in self.stream}
-        overlap = stream_ts.intersection(s.end_timestamp for s in self.test_set)
-        if overlap:
+        self.inputs = _read_only(self.inputs, np.float64)
+        self.targets = _read_only(self.targets, np.float64)
+        self.timestamps = _read_only(self.timestamps, np.int64)
+        self.stream = _read_only(self.stream, np.int64).reshape(-1)
+        self.test_set = _read_only(self.test_set, np.int64).reshape(-1)
+        n = len(self.timestamps)
+        if self.inputs.shape[0] != n or self.targets.shape[0] != n:
+            raise ValueError(
+                f"phase {self.label}: inputs, targets and timestamps need one row per record, "
+                f"got {self.inputs.shape[0]}, {self.targets.shape[0]} and {n}"
+            )
+        for name, rows in (("stream", self.stream), ("test set", self.test_set)):
+            if len(rows) and (rows.min() < self.window_len - 1 or rows.max() >= n):
+                raise ValueError(
+                    f"phase {self.label}: {name} rows must lie in "
+                    f"[{self.window_len - 1}, {n}), the final rows of whole windows"
+                )
+        overlap = np.intersect1d(self.stream, self.test_set)
+        if len(overlap):
             raise ValueError(
                 f"phase {self.label}: test set overlaps training stream "
-                f"({len(overlap)} shared window timestamps)"
+                f"({len(overlap)} shared windows)"
             )
         self._test_arrays: tuple[np.ndarray, np.ndarray] | None = None
 
+    @classmethod
+    def split(cls, windows: Windows, test_positions) -> "Phase":
+        """The windows at ``test_positions`` (indices into ``windows``) held
+        out, the rest streamed in temporal order."""
+        held = np.zeros(len(windows), dtype=bool)
+        held[np.asarray(list(test_positions), dtype=np.int64)] = True
+        return cls(
+            label=windows.label,
+            inputs=windows.inputs,
+            targets=windows.targets,
+            timestamps=windows.timestamps,
+            stream=windows.ends[~held],
+            test_set=windows.ends[held],
+            window_len=windows.window_len,
+        )
+
     def test_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         if self._test_arrays is None:
-            self._test_arrays = stack_samples(self.test_set)[:2]
+            self._test_arrays = stack_samples(self.inputs, self.targets, self.test_set, self.window_len)
         return self._test_arrays
 
 
@@ -140,44 +191,56 @@ class ScenarioResult:
     state: TrainerState
 
 
-def stack_samples(samples: list[WindowedSample]) -> tuple[np.ndarray, np.ndarray, list]:
-    """Stack samples into (inputs (B,T,D), targets (B,2), origins)."""
-    inputs = np.stack([s.inputs for s in samples])
-    targets = np.stack([s.targets for s in samples])
-    origins = [(s.label, s.end_timestamp) for s in samples]
-    return inputs, targets, origins
+def stack_samples(
+    inputs: np.ndarray, targets: np.ndarray, rows: np.ndarray, window_len: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The windows ending at ``rows``: C-contiguous (B, T, D) inputs and
+    (B, K) targets, gathered in one step without a (B, T) index array."""
+    if len(rows) and (rows.min() < window_len - 1 or rows.max() >= len(inputs)):
+        raise ValueError(
+            f"stack_samples: rows must lie in [{window_len - 1}, {len(inputs)}), "
+            f"the final rows of whole windows"
+        )
+    windows = sliding_window_view(inputs, window_len, axis=0).transpose(0, 2, 1)
+    return windows[rows - (window_len - 1)], targets[rows]
 
 
 def train_update(
     state: TrainerState,
-    new_batch: list[WindowedSample],
+    rows: np.ndarray,
     model_cfg: ModelConfig,
     replay_size: int,
 ) -> UpdateStats:
-    """One online update: train on new + replayed samples, then absorb
-    the new batch into memory. Replay is drawn before absorption so a
-    sample can never be replayed in the same update that introduces it."""
-    if not new_batch:
+    """One online update on the windows ending at ``rows`` of the memory's
+    row table: train on new + replayed windows, then absorb the new batch
+    into memory. Replay is drawn before absorption so a window can never
+    be replayed in the same update that introduces it."""
+    memory = state.memory
+    rows = np.asarray(rows, dtype=np.int64)
+    if len(rows) == 0:
         raise ValueError("train_update: empty batch")
-    n_replay = min(replay_size, len(state.memory))
-    replay = state.memory.draw_replay(n_replay, state.replay_rng)
-    inputs, targets, origins = stack_samples(list(new_batch) + replay)
+    n_replay = min(replay_size, len(memory))
+    replay = memory.draw_replay(n_replay, state.replay_rng)
+    batch = np.concatenate([rows, replay])
+    inputs, targets = stack_samples(memory.inputs, memory.targets, batch, model_cfg.window_len)
+    origins = list(zip(
+        [memory.labels[i] for i in memory.row_label_ids[batch].tolist()],
+        memory.timestamps[batch].tolist(),
+    ))
     loss, grads = backward(state.params, inputs, targets, origins)
     if model_cfg.grad_clip is not None:
         clip_gradients(grads, model_cfg.grad_clip)
     adam_step(state.params, grads, state.adam, model_cfg)
-    state.memory.observe_batch(new_batch, state.memory_rng)
-    return UpdateStats(loss=loss, new_count=len(new_batch), replay_count=len(replay))
+    memory.observe_batch(rows, state.memory_rng)
+    return UpdateStats(loss=loss, new_count=len(rows), replay_count=len(replay))
 
 
 def evaluate(params: ModelParams, test_set) -> tuple[float, np.ndarray]:
-    """Test-set MSE; accepts a Phase (cached arrays) or a sample list."""
+    """Test-set MSE; accepts a Phase (cached arrays) or an (inputs, targets) pair."""
     if isinstance(test_set, Phase):
         inputs, targets = test_set.test_arrays()
     else:
-        if not test_set:
-            raise ValueError("evaluate: empty test set")
-        inputs, targets, _ = stack_samples(test_set)
+        inputs, targets = test_set
     if inputs.shape[0] == 0:
         raise ValueError("evaluate: empty test set")
     predictions = predict_batch(params, inputs)
@@ -198,10 +261,17 @@ def run_phase(
     *current* phase's test set every ``eval_every`` updates (cadence is
     global: update counters carry across phases). The final partial
     batch is dropped so every update has the same size."""
+    if phase.window_len != model_cfg.window_len:
+        raise ValueError(
+            f"phase {phase.label}: windows of {phase.window_len} records, "
+            f"but the model takes {model_cfg.window_len}"
+        )
     curve.phase_starts.append((phase.label, state.update_index))
-    n_updates = len(phase.stream) // scenario.batch_size
+    offset = state.memory.add_series(phase.label, phase.inputs, phase.targets, phase.timestamps)
+    stream = phase.stream + offset
+    n_updates = len(stream) // scenario.batch_size
     for k in range(n_updates):
-        batch = phase.stream[k * scenario.batch_size : (k + 1) * scenario.batch_size]
+        batch = stream[k * scenario.batch_size : (k + 1) * scenario.batch_size]
         train_update(state, batch, model_cfg, scenario.replay_size)
         state.update_index += 1
         if memory_sink is not None:
@@ -337,7 +407,7 @@ MEMORY_COLUMNS = ("update_index", "label", "fraction")
 
 def _write_table(path: str | Path, columns: tuple[str, ...], rows) -> None:
     """A header row, then one row per item; floats are written with repr."""
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+    with atomic_open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
         for row in rows:

@@ -2,32 +2,27 @@ import numpy as np
 import pytest
 
 from ghreplay.climate import PRESETS, generate_series
-from ghreplay.dataset import WindowedSample, build_samples, default_normalizer
+from ghreplay.dataset import build_samples, default_normalizer
 from ghreplay.rng import SeededRng
 from ghreplay.trainer import Phase
 
 
-def make_sample(label="GH-X", end_timestamp=0, window_len=4, input_dim=5, fill=0.5):
-    return WindowedSample(
-        inputs=np.full((window_len, input_dim), fill),
-        targets=np.array([fill, fill]),
-        label=label,
-        end_timestamp=end_timestamp,
+def add_rows(memory, label, n, input_dim=5, fill=0.5):
+    """Append an n-record constant series to ``memory``'s row table under
+    ``label``; returns its n table rows, to observe as window ends."""
+    offset = memory.add_series(
+        label, np.full((n, input_dim), fill), np.full((n, 2), fill), np.arange(n, dtype=np.int64)
     )
+    return offset + np.arange(n, dtype=np.int64)
 
 
 def build_phase(name, days, seed, window_len=50, stride=2, test_size=1000):
     """Phase built the same way the experiment layer does, without CSV I/O."""
     rng = SeededRng(seed).split(f"generator/{name}")
     records = generate_series(PRESETS[name], days, rng)
-    samples = build_samples(records, name, window_len, stride, default_normalizer())
+    windows = build_samples(records, name, window_len, stride, default_normalizer())
     test_rng = SeededRng(seed).split(f"test-sampling/{name}")
-    test_idx = set(test_rng.sample_indices(len(samples), test_size))
-    return Phase(
-        label=name,
-        stream=[s for i, s in enumerate(samples) if i not in test_idx],
-        test_set=[samples[i] for i in sorted(test_idx)],
-    )
+    return Phase.split(windows, test_rng.sample_indices(len(windows), test_size))
 
 
 @pytest.fixture(scope="session")

@@ -14,7 +14,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import build_phase, make_sample
+from conftest import add_rows, build_phase
 from ghreplay.climate import SAMPLE_INTERVAL_S
 from ghreplay.cli import main
 from ghreplay.dataset import window_count
@@ -165,17 +165,20 @@ def test_acceptance_6_memory_statistics():
         capacity = 10000
         mem = EpisodicMemory(MemoryConfig(capacity=capacity))
         rng = SeededRng(1)
-        samples = [make_sample("fill", end_timestamp=i) for i in range(capacity)]
+        rows = add_rows(mem, "fill", capacity)
         for start in range(0, capacity, 100):
-            mem.observe_batch(samples[start : start + 100], rng)
-        assert [s.end_timestamp for s in mem.slots] == list(range(capacity))
+            mem.observe_batch(rows[start : start + 100], rng)
+        assert mem.rows.tolist() == list(range(capacity))
+
+        def fraction(memory, label):
+            return int(np.count_nonzero(memory.label_ids == memory.labels.index(label))) / len(memory)
 
         # (ii) per-batch turnover within 3 sigma of p at capacity 10^4
         mem2 = EpisodicMemory(MemoryConfig(capacity=capacity))
         rng2 = SeededRng(2)
-        mem2.observe_batch([make_sample("old", end_timestamp=i) for i in range(capacity)], rng2)
-        mem2.observe_batch([make_sample("new", end_timestamp=i) for i in range(100)], rng2)
-        turnover = sum(1 for s in mem2.slots if s.label == "new") / capacity
+        mem2.observe_batch(add_rows(mem2, "old", capacity), rng2)
+        mem2.observe_batch(add_rows(mem2, "new", 100), rng2)
+        turnover = fraction(mem2, "new")
         assert abs(turnover - 0.1) <= 3.0 * math.sqrt(0.1 * 0.9 / capacity)
 
         # (iii) geometric decay of old content over k batches
@@ -184,12 +187,11 @@ def test_acceptance_6_memory_statistics():
         fractions = []
         for _ in range(trials):
             mem3 = EpisodicMemory(MemoryConfig(capacity=cap3))
-            mem3.observe_batch([make_sample("old", end_timestamp=i) for i in range(cap3)], rng3)
+            mem3.observe_batch(add_rows(mem3, "old", cap3), rng3)
+            new = add_rows(mem3, "new", k * 100)
             for b in range(k):
-                mem3.observe_batch(
-                    [make_sample("new", end_timestamp=b * 100 + i) for i in range(100)], rng3
-                )
-            fractions.append(sum(1 for s in mem3.slots if s.label == "old") / cap3)
+                mem3.observe_batch(new[b * 100 : (b + 1) * 100], rng3)
+            fractions.append(fraction(mem3, "old"))
         assert abs(statistics.mean(fractions) - 0.9 ** k) <= 0.03
 
         # (iv) per-element strategy decimates old content within 66 observations
@@ -198,11 +200,11 @@ def test_acceptance_6_memory_statistics():
             MemoryConfig(capacity=capacity, strategy=SubstitutionStrategy.PER_ELEMENT)
         )
         rng_fill = SeededRng(4)
-        mem4.observe_batch([make_sample("old", end_timestamp=i) for i in range(capacity)], rng_fill)
+        mem4.observe_batch(add_rows(mem4, "old", capacity), rng_fill)
         rng4 = SeededRng(9)  # pinned: realized count fluctuates around 10^4 * 0.9^66
-        for i in range(66):
-            mem4.observe(make_sample("new", end_timestamp=i), rng4)
-        old_fraction = sum(1 for s in mem4.slots if s.label == "old") / capacity
+        for row in add_rows(mem4, "new", 66):
+            mem4.observe(row, rng4)
+        old_fraction = fraction(mem4, "old")
         assert old_fraction < 1e-3
 
 

@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
 
-from conftest import make_sample
 from ghreplay.checkpoint import load_checkpoint, save_checkpoint
 from ghreplay.memory import EpisodicMemory, MemoryConfig, SubstitutionStrategy
 from ghreplay.model import ModelConfig, backward, init_adam, init_model, adam_step
 from ghreplay.rng import SeededRng
+from ghreplay.trainer import stack_samples
+
+
+WINDOW_LEN = 8
 
 
 def trained_bundle(seed=0):
-    cfg = ModelConfig(hidden_dim=6, dense_dim=5, window_len=8, learning_rate=1e-2, grad_clip=None)
+    cfg = ModelConfig(hidden_dim=6, dense_dim=5, window_len=WINDOW_LEN, learning_rate=1e-2, grad_clip=None)
     params = init_model(cfg, SeededRng(seed))
     adam = init_adam(cfg)
     rng = SeededRng(seed + 1)
@@ -22,15 +25,37 @@ def trained_bundle(seed=0):
     memory = EpisodicMemory(
         MemoryConfig(capacity=10, substitution_probability=0.25, strategy=SubstitutionStrategy.PER_BATCH)
     )
+    ends = []
+    for label in ("GH-0", "GH-1"):
+        n = 30
+        offset = memory.add_series(
+            label,
+            np.array([[rng.random() for _ in range(5)] for _ in range(n)]),
+            np.array([[rng.random(), rng.random()] for _ in range(n)]),
+            1000 * seed + 300 * np.arange(n, dtype=np.int64),
+        )
+        ends += (offset + np.arange(WINDOW_LEN - 1, n, 3)).tolist()
     mem_rng = SeededRng(seed + 2)
-    samples = [make_sample(f"GH-{i % 2}", end_timestamp=i, window_len=8) for i in range(14)]
-    memory.observe_batch(samples[:12], mem_rng)
-    memory.observe(samples[12], mem_rng)  # leaves one pending sample
+    memory.observe_batch(ends[:12], mem_rng)
+    memory.observe(ends[12], mem_rng)  # leaves one pending sample
     rng_states = {
         "replay": SeededRng(seed + 3).get_state(),
         "memory": mem_rng.get_state(),
     }
     return cfg, params, adam, memory, rng_states
+
+
+def windows_of(memory, rows):
+    """(inputs, targets, labels, timestamps) of the windows ending at ``rows``."""
+    inputs, targets = stack_samples(memory.inputs, memory.targets, rows, WINDOW_LEN)
+    labels = [memory.labels[i] for i in memory.row_label_ids[rows]]
+    return inputs, targets, labels, memory.timestamps[rows].tolist()
+
+
+def assert_same_windows(a, b):
+    assert a[0].tobytes() == b[0].tobytes()
+    assert a[1].tobytes() == b[1].tobytes()
+    assert a[2:] == b[2:]
 
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path):
@@ -53,13 +78,16 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     assert bundle.memory.config.substitution_probability == memory.config.substitution_probability
     assert bundle.memory.config.strategy == memory.config.strategy
     assert bundle.memory.observed_count == memory.observed_count
-    assert len(bundle.memory.slots) == len(memory.slots)
-    for orig, back in zip(memory.slots, bundle.memory.slots):
-        assert orig.inputs.tobytes() == back.inputs.tobytes()
-        assert orig.targets.tobytes() == back.targets.tobytes()
-        assert orig.label == back.label
-        assert orig.end_timestamp == back.end_timestamp
+    assert len(bundle.memory) == len(memory) == 10
+    assert_same_windows(windows_of(memory, memory.rows), windows_of(bundle.memory, bundle.memory.rows))
     assert len(bundle.memory._pending) == len(memory._pending) == 1
+    assert_same_windows(windows_of(memory, memory._pending),
+                        windows_of(bundle.memory, bundle.memory._pending))
+    assert bundle.memory.occupancy_stats() == memory.occupancy_stats()
+    # the row block holds each table row that a stored window covers, once
+    ends = np.concatenate([memory.rows, memory._pending])
+    covered = {row for end in ends.tolist() for row in range(end - WINDOW_LEN + 1, end + 1)}
+    assert len(bundle.memory.inputs) == len(covered) < len(memory.inputs)
 
     assert bundle.rng_states == rng_states
 
@@ -74,9 +102,18 @@ def test_checkpoint_restores_equivalent_replay_behavior(tmp_path):
     rng_b = SeededRng.from_state(bundle.rng_states["replay"])
     draws_a = memory.draw_replay(20, rng_a)
     draws_b = bundle.memory.draw_replay(20, rng_b)
-    for a, b in zip(draws_a, draws_b):
-        assert a.label == b.label and a.end_timestamp == b.end_timestamp
-        assert a.inputs.tobytes() == b.inputs.tobytes()
+    assert_same_windows(windows_of(memory, draws_a), windows_of(bundle.memory, draws_b))
+    assert rng_a.get_state() == rng_b.get_state()
+
+    # the loaded memory keeps absorbing new series like the saved one
+    new_rows = {}
+    for name, mem in (("saved", memory), ("loaded", bundle.memory)):
+        offset = mem.add_series("GH-2", np.full((20, 5), 0.5), np.full((20, 2), 0.5),
+                                np.arange(20, dtype=np.int64))
+        new_rows[name] = offset + np.arange(WINDOW_LEN - 1, 20)
+        mem.observe_batch(new_rows[name], SeededRng(9))
+    assert bundle.memory.occupancy_stats() == memory.occupancy_stats()
+    assert_same_windows(windows_of(memory, memory.rows), windows_of(bundle.memory, bundle.memory.rows))
 
 
 def test_checkpoint_empty_memory(tmp_path):
@@ -85,7 +122,8 @@ def test_checkpoint_empty_memory(tmp_path):
     path = tmp_path / "ckpt.npz"
     save_checkpoint(path, cfg, params, adam, memory, rng_states)
     bundle = load_checkpoint(path)
-    assert bundle.memory.slots == [] and bundle.memory._pending == []
+    assert len(bundle.memory.rows) == 0 and len(bundle.memory._pending) == 0
+    assert bundle.memory.inputs.shape == (0, 5)
     assert bundle.memory.observed_count == 0
 
 
@@ -96,10 +134,20 @@ def test_checkpoint_empty_memory(tmp_path):
         ("param__b2", lambda a: np.concatenate([[np.inf], a[1:]]), "param__b2 contains non-finite"),
         ("param__u", lambda a: a[:, :, :-1], r"param__u has shape \(4, 6, 5\), expected \(4, 6, 6\)"),
         ("adam_v__w1", lambda a: np.full_like(a, np.nan), "adam_v__w1 contains non-finite"),
-        ("mem_inputs", lambda a: a[:, :5], r"mem_inputs has shape \(10, 5, 5\), expected \(10, 8, 5\)"),
+        ("mem_inputs", lambda a: a[:, :4], r"mem_inputs has shape \(\d+, 4\), expected \(\d+, 5\)"),
         ("mem_targets", lambda a: np.vstack([[np.nan, a[0, 1]], a[1:]]), "mem_targets contains non-finite"),
+        ("mem_inputs", lambda a: np.vstack([a[:3], [[np.nan] * 5], a[4:]]), "mem_inputs contains non-finite"),
+        ("mem_rows", lambda a: np.concatenate([[WINDOW_LEN - 2], a[1:]]),
+         r"mem_rows has values outside \[7, \d+\)"),
+        ("mem_pending_rows", lambda a: a + 10_000, r"mem_pending_rows has values outside \[7, \d+\)"),
+        ("mem_rows", lambda a: a.astype(np.float64), "mem_rows has dtype float64, expected integers"),
+        ("mem_pending_targets", lambda a: a[:, :1], r"mem_pending_targets has shape \(1, 1\), expected \(1, 2\)"),
+        ("mem_label_ids", lambda a: np.concatenate([a[:-1], [2]]), r"mem_label_ids has values outside \[0, 2\)"),
+        ("mem_timestamps", lambda a: a[1:], r"mem_timestamps has shape \(9,\), expected \(10,\)"),
     ],
-    ids=["inf-b2", "shape-u", "nan-adam_v", "short-mem_inputs", "nan-mem_targets"],
+    ids=["inf-b2", "shape-u", "nan-adam_v", "short-mem_inputs", "nan-mem_targets", "nan-mem_inputs",
+         "below-mem_rows", "beyond-mem_pending_rows", "float-mem_rows", "shape-mem_pending_targets",
+         "unknown-mem_label_ids", "short-mem_timestamps"],
 )
 def test_load_checkpoint_rejects_corrupt_arrays(tmp_path, key, corrupt, message):
     cfg, params, adam, memory, rng_states = trained_bundle(seed=7)
@@ -124,4 +172,21 @@ def test_load_checkpoint_rejects_per_gate_layout(tmp_path):
         arrays[f"param__w_{gate}"] = w[k]
     np.savez_compressed(path, **arrays)
     with pytest.raises(ValueError, match="ckpt.npz: array param__w is missing"):
+        load_checkpoint(path)
+
+
+def test_load_checkpoint_rejects_whole_window_memory_layout(tmp_path):
+    cfg, params, adam, memory, rng_states = trained_bundle(seed=9)
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(path, cfg, params, adam, memory, rng_states)
+    with np.load(path, allow_pickle=False) as data:
+        arrays = dict(data)
+    # the earlier layout: one whole window, label and end timestamp per slot
+    arrays["mem_inputs"] = np.zeros((10, WINDOW_LEN, 5))
+    arrays["mem_labels"] = np.array(["GH-0"] * 10)
+    arrays["mem_end_ts"] = np.arange(10, dtype=np.int64)
+    for key in ("mem_rows", "mem_label_ids", "mem_timestamps"):
+        del arrays[key]
+    np.savez_compressed(path, **arrays)
+    with pytest.raises(ValueError, match="ckpt.npz: the memory is stored as whole windows"):
         load_checkpoint(path)

@@ -125,38 +125,41 @@ def test_build_samples_counts_match_formula():
 def test_build_samples_contiguous_targets_from_final_record():
     records = generate_series(PRESETS["GH-A"], days=1, rng=SeededRng(6))
     n = default_normalizer()
-    samples = build_samples(records, "GH-A", window_len=12, stride=3, normalizer=n)
-    for w_idx, sample in enumerate(samples):
+    windows = build_samples(records, "GH-A", window_len=12, stride=3, normalizer=n)
+    assert windows.window_len == 12
+    for w_idx, end in enumerate(windows.ends.tolist()):
         start = w_idx * 3
-        final = records[start + 11]
-        assert sample.end_timestamp == final.timestamp
-        assert sample.inputs.shape == (12, 5)
-        assert sample.targets[0] == (final.transpiration - n.target_low[0]) / (n.target_high[0] - n.target_low[0])
-        assert sample.targets[1] == (final.photosynthesis - n.target_low[1]) / (n.target_high[1] - n.target_low[1])
-        assert sample.inputs[0, 0] == (records[start].t_air - n.input_low[0]) / (n.input_high[0] - n.input_low[0])
+        assert end == start + 11
+        final = records[end]
+        assert windows.timestamps[end] == final.timestamp
+        window = windows.inputs[end - 11 : end + 1]
+        assert window.shape == (12, 5)
+        assert windows.targets[end, 0] == (final.transpiration - n.target_low[0]) / (n.target_high[0] - n.target_low[0])
+        assert windows.targets[end, 1] == (final.photosynthesis - n.target_low[1]) / (n.target_high[1] - n.target_low[1])
+        assert window[0, 0] == (records[start].t_air - n.input_low[0]) / (n.input_high[0] - n.input_low[0])
 
 
 def test_build_samples_too_short_series():
     records = generate_series(PRESETS["GH-A"], days=1, rng=SeededRng(7))
-    assert build_samples(records[:5], "GH-A", window_len=6, stride=1, normalizer=default_normalizer()) == []
+    windows = build_samples(records[:5], "GH-A", window_len=6, stride=1, normalizer=default_normalizer())
+    assert len(windows) == 0 and windows.ends.shape == (0,)
 
 
 def test_build_samples_normalized_and_labeled():
     records = generate_series(PRESETS["GH-B"], days=1, rng=SeededRng(8))
-    samples = build_samples(records, "GH-B", 25, 2, default_normalizer())
-    assert len(samples) == window_count(len(records), 25, 2)
-    for s in samples[:10]:
-        assert s.label == "GH-B"
-        assert s.inputs.shape == (25, 5)
-        assert s.targets.shape == (2,)
-        assert (s.inputs >= 0.0).all() and (s.inputs <= 1.0).all()
-        assert (s.targets >= 0.0).all() and (s.targets <= 1.0).all()
-    ends = [s.end_timestamp for s in samples]
-    assert ends == sorted(ends)
+    windows = build_samples(records, "GH-B", 25, 2, default_normalizer())
+    assert len(windows) == window_count(len(records), 25, 2)
+    assert windows.label == "GH-B"
+    assert windows.inputs.shape == (len(records), 5)
+    assert windows.targets.shape == (len(records), 2)
+    assert (windows.inputs >= 0.0).all() and (windows.inputs <= 1.0).all()
+    assert (windows.targets >= 0.0).all() and (windows.targets <= 1.0).all()
+    assert (np.diff(windows.ends) == 2).all() and windows.ends[0] == 24
 
 
 def test_build_samples_views_are_readonly():
     records = generate_series(PRESETS["GH-A"], days=1, rng=SeededRng(9))
-    samples = build_samples(records, "GH-A", 10, 2, default_normalizer())
-    with pytest.raises(ValueError):
-        samples[0].inputs[0, 0] = 2.0
+    windows = build_samples(records, "GH-A", 10, 2, default_normalizer())
+    for arr in (windows.inputs, windows.targets, windows.timestamps):
+        with pytest.raises(ValueError):
+            arr[0] = 2

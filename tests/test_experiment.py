@@ -128,8 +128,9 @@ def test_generate_datasets_and_build_phases(tmp_path):
     assert normalizer.clamp_count == 0
     for phase in phases:
         assert len(phase.test_set) == 30
-        stream_ts = {s.end_timestamp for s in phase.stream}
-        assert not stream_ts.intersection(s.end_timestamp for s in phase.test_set)
+        stream_ts = set(phase.timestamps[phase.stream].tolist())
+        assert not stream_ts.intersection(phase.timestamps[phase.test_set].tolist())
+        assert len(phase.stream) + 30 == (len(phase.timestamps) - 10) // 2 + 1
 
     scenario = build_scenario(doc, phases)
     assert scenario.batch_size == 20 and scenario.seed == 7

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_sample
+from conftest import add_rows
+from ghreplay import memory as memory_module
 from ghreplay.memory import EpisodicMemory, MemoryConfig, SubstitutionStrategy
 from ghreplay.rng import SeededRng
 
@@ -17,13 +18,17 @@ def full_memory(capacity, strategy, p=0.1, label="old"):
         MemoryConfig(capacity=capacity, substitution_probability=p, strategy=strategy)
     )
     rng = SeededRng(0)
-    mem.observe_batch([make_sample(label, end_timestamp=i) for i in range(capacity)], rng)
+    mem.observe_batch(add_rows(mem, label, capacity), rng)
     assert mem.is_full
     return mem
 
 
+def label_count(mem, label):
+    return int(np.count_nonzero(mem.label_ids == mem.labels.index(label))) if label in mem.labels else 0
+
+
 def old_fraction(mem, old_label="old"):
-    return sum(1 for s in mem.slots if s.label == old_label) / len(mem)
+    return label_count(mem, old_label) / len(mem)
 
 
 # --- fill phase -------------------------------------------------------------
@@ -31,11 +36,11 @@ def old_fraction(mem, old_label="old"):
 def test_fill_phase_appends_in_order():
     mem = EpisodicMemory(MemoryConfig(capacity=5, strategy=PER_BATCH))
     rng = SeededRng(1)
-    samples = [make_sample("a", end_timestamp=i) for i in range(5)]
-    mem.observe(samples[0], rng)
-    assert len(mem) == 1 and mem.slots[0] is samples[0]
-    mem.observe_batch(samples[1:], rng)
-    assert [s.end_timestamp for s in mem.slots] == [0, 1, 2, 3, 4]
+    rows = add_rows(mem, "a", 5)
+    mem.observe(rows[0], rng)
+    assert len(mem) == 1 and mem.rows[0] == rows[0]
+    mem.observe_batch(rows[1:], rng)
+    assert mem.rows.tolist() == [0, 1, 2, 3, 4]
     assert mem.observed_count == 5
 
 
@@ -44,30 +49,30 @@ def test_first_capacity_samples_present_exactly_once(strategy):
     capacity = 50
     mem = EpisodicMemory(MemoryConfig(capacity=capacity, strategy=strategy))
     rng = SeededRng(2)
-    samples = [make_sample("a", end_timestamp=i) for i in range(capacity)]
+    rows = add_rows(mem, "a", capacity)
     for chunk_start in range(0, capacity, 7):
-        mem.observe_batch(samples[chunk_start : chunk_start + 7], rng)
-    assert [s.end_timestamp for s in mem.slots] == list(range(capacity))
+        mem.observe_batch(rows[chunk_start : chunk_start + 7], rng)
+    assert mem.rows.tolist() == list(range(capacity))
 
 
 def test_batch_smaller_than_remaining_fill_is_pure_append():
     mem = EpisodicMemory(MemoryConfig(capacity=100, strategy=PER_BATCH))
     rng = SeededRng(3)
-    batch = [make_sample("a", end_timestamp=i) for i in range(30)]
+    batch = add_rows(mem, "a", 30)
     mem.observe_batch(batch, rng)
-    assert mem.slots == batch
+    assert mem.rows.tolist() == batch.tolist()
 
 
 def test_batch_straddling_fill_boundary():
     mem = EpisodicMemory(MemoryConfig(capacity=10, substitution_probability=1.0, strategy=PER_BATCH))
     rng = SeededRng(4)
-    mem.observe_batch([make_sample("a", end_timestamp=i) for i in range(8)], rng)
-    overflow = [make_sample("b", end_timestamp=100 + i) for i in range(5)]
+    mem.observe_batch(add_rows(mem, "a", 8), rng)
+    overflow = add_rows(mem, "b", 5)
     mem.observe_batch(overflow, rng)
     # first two fill the remaining slots, the other three drive a p=1 sweep
     assert len(mem) == 10
     assert mem.observed_count == 13
-    assert all(s.label == "b" for s in mem.slots)
+    assert label_count(mem, "b") == 10
 
 
 # --- substitution strategies ------------------------------------------------
@@ -75,9 +80,9 @@ def test_batch_straddling_fill_boundary():
 def test_zero_probability_keeps_memory_unchanged():
     for strategy in (PER_ELEMENT, PER_SAMPLE, PER_BATCH):
         mem = full_memory(20, strategy, p=0.0)
-        before = list(mem.slots)
-        mem.observe_batch([make_sample("new")] * 10, SeededRng(5))
-        assert mem.slots == before
+        before = mem.rows.copy()
+        mem.observe_batch(np.repeat(add_rows(mem, "new", 1), 10), SeededRng(5))
+        assert np.array_equal(mem.rows, before)
         assert mem.observed_count == 30
 
 
@@ -85,16 +90,16 @@ def test_per_element_copies_follow_binomial_mean():
     # one observation sweeps all slots: copies ~ Binomial(10000, 0.1)
     capacity, p, trials = 10000, 0.1, 200
     rng = SeededRng(6)
-    old, new = make_sample("old"), make_sample("new")
     total = 0
     for _ in range(trials):
         mem = EpisodicMemory(
             MemoryConfig(capacity=capacity, substitution_probability=p, strategy=PER_ELEMENT)
         )
-        mem.slots = [old] * capacity
+        old, new = add_rows(mem, "x", 2)
+        mem.rows = np.full(capacity, old)
         mem.observed_count = capacity
         mem.observe(new, rng)
-        total += sum(1 for s in mem.slots if s is new)
+        total += int(np.count_nonzero(mem.rows == new))
     mean = total / trials
     sd_of_mean = math.sqrt(capacity * p * (1 - p)) / math.sqrt(trials)
     assert abs(mean - capacity * p) < 3.0 * sd_of_mean
@@ -106,25 +111,24 @@ def test_per_element_wipes_old_content_within_66_observations():
     capacity = 10000
     mem = full_memory(capacity, PER_ELEMENT)
     rng = SeededRng(9)  # pinned: realized fraction fluctuates around 0.9^66
-    for i in range(66):
-        mem.observe(make_sample("new", end_timestamp=1000 + i), rng)
+    for row in add_rows(mem, "new", 66):
+        mem.observe(row, rng)
     assert old_fraction(mem) < 1e-3
 
 
 def test_per_sample_replaces_at_most_one_slot():
     mem = full_memory(30, PER_SAMPLE, p=1.0)
-    mem.observe(make_sample("new"), SeededRng(7))
-    assert sum(1 for s in mem.slots if s.label == "new") == 1
+    mem.observe(add_rows(mem, "new", 1)[0], SeededRng(7))
+    assert label_count(mem, "new") == 1
     assert len(mem) == 30
 
 
 def test_per_sample_discards_with_probability_1_minus_p():
     mem = full_memory(10, PER_SAMPLE, p=0.1)
     rng = SeededRng(8)
-    for i in range(2000):
-        mem.observe(make_sample("new", end_timestamp=i), rng)
-    new_count = sum(1 for s in mem.slots if s.label == "new")
-    assert new_count >= 9  # after 2000 draws at p=0.1 old content is nearly gone
+    for row in add_rows(mem, "new", 2000):
+        mem.observe(row, rng)
+    assert label_count(mem, "new") >= 9  # after 2000 draws at p=0.1 old content is nearly gone
     assert mem.observed_count == 2010
 
 
@@ -132,7 +136,7 @@ def test_per_batch_turnover_matches_probability():
     capacity, p = 10000, 0.1
     mem = full_memory(capacity, PER_BATCH, p=p)
     rng = SeededRng(10)
-    mem.observe_batch([make_sample("new", end_timestamp=i) for i in range(100)], rng)
+    mem.observe_batch(add_rows(mem, "new", 100), rng)
     turnover = 1.0 - old_fraction(mem)
     # Binomial(10^4, 0.1): 3 sigma of the replaced fraction is 0.009
     assert abs(turnover - p) < 3.0 * math.sqrt(p * (1 - p) / capacity)
@@ -144,11 +148,9 @@ def test_per_batch_geometric_decay_over_batches():
     fractions = []
     for _ in range(trials):
         mem = full_memory(capacity, PER_BATCH, p=p)
+        new = add_rows(mem, "new", k * 100)
         for batch_idx in range(k):
-            mem.observe_batch(
-                [make_sample("new", end_timestamp=batch_idx * 100 + i) for i in range(100)],
-                rng,
-            )
+            mem.observe_batch(new[batch_idx * 100 : (batch_idx + 1) * 100], rng)
         fractions.append(old_fraction(mem))
     mean = sum(fractions) / trials
     assert abs(mean - 0.9 ** k) < 0.03
@@ -156,14 +158,14 @@ def test_per_batch_geometric_decay_over_batches():
 
 def test_per_batch_single_observe_buffers_until_batch():
     mem = full_memory(10, PER_BATCH, p=1.0)
-    held = make_sample("held", end_timestamp=500)
-    mem.observe(held, SeededRng(12))
+    held = add_rows(mem, "held", 1)
+    mem.observe(held[0], SeededRng(12))
     assert len(mem) == 10
-    assert all(s.label == "old" for s in mem.slots)
+    assert label_count(mem, "old") == 10
     assert mem.observed_count == 11
     # the buffered sample joins the next batch's substitution pool
-    mem.observe_batch([held], SeededRng(13))
-    assert all(s is held for s in mem.slots)
+    mem.observe_batch(held, SeededRng(13))
+    assert (mem.rows == held[0]).all()
     assert mem.observed_count == 12
 
 
@@ -171,8 +173,9 @@ def test_capacity_never_exceeded_under_mixed_traffic():
     cfg = MemoryConfig(capacity=17, substitution_probability=0.5, strategy=PER_BATCH)
     mem = EpisodicMemory(cfg)
     rng = SeededRng(14)
+    rows = add_rows(mem, "x", 120)
     for i in range(40):
-        mem.observe_batch([make_sample("x", end_timestamp=i * 10 + j) for j in range(3)], rng)
+        mem.observe_batch(rows[i * 3 : i * 3 + 3], rng)
         assert len(mem) <= 17
     assert len(mem) == 17
 
@@ -194,7 +197,7 @@ def test_memory_config_validation():
 
 def test_draw_replay_zero_is_empty():
     mem = EpisodicMemory(MemoryConfig(capacity=3))
-    assert mem.draw_replay(0, SeededRng(16)) == []
+    assert len(mem.draw_replay(0, SeededRng(16))) == 0
 
 
 def test_draw_replay_from_empty_memory_is_an_error():
@@ -205,22 +208,20 @@ def test_draw_replay_from_empty_memory_is_an_error():
 
 def test_draw_replay_single_slot_repeats():
     mem = EpisodicMemory(MemoryConfig(capacity=3))
-    sample = make_sample("only")
-    mem.observe(sample, SeededRng(18))
+    only = add_rows(mem, "only", 1)[0]
+    mem.observe(only, SeededRng(18))
     draws = mem.draw_replay(5, SeededRng(19))
     assert len(draws) == 5
-    assert all(d is sample for d in draws)
+    assert (draws == only).all()
 
 
 def test_draw_replay_uniform_frequencies():
     mem = EpisodicMemory(MemoryConfig(capacity=10))
     rng = SeededRng(20)
-    samples = [make_sample("a", end_timestamp=i) for i in range(10)]
-    mem.observe_batch(samples, rng)
+    mem.observe_batch(add_rows(mem, "a", 10), rng)
     draws = mem.draw_replay(100000, SeededRng(21))
-    counts = [0] * 10
-    for d in draws:
-        counts[d.end_timestamp] += 1
+    counts = np.bincount(draws, minlength=10)
+    assert len(counts) == 10
     # multinomial: 3 sigma of each frequency is ~0.003 at n = 1e5
     for c in counts:
         assert abs(c / 100000 - 0.1) < 3.0 * math.sqrt(0.1 * 0.9 / 100000)
@@ -229,9 +230,9 @@ def test_draw_replay_uniform_frequencies():
 def test_draw_replay_never_fabricates():
     mem = EpisodicMemory(MemoryConfig(capacity=8))
     rng = SeededRng(22)
-    mem.observe_batch([make_sample("a", end_timestamp=i) for i in range(8)], rng)
-    for d in mem.draw_replay(200, SeededRng(23)):
-        assert any(d is s for s in mem.slots)
+    add_rows(mem, "other", 5)
+    mem.observe_batch(add_rows(mem, "a", 8), rng)
+    assert np.isin(mem.draw_replay(200, SeededRng(23)), mem.rows).all()
 
 
 # --- occupancy --------------------------------------------------------------
@@ -255,13 +256,108 @@ def test_occupancy_sums_and_decay():
     old_fracs = []
     for _ in range(trials):
         mem = full_memory(capacity, PER_BATCH)
+        new = add_rows(mem, "new", k * 100)
         for batch_idx in range(k):
-            mem.observe_batch(
-                [make_sample("new", end_timestamp=batch_idx * 100 + i) for i in range(100)],
-                rng,
-            )
+            mem.observe_batch(new[batch_idx * 100 : (batch_idx + 1) * 100], rng)
         stats = mem.occupancy_stats()
         assert sum(stats.counts.values()) == len(mem)
         assert abs(sum(stats.fractions.values()) - 1.0) < 1e-12
         old_fracs.append(stats.fractions.get("old", 0.0))
     assert abs(sum(old_fracs) / trials - 0.9 ** k) < 0.03
+
+
+def test_occupancy_merges_series_with_one_label():
+    mem = EpisodicMemory(MemoryConfig(capacity=6))
+    rng = SeededRng(25)
+    mem.observe_batch(add_rows(mem, "A", 2), rng)
+    mem.observe_batch(add_rows(mem, "B", 3), rng)
+    mem.observe_batch(add_rows(mem, "A", 1), rng)
+    stats = mem.occupancy_stats()
+    assert stats.counts == {"A": 3, "B": 3}
+    assert stats.fractions == {"A": 0.5, "B": 0.5}
+
+
+# --- stream oracle: the scalar sweeps the block draws replace ---------------
+
+class ScalarMemory:
+    """The memory as a list of rows, substituted by one ``random()`` and
+    ``randbelow`` call at a time: the reference the block draws must match
+    draw for draw."""
+
+    def __init__(self, capacity, p, strategy):
+        self.capacity, self.p, self.strategy = capacity, p, strategy
+        self.slots = []
+        self.pending = []
+
+    def observe(self, row, rng):
+        if len(self.slots) < self.capacity:
+            self.slots.append(row)
+        elif self.strategy is PER_ELEMENT:
+            for idx in range(len(self.slots)):
+                if rng.random() < self.p:
+                    self.slots[idx] = row
+        elif self.strategy is PER_SAMPLE:
+            if rng.random() < self.p:
+                self.slots[rng.randbelow(len(self.slots))] = row
+        else:
+            self.pending.append(row)
+
+    def observe_batch(self, batch, rng):
+        if self.strategy is not PER_BATCH:
+            for row in batch:
+                self.observe(row, rng)
+            return
+        pool = self.pending + list(batch)
+        self.pending = []
+        filled = 0
+        while len(self.slots) < self.capacity and filled < len(pool):
+            self.slots.append(pool[filled])
+            filled += 1
+        rest = pool[filled:]
+        if rest:
+            for idx in range(len(self.slots)):
+                if rng.random() < self.p:
+                    self.slots[idx] = rest[rng.randbelow(len(rest))]
+
+    def draw_replay(self, n, rng):
+        return [self.slots[rng.randbelow(len(self.slots))] for _ in range(n)]
+
+
+def assert_same(scalar, mem, rng_scalar, rng_block):
+    assert mem.rows.tolist() == scalar.slots
+    assert len(mem._pending) == len(scalar.pending)
+    assert rng_block.get_state() == rng_scalar.get_state()
+
+
+@pytest.mark.parametrize("tight_blocks", [False, True], ids=["blocks", "tight-blocks"])
+@pytest.mark.parametrize("strategy", [PER_BATCH, PER_ELEMENT, PER_SAMPLE])
+def test_block_sweeps_match_scalar_stream(strategy, tight_blocks, monkeypatch):
+    if tight_blocks:  # every block too short: exercises the peek-again path
+        monkeypatch.setattr(memory_module, "_block_size", lambda decisions, picks, m: 1)
+    meta = SeededRng(26).split(strategy.value)
+    for pool in (1, 2, 64, 100, 128, 129):
+        for p in (0.0, 0.1, 1.0):
+            capacity = meta.randbelow(300) + 1
+            seed = meta.next_u64()
+            rng_scalar, rng_block = SeededRng(seed), SeededRng(seed)
+            scalar = ScalarMemory(capacity, p, strategy)
+            mem = EpisodicMemory(MemoryConfig(capacity=capacity, substitution_probability=p,
+                                              strategy=strategy))
+            rows = add_rows(mem, "x", capacity + 4 * pool + 1).tolist()
+            fill, stream = rows[:capacity], rows[capacity:]
+            for start in range(0, capacity, 97):
+                scalar.observe_batch(fill[start : start + 97], rng_scalar)
+                mem.observe_batch(fill[start : start + 97], rng_block)
+            assert_same(scalar, mem, rng_scalar, rng_block)
+            # one held-back sample joins the next per-batch pool
+            scalar.observe(stream[0], rng_scalar)
+            mem.observe(stream[0], rng_block)
+            assert_same(scalar, mem, rng_scalar, rng_block)
+            for b in range(2):
+                batch = stream[1 + b * pool : 1 + (b + 1) * pool]
+                scalar.observe_batch(batch, rng_scalar)
+                mem.observe_batch(batch, rng_block)
+                assert_same(scalar, mem, rng_scalar, rng_block)
+            n = meta.randbelow(300) + 1
+            assert mem.draw_replay(n, rng_block).tolist() == scalar.draw_replay(n, rng_scalar)
+            assert rng_block.get_state() == rng_scalar.get_state()

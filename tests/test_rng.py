@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from ghreplay.rng import SeededRng, _fnv1a64, _mix64
@@ -141,3 +142,18 @@ def test_mix_and_fnv_are_stable():
     assert _mix64(0) == _reference_splitmix64(0, 1)[0]
     assert _fnv1a64("") == 0xCBF29CE484222325
     assert _fnv1a64("a") == ((0xCBF29CE484222325 ^ ord("a")) * 0x100000001B3) % (1 << 64)
+
+
+@pytest.mark.parametrize("start", [0, (1 << 64) - 1, (1 << 64) - 3 * 0x9E3779B97F4A7C15 % (1 << 64), 12345])
+def test_peek_block_equals_successive_outputs_across_wraparound(start):
+    rng = SeededRng(7)
+    rng._state = start  # within a few increments of 2**64 - 1 for the middle cases
+    block = rng.peek_u64(64)
+    assert block.dtype == np.uint64
+    assert rng._state == start  # peeking does not advance
+    assert block.tolist() == [rng.next_u64() for _ in range(64)]
+    other = SeededRng(7)
+    other._state = start
+    other.skip(64)
+    assert other.get_state() == rng.get_state()
+    assert other.peek_u64(0).tolist() == []

@@ -3,8 +3,7 @@ import statistics
 import numpy as np
 import pytest
 
-from conftest import build_phase, make_sample
-from ghreplay.dataset import WindowedSample
+from ghreplay.dataset import Windows
 from ghreplay.memory import EpisodicMemory, MemoryConfig
 from ghreplay.model import ModelConfig, init_adam, zeros_params
 from ghreplay.rng import SeededRng
@@ -22,6 +21,7 @@ from ghreplay.trainer import (
     run_baseline,
     run_phase,
     run_scenario,
+    stack_samples,
     train_update,
     write_boundaries_csv,
     write_curve_csv,
@@ -32,14 +32,21 @@ MODEL_CFG = ModelConfig(hidden_dim=8, dense_dim=8, window_len=10, learning_rate=
 MEM_CFG = MemoryConfig(capacity=500, substitution_probability=0.1)
 
 
-def synthetic_stream(n, label="GH-X", window_len=10, seed=0):
+def synthetic_windows(n, label="GH-X", window_len=10, seed=0):
+    """A random series with n windows at stride 1."""
     rng = SeededRng(seed)
-    out = []
-    for i in range(n):
-        inputs = np.array([[rng.random() for _ in range(5)] for _ in range(window_len)])
-        targets = np.array([rng.random(), rng.random()])
-        out.append(WindowedSample(inputs=inputs, targets=targets, label=label, end_timestamp=i))
-    return out
+    records = n + window_len - 1
+    inputs = np.array([[rng.random() for _ in range(5)] for _ in range(records)])
+    targets = np.array([[rng.random(), rng.random()] for _ in range(records)])
+    timestamps = 300 * np.arange(records, dtype=np.int64)
+    return Windows(label, inputs, targets, timestamps, np.arange(window_len - 1, records), window_len)
+
+
+def synthetic_stream(state, n, label="GH-X", seed=0):
+    """Table rows of n new windows, appended to ``state``'s memory table."""
+    windows = synthetic_windows(n, label=label, seed=seed)
+    offset = state.memory.add_series(label, windows.inputs, windows.targets, windows.timestamps)
+    return offset + windows.ends
 
 
 def fresh_state(seed=0, memory_cfg=None):
@@ -56,23 +63,52 @@ def fresh_state(seed=0, memory_cfg=None):
 
 
 def make_phase(n_stream, n_test, label="GH-X", seed=0):
-    samples = synthetic_stream(n_stream + n_test, label=label, seed=seed)
-    return Phase(label=label, stream=samples[:n_stream], test_set=samples[n_stream:])
+    windows = synthetic_windows(n_stream + n_test, label=label, seed=seed)
+    return Phase.split(windows, range(n_stream, n_stream + n_test))
 
 
 # --- phase validation --------------------------------------------------------
 
 def test_phase_rejects_overlapping_test_set():
-    samples = synthetic_stream(10)
+    w = synthetic_windows(10)
     with pytest.raises(ValueError, match="overlaps"):
-        Phase(label="GH-X", stream=samples, test_set=samples[:2])
+        Phase(label="GH-X", inputs=w.inputs, targets=w.targets, timestamps=w.timestamps,
+              stream=w.ends, test_set=w.ends[:2], window_len=10)
+
+
+def test_phase_rejects_rows_that_end_no_whole_window():
+    w = synthetic_windows(10)
+    for bad in (w.ends - 1, w.ends + 1):
+        with pytest.raises(ValueError, match=r"rows must lie in \[9, 19\)"):
+            Phase(label="GH-X", inputs=w.inputs, targets=w.targets, timestamps=w.timestamps,
+                  stream=bad, test_set=[], window_len=10)
+
+
+def test_phase_split_keeps_temporal_order_and_is_read_only():
+    phase = Phase.split(synthetic_windows(10), [7, 2, 4])
+    assert phase.test_set.tolist() == [11, 13, 16]
+    assert phase.stream.tolist() == [9, 10, 12, 14, 15, 17, 18]
+    with pytest.raises(ValueError):
+        phase.stream[0] = 10
+
+
+def test_stack_samples_equals_stacked_window_slices():
+    w = synthetic_windows(40)
+    rows = np.array([30, 9, 9, 48, 20])
+    inputs, targets = stack_samples(w.inputs, w.targets, rows, 10)
+    assert inputs.flags.c_contiguous and inputs.shape == (5, 10, 5)
+    assert np.array_equal(inputs, np.stack([w.inputs[r - 9 : r + 1] for r in rows]))
+    assert np.array_equal(targets, w.targets[rows])
+    for bad in ([8], [49]):  # would start before row 0 / end past the last row
+        with pytest.raises(ValueError, match=r"rows must lie in \[9, 49\)"):
+            stack_samples(w.inputs, w.targets, np.array(bad), 10)
 
 
 # --- train_update ------------------------------------------------------------
 
 def test_first_update_has_no_replay():
     state = fresh_state()
-    stats = train_update(state, synthetic_stream(20), MODEL_CFG, replay_size=100)
+    stats = train_update(state, synthetic_stream(state, 20), MODEL_CFG, replay_size=100)
     assert stats.new_count == 20 and stats.replay_count == 0
     assert len(state.memory) == 20
 
@@ -81,31 +117,31 @@ def test_replay_size_zero_is_pure_online():
     state = fresh_state()
     for start in range(3):
         stats = train_update(
-            state, synthetic_stream(20, seed=start), MODEL_CFG, replay_size=0
+            state, synthetic_stream(state, 20, seed=start), MODEL_CFG, replay_size=0
         )
         assert stats.replay_count == 0
 
 
 def test_combined_minibatch_size_after_warmup():
     state = fresh_state()
-    train_update(state, synthetic_stream(100, seed=1), MODEL_CFG, replay_size=100)
-    stats = train_update(state, synthetic_stream(100, seed=2), MODEL_CFG, replay_size=100)
+    train_update(state, synthetic_stream(state, 100, seed=1), MODEL_CFG, replay_size=100)
+    stats = train_update(state, synthetic_stream(state, 100, seed=2), MODEL_CFG, replay_size=100)
     assert stats.new_count + stats.replay_count == 200
     # partially filled memory caps the draw at what is stored
     state2 = fresh_state()
-    train_update(state2, synthetic_stream(30, seed=3), MODEL_CFG, replay_size=100)
-    stats2 = train_update(state2, synthetic_stream(30, seed=4), MODEL_CFG, replay_size=100)
+    train_update(state2, synthetic_stream(state2, 30, seed=3), MODEL_CFG, replay_size=100)
+    stats2 = train_update(state2, synthetic_stream(state2, 30, seed=4), MODEL_CFG, replay_size=100)
     assert stats2.replay_count == 30
 
 
 def test_replay_drawn_before_new_batch_enters_memory():
     state = fresh_state()
-    first = synthetic_stream(10, label="first", seed=5)
-    second = synthetic_stream(10, label="second", seed=6)
+    first = synthetic_stream(state, 10, label="first", seed=5)
+    second = synthetic_stream(state, 10, label="second", seed=6)
     train_update(state, first, MODEL_CFG, replay_size=8)
     # during the second update the memory contains only `first`
     replay = state.memory.draw_replay(8, SeededRng(state.replay_rng.seed))
-    assert all(r.label == "first" for r in replay)
+    assert np.isin(replay, first).all()
     train_update(state, second, MODEL_CFG, replay_size=8)
     assert len(state.memory) == 20
 
@@ -120,9 +156,7 @@ def test_train_update_rejects_empty_batch():
 def test_evaluate_perfect_model_is_zero():
     params = zeros_params(MODEL_CFG)
     params.b2[:] = [0.3, 0.6]
-    test = [make_sample(window_len=10, fill=0.0) for _ in range(5)]
-    for s in test:
-        s.targets = np.array([0.3, 0.6])
+    test = (np.zeros((5, 10, 5)), np.tile([0.3, 0.6], (5, 1)))
     total, per = evaluate(params, test)
     assert total == 0.0 and np.array_equal(per, np.zeros(2))
 
@@ -132,12 +166,8 @@ def test_evaluate_constant_half_predictor_near_one_twelfth():
     params = zeros_params(MODEL_CFG)
     params.b2[:] = 0.5
     rng = SeededRng(7)
-    test = []
-    for i in range(1000):
-        s = make_sample(window_len=10, end_timestamp=i)
-        s.targets = np.array([rng.random(), rng.random()])
-        test.append(s)
-    total, _ = evaluate(params, test)
+    targets = np.array([[rng.random(), rng.random()] for _ in range(1000)])
+    total, _ = evaluate(params, (np.full((1000, 10, 5), 0.5), targets))
     assert abs(total - 1.0 / 12.0) < 0.005
 
 
@@ -145,18 +175,14 @@ def test_evaluate_total_is_mean_of_outputs():
     params = zeros_params(MODEL_CFG)
     params.b2[:] = [0.2, 0.9]
     rng = SeededRng(8)
-    test = []
-    for i in range(50):
-        s = make_sample(window_len=10, end_timestamp=i)
-        s.targets = np.array([rng.random(), rng.random()])
-        test.append(s)
-    total, per = evaluate(params, test)
+    targets = np.array([[rng.random(), rng.random()] for _ in range(50)])
+    total, per = evaluate(params, (np.full((50, 10, 5), 0.5), targets))
     assert total == (per[0] + per[1]) / 2.0
 
 
 def test_evaluate_rejects_empty_test_set():
     with pytest.raises(ValueError, match="empty"):
-        evaluate(zeros_params(MODEL_CFG), [])
+        evaluate(zeros_params(MODEL_CFG), (np.zeros((0, 10, 5)), np.zeros((0, 2))))
 
 
 # --- run_phase cadence -------------------------------------------------------
@@ -277,7 +303,7 @@ def test_baseline_first_eval_near_zero_predictor_level(tiny_phases):
         phases=[phase_a, phase_c], batch_size=50, replay_size=50, eval_every=3, seed=16
     )
     base = run_baseline(scenario, MODEL_CFG, MEM_CFG, "GH-C")
-    targets = np.stack([s.targets for s in phase_c.test_set])
+    targets = phase_c.test_arrays()[1]
     zero_predictor_mse = float(np.mean(targets * targets, axis=0).mean())
     ratio = base.curve.points[0].mse_total / zero_predictor_mse
     assert 0.3 < ratio < 1.7
@@ -337,11 +363,10 @@ def test_replay_toggle_does_not_change_memory_trajectory(tiny_phases):
     )
     with_replay = run_scenario(mk(50), MODEL_CFG, MemoryConfig(capacity=500))
     without = run_scenario(mk(0), MODEL_CFG, MemoryConfig(capacity=500))
-    slots_a = with_replay.state.memory.slots
-    slots_b = without.state.memory.slots
-    assert len(slots_a) == len(slots_b)
-    for a, b in zip(slots_a, slots_b):
-        assert a is b  # identical sample objects chosen for every slot
+    slots_a = with_replay.state.memory.rows
+    slots_b = without.state.memory.rows
+    assert len(slots_a) == len(slots_b) == 500
+    assert np.array_equal(slots_a, slots_b)  # the same window chosen for every slot
 
 
 def test_replay_toggle_identical_until_replay_engages(tiny_phases):
@@ -351,8 +376,9 @@ def test_replay_toggle_identical_until_replay_engages(tiny_phases):
     results = {}
     for r in (0, 50):
         state = fresh_state(13)
-        batch1 = phase_a.stream[:50]
-        batch2 = phase_a.stream[50:100]
+        offset = state.memory.add_series(phase_a.label, phase_a.inputs, phase_a.targets, phase_a.timestamps)
+        batch1 = phase_a.stream[:50] + offset
+        batch2 = phase_a.stream[50:100] + offset
         train_update(state, batch1, MODEL_CFG, replay_size=r)
         results[r] = {
             "after1": state.params.copy(),
