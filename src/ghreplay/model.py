@@ -15,17 +15,24 @@ then the head's ``w1``, ``b1``, ``w2`` and ``b2``. These seven arrays are
 the unit of the gradients, the Adam moments and the checkpoint.
 
 One step loop serves training (keeping the BPTT cache) and prediction
-(keeping only the running state). Finiteness is checked at the
+(keeping only the running state). The cache keeps the four gates and
+the cell state of every step, and the final hidden state; BPTT
+recomputes tanh(c) and h = o * tanh(c) one step back from them, with
+the same operations on the same inputs, so the gradients are the bits
+a cache of all seven would give. Finiteness is checked at the
 boundaries, not per operation: the windows once on entry, the four gate
 pre-activations once per step, then the dense pre-activation and the
 output product; prediction also checks the outputs after the bias b2,
 which training reports as divergence. Values read from CSV are already
 finite (``csvio``).
 
-Evaluation runs the test set in chunks of 512 windows, one worker thread
-per usable CPU. Results are bit-identical for any CPU count. Importing
-``ghreplay`` pins BLAS to one thread unless the environment already sets
-its thread count, so chunk threads do not multiply with BLAS threads.
+Evaluation takes a series and the final rows of its windows (see
+``dataset``) and runs them in chunks of 512 windows, one worker thread
+per usable CPU; each worker gathers its own chunk from the series, so
+no stack of the whole test set is built. Results are bit-identical for
+any CPU count. Importing ``ghreplay`` pins BLAS to one thread unless the
+environment already sets its thread count, so chunk threads do not
+multiply with BLAS threads.
 
 The training loss is the batch-mean MSE that evaluation also uses.
 Gradients are derived by hand through the unrolled window (no autodiff);
@@ -43,12 +50,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .linalg import SIGMOID, TANH
+from .dataset import stack_steps
+from .linalg import TANH
 from .rng import SeededRng
 
 
 class TrainingDivergedError(RuntimeError):
-    """Raised when a forward/backward pass produces a non-finite loss."""
+    """Raised when a forward/backward pass produces a non-finite loss;
+    ``rows`` are the batch rows whose prediction or squared error is
+    non-finite (none when only their sum overflows)."""
+
+    def __init__(self, message: str, rows=()):
+        super().__init__(message)
+        self.rows = np.asarray(rows, dtype=np.int64)
 
 
 @dataclass
@@ -141,24 +155,33 @@ def init_adam(cfg: ModelConfig) -> AdamState:
 
 @dataclass
 class ForwardCache:
-    """Per-step activations retained for backpropagation through time."""
+    """Per-step activations retained for backpropagation through time: five
+    (T, B, H) blocks. tanh(c) and the hidden states before the last are not
+    kept; BPTT recomputes them as tanh(c_s[t]) and gates[t, 2] * tanh(c_s[t])."""
 
     inputs: np.ndarray    # (B, T, D)
     gates: np.ndarray     # (T, 4, B, H) gates i, f, o and candidate g
     c_s: np.ndarray       # (T, B, H) cell states
-    tc_s: np.ndarray      # tanh(cell)
-    h_s: np.ndarray       # hidden states
+    h: np.ndarray         # (B, H) final hidden state
     dense: np.ndarray     # (B, dense) tanh layer output
     outputs: np.ndarray   # (B, K) predictions
 
 
-def _check_windows(params: ModelParams, inputs: np.ndarray) -> np.ndarray:
+_LAYOUTS = {
+    2: "a series of shape (records, input_dim)",
+    3: "windows of shape (batch, window_len, input_dim)",
+}
+
+
+def _check_inputs(params: ModelParams, inputs: np.ndarray, ndim: int) -> np.ndarray:
+    """``inputs`` as float64, checked to have ``ndim`` axes and the model's
+    input_dim as the last."""
     inputs = np.asarray(inputs, dtype=np.float64)
-    if inputs.ndim != 3:
-        raise ValueError(f"expected windows of shape (batch, window_len, input_dim), got {inputs.shape}")
-    if inputs.shape[2] != params.w.shape[2]:
+    if inputs.ndim != ndim:
+        raise ValueError(f"expected {_LAYOUTS[ndim]}, got {inputs.shape}")
+    if inputs.shape[-1] != params.w.shape[2]:
         raise ValueError(
-            f"window input_dim {inputs.shape[2]} does not match model input_dim {params.w.shape[2]}"
+            f"input_dim {inputs.shape[-1]} does not match model input_dim {params.w.shape[2]}"
         )
     return inputs
 
@@ -191,8 +214,9 @@ def _forward(
     non-finite product or bias makes its sum non-finite. The gates'
     weights are stored stacked, so each product is one broadcast matmul
     over transposed views that issues one gemm call per gate. With
-    keep_cache the per-step activations are written straight into the
-    BPTT cache; without it the state buffers are updated in place.
+    keep_cache the gates and cell states are written straight into the
+    BPTT cache; h, tanh(c) and, without keep_cache, c and the gates are
+    scratch buffers updated in place.
     """
     if not np.isfinite(inputs).all():
         raise ValueError("windows contain non-finite values")
@@ -209,20 +233,19 @@ def _forward(
     ig = np.empty(shape)
     hu = np.empty((4,) + shape)
     e = np.empty((3,) + shape)
+    tc = np.empty(shape)
     if keep_cache:
         gates_s = np.empty((steps, 4) + shape)
-        c_s, tc_s, h_s = np.empty((3, steps) + shape)
+        c_s = np.empty((steps,) + shape)
     else:
         z = np.empty((4,) + shape)
-        tc = np.empty(shape)
 
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(steps):
             if keep_cache:
-                z, tc = gates_s[t], tc_s[t]
-                c_out, h_out = c_s[t], h_s[t]
+                z, c_out = gates_s[t], c_s[t]
             else:
-                c_out, h_out = c, h
+                c_out = c
             np.matmul(inputs[:, t, :], w, out=z)
             np.matmul(h, u, out=hu)
             z += hu
@@ -236,8 +259,8 @@ def _forward(
             np.multiply(i, g, out=ig)
             c_out += ig
             np.tanh(c_out, out=tc)
-            np.multiply(o, tc, out=h_out)
-            c, h = c_out, h_out
+            np.multiply(o, tc, out=h)  # h's old value is spent in hu
+            c = c_out
 
         pre_dense = h @ params.w1.T + params.b1
         if not np.isfinite(pre_dense).all():
@@ -250,7 +273,7 @@ def _forward(
 
     if not keep_cache:
         return outputs, None
-    return outputs, ForwardCache(inputs, gates_s, c_s, tc_s, h_s, dense, outputs)
+    return outputs, ForwardCache(inputs, gates_s, c_s, h, dense, outputs)
 
 
 def _usable_cpus() -> int:
@@ -261,23 +284,36 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def predict_batch(params: ModelParams, windows: np.ndarray, chunk: int = 512) -> np.ndarray:
-    """Stateless predictions for a (B, T, D) stack of windows.
+def predict_batch(
+    params: ModelParams, rows: np.ndarray, inputs: np.ndarray, window_len: int, chunk: int = 512
+) -> np.ndarray:
+    """Stateless predictions for the windows of the (N, D) series ``inputs``
+    that end at ``rows``, one output row per entry of ``rows``.
 
-    The stack runs in independent chunks of ``chunk`` windows, spread
-    over one worker per usable CPU: the calling thread takes chunks 0,
-    w, 2w, ... and w - 1 helper threads take the rest. A chunk's result
+    The windows run in independent chunks of ``chunk``, spread over one
+    worker per usable CPU: the calling thread takes chunks 0, w, 2w, ...
+    and w - 1 helper threads take the rest. Each worker gathers its own
+    chunk from the series, so at most one chunk per worker is ever
+    stacked. The gather is step-major, because the kernel reads one step
+    of all the chunk's windows at a time: with two workers, batch-major
+    chunks made a paper-shape evaluation about 15 % slower than one
+    whole-set stack, and step-major chunks did not. A chunk's result
     does not depend on the thread that computes it, so the output is
     bit-identical for any CPU count; the chunk size does change bits.
     """
-    windows = _check_windows(params, windows)
-    if windows.shape[0] == 0:
+    inputs = _check_inputs(params, inputs, 2)
+    rows = np.asarray(rows, dtype=np.int64)
+    if len(rows) == 0:
         raise ValueError("predict_batch: empty batch")
-    starts = range(0, windows.shape[0], chunk)
+    starts = range(0, len(rows), chunk)
     workers = min(len(starts), _usable_cpus())
 
+    def predict_chunk(start: int) -> np.ndarray:
+        steps = stack_steps(inputs, rows[start : start + chunk], window_len)
+        return _forward(params, steps.transpose(1, 0, 2), keep_cache=False)[0]
+
     def run(share: range) -> list[np.ndarray]:
-        return [_forward(params, windows[s : s + chunk], keep_cache=False)[0] for s in share]
+        return [predict_chunk(s) for s in share]
 
     if workers == 1:
         pieces = run(starts)
@@ -305,12 +341,7 @@ def mse_loss(predictions: np.ndarray, targets: np.ndarray) -> tuple[float, np.nd
     return float(np.mean(per_output)), per_output
 
 
-def backward(
-    params: ModelParams,
-    inputs: np.ndarray,
-    targets: np.ndarray,
-    origins: list | None = None,
-) -> tuple[float, Gradients]:
+def backward(params: ModelParams, inputs: np.ndarray, targets: np.ndarray) -> tuple[float, Gradients]:
     """Loss and exact gradients of the batch-mean MSE through the window.
 
     Backward recurrence per step (dh, dc carry into earlier steps):
@@ -319,21 +350,24 @@ def backward(
         di = dc * g;  df = dc * c_prev;  dg = dc * i
         dh_prev = sum_gate (d_pre_gate @ U_gate);  dc_prev = dc * f
 
+    The loop runs in place on preallocated (B, H) buffers. tanh(c_prev)
+    and h_prev = o_prev * tanh(c_prev) are recomputed from the cache once
+    per step, and tanh(c_prev) is carried into the next step as tanh(c).
     The four gate deltas share one (4, B, H) buffer, so each weight
     gradient is one broadcast matmul that issues one gemm call per gate.
     """
     if inputs.shape[0] == 0:
         raise ValueError("backward: empty batch")
-    outputs, cache = _forward(params, _check_windows(params, inputs), keep_cache=True)
+    outputs, cache = _forward(params, _check_inputs(params, inputs, 3), keep_cache=True)
     targets = np.asarray(targets, dtype=np.float64)
 
     if not np.isfinite(outputs).all():
         bad = np.where(~np.isfinite(outputs).all(axis=1))[0]
-        detail = f" (samples {', '.join(str(origins[i]) for i in bad)})" if origins else ""
-        raise TrainingDivergedError(f"non-finite predictions for batch rows {bad.tolist()}{detail}")
+        raise TrainingDivergedError(f"non-finite predictions for batch rows {bad.tolist()}", bad)
     loss, _ = mse_loss(outputs, targets)
     if not np.isfinite(loss):
-        raise TrainingDivergedError("non-finite loss")
+        bad = np.where(~np.isfinite((outputs - targets) ** 2).all(axis=1))[0]
+        raise TrainingDivergedError(f"non-finite loss from batch rows {bad.tolist()}", bad)
 
     batch, steps, _ = cache.inputs.shape
     n_out = targets.shape[1]
@@ -345,35 +379,62 @@ def backward(
     grads.b2 = d_out.sum(axis=0)
     d_dense = d_out @ params.w2
     d_z1 = d_dense * linalg.activation_grad(TANH, cache.dense)
-    grads.w1 = d_z1.T @ cache.h_s[steps - 1]
+    grads.w1 = d_z1.T @ cache.h
     grads.b1 = d_z1.sum(axis=0)
     dh = d_z1 @ params.w1
 
-    # unrolled LSTM; da holds the gate pre-activation deltas in gate order
-    dc = np.zeros_like(dh)
-    zero = np.zeros_like(dh)
-    da = np.empty((4,) + dh.shape)
+    # unrolled LSTM; da holds the gate pre-activation deltas in gate order,
+    # s an activation derivative written in terms of the activation output
+    shape = dh.shape
+    dc = np.zeros(shape)
+    zero = np.zeros(shape)
+    da, p = np.empty((2, 4) + shape)
+    s, dc_in, tc_prev, h_prev = np.empty((4,) + shape)
+    dw, du, db = np.empty_like(params.w), np.empty_like(params.u), np.empty_like(params.b)
+    tc = np.tanh(cache.c_s[steps - 1])
     for t in range(steps - 1, -1, -1):
         i, f, o, g = cache.gates[t]
-        tc = cache.tc_s[t]
-        c_prev = cache.c_s[t - 1] if t > 0 else zero
-        h_prev = cache.h_s[t - 1] if t > 0 else zero
+        if t > 0:
+            c_prev = cache.c_s[t - 1]
+            np.tanh(c_prev, out=tc_prev)
+            np.multiply(cache.gates[t - 1, 2], tc_prev, out=h_prev)
+        else:
+            c_prev = h_prev = zero
         x_t = cache.inputs[:, t, :]
 
-        da[2] = dh * tc * linalg.activation_grad(SIGMOID, o)
-        dc = dc + dh * o * linalg.activation_grad(TANH, tc)
-        da[0] = dc * g * linalg.activation_grad(SIGMOID, i)
-        da[1] = dc * c_prev * linalg.activation_grad(SIGMOID, f)
-        da[3] = dc * i * linalg.activation_grad(TANH, g)
+        np.multiply(dh, tc, out=da[2])        # da_o = (dh * tc) * (o (1 - o))
+        np.subtract(1.0, o, out=s)
+        s *= o
+        da[2] *= s
+        np.multiply(dh, o, out=dc_in)         # dc += (dh * o) * (1 - tc^2)
+        np.multiply(tc, tc, out=s)
+        np.subtract(1.0, s, out=s)
+        dc_in *= s
+        dc += dc_in
+        np.multiply(dc, g, out=da[0])         # da_i = (dc * g) * (i (1 - i))
+        np.subtract(1.0, i, out=s)
+        s *= i
+        da[0] *= s
+        np.multiply(dc, c_prev, out=da[1])    # da_f = (dc * c_prev) * (f (1 - f))
+        np.subtract(1.0, f, out=s)
+        s *= f
+        da[1] *= s
+        np.multiply(dc, i, out=da[3])         # da_g = (dc * i) * (1 - g^2)
+        np.multiply(g, g, out=s)
+        np.subtract(1.0, s, out=s)
+        da[3] *= s
 
         da_t = da.transpose(0, 2, 1)
-        grads.w += da_t @ x_t
-        grads.u += da_t @ h_prev
-        grads.b += da.sum(axis=1)
+        grads.w += np.matmul(da_t, x_t, out=dw)
+        grads.u += np.matmul(da_t, h_prev, out=du)
+        grads.b += np.sum(da, axis=1, out=db)
 
-        p = da @ params.u
-        dh = p[0] + p[1] + p[2] + p[3]
-        dc = dc * f
+        np.matmul(da, params.u, out=p)        # dh = ((p0 + p1) + p2) + p3
+        np.add(p[0], p[1], out=dh)
+        dh += p[2]
+        dh += p[3]
+        dc *= f
+        tc, tc_prev = tc_prev, tc
 
     return loss, grads
 

@@ -12,6 +12,9 @@ Windows travel as integer rows (see ``dataset``): a phase's stream and
 test set are arrays of final-record rows, and when a phase starts its
 series is appended to the memory's row table, so new and replayed
 windows of an update are gathered together by ``stack_samples``.
+Evaluation hands the phase's series and test rows to ``predict_batch``,
+whose workers gather one chunk of windows at a time: no stack of a
+whole test set outlives the call that uses it.
 
 Randomness discipline: one root seed is split into labeled streams
 (init / replay / memory), so toggling replay or memory settings never
@@ -25,15 +28,15 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .atomic import atomic_open
-from .dataset import Windows
+from .dataset import Windows, stack_samples
 from .memory import EpisodicMemory, MemoryConfig
 from .model import (
     AdamState,
     ModelConfig,
     ModelParams,
+    TrainingDivergedError,
     adam_step,
     backward,
     clip_gradients,
@@ -89,7 +92,6 @@ class Phase:
                 f"phase {self.label}: test set overlaps training stream "
                 f"({len(overlap)} shared windows)"
             )
-        self._test_arrays: tuple[np.ndarray, np.ndarray] | None = None
 
     @classmethod
     def split(cls, windows: Windows, test_positions) -> "Phase":
@@ -106,11 +108,6 @@ class Phase:
             test_set=windows.ends[held],
             window_len=windows.window_len,
         )
-
-    def test_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._test_arrays is None:
-            self._test_arrays = stack_samples(self.inputs, self.targets, self.test_set, self.window_len)
-        return self._test_arrays
 
 
 @dataclass
@@ -191,20 +188,6 @@ class ScenarioResult:
     state: TrainerState
 
 
-def stack_samples(
-    inputs: np.ndarray, targets: np.ndarray, rows: np.ndarray, window_len: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The windows ending at ``rows``: C-contiguous (B, T, D) inputs and
-    (B, K) targets, gathered in one step without a (B, T) index array."""
-    if len(rows) and (rows.min() < window_len - 1 or rows.max() >= len(inputs)):
-        raise ValueError(
-            f"stack_samples: rows must lie in [{window_len - 1}, {len(inputs)}), "
-            f"the final rows of whole windows"
-        )
-    windows = sliding_window_view(inputs, window_len, axis=0).transpose(0, 2, 1)
-    return windows[rows - (window_len - 1)], targets[rows]
-
-
 def train_update(
     state: TrainerState,
     rows: np.ndarray,
@@ -223,11 +206,16 @@ def train_update(
     replay = memory.draw_replay(n_replay, state.replay_rng)
     batch = np.concatenate([rows, replay])
     inputs, targets = stack_samples(memory.inputs, memory.targets, batch, model_cfg.window_len)
-    origins = list(zip(
-        [memory.labels[i] for i in memory.row_label_ids[batch].tolist()],
-        memory.timestamps[batch].tolist(),
-    ))
-    loss, grads = backward(state.params, inputs, targets, origins)
+    try:
+        loss, grads = backward(state.params, inputs, targets)
+    except TrainingDivergedError as err:
+        if not len(err.rows):
+            raise
+        origins = ", ".join(
+            str((memory.labels[memory.row_label_ids[r]], int(memory.timestamps[r])))
+            for r in batch[err.rows].tolist()
+        )
+        raise TrainingDivergedError(f"{err} (samples {origins})", err.rows) from err
     if model_cfg.grad_clip is not None:
         clip_gradients(grads, model_cfg.grad_clip)
     adam_step(state.params, grads, state.adam, model_cfg)
@@ -235,16 +223,12 @@ def train_update(
     return UpdateStats(loss=loss, new_count=len(rows), replay_count=len(replay))
 
 
-def evaluate(params: ModelParams, test_set) -> tuple[float, np.ndarray]:
-    """Test-set MSE; accepts a Phase (cached arrays) or an (inputs, targets) pair."""
-    if isinstance(test_set, Phase):
-        inputs, targets = test_set.test_arrays()
-    else:
-        inputs, targets = test_set
-    if inputs.shape[0] == 0:
+def evaluate(params: ModelParams, phase: Phase) -> tuple[float, np.ndarray]:
+    """MSE on the phase's test set, its windows gathered from the series chunk by chunk."""
+    if len(phase.test_set) == 0:
         raise ValueError("evaluate: empty test set")
-    predictions = predict_batch(params, inputs)
-    return mse_loss(predictions, targets)
+    predictions = predict_batch(params, phase.test_set, phase.inputs, phase.window_len)
+    return mse_loss(predictions, phase.targets[phase.test_set])
 
 
 def run_phase(

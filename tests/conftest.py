@@ -3,6 +3,7 @@ import pytest
 
 from ghreplay.climate import PRESETS, generate_series
 from ghreplay.dataset import build_samples, default_normalizer
+from ghreplay.model import predict_batch
 from ghreplay.rng import SeededRng
 from ghreplay.trainer import Phase
 
@@ -14,6 +15,15 @@ def add_rows(memory, label, n, input_dim=5, fill=0.5):
         label, np.full((n, input_dim), fill), np.full((n, 2), fill), np.arange(n, dtype=np.int64)
     )
     return offset + np.arange(n, dtype=np.int64)
+
+
+def predict_stack(params, stack, **kwargs):
+    """``predict_batch`` on a (B, T, D) stack of windows, laid out as the
+    series ``stack.reshape(B * T, D)`` with windows ending at rows
+    ``arange(B) * T + T - 1``."""
+    batch, steps, dim = np.shape(stack)
+    rows = np.arange(batch) * steps + steps - 1
+    return predict_batch(params, rows, np.reshape(stack, (batch * steps, dim)), steps, **kwargs)
 
 
 def build_phase(name, days, seed, window_len=50, stride=2, test_size=1000):

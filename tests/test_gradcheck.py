@@ -6,8 +6,9 @@ entry at a time and recomputes the loss through the forward path only.
 
 import numpy as np
 import pytest
+from conftest import predict_stack
 
-from ghreplay.model import ModelConfig, backward, init_model, mse_loss, predict_batch
+from ghreplay.model import ModelConfig, backward, init_model, mse_loss
 from ghreplay.rng import SeededRng
 
 FD_STEP = 1e-5
@@ -15,7 +16,7 @@ REL_TOL = 1e-4
 
 
 def _loss_forward_only(params, x, t):
-    total, _ = mse_loss(predict_batch(params, x), t)
+    total, _ = mse_loss(predict_stack(params, x), t)
     return total
 
 

@@ -3,10 +3,12 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import predict_stack
 
 from ghreplay import linalg, model
 from ghreplay.linalg import SIGMOID, TANH
@@ -24,7 +26,7 @@ from ghreplay.model import (
     predict_batch,
     zeros_params,
 )
-from ghreplay.model import _check_windows, _forward
+from ghreplay.model import _check_inputs, _forward
 from ghreplay.rng import SeededRng
 
 
@@ -81,7 +83,7 @@ def test_forward_all_zero_params_outputs_exact_zero():
     cfg = small_cfg()
     params = zeros_params(cfg)
     rng = SeededRng(2)
-    pred = predict_batch(params, random_windows(rng, 1, cfg.window_len))
+    pred = predict_stack(params, random_windows(rng, 1, cfg.window_len))
     assert np.array_equal(pred, np.zeros((1, 2)))
 
 
@@ -111,7 +113,7 @@ def test_forward_scalar_hand_computation():
     d = math.tanh(0.9 * h + 0.05)
     expected = np.array([-1.1 * d + 0.4, 0.8 * d - 0.6])
 
-    pred = predict_batch(p, np.array([[x]]))[0]
+    pred = predict_stack(p, np.array([[x]]))[0]
     assert np.max(np.abs(pred - expected)) < 1e-12
     assert f == pytest.approx(sig(-0.2 * 0.6 + 0.4 * -0.4 + 1.0))  # sanity on the oracle itself
 
@@ -120,7 +122,7 @@ def test_forward_protocol_scale_window_shape():
     cfg = ModelConfig()  # defaults: window 250, hidden 32, output 2
     params = init_model(cfg, SeededRng(3))
     window = random_windows(SeededRng(4), 1, 250)
-    pred = predict_batch(params, window)
+    pred = predict_stack(params, window)
     assert pred.shape == (1, 2)
 
 
@@ -128,17 +130,21 @@ def test_forward_deterministic_and_stateless():
     cfg = small_cfg()
     params = init_model(cfg, SeededRng(5))
     window = random_windows(SeededRng(6), 1, cfg.window_len)
-    first = predict_batch(params, window)
-    second = predict_batch(params, window)
+    first = predict_stack(params, window)
+    second = predict_stack(params, window)
     assert np.array_equal(first, second)
 
 
 def test_forward_shape_errors():
     params = init_model(small_cfg(), SeededRng(7))
     with pytest.raises(ValueError, match="input_dim"):
-        predict_batch(params, np.zeros((1, 6, 3)))
+        predict_stack(params, np.zeros((1, 6, 3)))
+    with pytest.raises(ValueError, match=r"expected a series of shape \(records, input_dim\)"):
+        predict_batch(params, [5], np.zeros((1, 6, 5)), 6)
     with pytest.raises(ValueError, match=r"expected windows of shape \(batch, window_len, input_dim\)"):
-        predict_batch(params, np.zeros((6, 5)))
+        backward(params, np.zeros((6, 5)), np.zeros((6, 2)))
+    with pytest.raises(ValueError, match=r"window rows must lie in \[5, 6\)"):
+        predict_batch(params, [4], np.zeros((6, 5)), 6)
 
 
 # --- mse --------------------------------------------------------------------
@@ -182,7 +188,7 @@ def test_predict_batch_of_one_equals_forward():
     params = init_model(cfg, SeededRng(9))
     windows = random_windows(SeededRng(10), 1, cfg.window_len)
     training, _ = _forward(params, windows, keep_cache=True)
-    assert np.array_equal(predict_batch(params, windows), training)
+    assert np.array_equal(predict_stack(params, windows), training)
 
 
 def test_predict_batch_permutation_equivariant():
@@ -190,8 +196,8 @@ def test_predict_batch_permutation_equivariant():
     params = init_model(cfg, SeededRng(11))
     windows = random_windows(SeededRng(12), 8, cfg.window_len)
     perm = [3, 1, 7, 0, 6, 2, 5, 4]
-    direct = predict_batch(params, windows)
-    permuted = predict_batch(params, windows[perm])
+    direct = predict_stack(params, windows)
+    permuted = predict_stack(params, windows[perm])
     assert np.array_equal(permuted, direct[perm])
 
 
@@ -199,9 +205,9 @@ def test_predict_batch_matches_individual_forwards():
     cfg = small_cfg()
     params = init_model(cfg, SeededRng(13))
     windows = random_windows(SeededRng(14), 100, cfg.window_len)
-    batched = predict_batch(params, windows, chunk=32)
+    batched = predict_stack(params, windows, chunk=32)
     for b in range(100):
-        single = predict_batch(params, windows[b : b + 1])[0]
+        single = predict_stack(params, windows[b : b + 1])[0]
         assert np.max(np.abs(batched[b] - single)) < 1e-12
 
 
@@ -228,7 +234,23 @@ def test_backward_reports_divergence_with_origin():
     x = random_windows(SeededRng(16), 2, cfg.window_len)
     t = random_targets(SeededRng(17), 2)
     with np.errstate(over="ignore"), pytest.raises((TrainingDivergedError, ValueError)):
-        backward(params, x, t, origins=["first", "second"])
+        backward(params, x, t)
+
+
+def test_backward_keeps_five_cache_blocks():
+    cfg = ModelConfig(hidden_dim=16, dense_dim=16, window_len=100)
+    params = init_model(cfg, SeededRng(36))
+    rng = np.random.default_rng(37)
+    inputs = rng.uniform(0.0, 1.0, (64, 100, 5))
+    targets = rng.uniform(0.0, 1.0, (64, 2))
+    block = 100 * 64 * 16 * 8  # one (T, B, H) float64 array
+    tracemalloc.start()
+    try:
+        backward(params, inputs, targets)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * block
 
 
 def test_adam_zero_gradients_leave_params_unchanged():
@@ -330,11 +352,12 @@ def test_kernel_rejects_non_finite_values(poison, entry):
     poison(params, x)
     if entry == "predict_batch":
         with pytest.raises(ValueError, match="non-finite"):
-            predict_batch(params, x)
+            predict_stack(params, x)
     elif poison is _poison_b2:
         # b2 is added after the kernel's last check: training reports the rows
-        with pytest.raises(TrainingDivergedError, match=r"non-finite predictions for batch rows \[0, 1, 2\]"):
+        with pytest.raises(TrainingDivergedError, match=r"non-finite predictions for batch rows \[0, 1, 2\]") as err:
             backward(params, x, random_targets(SeededRng(24), 3))
+        assert err.value.rows.tolist() == [0, 1, 2]
     else:
         with pytest.raises(ValueError, match="non-finite"):
             backward(params, x, random_targets(SeededRng(24), 3))
@@ -343,7 +366,7 @@ def test_kernel_rejects_non_finite_values(poison, entry):
 def test_predict_batch_rejects_empty_batch():
     params = init_model(small_cfg(), SeededRng(29))
     with pytest.raises(ValueError, match="predict_batch: empty batch"):
-        predict_batch(params, np.zeros((0, 6, 5)))
+        predict_stack(params, np.zeros((0, 6, 5)))
 
 
 # --- chunks spread over CPUs ------------------------------------------------
@@ -365,7 +388,7 @@ def test_predict_batch_bit_identical_for_any_cpu_count(monkeypatch):
     for cpus in (1, 2, 3):
         monkeypatch.setattr(model, "_usable_cpus", lambda: cpus)
         threads.clear()
-        assert np.array_equal(predict_batch(params, windows), expected), cpus
+        assert np.array_equal(predict_stack(params, windows), expected), cpus
         assert len(threads) == cpus
 
 
@@ -377,7 +400,7 @@ def test_predict_batch_threads_raise_non_finite(monkeypatch, bad_chunk):
     windows[512 * bad_chunk + 3, 2, 1] = np.nan
     monkeypatch.setattr(model, "_usable_cpus", lambda: 2)
     with pytest.raises(ValueError, match="non-finite"):
-        predict_batch(params, windows)
+        predict_stack(params, windows)
 
 
 @pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])
@@ -475,7 +498,7 @@ def test_predict_batch_bit_identical_to_reference_at_paper_shape():
     expected = np.concatenate(
         [reference_forward(params, windows[s : s + 512])[0] for s in (0, 512)]
     )
-    assert np.array_equal(predict_batch(params, windows), expected)
+    assert np.array_equal(predict_stack(params, windows), expected)
 
 
 def test_training_forward_bit_identical_to_reference_at_desk_shape():
@@ -483,12 +506,16 @@ def test_training_forward_bit_identical_to_reference_at_desk_shape():
     params = init_model(cfg, SeededRng(27))
     inputs = np.random.default_rng(28).uniform(0.0, 1.0, (200, 50, 5))
     expected_out, expected = reference_forward(params, inputs)
-    outputs, cache = _forward(params, _check_windows(params, inputs), keep_cache=True)
+    outputs, cache = _forward(params, _check_inputs(params, inputs, 3), keep_cache=True)
     assert np.array_equal(outputs, expected_out)
     for k, gate in enumerate(GATES):
         assert np.array_equal(cache.gates[:, k], expected[gate]), gate
-    for name in ("c", "tc", "h"):
-        assert np.array_equal(getattr(cache, f"{name}_s"), expected[name]), name
+    assert np.array_equal(cache.c_s, expected["c"])
+    assert np.array_equal(cache.h, expected["h"][-1])
+    # the recompute backward relies on for the tanh(c) and h it does not cache
+    tc = np.tanh(cache.c_s)
+    assert np.array_equal(tc, expected["tc"])
+    assert np.array_equal(cache.gates[:, 2] * tc, expected["h"])
 
 
 def test_backward_bit_identical_to_reference_at_desk_shape():

@@ -1,11 +1,13 @@
 import statistics
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from ghreplay.dataset import Windows
+from ghreplay import model
+from ghreplay.dataset import Windows, stack_steps
 from ghreplay.memory import EpisodicMemory, MemoryConfig
-from ghreplay.model import ModelConfig, init_adam, zeros_params
+from ghreplay.model import ModelConfig, TrainingDivergedError, init_adam, init_model, zeros_params
 from ghreplay.rng import SeededRng
 from ghreplay.trainer import (
     EvalPoint,
@@ -51,8 +53,6 @@ def synthetic_stream(state, n, label="GH-X", seed=0):
 
 def fresh_state(seed=0, memory_cfg=None):
     root = SeededRng(seed)
-    from ghreplay.model import init_model
-
     return TrainerState(
         params=init_model(MODEL_CFG, root.split("init")),
         adam=init_adam(MODEL_CFG),
@@ -65,6 +65,17 @@ def fresh_state(seed=0, memory_cfg=None):
 def make_phase(n_stream, n_test, label="GH-X", seed=0):
     windows = synthetic_windows(n_stream + n_test, label=label, seed=seed)
     return Phase.split(windows, range(n_stream, n_stream + n_test))
+
+
+def held_out_phase(targets, fill=0.5, window_len=10):
+    """A phase of constant ``fill`` inputs and no stream whose test windows,
+    at stride 1, have ``targets``."""
+    records = len(targets) + window_len - 1
+    all_targets = np.zeros((records, 2))
+    all_targets[window_len - 1 :] = targets
+    return Phase(label="GH-X", inputs=np.full((records, 5), fill), targets=all_targets,
+                 timestamps=np.arange(records), stream=[],
+                 test_set=np.arange(window_len - 1, records), window_len=window_len)
 
 
 # --- phase validation --------------------------------------------------------
@@ -99,9 +110,13 @@ def test_stack_samples_equals_stacked_window_slices():
     assert inputs.flags.c_contiguous and inputs.shape == (5, 10, 5)
     assert np.array_equal(inputs, np.stack([w.inputs[r - 9 : r + 1] for r in rows]))
     assert np.array_equal(targets, w.targets[rows])
+    steps = stack_steps(w.inputs, rows, 10)
+    assert steps.flags.c_contiguous and np.array_equal(steps, inputs.transpose(1, 0, 2))
     for bad in ([8], [49]):  # would start before row 0 / end past the last row
         with pytest.raises(ValueError, match=r"rows must lie in \[9, 49\)"):
             stack_samples(w.inputs, w.targets, np.array(bad), 10)
+        with pytest.raises(ValueError, match=r"rows must lie in \[9, 49\)"):
+            stack_steps(w.inputs, np.array(bad), 10)
 
 
 # --- train_update ------------------------------------------------------------
@@ -151,12 +166,23 @@ def test_train_update_rejects_empty_batch():
         train_update(fresh_state(), [], MODEL_CFG, replay_size=0)
 
 
+def test_train_update_divergence_names_greenhouse_and_timestamp():
+    state = fresh_state()
+    rows = synthetic_stream(state, 3, label="GH-Q", seed=9)
+    state.params.w2[:] = 1e200  # finite outputs whose squared errors overflow
+    with np.errstate(over="ignore"), pytest.raises(TrainingDivergedError) as err:
+        train_update(state, rows, MODEL_CFG, replay_size=0)
+    assert err.value.rows.tolist() == [0, 1, 2]
+    # the series' row 9 ends its first window, at timestamp 300 * 9
+    assert "('GH-Q', 2700), ('GH-Q', 3000), ('GH-Q', 3300)" in str(err.value)
+
+
 # --- evaluate ----------------------------------------------------------------
 
 def test_evaluate_perfect_model_is_zero():
     params = zeros_params(MODEL_CFG)
     params.b2[:] = [0.3, 0.6]
-    test = (np.zeros((5, 10, 5)), np.tile([0.3, 0.6], (5, 1)))
+    test = held_out_phase(np.tile([0.3, 0.6], (5, 1)), fill=0.0)
     total, per = evaluate(params, test)
     assert total == 0.0 and np.array_equal(per, np.zeros(2))
 
@@ -167,7 +193,7 @@ def test_evaluate_constant_half_predictor_near_one_twelfth():
     params.b2[:] = 0.5
     rng = SeededRng(7)
     targets = np.array([[rng.random(), rng.random()] for _ in range(1000)])
-    total, _ = evaluate(params, (np.full((1000, 10, 5), 0.5), targets))
+    total, _ = evaluate(params, held_out_phase(targets))
     assert abs(total - 1.0 / 12.0) < 0.005
 
 
@@ -176,13 +202,29 @@ def test_evaluate_total_is_mean_of_outputs():
     params.b2[:] = [0.2, 0.9]
     rng = SeededRng(8)
     targets = np.array([[rng.random(), rng.random()] for _ in range(50)])
-    total, per = evaluate(params, (np.full((50, 10, 5), 0.5), targets))
+    total, per = evaluate(params, held_out_phase(targets))
     assert total == (per[0] + per[1]) / 2.0
 
 
 def test_evaluate_rejects_empty_test_set():
     with pytest.raises(ValueError, match="empty"):
-        evaluate(zeros_params(MODEL_CFG), (np.zeros((0, 10, 5)), np.zeros((0, 2))))
+        evaluate(zeros_params(MODEL_CFG), held_out_phase(np.zeros((0, 2))))
+
+
+def test_evaluate_never_stacks_the_whole_test_set(monkeypatch):
+    # one CPU, so one 512-window chunk (an eighth of the set) is live at a time
+    monkeypatch.setattr(model, "_usable_cpus", lambda: 1)
+    cfg = ModelConfig(hidden_dim=4, dense_dim=4, window_len=250)
+    params = init_model(cfg, SeededRng(12))
+    phase = held_out_phase(np.full((4096, 2), 0.5), window_len=250)
+    stack_bytes = 4096 * 250 * 5 * 8
+    tracemalloc.start()
+    try:
+        evaluate(params, phase)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < stack_bytes / 4
 
 
 # --- run_phase cadence -------------------------------------------------------
@@ -303,7 +345,7 @@ def test_baseline_first_eval_near_zero_predictor_level(tiny_phases):
         phases=[phase_a, phase_c], batch_size=50, replay_size=50, eval_every=3, seed=16
     )
     base = run_baseline(scenario, MODEL_CFG, MEM_CFG, "GH-C")
-    targets = phase_c.test_arrays()[1]
+    targets = phase_c.targets[phase_c.test_set]
     zero_predictor_mse = float(np.mean(targets * targets, axis=0).mean())
     ratio = base.curve.points[0].mse_total / zero_predictor_mse
     assert 0.3 < ratio < 1.7
