@@ -19,7 +19,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 del _var
 
 from .climate import (
-    ClimateRecord,
+    ClimateSeries,
     GreenhouseParams,
     PRESETS,
     generate_series,
@@ -57,7 +57,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdamState",
-    "ClimateRecord",
+    "ClimateSeries",
     "EpisodicMemory",
     "EvalPoint",
     "GreenhouseParams",

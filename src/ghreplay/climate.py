@@ -7,12 +7,25 @@ physiological response forms; those response functions double as the
 ground truth that the learned model is scored against. Real recordings
 can replace the generator through the CSV reader, as long as they follow
 the same column schema and 5-minute sampling.
+
+A series is held as columns, not as one object per record: a
+``ClimateSeries`` has an int64 ``timestamp`` array and one float64 array
+per measured field, and ``len()`` is its record count. The generator
+computes the noise-free climate, which depends only on the time of day,
+once per 5-minute slot of a day with scalar ``math`` code and repeats it
+for every day. It draws the noise of the whole series as one block of
+truncated normals (``SeededRng.truncated_normals``, the values of one
+scalar draw per value) and applies it with array arithmetic in the
+scalar order of operations, so a series has the bits a record-by-record
+loop gives.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
+
+import numpy as np
 
 from .rng import SeededRng
 
@@ -20,18 +33,21 @@ SAMPLE_INTERVAL_S = 300
 RECORDS_PER_DAY = 86400 // SAMPLE_INTERVAL_S  # 288
 
 
-@dataclass
-class ClimateRecord:
-    """One 5-minute measurement: five inputs and the two target rates."""
+@dataclass(eq=False)
+class ClimateSeries:
+    """5-minute measurements as columns: five inputs and the two target rates."""
 
-    timestamp: int            # seconds since epoch
-    t_air: float              # degC
-    rh: float                 # percent, 0..100
-    radiation: float          # W/m^2
-    co2: float                # ppm
-    t_leaf: float             # degC
-    transpiration: float      # g/m^2/min
-    photosynthesis: float     # umol/m^2/s
+    timestamp: np.ndarray       # int64, seconds since epoch
+    t_air: np.ndarray           # degC
+    rh: np.ndarray              # percent, 0..100
+    radiation: np.ndarray       # W/m^2
+    co2: np.ndarray             # ppm
+    t_leaf: np.ndarray          # degC
+    transpiration: np.ndarray   # g/m^2/min
+    photosynthesis: np.ndarray  # umol/m^2/s
+
+    def __len__(self) -> int:
+        return len(self.timestamp)
 
 
 @dataclass
@@ -127,9 +143,9 @@ def transpiration_rate(radiation: float, vpd: float, p: GreenhouseParams) -> flo
     return p.a_rad * radiation + p.b_vpd * vpd
 
 
-def _humidity(delta_t: float) -> float:
-    """Relative humidity falling with warming, clamped to [20, 100]."""
-    return min(100.0, max(20.0, 85.0 - 2.5 * delta_t))
+def _humidity(delta_t):
+    """Relative humidity falling with warming, clamped to [20, 100]; elementwise on arrays."""
+    return np.clip(85.0 - 2.5 * delta_t, 20.0, 100.0)
 
 
 def generate_series(
@@ -137,49 +153,47 @@ def generate_series(
     days: int,
     rng: SeededRng,
     start_timestamp: int = 0,
-) -> list[ClimateRecord]:
+) -> ClimateSeries:
     """Generate `days` of 5-minute records, deterministic per (params, seed).
 
     Targets are computed from the noise-free climate and then perturbed by
     multiplicative Gaussian noise (relative sd = noise_sd, truncated at
     3 sigma); air temperature carries additive noise on the same relative
     scale, and humidity/leaf temperature follow the noisy temperature.
+    Each record draws three noise values in the order temperature,
+    transpiration, photosynthesis.
     """
     p.validate()
     if days < 1:
         raise ValueError(f"generate_series: days must be >= 1, got {days}")
 
+    # the noise-free climate of each 5-minute slot of a day
     sunrise = 12.0 - p.day_length_h / 2.0
-    records: list[ClimateRecord] = []
-    for k in range(days * RECORDS_PER_DAY):
-        ts = start_timestamp + k * SAMPLE_INTERVAL_S
-        hour = (ts % 86400) / 3600.0
+    clean = []
+    for k in range(RECORDS_PER_DAY):
+        hour = ((start_timestamp + k * SAMPLE_INTERVAL_S) % 86400) / 3600.0
         phase = (hour - sunrise) / p.day_length_h
         radiation = p.i_max * math.sin(math.pi * phase) if 0.0 < phase < 1.0 else 0.0
         radiation = max(0.0, radiation)
         rel = radiation / p.i_max
-
         t_clean = p.t_base + p.t_amp * rel
         rh_clean = _humidity(t_clean - p.t_base)
         co2 = p.co2_night + (p.co2_day - p.co2_night) * rel
         transp = transpiration_rate(radiation, vapor_pressure_deficit(t_clean, rh_clean), p)
         photo = photosynthesis_rate(radiation, co2, p)
+        clean.append((radiation, rel, t_clean, co2, transp, photo))
+    radiation, rel, t_clean, co2, transp, photo = np.tile(np.array(clean).T, days)
 
-        t_noise = rng.truncated_normal()
-        transp_noise = rng.truncated_normal()
-        photo_noise = rng.truncated_normal()
-
-        t_air = t_clean + p.noise_sd * p.t_amp * t_noise
-        records.append(
-            ClimateRecord(
-                timestamp=ts,
-                t_air=t_air,
-                rh=_humidity(t_air - p.t_base),
-                radiation=radiation,
-                co2=co2,
-                t_leaf=t_air + 0.1 * rel,
-                transpiration=transp * (1.0 + p.noise_sd * transp_noise),
-                photosynthesis=photo * (1.0 + p.noise_sd * photo_noise),
-            )
-        )
-    return records
+    n = days * RECORDS_PER_DAY
+    t_noise, transp_noise, photo_noise = rng.truncated_normals(3 * n).reshape(n, 3).T
+    t_air = t_clean + p.noise_sd * p.t_amp * t_noise
+    return ClimateSeries(
+        timestamp=start_timestamp + SAMPLE_INTERVAL_S * np.arange(n, dtype=np.int64),
+        t_air=t_air,
+        rh=_humidity(t_air - p.t_base),
+        radiation=radiation,
+        co2=co2,
+        t_leaf=t_air + 0.1 * rel,
+        transpiration=transp * (1.0 + p.noise_sd * transp_noise),
+        photosynthesis=photo * (1.0 + p.noise_sd * photo_noise),
+    )

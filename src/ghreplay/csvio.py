@@ -4,24 +4,37 @@ Schema (comma-separated, header required, UTF-8):
 
     timestamp,t_air,rh,radiation,co2,t_leaf,transpiration,photosynthesis
 
-Timestamps are integer seconds; floats are printed with 9 significant
-digits, so one write/read cycle quantizes values to that precision and is
-a fixed point afterwards.
+The writer's bytes are fixed: the header, then one line per record with
+the timestamp as a decimal integer and every other cell as ``%.9g`` (9
+significant digits), each line ended by CRLF. These are the bytes
+``csv.writer`` gives for the same cells. The file is formatted as one
+string from the series' columns and written in one go. One write/read
+cycle quantizes values to 9 digits and is a fixed point afterwards.
 
 The reader is the boundary for outside data, and every error names the
 file and line. Every value must be finite (``nan``, ``inf`` and ``-inf``
 are rejected here, so no non-finite input reaches the normalizer or the
-model), and rh, radiation and co2 must lie in their physical ranges.
+model), timestamps must step by 300 s, and rh, radiation and co2 must lie
+in their physical ranges. The body is parsed in one vectorized pass
+(``np.loadtxt``, whose float parse rounds as ``float()`` does) and
+checked as whole columns. Only when that parse or a check fails does a
+per-line pass with ``int()`` and ``float()`` run: it names the first bad
+line or, for cells only Python's parsers read (``1_000``, a quoted
+number), reads the file itself. The reader thus accepts exactly the
+files the per-line checks accept.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import warnings
 from pathlib import Path
 
+import numpy as np
+
 from .atomic import atomic_open
-from .climate import SAMPLE_INTERVAL_S, ClimateRecord
+from .climate import SAMPLE_INTERVAL_S, ClimateSeries
 
 COLUMNS = (
     "timestamp",
@@ -34,47 +47,69 @@ COLUMNS = (
     "photosynthesis",
 )
 
+_LINE = "%d" + ",%.9g" * (len(COLUMNS) - 1) + "\r\n"
+_TABLE = np.dtype([(COLUMNS[0], np.int64)] + [(name, np.float64) for name in COLUMNS[1:]])
 
-def write_records(path: str | Path, records: list[ClimateRecord]) -> None:
+
+def write_records(path: str | Path, series: ClimateSeries) -> None:
     with atomic_open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(COLUMNS)
-        for r in records:
-            writer.writerow(
-                [str(r.timestamp)]
-                + [
-                    format(v, ".9g")
-                    for v in (
-                        r.t_air,
-                        r.rh,
-                        r.radiation,
-                        r.co2,
-                        r.t_leaf,
-                        r.transpiration,
-                        r.photosynthesis,
-                    )
-                ]
-            )
+        rows = zip(*(getattr(series, name).tolist() for name in COLUMNS))
+        fh.write(",".join(COLUMNS) + "\r\n" + "".join(map(_LINE.__mod__, rows)))
 
 
-def read_records(path: str | Path) -> list[ClimateRecord]:
+def read_records(path: str | Path) -> ClimateSeries:
     """Read and validate a climate CSV; errors carry the 1-based line number."""
     path = Path(path)
     with path.open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+        _check_header(path, fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file, expected header {','.join(COLUMNS)}") from None
-        if tuple(header) != COLUMNS:
-            missing = [c for c in COLUMNS if c not in header]
-            if missing:
-                raise ValueError(f"{path}:1: missing column(s) {', '.join(missing)}")
-            raise ValueError(f"{path}:1: columns must be exactly {','.join(COLUMNS)}")
+            with warnings.catch_warnings():
+                # an empty body warns, and numpy < 1.26 reads "300.0" as an int with a warning
+                warnings.simplefilter("error")
+                table = np.loadtxt(fh, dtype=_TABLE, delimiter=",", comments=None, ndmin=1)
+        except (ValueError, Warning):
+            table = None
+    if table is None or not _passes_checks(table):
+        table = _read_lines(path)
+    return ClimateSeries(*(table[name] for name in COLUMNS))
 
-        records: list[ClimateRecord] = []
+
+def _check_header(path: Path, fh):
+    """A CSV reader over ``fh``, positioned after its checked header."""
+    reader = csv.reader(fh)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ValueError(f"{path}: empty file, expected header {','.join(COLUMNS)}") from None
+    if tuple(header) != COLUMNS:
+        missing = [c for c in COLUMNS if c not in header]
+        if missing:
+            raise ValueError(f"{path}:1: missing column(s) {', '.join(missing)}")
+        raise ValueError(f"{path}:1: columns must be exactly {','.join(COLUMNS)}")
+    return reader
+
+
+def _passes_checks(table: np.ndarray) -> bool:
+    """The checks of ``_read_lines`` on whole columns."""
+    ts, rh = table["timestamp"], table["rh"]
+    return bool(
+        all(np.isfinite(table[name]).all() for name in COLUMNS[1:])
+        and (np.diff(ts) == SAMPLE_INTERVAL_S).all()
+        # int64 differences wrap around; the span in Python integers does not
+        and (len(ts) == 0 or int(ts[-1]) - int(ts[0]) == SAMPLE_INTERVAL_S * (len(ts) - 1))
+        and (table["radiation"] >= 0).all()
+        and ((rh >= 0.0) & (rh <= 100.0)).all()
+        and (table["co2"] > 0).all()
+    )
+
+
+def _read_lines(path: Path) -> np.ndarray:
+    """The file parsed and checked line by line: raises for the first bad
+    line, else returns the table."""
+    rows = []
+    with path.open("r", encoding="utf-8", newline="") as fh:
         prev_ts: int | None = None
-        for line_no, row in enumerate(reader, start=2):
+        for line_no, row in enumerate(_check_header(path, fh), start=2):
             if not row:
                 continue
             if len(row) != len(COLUMNS):
@@ -91,14 +126,9 @@ def read_records(path: str | Path) -> list[ClimateRecord]:
                     raise ValueError(
                         f"{path}:{line_no}: non-numeric value {cell!r} in column {col}"
                     ) from None
-            # one test per row: a nan or inf cell makes the sum non-finite
-            # (a sum that merely overflows finds no bad cell below)
-            if not math.isfinite(sum(values)):
-                for col, cell, value in zip(COLUMNS[1:], row[1:], values):
-                    if not math.isfinite(value):
-                        raise ValueError(
-                            f"{path}:{line_no}: non-finite value {cell!r} in column {col}"
-                        )
+            for col, cell, value in zip(COLUMNS[1:], row[1:], values):
+                if not math.isfinite(value):
+                    raise ValueError(f"{path}:{line_no}: non-finite value {cell!r} in column {col}")
             t_air, rh, radiation, co2, t_leaf, transp, photo = values
             if prev_ts is not None and ts != prev_ts + SAMPLE_INTERVAL_S:
                 raise ValueError(
@@ -112,7 +142,5 @@ def read_records(path: str | Path) -> list[ClimateRecord]:
             if co2 <= 0:
                 raise ValueError(f"{path}:{line_no}: co2 must be > 0, got {co2}")
             prev_ts = ts
-            records.append(
-                ClimateRecord(ts, t_air, rh, radiation, co2, t_leaf, transp, photo)
-            )
-    return records
+            rows.append((ts, *values))
+    return np.array(rows, dtype=_TABLE)

@@ -5,9 +5,10 @@ window's normalized feature rows and the target is the (transpiration,
 photosynthesis) pair at the window's *final* timestep, which keeps the
 prediction task causal.
 
-Windows are indices, not objects: ``build_samples`` normalizes a series
-once into read-only ``inputs`` (N, D) and ``targets`` (N, K) arrays and
-names each window by the row of its final record (``ends``). The
+Windows are indices, not objects: ``build_samples`` normalizes the
+columns of a ``ClimateSeries`` once into read-only ``inputs`` (N, D) and
+``targets`` (N, K) arrays, one row per record, and names each window by
+the row of its final record (``ends``). The
 window ending at row e is ``inputs[e - window_len + 1 : e + 1]`` and its
 target is ``targets[e]``; ``stack_samples`` and ``stack_steps`` gather
 a batch of windows in one step from those arrays. Normalization bounds
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .climate import ClimateRecord
+from .climate import ClimateSeries
 
 INPUT_FIELDS = ("t_air", "rh", "radiation", "co2", "t_leaf")
 TARGET_FIELDS = ("transpiration", "photosynthesis")
@@ -101,19 +102,6 @@ def default_normalizer() -> Normalizer:
     )
 
 
-def records_to_arrays(records: list[ClimateRecord]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Split records into (inputs (N,5), targets (N,2), timestamps (N,))."""
-    n = len(records)
-    inputs = np.empty((n, len(INPUT_FIELDS)), dtype=np.float64)
-    targets = np.empty((n, len(TARGET_FIELDS)), dtype=np.float64)
-    timestamps = np.empty(n, dtype=np.int64)
-    for i, r in enumerate(records):
-        inputs[i] = (r.t_air, r.rh, r.radiation, r.co2, r.t_leaf)
-        targets[i] = (r.transpiration, r.photosynthesis)
-        timestamps[i] = r.timestamp
-    return inputs, targets, timestamps
-
-
 def window_count(n_records: int, window_len: int, stride: int) -> int:
     """floor((N - L)/stride) + 1 for N >= L, else 0."""
     if window_len < 1 or stride < 1:
@@ -124,17 +112,19 @@ def window_count(n_records: int, window_len: int, stride: int) -> int:
 
 
 def build_samples(
-    records: list[ClimateRecord],
+    series: ClimateSeries,
     label: str,
     window_len: int,
     stride: int,
     normalizer: Normalizer,
 ) -> Windows:
     """The series normalized once, with its windows in temporal order."""
-    count = window_count(len(records), window_len, stride)
-    inputs, targets, timestamps = records_to_arrays(records)
+    count = window_count(len(series), window_len, stride)
+    inputs = np.column_stack([getattr(series, f) for f in INPUT_FIELDS])
+    targets = np.column_stack([getattr(series, f) for f in TARGET_FIELDS])
     norm_inputs = normalizer.normalize_inputs(inputs)
     norm_targets = normalizer.normalize_targets(targets)
+    timestamps = np.array(series.timestamp, dtype=np.int64)
     norm_inputs.flags.writeable = False
     norm_targets.flags.writeable = False
     timestamps.flags.writeable = False

@@ -258,9 +258,9 @@ def generate_datasets(spec: dict, out_dir: Path) -> list[Path]:
             continue  # externally supplied data is never regenerated
         params = greenhouse_params(entry)
         rng = SeededRng(seed).split(f"generator/{params.name}")
-        records = generate_series(params, days, rng, start_timestamp=start_ts)
+        series = generate_series(params, days, rng, start_timestamp=start_ts)
         path = dataset_path(spec, entry, out_dir)
-        write_records(path, records)
+        write_records(path, series)
         written.append(path)
         manifest_entries.append({"name": params.name, "params": dataclasses.asdict(params)})
     manifest = {
@@ -289,8 +289,8 @@ def build_phases(spec: dict, out_dir: Path) -> tuple[list[Phase], Normalizer]:
         path = dataset_path(spec, entry, out_dir)
         if not path.exists():
             raise SpecError(f"dataset file not found: {path} (run `generate` first?)")
-        records = read_records(path)
-        windows = build_samples(records, entry["name"], window_len, stride, normalizer)
+        series = read_records(path)
+        windows = build_samples(series, entry["name"], window_len, stride, normalizer)
         if len(windows) <= test_size:
             raise SpecError(
                 f"greenhouse {entry['name']!r}: {len(windows)} windows is not "

@@ -23,8 +23,11 @@ a cache of all seven would give. Finiteness is checked at the
 boundaries, not per operation: the windows once on entry, the four gate
 pre-activations once per step, then the dense pre-activation and the
 output product; prediction also checks the outputs after the bias b2,
-which training reports as divergence. Values read from CSV are already
-finite (``csvio``).
+which training reports as divergence. A failed check raises
+``NonFiniteError``, a ``ValueError`` that names the batch rows holding a
+non-finite value; the rows are found only once a check has failed, and
+``trainer.train_update`` adds each row's greenhouse and timestamp.
+Values read from CSV are already finite (``csvio``).
 
 Evaluation takes a series and the final rows of its windows (see
 ``dataset``) and runs them in chunks of 512 windows, one worker thread
@@ -63,6 +66,23 @@ class TrainingDivergedError(RuntimeError):
     def __init__(self, message: str, rows=()):
         super().__init__(message)
         self.rows = np.asarray(rows, dtype=np.int64)
+
+
+class NonFiniteError(ValueError):
+    """Raised when a kernel finiteness check fails; ``rows`` are the batch
+    rows that hold a non-finite value."""
+
+    def __init__(self, message: str, rows=()):
+        super().__init__(message)
+        self.rows = np.asarray(rows, dtype=np.int64)
+
+
+def _non_finite(what: str, x: np.ndarray, first_row: int) -> NonFiniteError:
+    """The error for a failed finiteness check of ``x``, whose first axis
+    runs over the batch rows from ``first_row`` on; only a failed check
+    looks for the rows."""
+    rows = first_row + np.flatnonzero(~np.isfinite(x).reshape(len(x), -1).all(axis=1))
+    return NonFiniteError(f"{what} non-finite values in batch rows {rows.tolist()}", rows)
 
 
 @dataclass
@@ -205,7 +225,7 @@ def _sigmoid_inplace(x: np.ndarray, e: np.ndarray, numerator: np.ndarray) -> Non
 
 
 def _forward(
-    params: ModelParams, inputs: np.ndarray, keep_cache: bool
+    params: ModelParams, inputs: np.ndarray, keep_cache: bool, first_row: int = 0
 ) -> tuple[np.ndarray, ForwardCache | None]:
     """The LSTM forward pass over a shape-checked (B, T, D) batch.
 
@@ -216,10 +236,12 @@ def _forward(
     over transposed views that issues one gemm call per gate. With
     keep_cache the gates and cell states are written straight into the
     BPTT cache; h, tanh(c) and, without keep_cache, c and the gates are
-    scratch buffers updated in place.
+    scratch buffers updated in place. A failed check raises
+    ``NonFiniteError`` naming the batch rows involved, numbered from
+    ``first_row``.
     """
     if not np.isfinite(inputs).all():
-        raise ValueError("windows contain non-finite values")
+        raise _non_finite("windows contain", inputs, first_row)
     batch, steps, _ = inputs.shape
     hidden = params.u.shape[1]
     w = params.w.transpose(0, 2, 1)
@@ -251,7 +273,9 @@ def _forward(
             z += hu
             z += b
             if not np.isfinite(z).all():
-                raise ValueError(f"LSTM step {t}: gate pre-activation contains non-finite values")
+                raise _non_finite(
+                    f"LSTM step {t}: gate pre-activation contains", z.transpose(1, 0, 2), first_row
+                )
             _sigmoid_inplace(z[:3], e, hu[:3])  # hu is free once added
             np.tanh(z[3], out=z[3])
             i, f, o, g = z
@@ -264,11 +288,11 @@ def _forward(
 
         pre_dense = h @ params.w1.T + params.b1
         if not np.isfinite(pre_dense).all():
-            raise ValueError("dense layer pre-activation contains non-finite values")
+            raise _non_finite("dense layer pre-activation contains", pre_dense, first_row)
         dense = np.tanh(pre_dense)
         head = dense @ params.w2.T
         if not np.isfinite(head).all():
-            raise ValueError("output layer product contains non-finite values")
+            raise _non_finite("output layer product contains", head, first_row)
     outputs = head + params.b2
 
     if not keep_cache:
@@ -310,7 +334,7 @@ def predict_batch(
 
     def predict_chunk(start: int) -> np.ndarray:
         steps = stack_steps(inputs, rows[start : start + chunk], window_len)
-        return _forward(params, steps.transpose(1, 0, 2), keep_cache=False)[0]
+        return _forward(params, steps.transpose(1, 0, 2), keep_cache=False, first_row=start)[0]
 
     def run(share: range) -> list[np.ndarray]:
         return [predict_chunk(s) for s in share]
@@ -324,7 +348,7 @@ def predict_batch(
         pieces = [shares[k % workers][k // workers] for k in range(len(starts))]
     outputs = np.concatenate(pieces, axis=0)
     if not np.isfinite(outputs).all():
-        raise ValueError("output layer plus bias b2 contains non-finite values")
+        raise _non_finite("output layer plus bias b2 contains", outputs, 0)
     return outputs
 
 

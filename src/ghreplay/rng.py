@@ -137,6 +137,48 @@ class SeededRng:
             if abs(z) <= limit:
                 return z
 
+    def truncated_normals(self, n: int, limit: float = 3.0) -> np.ndarray:
+        """``n`` successive ``truncated_normal(limit)`` values as one array.
+
+        The values and the stream state afterwards, the cached Box-Muller
+        partner included, are those of ``n`` scalar calls. The uniforms
+        come from ``peek_u64`` blocks and the square roots and products
+        from numpy, which round as IEEE requires; ``log``, ``sin`` and
+        ``cos`` stay on ``math``, because numpy's vectorized versions are
+        not bit-for-bit the platform libm that the scalar calls use. A
+        block sized for the rejections of a 3-sigma limit is walked to the
+        n-th accepted value; a block that falls short is followed by another.
+        """
+        pieces = []
+        need = n
+        if need and self._gauss is not None:
+            z, self._gauss = self._gauss, None
+            if abs(z) <= limit:
+                pieces.append(np.array([z]))
+                need -= 1
+        while need:
+            pairs = (need + 1) // 2 + need // 256 + 4
+            bits = self.peek_u64(2 * pairs) >> np.uint64(11)
+            u1 = (bits[0::2] + np.uint64(1)).astype(np.float64) * _INV_2_53
+            theta = (2.0 * math.pi) * (bits[1::2].astype(np.float64) * _INV_2_53)
+            r = np.sqrt(-2.0 * np.fromiter(map(math.log, u1.tolist()), np.float64, pairs))
+            angles = theta.tolist()
+            z = np.empty((pairs, 2))
+            z[:, 0] = r * np.fromiter(map(math.cos, angles), np.float64, pairs)
+            z[:, 1] = r * np.fromiter(map(math.sin, angles), np.float64, pairs)
+            z = z.ravel()
+            accepted = np.flatnonzero(np.abs(z) <= limit)[:need]
+            if len(accepted) == need:
+                last = int(accepted[-1])
+                self.skip(2 * (last // 2 + 1))
+                if last % 2 == 0:  # a cosine: its sine stays cached
+                    self._gauss = float(z[last + 1])
+            else:
+                self.skip(2 * pairs)
+            pieces.append(z[accepted])
+            need -= len(accepted)
+        return np.concatenate(pieces) if pieces else np.empty(0)
+
     def sample_indices(self, n: int, k: int) -> list[int]:
         """k distinct indices from range(n), by partial Fisher-Yates."""
         if not 0 <= k <= n:

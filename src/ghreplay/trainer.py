@@ -36,6 +36,7 @@ from .model import (
     AdamState,
     ModelConfig,
     ModelParams,
+    NonFiniteError,
     TrainingDivergedError,
     adam_step,
     backward,
@@ -208,14 +209,14 @@ def train_update(
     inputs, targets = stack_samples(memory.inputs, memory.targets, batch, model_cfg.window_len)
     try:
         loss, grads = backward(state.params, inputs, targets)
-    except TrainingDivergedError as err:
+    except (TrainingDivergedError, NonFiniteError) as err:
         if not len(err.rows):
             raise
         origins = ", ".join(
             str((memory.labels[memory.row_label_ids[r]], int(memory.timestamps[r])))
             for r in batch[err.rows].tolist()
         )
-        raise TrainingDivergedError(f"{err} (samples {origins})", err.rows) from err
+        raise type(err)(f"{err} (samples {origins})", err.rows) from err
     if model_cfg.grad_clip is not None:
         clip_gradients(grads, model_cfg.grad_clip)
     adam_step(state.params, grads, state.adam, model_cfg)

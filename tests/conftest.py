@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from ghreplay.climate import PRESETS, generate_series
+from ghreplay.climate import PRESETS, ClimateSeries, generate_series
+from ghreplay.csvio import COLUMNS
 from ghreplay.dataset import build_samples, default_normalizer
 from ghreplay.model import predict_batch
 from ghreplay.rng import SeededRng
@@ -17,6 +18,11 @@ def add_rows(memory, label, n, input_dim=5, fill=0.5):
     return offset + np.arange(n, dtype=np.int64)
 
 
+def series_rows(series, rows):
+    """The records of ``series`` at ``rows`` (a slice or an index array) as a series."""
+    return ClimateSeries(*(getattr(series, name)[rows] for name in COLUMNS))
+
+
 def predict_stack(params, stack, **kwargs):
     """``predict_batch`` on a (B, T, D) stack of windows, laid out as the
     series ``stack.reshape(B * T, D)`` with windows ending at rows
@@ -29,8 +35,8 @@ def predict_stack(params, stack, **kwargs):
 def build_phase(name, days, seed, window_len=50, stride=2, test_size=1000):
     """Phase built the same way the experiment layer does, without CSV I/O."""
     rng = SeededRng(seed).split(f"generator/{name}")
-    records = generate_series(PRESETS[name], days, rng)
-    windows = build_samples(records, name, window_len, stride, default_normalizer())
+    series = generate_series(PRESETS[name], days, rng)
+    windows = build_samples(series, name, window_len, stride, default_normalizer())
     test_rng = SeededRng(seed).split(f"test-sampling/{name}")
     return Phase.split(windows, test_rng.sample_indices(len(windows), test_size))
 

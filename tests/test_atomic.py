@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import series_rows
 from ghreplay import checkpoint, trainer
 from ghreplay.atomic import atomic_open
 from ghreplay.climate import PRESETS, generate_series
@@ -23,9 +24,16 @@ def write_table(path, monkeypatch):
     trainer._write_table(path, trainer.MEMORY_COLUMNS, rows_then_boom())
 
 
+class Unwritable:
+    def __index__(self):
+        raise Boom("timestamp cannot be formatted")
+
+
 def write_climate(path, monkeypatch):
-    records = generate_series(PRESETS["GH-A"], days=1, rng=SeededRng(1))
-    write_records(path, records[:3] + [None])  # the fourth record fails mid-file
+    series = series_rows(generate_series(PRESETS["GH-A"], days=1, rng=SeededRng(1)), slice(4))
+    series.timestamp = series.timestamp.astype(object)
+    series.timestamp[3] = Unwritable()  # the fourth record fails mid-file
+    write_records(path, series)
 
 
 def write_checkpoint(path, monkeypatch):

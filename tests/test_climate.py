@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from ghreplay.climate import (
@@ -14,6 +15,7 @@ from ghreplay.climate import (
     transpiration_rate,
     vapor_pressure_deficit,
 )
+from ghreplay.csvio import COLUMNS
 from ghreplay.rng import SeededRng
 
 
@@ -118,43 +120,46 @@ def test_params_validation():
 
 
 def test_generate_series_shape_and_spacing():
-    records = generate_series(PRESETS["GH-A"], days=2, rng=SeededRng(0))
-    assert len(records) == 2 * RECORDS_PER_DAY
-    deltas = {b.timestamp - a.timestamp for a, b in zip(records, records[1:])}
-    assert deltas == {SAMPLE_INTERVAL_S}
+    series = generate_series(PRESETS["GH-A"], days=2, rng=SeededRng(0))
+    assert len(series) == 2 * RECORDS_PER_DAY
+    assert series.timestamp.dtype == np.int64
+    for name in COLUMNS[1:]:
+        column = getattr(series, name)
+        assert column.dtype == np.float64 and column.shape == (len(series),)
+    assert set(np.diff(series.timestamp).tolist()) == {SAMPLE_INTERVAL_S}
 
 
 def test_generate_series_deterministic():
     a = generate_series(PRESETS["GH-B"], days=1, rng=SeededRng(5))
     b = generate_series(PRESETS["GH-B"], days=1, rng=SeededRng(5))
-    assert a == b
+    for name in COLUMNS:
+        assert np.array_equal(getattr(a, name), getattr(b, name))
 
 
 def test_generate_series_noise_free_night_photosynthesis():
     params = dataclasses.replace(PRESETS["GH-A"], noise_sd=0.0)
-    records = generate_series(params, days=2, rng=SeededRng(1))
-    nights = [r for r in records if r.radiation == 0.0]
-    assert nights, "expected nighttime records"
-    assert all(r.photosynthesis == 0.0 for r in nights)
+    series = generate_series(params, days=2, rng=SeededRng(1))
+    nights = series.radiation == 0.0
+    assert nights.any(), "expected nighttime records"
+    assert (series.photosynthesis[nights] == 0.0).all()
 
 
 def test_generate_series_radiation_bounds():
     params = PRESETS["GH-A"]
-    records = generate_series(params, days=3, rng=SeededRng(2))
-    assert all(0.0 <= r.radiation <= params.i_max for r in records)
-    daytime = [r.radiation for r in records if r.radiation > 0.0]
-    assert 0.0 < sum(daytime) / len(daytime) < params.i_max
+    series = generate_series(params, days=3, rng=SeededRng(2))
+    assert ((0.0 <= series.radiation) & (series.radiation <= params.i_max)).all()
+    daytime = series.radiation[series.radiation > 0.0]
+    assert 0.0 < daytime.sum() / len(daytime) < params.i_max
 
 
 def test_generate_series_record_invariants():
     for name in PRESETS:
-        records = generate_series(PRESETS[name], days=1, rng=SeededRng(3))
-        for r in records:
-            assert 0.0 <= r.rh <= 100.0
-            assert r.co2 > 0.0
-            assert r.radiation >= 0.0
-            assert r.transpiration >= 0.0
-            assert r.photosynthesis >= 0.0
+        series = generate_series(PRESETS[name], days=1, rng=SeededRng(3))
+        assert ((0.0 <= series.rh) & (series.rh <= 100.0)).all()
+        assert (series.co2 > 0.0).all()
+        assert (series.radiation >= 0.0).all()
+        assert (series.transpiration >= 0.0).all()
+        assert (series.photosynthesis >= 0.0).all()
 
 
 def test_generate_series_rejects_bad_days():

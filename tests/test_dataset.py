@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import series_rows
 from ghreplay.climate import PRESETS, generate_series
 from ghreplay.dataset import (
     DEFAULT_INPUT_BOUNDS,
@@ -81,8 +82,8 @@ def test_clamping_is_counted():
 def test_no_clamping_on_generated_data():
     n = default_normalizer()
     for name in PRESETS:
-        records = generate_series(PRESETS[name], days=2, rng=SeededRng(4))
-        build_samples(records, name, 20, 2, n)
+        series = generate_series(PRESETS[name], days=2, rng=SeededRng(4))
+        build_samples(series, name, 20, 2, n)
     assert n.clamp_count == 0
 
 
@@ -113,53 +114,52 @@ def test_window_count_closed_form_random_triples():
 
 
 def test_build_samples_counts_match_formula():
-    records = generate_series(PRESETS["GH-A"], days=1, rng=SeededRng(5))
+    series = generate_series(PRESETS["GH-A"], days=1, rng=SeededRng(5))
     rng = SeededRng(23)
     for _ in range(10):
         window_len = rng.randbelow(100) + 1
         stride = rng.randbelow(8) + 1
-        samples = build_samples(records, "GH-A", window_len, stride, default_normalizer())
-        assert len(samples) == window_count(len(records), window_len, stride)
+        samples = build_samples(series, "GH-A", window_len, stride, default_normalizer())
+        assert len(samples) == window_count(len(series), window_len, stride)
 
 
 def test_build_samples_contiguous_targets_from_final_record():
-    records = generate_series(PRESETS["GH-A"], days=1, rng=SeededRng(6))
+    series = generate_series(PRESETS["GH-A"], days=1, rng=SeededRng(6))
     n = default_normalizer()
-    windows = build_samples(records, "GH-A", window_len=12, stride=3, normalizer=n)
+    windows = build_samples(series, "GH-A", window_len=12, stride=3, normalizer=n)
     assert windows.window_len == 12
     for w_idx, end in enumerate(windows.ends.tolist()):
         start = w_idx * 3
         assert end == start + 11
-        final = records[end]
-        assert windows.timestamps[end] == final.timestamp
+        assert windows.timestamps[end] == series.timestamp[end]
         window = windows.inputs[end - 11 : end + 1]
         assert window.shape == (12, 5)
-        assert windows.targets[end, 0] == (final.transpiration - n.target_low[0]) / (n.target_high[0] - n.target_low[0])
-        assert windows.targets[end, 1] == (final.photosynthesis - n.target_low[1]) / (n.target_high[1] - n.target_low[1])
-        assert window[0, 0] == (records[start].t_air - n.input_low[0]) / (n.input_high[0] - n.input_low[0])
+        assert windows.targets[end, 0] == (series.transpiration[end] - n.target_low[0]) / (n.target_high[0] - n.target_low[0])
+        assert windows.targets[end, 1] == (series.photosynthesis[end] - n.target_low[1]) / (n.target_high[1] - n.target_low[1])
+        assert window[0, 0] == (series.t_air[start] - n.input_low[0]) / (n.input_high[0] - n.input_low[0])
 
 
 def test_build_samples_too_short_series():
-    records = generate_series(PRESETS["GH-A"], days=1, rng=SeededRng(7))
-    windows = build_samples(records[:5], "GH-A", window_len=6, stride=1, normalizer=default_normalizer())
+    series = generate_series(PRESETS["GH-A"], days=1, rng=SeededRng(7))
+    windows = build_samples(series_rows(series, slice(5)), "GH-A", window_len=6, stride=1, normalizer=default_normalizer())
     assert len(windows) == 0 and windows.ends.shape == (0,)
 
 
 def test_build_samples_normalized_and_labeled():
-    records = generate_series(PRESETS["GH-B"], days=1, rng=SeededRng(8))
-    windows = build_samples(records, "GH-B", 25, 2, default_normalizer())
-    assert len(windows) == window_count(len(records), 25, 2)
+    series = generate_series(PRESETS["GH-B"], days=1, rng=SeededRng(8))
+    windows = build_samples(series, "GH-B", 25, 2, default_normalizer())
+    assert len(windows) == window_count(len(series), 25, 2)
     assert windows.label == "GH-B"
-    assert windows.inputs.shape == (len(records), 5)
-    assert windows.targets.shape == (len(records), 2)
+    assert windows.inputs.shape == (len(series), 5)
+    assert windows.targets.shape == (len(series), 2)
     assert (windows.inputs >= 0.0).all() and (windows.inputs <= 1.0).all()
     assert (windows.targets >= 0.0).all() and (windows.targets <= 1.0).all()
     assert (np.diff(windows.ends) == 2).all() and windows.ends[0] == 24
 
 
 def test_build_samples_views_are_readonly():
-    records = generate_series(PRESETS["GH-A"], days=1, rng=SeededRng(9))
-    windows = build_samples(records, "GH-A", 10, 2, default_normalizer())
+    series = generate_series(PRESETS["GH-A"], days=1, rng=SeededRng(9))
+    windows = build_samples(series, "GH-A", 10, 2, default_normalizer())
     for arr in (windows.inputs, windows.targets, windows.timestamps):
         with pytest.raises(ValueError):
             arr[0] = 2

@@ -1,4 +1,9 @@
-"""Pinned golden digests of the memory's trajectory.
+"""Pinned golden digests of the generated inputs and of the memory's trajectory.
+
+The climate CSVs that ``generate --preset desk`` writes are pinned by
+SHA-256 for two seeds. They were taken from the record-by-record
+generator and ``csv.writer``; the columnar generator and the one-string
+writer must give the same bytes.
 
 The memory's path through a run depends only on the window rows and the
 ``memory`` random stream, never on the model's floating-point results,
@@ -39,6 +44,30 @@ GOLDEN = {
         "49e0275a7cb992bcc811ed5a58a95a63e821f1b4c231191c356d25e9b0cea2eb",
     ),
 }
+
+
+GENERATED = {
+    42: {
+        "GH-A.csv": "eb7e51ab4afec37aad434e856d709f57b2b8bb7bdb6e8e63374c71c98a83cc4f",
+        "GH-B.csv": "b40165d3f6ed9fe9dd7a81514f4a4bc62eb21c311a0ef2db7ef0f309a1f761e1",
+        "GH-C.csv": "fd9472456fa780d37f6f57695b9151598b2b4ee1b2d1fbd43763fd696de95fe3",
+    },
+    7: {
+        "GH-A.csv": "d19ee083f11ad7251856ace0fa95b63a8bbf12b89d5a284ead99ea180b09f923",
+        "GH-B.csv": "4457ce650ae814fcc502ba8f94db7db9c8f1e1d08e50caf8defecd15021245e3",
+        "GH-C.csv": "f56dc9d0de23f4c56d1c908b356e850f9141a8f2c99dbf101af11327fa80d49e",
+    },
+}
+
+
+@pytest.mark.parametrize("seed", sorted(GENERATED))
+def test_generated_inputs_match_golden_digest(tmp_path, seed):
+    out = tmp_path / "out"
+    assert main(["generate", "--preset", "desk", "--seed", str(seed), "--out", str(out)]) == 0
+    digests = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in sorted(out.glob("GH-*.csv"))
+    }
+    assert digests == GENERATED[seed]
 
 
 def int_digest(*arrays) -> str:

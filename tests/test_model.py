@@ -363,6 +363,15 @@ def test_kernel_rejects_non_finite_values(poison, entry):
             backward(params, x, random_targets(SeededRng(24), 3))
 
 
+def test_predict_batch_names_rows_of_later_chunks():
+    params = init_model(small_cfg(), SeededRng(22))
+    x = np.random.default_rng(23).uniform(0.0, 1.0, (700, 6, 5))
+    x[[600, 650], 2, 1] = np.nan  # both in the second 512-window chunk
+    with pytest.raises(model.NonFiniteError, match=r"^windows contain non-finite values in batch rows \[600, 650\]$") as err:
+        predict_stack(params, x)
+    assert err.value.rows.tolist() == [600, 650]
+
+
 def test_predict_batch_rejects_empty_batch():
     params = init_model(small_cfg(), SeededRng(29))
     with pytest.raises(ValueError, match="predict_batch: empty batch"):

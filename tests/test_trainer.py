@@ -177,6 +177,31 @@ def test_train_update_divergence_names_greenhouse_and_timestamp():
     assert "('GH-Q', 2700), ('GH-Q', 3000), ('GH-Q', 3300)" in str(err.value)
 
 
+def _overflow_w2(params):
+    params.w2[:] = np.inf
+
+
+def _nan_in_u(params):
+    params.u[1, 2, 1] = np.nan
+
+
+@pytest.mark.parametrize(
+    "poison, check",
+    [(_overflow_w2, "output layer product"), (_nan_in_u, "LSTM step 0: gate pre-activation")],
+    ids=["inf-w2", "nan-u"],
+)
+def test_train_update_kernel_check_names_greenhouse_and_timestamp(poison, check):
+    state = fresh_state()
+    rows = synthetic_stream(state, 3, label="GH-Q", seed=9)
+    poison(state.params)
+    with pytest.raises(model.NonFiniteError, match=f"^{check} contains non-finite values") as err:
+        train_update(state, rows, MODEL_CFG, replay_size=0)
+    assert isinstance(err.value, ValueError)
+    assert err.value.rows.tolist() == [0, 1, 2]
+    assert "in batch rows [0, 1, 2]" in str(err.value)
+    assert "('GH-Q', 2700), ('GH-Q', 3000), ('GH-Q', 3300)" in str(err.value)
+
+
 # --- evaluate ----------------------------------------------------------------
 
 def test_evaluate_perfect_model_is_zero():
