@@ -9,14 +9,24 @@ Importing the package pins the BLAS and OpenMP pools to one thread
 unless the environment already sets them: evaluation runs one chunk
 per usable CPU itself, and at this model's shapes a BLAS thread per
 chunk thread only adds contention. The pin takes effect only when
-``ghreplay`` is imported before numpy.
+``ghreplay`` is imported before numpy; imported after it, with a
+variable unset, the package warns with a ``RuntimeWarning``.
 """
 
 import os
+import sys
+import warnings
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
-del _var
+_unset = [v for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+          if v not in os.environ]
+os.environ.update(dict.fromkeys(_unset, "1"))
+if _unset and "numpy" in sys.modules:
+    warnings.warn(
+        f"{', '.join(_unset)} unset and numpy imported before ghreplay: BLAS keeps its own "
+        f"threads, which multiply with the evaluation threads; set "
+        f"{' '.join(v + '=1' for v in _unset)} in the environment or import ghreplay first",
+        RuntimeWarning, stacklevel=2)
+del _unset
 
 from .climate import (
     ClimateSeries,

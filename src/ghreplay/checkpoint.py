@@ -7,7 +7,7 @@ temporary name and moved into place, so a failed save keeps the
 previous checkpoint.
 
 The memory is stored in its index layout, compacted to what its windows
-use (``R`` rows, ``n`` slots, ``P`` pending rows):
+use (``R`` rows, ``n`` slots):
 
 * ``mem_inputs`` (R, D): every table row that some stored window
   covers, once, in table order, so each window stays ``window_len``
@@ -15,13 +15,14 @@ use (``R`` rows, ``n`` slots, ``P`` pending rows):
 * ``mem_rows`` (n,): each slot's final-record row into that block, in
   ``[window_len - 1, R)``, with its target ``mem_targets`` (n, K), the
   timestamp of that record ``mem_timestamps`` (n,) and its index into
-  ``mem_labels``, ``mem_label_ids`` (n,);
-* ``mem_pending_rows``, ``mem_pending_targets``, ``mem_pending_timestamps``
-  and ``mem_pending_label_ids``: the same for windows held back until
-  the next per-batch sweep.
+  ``mem_labels``, ``mem_label_ids`` (n,).
 
-Checkpoints in the earlier layout, which stored every slot's whole
-window (``mem_end_ts`` and per-slot label strings), are refused.
+Checkpoints from before the memory took batches only also carry four
+``mem_pending_*`` arrays for windows held back until the next per-batch
+sweep. They load when those arrays are empty, as every ``run`` wrote
+them, and are refused otherwise. Checkpoints in the earlier layout,
+which stored every slot's whole window (``mem_end_ts`` and per-slot
+label strings), are refused.
 """
 
 from __future__ import annotations
@@ -48,8 +49,8 @@ class CheckpointBundle:
 
 
 def _memory_arrays(memory: EpisodicMemory, cfg: ModelConfig) -> dict[str, np.ndarray]:
-    """The memory's slots and pending rows over the table rows they cover."""
-    ends = np.concatenate([memory.rows, memory._pending])
+    """The memory's slots over the table rows they cover."""
+    ends = memory.rows
     table_rows = len(memory.timestamps)
     # +1 where a window starts, -1 past where it ends: rows with a positive
     # running sum lie inside some window
@@ -58,19 +59,15 @@ def _memory_arrays(memory: EpisodicMemory, cfg: ModelConfig) -> dict[str, np.nda
     covered = np.cumsum(edges[:table_rows]) > 0
     block_row = np.cumsum(covered) - 1
     keep = np.flatnonzero(covered)
-    arrays = {
+    return {
         "mem_inputs": memory.inputs[keep] if len(keep) else np.zeros((0, cfg.input_dim)),
         "mem_labels": np.array(memory.labels, dtype=str),
         "mem_observed_count": np.array(memory.observed_count, dtype=np.int64),
+        "mem_rows": block_row[ends],
+        "mem_targets": memory.targets[ends] if len(ends) else np.zeros((0, cfg.output_dim)),
+        "mem_timestamps": memory.timestamps[ends],
+        "mem_label_ids": memory.row_label_ids[ends],
     }
-    for prefix, rows in (("mem", memory.rows), ("mem_pending", memory._pending)):
-        arrays[f"{prefix}_rows"] = block_row[rows]
-        arrays[f"{prefix}_targets"] = (
-            memory.targets[rows] if len(rows) else np.zeros((0, cfg.output_dim))
-        )
-        arrays[f"{prefix}_timestamps"] = memory.timestamps[rows]
-        arrays[f"{prefix}_label_ids"] = memory.row_label_ids[rows]
-    return arrays
 
 
 def save_checkpoint(
@@ -138,37 +135,38 @@ def _checked_params(path, data, prefix: str, expected: ModelParams) -> ModelPara
 
 def _checked_memory(path, data, memory: EpisodicMemory, cfg: ModelConfig) -> None:
     """Load the memory arrays into ``memory``: a finite (R, input_dim) row
-    block, slot and pending rows that end whole windows inside it, finite
-    targets, timestamps and label ids into the stored label list. The
-    loaded row table holds a target, a timestamp and a label id only at
-    those final rows."""
+    block, slot rows that end whole windows inside it, finite targets,
+    timestamps and label ids into the stored label list. The loaded row
+    table holds a target, a timestamp and a label id only at those final
+    rows."""
     if "mem_end_ts" in data.files:
         raise ValueError(
             f"{path}: the memory is stored as whole windows (array mem_end_ts), "
             f"an earlier checkpoint layout that this version does not load"
+        )
+    if "mem_pending_rows" in data.files and data["mem_pending_rows"].size:
+        raise ValueError(
+            f"{path}: array mem_pending_rows holds windows held back for a per-batch "
+            f"sweep, which this version does not keep"
         )
     inputs = _array(path, data, "mem_inputs")
     n_rows = inputs.shape[0] if inputs.ndim else 0
     _checked(path, "mem_inputs", inputs, (n_rows, cfg.input_dim))
     labels = _array(path, data, "mem_labels")
     _checked(path, "mem_labels", labels, (labels.size,), finite=False)
+    rows = _array(path, data, "mem_rows")
+    n = rows.shape[0] if rows.ndim else 0
+    _checked(path, "mem_rows", rows, (n,), finite=False, within=(cfg.window_len - 1, n_rows))
     targets = np.zeros((n_rows, cfg.output_dim))
     timestamps = np.zeros(n_rows, dtype=np.int64)
     row_label_ids = np.full(n_rows, -1, dtype=np.int64)
-    ends = {}
-    for prefix in ("mem", "mem_pending"):
-        rows = _array(path, data, f"{prefix}_rows")
-        n = rows.shape[0] if rows.ndim else 0
-        _checked(path, f"{prefix}_rows", rows, (n,), finite=False, within=(cfg.window_len - 1, n_rows))
-        targets[rows] = _checked(path, f"{prefix}_targets", _array(path, data, f"{prefix}_targets"),
-                                 (n, cfg.output_dim))
-        timestamps[rows] = _checked(path, f"{prefix}_timestamps",
-                                    _array(path, data, f"{prefix}_timestamps"), (n,), finite=False)
-        row_label_ids[rows] = _checked(path, f"{prefix}_label_ids",
-                                       _array(path, data, f"{prefix}_label_ids"), (n,),
-                                       finite=False, within=(0, len(labels)))
-        ends[prefix] = rows.astype(np.int64)
-    memory.rows, memory._pending = ends["mem"], ends["mem_pending"]
+    targets[rows] = _checked(path, "mem_targets", _array(path, data, "mem_targets"),
+                             (n, cfg.output_dim))
+    timestamps[rows] = _checked(path, "mem_timestamps", _array(path, data, "mem_timestamps"),
+                                (n,), finite=False)
+    row_label_ids[rows] = _checked(path, "mem_label_ids", _array(path, data, "mem_label_ids"),
+                                   (n,), finite=False, within=(0, len(labels)))
+    memory.rows = rows.astype(np.int64)
     inputs.flags.writeable = targets.flags.writeable = False
     memory.labels = [str(label) for label in labels]
     memory.inputs, memory.targets = inputs, targets

@@ -52,13 +52,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     model_cfg = experiment.build_model_config(spec)
     memory_cfg = experiment.build_memory_config(spec)
 
-    result = trainer.run_scenario(
-        scenario,
-        model_cfg,
-        memory_cfg,
-        retention=args.retention,
-        record_memory=args.dump_memory,
-    )
+    result = trainer.run_scenario(scenario, model_cfg, memory_cfg, retention=args.retention)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     curve_path = out_dir / "curve.csv"
@@ -80,11 +74,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     print(f"wrote {out_dir / 'checkpoint.npz'}")
     if args.retention:
         retention_path = out_dir / "retention.csv"
-        trainer.write_retention_csv(retention_path, result.retention)
+        trainer.write_retention_csv(retention_path, result.curve)
         print(f"wrote {retention_path}")
     if args.dump_memory:
         memory_path = out_dir / "memory.csv"
-        trainer.write_memory_csv(memory_path, result.memory_rows)
+        trainer.write_memory_csv(memory_path, result.curve)
         print(f"wrote {memory_path}")
     return 0
 
@@ -179,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument(
         "--dump-memory",
         action="store_true",
-        help="record per-update memory occupancy fractions by origin label",
+        help="also write memory.csv: the memory occupancy by origin label after every update",
     )
     p_run.set_defaults(func=cmd_run)
 

@@ -8,11 +8,13 @@ prediction task causal.
 Windows are indices, not objects: ``build_samples`` normalizes the
 columns of a ``ClimateSeries`` once into read-only ``inputs`` (N, D) and
 ``targets`` (N, K) arrays, one row per record, and names each window by
-the row of its final record (``ends``). The
-window ending at row e is ``inputs[e - window_len + 1 : e + 1]`` and its
-target is ``targets[e]``; ``stack_samples`` and ``stack_steps`` gather
-a batch of windows in one step from those arrays. Normalization bounds
-are fixed physical ranges rather than data statistics, so the mapping is
+the row of its final record (``ends``). The window ending at row e is
+``inputs[e - window_len + 1 : e + 1]`` and its target is ``targets[e]``.
+``stack_steps`` gathers a batch of windows from those arrays in one
+step, step-major (T, B, D), because the LSTM kernel reads one step of
+every window at a time; ``stack_samples`` returns that gather as a
+(B, T, D) view, with the windows' targets. Normalization bounds are
+fixed physical ranges rather than data statistics, so the mapping is
 identical across greenhouses and across time; out-of-range values are
 clamped to [0, 1] and every clamp is counted.
 """
@@ -22,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .climate import ClimateSeries
 
@@ -132,27 +133,21 @@ def build_samples(
     return Windows(label, norm_inputs, norm_targets, timestamps, ends, window_len)
 
 
-def _check_rows(inputs: np.ndarray, rows: np.ndarray, window_len: int) -> None:
-    if len(rows) and (rows.min() < window_len - 1 or rows.max() >= len(inputs)):
-        raise ValueError(
-            f"window rows must lie in [{window_len - 1}, {len(inputs)}), "
-            f"the final rows of whole windows"
-        )
-
-
 def stack_samples(
     inputs: np.ndarray, targets: np.ndarray, rows: np.ndarray, window_len: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The windows ending at ``rows``: C-contiguous (B, T, D) inputs and
-    (B, K) targets, gathered in one step without a (B, T) index array."""
-    _check_rows(inputs, rows, window_len)
-    windows = sliding_window_view(inputs, window_len, axis=0).transpose(0, 2, 1)
-    return windows[rows - (window_len - 1)], targets[rows]
+    """The windows ending at ``rows`` as (B, T, D) inputs, a view of their
+    step-major ``stack_steps`` gather, and their (B, K) targets."""
+    return stack_steps(inputs, rows, window_len).transpose(1, 0, 2), targets[rows]
 
 
 def stack_steps(inputs: np.ndarray, rows: np.ndarray, window_len: int) -> np.ndarray:
     """The windows ending at ``rows`` step-major: a C-contiguous (T, B, D)
     array whose [t, b] is step t of window b, so each step's rows are
     contiguous for a kernel that reads one step at a time."""
-    _check_rows(inputs, rows, window_len)
+    if len(rows) and (rows.min() < window_len - 1 or rows.max() >= len(inputs)):
+        raise ValueError(
+            f"window rows must lie in [{window_len - 1}, {len(inputs)}), "
+            f"the final rows of whole windows"
+        )
     return inputs[rows - (window_len - 1) + np.arange(window_len)[:, None]]

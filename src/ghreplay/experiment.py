@@ -239,7 +239,7 @@ def build_memory_config(spec: dict) -> MemoryConfig:
     return cfg
 
 
-def dataset_path(spec: dict, entry: dict, out_dir: Path) -> Path:
+def dataset_path(entry: dict, out_dir: Path) -> Path:
     if "csv" in entry:
         return Path(entry["csv"])
     return out_dir / f"{entry['name']}.csv"
@@ -259,7 +259,7 @@ def generate_datasets(spec: dict, out_dir: Path) -> list[Path]:
         params = greenhouse_params(entry)
         rng = SeededRng(seed).split(f"generator/{params.name}")
         series = generate_series(params, days, rng, start_timestamp=start_ts)
-        path = dataset_path(spec, entry, out_dir)
+        path = dataset_path(entry, out_dir)
         write_records(path, series)
         written.append(path)
         manifest_entries.append({"name": params.name, "params": dataclasses.asdict(params)})
@@ -286,7 +286,7 @@ def build_phases(spec: dict, out_dir: Path) -> tuple[list[Phase], Normalizer]:
 
     phases = []
     for entry in spec["greenhouses"]:
-        path = dataset_path(spec, entry, out_dir)
+        path = dataset_path(entry, out_dir)
         if not path.exists():
             raise SpecError(f"dataset file not found: {path} (run `generate` first?)")
         series = read_records(path)

@@ -1,7 +1,9 @@
 """Fixed-capacity episodic memory with probabilistic substitution.
 
-The buffer starts empty and appends every observed sample until it
-reaches capacity (the fill phase). Once full, new samples displace
+Samples arrive in batches, as an online update absorbs them
+(``observe_batch``); a single sample is a batch of one. The buffer
+starts empty and appends every observed sample until it reaches
+capacity (the fill phase). Once full, new samples displace
 stored ones under a configurable strategy; the strategies differ only in
 how often the substitution sweep runs, which changes turnover by orders
 of magnitude:
@@ -165,16 +167,9 @@ class EpisodicMemory:
         self.row_label_ids = np.zeros(0, dtype=np.int64)
         self.rows = np.zeros(0, dtype=np.int64)
         self.observed_count = 0
-        # rows observed one by one post-fill under per-batch, held back
-        # until the next batch boundary
-        self._pending = np.zeros(0, dtype=np.int64)
 
     def __len__(self) -> int:
         return len(self.rows)
-
-    @property
-    def is_full(self) -> bool:
-        return len(self.rows) >= self.config.capacity
 
     @property
     def label_ids(self) -> np.ndarray:
@@ -206,14 +201,6 @@ class EpisodicMemory:
         )
         return offset
 
-    def observe(self, row: int, rng: SeededRng) -> None:
-        """Absorb one sample: append while filling, substitute once full."""
-        if self.is_full and self.config.strategy is SubstitutionStrategy.PER_BATCH:
-            self.observed_count += 1
-            self._pending = np.append(self._pending, row)
-            return
-        self.observe_batch([row], rng)
-
     def observe_batch(self, rows, rng: SeededRng) -> None:
         """Absorb a batch of table rows; under per-batch, run one
         substitution sweep, otherwise substitute sample by sample."""
@@ -222,9 +209,6 @@ class EpisodicMemory:
             raise ValueError("observe_batch: empty batch")
         self.observed_count += len(rows)
         strategy = self.config.strategy
-        if strategy is SubstitutionStrategy.PER_BATCH:
-            rows = np.concatenate([self._pending, rows])
-            self._pending = self._pending[:0]
         room = self.config.capacity - len(self.rows)
         if room > 0:
             self.rows = np.concatenate([self.rows, rows[:room]])

@@ -308,13 +308,16 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+CHUNK = 512  # windows per evaluation chunk: part of the prediction bits
+
+
 def predict_batch(
-    params: ModelParams, rows: np.ndarray, inputs: np.ndarray, window_len: int, chunk: int = 512
+    params: ModelParams, rows: np.ndarray, inputs: np.ndarray, window_len: int
 ) -> np.ndarray:
     """Stateless predictions for the windows of the (N, D) series ``inputs``
     that end at ``rows``, one output row per entry of ``rows``.
 
-    The windows run in independent chunks of ``chunk``, spread over one
+    The windows run in independent chunks of ``CHUNK``, spread over one
     worker per usable CPU: the calling thread takes chunks 0, w, 2w, ...
     and w - 1 helper threads take the rest. Each worker gathers its own
     chunk from the series, so at most one chunk per worker is ever
@@ -329,11 +332,11 @@ def predict_batch(
     rows = np.asarray(rows, dtype=np.int64)
     if len(rows) == 0:
         raise ValueError("predict_batch: empty batch")
-    starts = range(0, len(rows), chunk)
+    starts = range(0, len(rows), CHUNK)
     workers = min(len(starts), _usable_cpus())
 
     def predict_chunk(start: int) -> np.ndarray:
-        steps = stack_steps(inputs, rows[start : start + chunk], window_len)
+        steps = stack_steps(inputs, rows[start : start + CHUNK], window_len)
         return _forward(params, steps.transpose(1, 0, 2), keep_cache=False, first_row=start)[0]
 
     def run(share: range) -> list[np.ndarray]:

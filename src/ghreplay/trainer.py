@@ -7,6 +7,9 @@ of the current phase is logged every few updates. A scenario chains
 phases: one model and one memory persist across the greenhouse switches.
 A baseline reruns a single phase with a fresh model and empty memory,
 with its update counter offset so its curve overlays the scenario's.
+A run records into one ``LearningCurve``: its evaluations, phase starts,
+retention evaluations and the memory occupancy after every update; the
+CLI writes each part to its own CSV.
 
 Windows travel as integer rows (see ``dataset``): a phase's stream and
 test set are arrays of final-record rows, and when a phase starts its
@@ -24,7 +27,7 @@ shifts another consumer's sequence.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -132,6 +135,9 @@ class ScenarioConfig:
 
 @dataclass
 class EvalPoint:
+    """Test MSE on the current phase's test set; the fields, in order, are
+    the columns of curve.csv."""
+
     update_index: int
     eval_index: int
     phase: str
@@ -142,7 +148,8 @@ class EvalPoint:
 
 @dataclass
 class RetentionPoint:
-    """Test MSE on an *earlier* phase's test set, logged while training later."""
+    """Test MSE on an *earlier* phase's test set, logged while training
+    later; the fields, in order, are the columns of retention.csv."""
 
     update_index: int
     eval_index: int
@@ -155,13 +162,14 @@ class RetentionPoint:
 
 @dataclass
 class LearningCurve:
+    """What a run records: evaluations on the current phase, where each
+    phase starts, evaluations on earlier phases (``retention``) and the
+    memory occupancy after every update."""
+
     points: list[EvalPoint] = field(default_factory=list)
     phase_starts: list[tuple[str, int]] = field(default_factory=list)
-
-    @property
-    def switch_updates(self) -> list[int]:
-        """Update indices where the stream switched to a new phase."""
-        return [start for _, start in self.phase_starts[1:]]
+    retention: list[RetentionPoint] = field(default_factory=list)
+    memory: list[tuple[int, str, float]] = field(default_factory=list)  # (update, label, fraction)
 
 
 @dataclass
@@ -184,8 +192,6 @@ class UpdateStats:
 @dataclass
 class ScenarioResult:
     curve: LearningCurve
-    retention: list[RetentionPoint]
-    memory_rows: list[tuple[int, str, float]]   # (update_index, label, fraction)
     state: TrainerState
 
 
@@ -232,6 +238,12 @@ def evaluate(params: ModelParams, phase: Phase) -> tuple[float, np.ndarray]:
     return mse_loss(predictions, phase.targets[phase.test_set])
 
 
+def _test_mse(params: ModelParams, phase: Phase) -> tuple[float, float, float]:
+    """The total, transpiration and photosynthesis MSE on the phase's test set."""
+    total, per_output = evaluate(params, phase)
+    return total, float(per_output[0]), float(per_output[1])
+
+
 def run_phase(
     state: TrainerState,
     phase: Phase,
@@ -239,13 +251,13 @@ def run_phase(
     model_cfg: ModelConfig,
     curve: LearningCurve,
     retention_of: list[Phase] = (),
-    retention_sink: list[RetentionPoint] | None = None,
-    memory_sink: list[tuple[int, str, float]] | None = None,
 ) -> None:
-    """Consume one phase's stream batch by batch, evaluating on the
-    *current* phase's test set every ``eval_every`` updates (cadence is
-    global: update counters carry across phases). The final partial
-    batch is dropped so every update has the same size."""
+    """Consume one phase's stream batch by batch into ``curve``: the
+    memory occupancy after every update, and every ``eval_every`` updates
+    the MSE on the *current* phase's test set, then on each of
+    ``retention_of`` (cadence is global: update counters carry across
+    phases). The final partial batch is dropped so every update has the
+    same size."""
     if phase.window_len != model_cfg.window_len:
         raise ValueError(
             f"phase {phase.label}: windows of {phase.window_len} records, "
@@ -259,37 +271,17 @@ def run_phase(
         batch = stream[k * scenario.batch_size : (k + 1) * scenario.batch_size]
         train_update(state, batch, model_cfg, scenario.replay_size)
         state.update_index += 1
-        if memory_sink is not None:
-            stats = state.memory.occupancy_stats()
-            for label in sorted(stats.fractions):
-                memory_sink.append((state.update_index, label, stats.fractions[label]))
+        fractions = state.memory.occupancy_stats().fractions
+        for label in sorted(fractions):
+            curve.memory.append((state.update_index, label, fractions[label]))
         if state.update_index % scenario.eval_every == 0:
             eval_index = state.update_index // scenario.eval_every
-            total, per_output = evaluate(state.params, phase)
-            curve.points.append(
-                EvalPoint(
-                    update_index=state.update_index,
-                    eval_index=eval_index,
-                    phase=phase.label,
-                    mse_total=total,
-                    mse_transpiration=float(per_output[0]),
-                    mse_photosynthesis=float(per_output[1]),
-                )
-            )
-            if retention_sink is not None:
-                for earlier in retention_of:
-                    total_r, per_r = evaluate(state.params, earlier)
-                    retention_sink.append(
-                        RetentionPoint(
-                            update_index=state.update_index,
-                            eval_index=eval_index,
-                            train_phase=phase.label,
-                            test_phase=earlier.label,
-                            mse_total=total_r,
-                            mse_transpiration=float(per_r[0]),
-                            mse_photosynthesis=float(per_r[1]),
-                        )
-                    )
+            curve.points.append(EvalPoint(state.update_index, eval_index, phase.label,
+                                          *_test_mse(state.params, phase)))
+            for earlier in retention_of:
+                curve.retention.append(RetentionPoint(
+                    state.update_index, eval_index, phase.label, earlier.label,
+                    *_test_mse(state.params, earlier)))
 
 
 def _fresh_state(scenario: ScenarioConfig, model_cfg: ModelConfig, memory_cfg: MemoryConfig) -> TrainerState:
@@ -308,27 +300,17 @@ def run_scenario(
     model_cfg: ModelConfig,
     memory_cfg: MemoryConfig,
     retention: bool = False,
-    record_memory: bool = False,
 ) -> ScenarioResult:
-    """Train one model across all phases in order, carrying the memory."""
+    """Train one model across all phases in order, carrying the memory;
+    with ``retention``, also evaluate every earlier phase at each evaluation."""
     scenario.validate()
     model_cfg.validate()
     state = _fresh_state(scenario, model_cfg, memory_cfg)
     curve = LearningCurve()
-    retention_points: list[RetentionPoint] = []
-    memory_rows: list[tuple[int, str, float]] = []
     for idx, phase in enumerate(scenario.phases):
-        run_phase(
-            state,
-            phase,
-            scenario,
-            model_cfg,
-            curve,
-            retention_of=scenario.phases[:idx] if retention else (),
-            retention_sink=retention_points if retention else None,
-            memory_sink=memory_rows if record_memory else None,
-        )
-    return ScenarioResult(curve, retention_points, memory_rows, state)
+        run_phase(state, phase, scenario, model_cfg, curve,
+                  retention_of=scenario.phases[:idx] if retention else ())
+    return ScenarioResult(curve, state)
 
 
 def phase_update_offset(scenario: ScenarioConfig, phase_label: str) -> int:
@@ -363,30 +345,15 @@ def run_baseline(
     state.update_index = phase_update_offset(scenario, phase_label)
     curve = LearningCurve()
     run_phase(state, phase, scenario, model_cfg, curve)
-    return ScenarioResult(curve, [], [], state)
+    return ScenarioResult(curve, state)
 
 
 # ---------------------------------------------------------------------------
 # curve CSV formats
 
-CURVE_COLUMNS = (
-    "update_index",
-    "eval_index",
-    "phase",
-    "mse_total",
-    "mse_transpiration",
-    "mse_photosynthesis",
-)
+CURVE_COLUMNS = tuple(f.name for f in fields(EvalPoint))
 BOUNDARY_COLUMNS = ("phase", "start_update")
-RETENTION_COLUMNS = (
-    "update_index",
-    "eval_index",
-    "train_phase",
-    "test_phase",
-    "mse_total",
-    "mse_transpiration",
-    "mse_photosynthesis",
-)
+RETENTION_COLUMNS = tuple(f.name for f in fields(RetentionPoint))
 MEMORY_COLUMNS = ("update_index", "label", "fraction")
 
 
@@ -400,10 +367,7 @@ def _write_table(path: str | Path, columns: tuple[str, ...], rows) -> None:
 
 
 def write_curve_csv(path: str | Path, curve: LearningCurve) -> None:
-    _write_table(path, CURVE_COLUMNS, (
-        (p.update_index, p.eval_index, p.phase, p.mse_total, p.mse_transpiration, p.mse_photosynthesis)
-        for p in curve.points
-    ))
+    _write_table(path, CURVE_COLUMNS, map(astuple, curve.points))
 
 
 def read_curve_csv(path: str | Path) -> list[EvalPoint]:
@@ -446,16 +410,12 @@ def read_boundaries_csv(path: str | Path) -> list[tuple[str, int]]:
     return starts
 
 
-def write_retention_csv(path: str | Path, points: list[RetentionPoint]) -> None:
-    _write_table(path, RETENTION_COLUMNS, (
-        (p.update_index, p.eval_index, p.train_phase, p.test_phase,
-         p.mse_total, p.mse_transpiration, p.mse_photosynthesis)
-        for p in points
-    ))
+def write_retention_csv(path: str | Path, curve: LearningCurve) -> None:
+    _write_table(path, RETENTION_COLUMNS, map(astuple, curve.retention))
 
 
-def write_memory_csv(path: str | Path, rows: list[tuple[int, str, float]]) -> None:
-    _write_table(path, MEMORY_COLUMNS, rows)
+def write_memory_csv(path: str | Path, curve: LearningCurve) -> None:
+    _write_table(path, MEMORY_COLUMNS, curve.memory)
 
 
 # ---------------------------------------------------------------------------

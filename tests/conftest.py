@@ -1,3 +1,4 @@
+import ghreplay  # noqa: F401  first: it pins BLAS to one thread, which numpy reads as it loads
 import numpy as np
 import pytest
 

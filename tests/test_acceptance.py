@@ -71,7 +71,7 @@ def transfer_runs():
             "with_replay": with_replay,
             "ablation": ablation,
             "baseline": baseline,
-            "switch": with_replay.curve.switch_updates[0],
+            "switch": with_replay.curve.phase_starts[1][1],
         }
     return runs
 
@@ -145,7 +145,7 @@ def test_acceptance_5_replay_mitigates_forgetting(transfer_runs):
             def first_retention_mse(result):
                 point = next(
                     p
-                    for p in result.retention
+                    for p in result.curve.retention
                     if p.test_phase == "GH-A" and p.update_index - switch >= 50
                 )
                 return point.mse_total
@@ -203,7 +203,7 @@ def test_acceptance_6_memory_statistics():
         mem4.observe_batch(add_rows(mem4, "old", capacity), rng_fill)
         rng4 = SeededRng(9)  # pinned: realized count fluctuates around 10^4 * 0.9^66
         for row in add_rows(mem4, "new", 66):
-            mem4.observe(row, rng4)
+            mem4.observe_batch([row], rng4)
         old_fraction = fraction(mem4, "old")
         assert old_fraction < 1e-3
 

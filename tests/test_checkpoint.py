@@ -37,7 +37,6 @@ def trained_bundle(seed=0):
         ends += (offset + np.arange(WINDOW_LEN - 1, n, 3)).tolist()
     mem_rng = SeededRng(seed + 2)
     memory.observe_batch(ends[:12], mem_rng)
-    memory.observe(ends[12], mem_rng)  # leaves one pending sample
     rng_states = {
         "replay": SeededRng(seed + 3).get_state(),
         "memory": mem_rng.get_state(),
@@ -80,13 +79,9 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     assert bundle.memory.observed_count == memory.observed_count
     assert len(bundle.memory) == len(memory) == 10
     assert_same_windows(windows_of(memory, memory.rows), windows_of(bundle.memory, bundle.memory.rows))
-    assert len(bundle.memory._pending) == len(memory._pending) == 1
-    assert_same_windows(windows_of(memory, memory._pending),
-                        windows_of(bundle.memory, bundle.memory._pending))
     assert bundle.memory.occupancy_stats() == memory.occupancy_stats()
     # the row block holds each table row that a stored window covers, once
-    ends = np.concatenate([memory.rows, memory._pending])
-    covered = {row for end in ends.tolist() for row in range(end - WINDOW_LEN + 1, end + 1)}
+    covered = {row for end in memory.rows.tolist() for row in range(end - WINDOW_LEN + 1, end + 1)}
     assert len(bundle.memory.inputs) == len(covered) < len(memory.inputs)
 
     assert bundle.rng_states == rng_states
@@ -122,7 +117,7 @@ def test_checkpoint_empty_memory(tmp_path):
     path = tmp_path / "ckpt.npz"
     save_checkpoint(path, cfg, params, adam, memory, rng_states)
     bundle = load_checkpoint(path)
-    assert len(bundle.memory.rows) == 0 and len(bundle.memory._pending) == 0
+    assert len(bundle.memory.rows) == 0
     assert bundle.memory.inputs.shape == (0, 5)
     assert bundle.memory.observed_count == 0
 
@@ -139,14 +134,14 @@ def test_checkpoint_empty_memory(tmp_path):
         ("mem_inputs", lambda a: np.vstack([a[:3], [[np.nan] * 5], a[4:]]), "mem_inputs contains non-finite"),
         ("mem_rows", lambda a: np.concatenate([[WINDOW_LEN - 2], a[1:]]),
          r"mem_rows has values outside \[7, \d+\)"),
-        ("mem_pending_rows", lambda a: a + 10_000, r"mem_pending_rows has values outside \[7, \d+\)"),
+        ("mem_rows", lambda a: a + 10_000, r"mem_rows has values outside \[7, \d+\)"),
         ("mem_rows", lambda a: a.astype(np.float64), "mem_rows has dtype float64, expected integers"),
-        ("mem_pending_targets", lambda a: a[:, :1], r"mem_pending_targets has shape \(1, 1\), expected \(1, 2\)"),
+        ("mem_targets", lambda a: a[:, :1], r"mem_targets has shape \(10, 1\), expected \(10, 2\)"),
         ("mem_label_ids", lambda a: np.concatenate([a[:-1], [2]]), r"mem_label_ids has values outside \[0, 2\)"),
         ("mem_timestamps", lambda a: a[1:], r"mem_timestamps has shape \(9,\), expected \(10,\)"),
     ],
     ids=["inf-b2", "shape-u", "nan-adam_v", "short-mem_inputs", "nan-mem_targets", "nan-mem_inputs",
-         "below-mem_rows", "beyond-mem_pending_rows", "float-mem_rows", "shape-mem_pending_targets",
+         "below-mem_rows", "beyond-mem_rows", "float-mem_rows", "shape-mem_targets",
          "unknown-mem_label_ids", "short-mem_timestamps"],
 )
 def test_load_checkpoint_rejects_corrupt_arrays(tmp_path, key, corrupt, message):
@@ -189,4 +184,29 @@ def test_load_checkpoint_rejects_whole_window_memory_layout(tmp_path):
         del arrays[key]
     np.savez_compressed(path, **arrays)
     with pytest.raises(ValueError, match="ckpt.npz: the memory is stored as whole windows"):
+        load_checkpoint(path)
+
+
+def test_load_checkpoint_takes_empty_pending_arrays_only(tmp_path):
+    # checkpoints from before the memory took batches only carry four
+    # mem_pending_* arrays, empty in every checkpoint that `run` wrote
+    cfg, params, adam, memory, rng_states = trained_bundle(seed=10)
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(path, cfg, params, adam, memory, rng_states)
+    current = load_checkpoint(path).memory
+    with np.load(path, allow_pickle=False) as data:
+        arrays = dict(data)
+    arrays["mem_pending_rows"] = np.zeros(0, dtype=np.int64)
+    arrays["mem_pending_targets"] = np.zeros((0, 2))
+    arrays["mem_pending_timestamps"] = np.zeros(0, dtype=np.int64)
+    arrays["mem_pending_label_ids"] = np.zeros(0, dtype=np.int64)
+    np.savez_compressed(path, **arrays)
+    older = load_checkpoint(path).memory
+    assert older.labels == current.labels and older.observed_count == current.observed_count
+    for name in ("rows", "inputs", "targets", "timestamps", "row_label_ids"):
+        assert getattr(older, name).tobytes() == getattr(current, name).tobytes(), name
+
+    arrays["mem_pending_rows"] = arrays["mem_rows"][:1]
+    np.savez_compressed(path, **arrays)
+    with pytest.raises(ValueError, match="ckpt.npz: array mem_pending_rows holds windows"):
         load_checkpoint(path)

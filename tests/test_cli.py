@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from ghreplay.cli import main
@@ -65,6 +66,20 @@ def test_run_produces_artifacts(tmp_path):
     memory_lines = (out / "memory.csv").read_text().splitlines()
     assert memory_lines[0] == "update_index,label,fraction"
     assert len(memory_lines) > 1
+
+
+def test_dump_memory_only_adds_memory_csv(tmp_path):
+    spec_path, doc = write_tiny_spec(tmp_path)
+    outputs = {}
+    for flags in ([], ["--dump-memory"]):
+        out = tmp_path / f"out{len(flags)}"
+        assert main(["generate", "--spec", str(spec_path), "--out", str(out)]) == 0
+        assert main(["run", "--spec", str(spec_path), "--out", str(out), *flags]) == 0
+        assert (out / "memory.csv").exists() == bool(flags)
+        with np.load(out / "checkpoint.npz", allow_pickle=False) as data:
+            arrays = {key: data[key].tobytes() for key in data.files}
+        outputs[bool(flags)] = ((out / "curve.csv").read_bytes(), arrays)
+    assert outputs[False] == outputs[True]
 
 
 def test_run_missing_dataset_exit_2_names_path(tmp_path, capsys):

@@ -19,7 +19,7 @@ def full_memory(capacity, strategy, p=0.1, label="old"):
     )
     rng = SeededRng(0)
     mem.observe_batch(add_rows(mem, label, capacity), rng)
-    assert mem.is_full
+    assert len(mem) == capacity
     return mem
 
 
@@ -37,7 +37,7 @@ def test_fill_phase_appends_in_order():
     mem = EpisodicMemory(MemoryConfig(capacity=5, strategy=PER_BATCH))
     rng = SeededRng(1)
     rows = add_rows(mem, "a", 5)
-    mem.observe(rows[0], rng)
+    mem.observe_batch([rows[0]], rng)
     assert len(mem) == 1 and mem.rows[0] == rows[0]
     mem.observe_batch(rows[1:], rng)
     assert mem.rows.tolist() == [0, 1, 2, 3, 4]
@@ -98,7 +98,7 @@ def test_per_element_copies_follow_binomial_mean():
         old, new = add_rows(mem, "x", 2)
         mem.rows = np.full(capacity, old)
         mem.observed_count = capacity
-        mem.observe(new, rng)
+        mem.observe_batch([new], rng)
         total += int(np.count_nonzero(mem.rows == new))
     mean = total / trials
     sd_of_mean = math.sqrt(capacity * p * (1 - p)) / math.sqrt(trials)
@@ -112,13 +112,13 @@ def test_per_element_wipes_old_content_within_66_observations():
     mem = full_memory(capacity, PER_ELEMENT)
     rng = SeededRng(9)  # pinned: realized fraction fluctuates around 0.9^66
     for row in add_rows(mem, "new", 66):
-        mem.observe(row, rng)
+        mem.observe_batch([row], rng)
     assert old_fraction(mem) < 1e-3
 
 
 def test_per_sample_replaces_at_most_one_slot():
     mem = full_memory(30, PER_SAMPLE, p=1.0)
-    mem.observe(add_rows(mem, "new", 1)[0], SeededRng(7))
+    mem.observe_batch(add_rows(mem, "new", 1), SeededRng(7))
     assert label_count(mem, "new") == 1
     assert len(mem) == 30
 
@@ -127,7 +127,7 @@ def test_per_sample_discards_with_probability_1_minus_p():
     mem = full_memory(10, PER_SAMPLE, p=0.1)
     rng = SeededRng(8)
     for row in add_rows(mem, "new", 2000):
-        mem.observe(row, rng)
+        mem.observe_batch([row], rng)
     assert label_count(mem, "new") >= 9  # after 2000 draws at p=0.1 old content is nearly gone
     assert mem.observed_count == 2010
 
@@ -154,19 +154,6 @@ def test_per_batch_geometric_decay_over_batches():
         fractions.append(old_fraction(mem))
     mean = sum(fractions) / trials
     assert abs(mean - 0.9 ** k) < 0.03
-
-
-def test_per_batch_single_observe_buffers_until_batch():
-    mem = full_memory(10, PER_BATCH, p=1.0)
-    held = add_rows(mem, "held", 1)
-    mem.observe(held[0], SeededRng(12))
-    assert len(mem) == 10
-    assert label_count(mem, "old") == 10
-    assert mem.observed_count == 11
-    # the buffered sample joins the next batch's substitution pool
-    mem.observe_batch(held, SeededRng(13))
-    assert (mem.rows == held[0]).all()
-    assert mem.observed_count == 12
 
 
 def test_capacity_never_exceeded_under_mixed_traffic():
@@ -209,7 +196,7 @@ def test_draw_replay_from_empty_memory_is_an_error():
 def test_draw_replay_single_slot_repeats():
     mem = EpisodicMemory(MemoryConfig(capacity=3))
     only = add_rows(mem, "only", 1)[0]
-    mem.observe(only, SeededRng(18))
+    mem.observe_batch([only], SeededRng(18))
     draws = mem.draw_replay(5, SeededRng(19))
     assert len(draws) == 5
     assert (draws == only).all()
@@ -287,7 +274,6 @@ class ScalarMemory:
     def __init__(self, capacity, p, strategy):
         self.capacity, self.p, self.strategy = capacity, p, strategy
         self.slots = []
-        self.pending = []
 
     def observe(self, row, rng):
         if len(self.slots) < self.capacity:
@@ -296,24 +282,19 @@ class ScalarMemory:
             for idx in range(len(self.slots)):
                 if rng.random() < self.p:
                     self.slots[idx] = row
-        elif self.strategy is PER_SAMPLE:
-            if rng.random() < self.p:
-                self.slots[rng.randbelow(len(self.slots))] = row
-        else:
-            self.pending.append(row)
+        elif self.strategy is PER_SAMPLE and rng.random() < self.p:
+            self.slots[rng.randbelow(len(self.slots))] = row
 
     def observe_batch(self, batch, rng):
         if self.strategy is not PER_BATCH:
             for row in batch:
                 self.observe(row, rng)
             return
-        pool = self.pending + list(batch)
-        self.pending = []
         filled = 0
-        while len(self.slots) < self.capacity and filled < len(pool):
-            self.slots.append(pool[filled])
+        while len(self.slots) < self.capacity and filled < len(batch):
+            self.slots.append(batch[filled])
             filled += 1
-        rest = pool[filled:]
+        rest = batch[filled:]
         if rest:
             for idx in range(len(self.slots)):
                 if rng.random() < self.p:
@@ -325,7 +306,6 @@ class ScalarMemory:
 
 def assert_same(scalar, mem, rng_scalar, rng_block):
     assert mem.rows.tolist() == scalar.slots
-    assert len(mem._pending) == len(scalar.pending)
     assert rng_block.get_state() == rng_scalar.get_state()
 
 
@@ -343,18 +323,14 @@ def test_block_sweeps_match_scalar_stream(strategy, tight_blocks, monkeypatch):
             scalar = ScalarMemory(capacity, p, strategy)
             mem = EpisodicMemory(MemoryConfig(capacity=capacity, substitution_probability=p,
                                               strategy=strategy))
-            rows = add_rows(mem, "x", capacity + 4 * pool + 1).tolist()
+            rows = add_rows(mem, "x", capacity + 2 * pool).tolist()
             fill, stream = rows[:capacity], rows[capacity:]
             for start in range(0, capacity, 97):
                 scalar.observe_batch(fill[start : start + 97], rng_scalar)
                 mem.observe_batch(fill[start : start + 97], rng_block)
             assert_same(scalar, mem, rng_scalar, rng_block)
-            # one held-back sample joins the next per-batch pool
-            scalar.observe(stream[0], rng_scalar)
-            mem.observe(stream[0], rng_block)
-            assert_same(scalar, mem, rng_scalar, rng_block)
             for b in range(2):
-                batch = stream[1 + b * pool : 1 + (b + 1) * pool]
+                batch = stream[b * pool : (b + 1) * pool]
                 scalar.observe_batch(batch, rng_scalar)
                 mem.observe_batch(batch, rng_block)
                 assert_same(scalar, mem, rng_scalar, rng_block)

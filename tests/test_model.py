@@ -201,11 +201,12 @@ def test_predict_batch_permutation_equivariant():
     assert np.array_equal(permuted, direct[perm])
 
 
-def test_predict_batch_matches_individual_forwards():
+def test_predict_batch_matches_individual_forwards(monkeypatch):
     cfg = small_cfg()
     params = init_model(cfg, SeededRng(13))
     windows = random_windows(SeededRng(14), 100, cfg.window_len)
-    batched = predict_stack(params, windows, chunk=32)
+    monkeypatch.setattr(model, "CHUNK", 32)
+    batched = predict_stack(params, windows)
     for b in range(100):
         single = predict_stack(params, windows[b : b + 1])[0]
         assert np.max(np.abs(batched[b] - single)) < 1e-12
@@ -412,18 +413,33 @@ def test_predict_batch_threads_raise_non_finite(monkeypatch, bad_chunk):
         predict_stack(params, windows)
 
 
-@pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])
-def test_import_pins_blas_threads_unless_set(preset, expected):
+def python_with_blas_threads(preset, code):
+    """Run ``code`` in a fresh interpreter whose OPENBLAS_NUM_THREADS is
+    ``preset`` (None: unset)."""
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     if preset is not None:
         env["OPENBLAS_NUM_THREADS"] = preset
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    out = subprocess.run(
-        [sys.executable, "-c", "import os, ghreplay; print(os.environ['OPENBLAS_NUM_THREADS'])"],
-        env=env, capture_output=True, text=True, check=True, timeout=60,
-    )
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True, timeout=60)
+
+
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])
+def test_import_pins_blas_threads_unless_set(preset, expected):
+    code = "import os, ghreplay; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    out = python_with_blas_threads(preset, code)
     assert out.stdout.strip() == expected
+
+
+@pytest.mark.parametrize("preset", [None, "2"], ids=["unset", "preset"])
+@pytest.mark.parametrize("order", ["ghreplay, numpy", "numpy, ghreplay"],
+                         ids=["ghreplay-first", "numpy-first"])
+def test_import_after_numpy_warns_when_unset(order, preset):
+    # numpy reads the variable as it loads, so only then is the pin too late
+    out = python_with_blas_threads(preset, f"import {order}")
+    warned = "RuntimeWarning" in out.stderr and "set OPENBLAS_NUM_THREADS=1" in out.stderr
+    assert warned == (order == "numpy, ghreplay" and preset is None), out.stderr
 
 
 # --- bit-identity against the per-gate reference loops ----------------------

@@ -107,9 +107,11 @@ def test_stack_samples_equals_stacked_window_slices():
     w = synthetic_windows(40)
     rows = np.array([30, 9, 9, 48, 20])
     inputs, targets = stack_samples(w.inputs, w.targets, rows, 10)
-    assert inputs.flags.c_contiguous and inputs.shape == (5, 10, 5)
+    assert inputs.shape == (5, 10, 5)
     assert np.array_equal(inputs, np.stack([w.inputs[r - 9 : r + 1] for r in rows]))
     assert np.array_equal(targets, w.targets[rows])
+    # step-major: the (B, T, D) windows are a view of a C-contiguous (T, B, D) gather
+    assert inputs.transpose(1, 0, 2).flags.c_contiguous and not inputs.flags.owndata
     steps = stack_steps(w.inputs, rows, 10)
     assert steps.flags.c_contiguous and np.array_equal(steps, inputs.transpose(1, 0, 2))
     for bad in ([8], [49]):  # would start before row 0 / end past the last row
@@ -299,7 +301,6 @@ def test_scenario_boundaries_and_phase_isolation(tiny_phases):
     result = run_scenario(scenario, MODEL_CFG, MEM_CFG)
     updates_a = len(phase_a.stream) // 50
     assert result.curve.phase_starts == [("GH-A", 0), ("GH-C", updates_a)]
-    assert result.curve.switch_updates == [updates_a]
     for p in result.curve.points:
         expected = "GH-A" if p.update_index <= updates_a else "GH-C"
         assert p.phase == expected
@@ -354,8 +355,7 @@ def test_three_phase_curve_has_three_segments_two_switches():
     phases = [make_phase(300, 20, label=f"GH-{i}", seed=20 + i) for i in range(3)]
     scenario = ScenarioConfig(phases=phases, batch_size=50, replay_size=20, eval_every=3, seed=15)
     result = run_scenario(scenario, MODEL_CFG, MEM_CFG)
-    assert [label for label, _ in result.curve.phase_starts] == ["GH-0", "GH-1", "GH-2"]
-    assert result.curve.switch_updates == [6, 12]
+    assert result.curve.phase_starts == [("GH-0", 0), ("GH-1", 6), ("GH-2", 12)]
     assert {p.phase for p in result.curve.points} == {"GH-0", "GH-1", "GH-2"}
     total_updates = sum(len(p.stream) // 50 for p in phases)
     assert len(result.curve.points) == total_updates // 3
@@ -402,12 +402,12 @@ def test_retention_rows_cover_earlier_phases_only(tiny_phases):
         phases=list(tiny_phases), batch_size=50, replay_size=50, eval_every=3, seed=10
     )
     result = run_scenario(scenario, MODEL_CFG, MEM_CFG, retention=True)
-    assert result.retention, "expected retention points in phase 2"
-    for point in result.retention:
+    assert result.curve.retention, "expected retention points in phase 2"
+    for point in result.curve.retention:
         assert point.train_phase == "GH-C"
         assert point.test_phase == "GH-A"
-    switch = result.curve.switch_updates[0]
-    assert all(p.update_index > switch for p in result.retention)
+    switch = result.curve.phase_starts[1][1]
+    assert all(p.update_index > switch for p in result.curve.retention)
 
 
 def test_memory_rows_fractions_per_update(tiny_phases):
@@ -415,10 +415,10 @@ def test_memory_rows_fractions_per_update(tiny_phases):
     scenario = ScenarioConfig(
         phases=[phase_a], batch_size=50, replay_size=0, eval_every=3, seed=11
     )
-    result = run_scenario(scenario, MODEL_CFG, MEM_CFG, record_memory=True)
+    result = run_scenario(scenario, MODEL_CFG, MEM_CFG)
     updates = len(phase_a.stream) // 50
-    assert len(result.memory_rows) == updates  # one label only
-    assert all(label == "GH-A" and frac == 1.0 for _, label, frac in result.memory_rows)
+    # one label only
+    assert result.curve.memory == [(k, "GH-A", 1.0) for k in range(1, updates + 1)]
 
 
 def test_replay_toggle_does_not_change_memory_trajectory(tiny_phases):
