@@ -38,7 +38,7 @@ from .climate import (
     transpiration_rate,
     vapor_pressure_deficit,
 )
-from .dataset import Normalizer, Windows, build_samples, default_normalizer
+from .dataset import Normalizer, Phase, build_samples, default_normalizer
 from .memory import EpisodicMemory, MemoryConfig, SubstitutionStrategy
 from .model import (
     AdamState,
@@ -55,7 +55,6 @@ from .rng import SeededRng
 from .trainer import (
     EvalPoint,
     LearningCurve,
-    Phase,
     ScenarioConfig,
     evaluate,
     run_baseline,
@@ -81,7 +80,6 @@ __all__ = [
     "ScenarioConfig",
     "SeededRng",
     "SubstitutionStrategy",
-    "Windows",
     "adam_step",
     "backward",
     "build_samples",

@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from .atomic import atomic_open
-from .memory import EpisodicMemory, MemoryConfig, SubstitutionStrategy
+from .memory import EpisodicMemory, MemoryConfig
 from .model import AdamState, ModelConfig, ModelParams, zeros_params
 
 
@@ -88,11 +88,7 @@ def save_checkpoint(
 
     meta = {
         "model_config": dataclasses.asdict(model_cfg),
-        "memory_config": {
-            "capacity": memory.config.capacity,
-            "substitution_probability": memory.config.substitution_probability,
-            "strategy": memory.config.strategy.value,
-        },
+        "memory_config": dataclasses.asdict(memory.config),
         "rng_states": rng_states,
     }
     arrays["meta_json"] = np.array(json.dumps(meta, sort_keys=True))
@@ -172,18 +168,23 @@ def _checked_memory(path, data, memory: EpisodicMemory, cfg: ModelConfig) -> Non
     memory.inputs, memory.targets = inputs, targets
     memory.timestamps, memory.row_label_ids = timestamps, row_label_ids
     memory.observed_count = int(data["mem_observed_count"])
+    if memory.observed_count < n:
+        raise ValueError(f"{path}: array mem_observed_count has value {memory.observed_count}, "
+                         f"fewer than the {n} stored slots")
+    if n > memory.config.capacity:
+        raise ValueError(f"{path}: array mem_rows has {n} slots, "
+                         f"over the capacity {memory.config.capacity}")
 
 
 def load_checkpoint(path: str | Path) -> CheckpointBundle:
     with np.load(Path(path), allow_pickle=False) as data:
         meta = json.loads(str(data["meta_json"][()]))
-        model_cfg = ModelConfig(**meta["model_config"])
-        mem_meta = meta["memory_config"]
-        memory_cfg = MemoryConfig(
-            capacity=mem_meta["capacity"],
-            substitution_probability=mem_meta["substitution_probability"],
-            strategy=SubstitutionStrategy(mem_meta["strategy"]),
-        )
+        try:
+            model_cfg = ModelConfig(**meta["model_config"])
+            model_cfg.validate()
+            memory = EpisodicMemory(MemoryConfig(**meta["memory_config"]))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: array meta_json: {exc}") from None
 
         expected = zeros_params(model_cfg)
         params = _checked_params(path, data, "param", expected)
@@ -192,8 +193,9 @@ def load_checkpoint(path: str | Path) -> CheckpointBundle:
             v=_checked_params(path, data, "adam_v", expected),
             t=int(data["adam_t"]),
         )
+        if adam.t < 0:
+            raise ValueError(f"{path}: array adam_t has value {adam.t}, expected >= 0")
 
-        memory = EpisodicMemory(memory_cfg)
         _checked_memory(path, data, memory, model_cfg)
 
     return CheckpointBundle(

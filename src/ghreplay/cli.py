@@ -45,62 +45,51 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_run(args: argparse.Namespace) -> int:
+def _set_up(args: argparse.Namespace):
+    """The output directory, the scenario of the spec's phases, and the model and memory configs."""
     spec, out_dir = _resolve(args)
     phases, _ = experiment.build_phases(spec, out_dir)
-    scenario = experiment.build_scenario(spec, phases)
-    model_cfg = experiment.build_model_config(spec)
-    memory_cfg = experiment.build_memory_config(spec)
+    return (out_dir, experiment.build_scenario(spec, phases),
+            experiment.build_model_config(spec), experiment.build_memory_config(spec))
 
+
+def _write_curve(curve_path: Path, curve: trainer.LearningCurve) -> None:
+    """Write the curve and its phase boundaries next to it."""
+    curve_path.parent.mkdir(parents=True, exist_ok=True)
+    boundaries_path = trainer.boundaries_path_for(curve_path)
+    trainer.write_curve_csv(curve_path, curve)
+    trainer.write_boundaries_csv(boundaries_path, curve)
+    print(f"wrote {curve_path}")
+    print(f"wrote {boundaries_path}")
+
+
+def cmd_run(args: argparse.Namespace) -> int:
+    out_dir, scenario, model_cfg, memory_cfg = _set_up(args)
     result = trainer.run_scenario(scenario, model_cfg, memory_cfg, retention=args.retention)
 
-    out_dir.mkdir(parents=True, exist_ok=True)
-    curve_path = out_dir / "curve.csv"
-    trainer.write_curve_csv(curve_path, result.curve)
-    trainer.write_boundaries_csv(trainer.boundaries_path_for(curve_path), result.curve)
-    save_checkpoint(
-        out_dir / "checkpoint.npz",
-        model_cfg,
-        result.state.params,
-        result.state.adam,
-        result.state.memory,
-        {
-            "replay": result.state.replay_rng.get_state(),
-            "memory": result.state.memory_rng.get_state(),
-        },
-    )
-    print(f"wrote {curve_path}")
-    print(f"wrote {trainer.boundaries_path_for(curve_path)}")
+    _write_curve(out_dir / "curve.csv", result.curve)
+    state = result.state
+    save_checkpoint(out_dir / "checkpoint.npz", model_cfg, state.params, state.adam, state.memory,
+                    {"replay": state.replay_rng.get_state(),
+                     "memory": state.memory_rng.get_state()})
     print(f"wrote {out_dir / 'checkpoint.npz'}")
-    if args.retention:
-        retention_path = out_dir / "retention.csv"
-        trainer.write_retention_csv(retention_path, result.curve)
-        print(f"wrote {retention_path}")
-    if args.dump_memory:
-        memory_path = out_dir / "memory.csv"
-        trainer.write_memory_csv(memory_path, result.curve)
-        print(f"wrote {memory_path}")
+    for wanted, name, write in ((args.retention, "retention.csv", trainer.write_retention_csv),
+                                (args.dump_memory, "memory.csv", trainer.write_memory_csv)):
+        if wanted:
+            write(out_dir / name, result.curve)
+            print(f"wrote {out_dir / name}")
     return 0
 
 
 def cmd_baseline(args: argparse.Namespace) -> int:
-    spec, out_dir = _resolve(args)
-    phases, _ = experiment.build_phases(spec, out_dir)
-    scenario = experiment.build_scenario(spec, phases)
-    model_cfg = experiment.build_model_config(spec)
-    memory_cfg = experiment.build_memory_config(spec)
-    if all(p.label != args.phase for p in phases):
+    out_dir, scenario, model_cfg, memory_cfg = _set_up(args)
+    if all(p.label != args.phase for p in scenario.phases):
         raise SpecError(
             f"unknown phase {args.phase!r}, expected one of "
-            f"{', '.join(p.label for p in phases)}"
+            f"{', '.join(p.label for p in scenario.phases)}"
         )
     result = trainer.run_baseline(scenario, model_cfg, memory_cfg, args.phase)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    curve_path = out_dir / f"baseline_{args.phase}.csv"
-    trainer.write_curve_csv(curve_path, result.curve)
-    trainer.write_boundaries_csv(trainer.boundaries_path_for(curve_path), result.curve)
-    print(f"wrote {curve_path}")
-    print(f"wrote {trainer.boundaries_path_for(curve_path)}")
+    _write_curve(out_dir / f"baseline_{args.phase}.csv", result.curve)
     return 0
 
 

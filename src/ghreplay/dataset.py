@@ -5,23 +5,25 @@ window's normalized feature rows and the target is the (transpiration,
 photosynthesis) pair at the window's *final* timestep, which keeps the
 prediction task causal.
 
-Windows are indices, not objects: ``build_samples`` normalizes the
-columns of a ``ClimateSeries`` once into read-only ``inputs`` (N, D) and
-``targets`` (N, K) arrays, one row per record, and names each window by
-the row of its final record (``ends``). The window ending at row e is
+Windows are indices, not objects. A ``Phase`` holds one greenhouse's
+series normalized once into read-only ``inputs`` (N, D) and ``targets``
+(N, K) arrays, one row per record, and names each window by the row of
+its final record: the training ``stream`` and the held-out ``test_set``
+are arrays of such rows. The window ending at row e is
 ``inputs[e - window_len + 1 : e + 1]`` and its target is ``targets[e]``.
-``stack_steps`` gathers a batch of windows from those arrays in one
-step, step-major (T, B, D), because the LSTM kernel reads one step of
-every window at a time; ``stack_samples`` returns that gather as a
-(B, T, D) view, with the windows' targets. Normalization bounds are
-fixed physical ranges rather than data statistics, so the mapping is
-identical across greenhouses and across time; out-of-range values are
-clamped to [0, 1] and every clamp is counted.
+``build_samples`` streams every window; ``Phase.split`` holds some out.
+``stack_steps`` gathers a batch of windows in one step, step-major
+(T, B, D), because the LSTM kernel reads one step of every window at a
+time; ``stack_samples`` returns that gather as a (B, T, D) view, with
+the windows' targets. Normalization bounds are fixed physical ranges
+rather than data statistics, so the mapping is identical across
+greenhouses and across time; out-of-range values are clamped to [0, 1]
+and every clamp is counted.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -44,19 +46,61 @@ DEFAULT_TARGET_BOUNDS = (
 )
 
 
+def _read_only(arr, dtype) -> np.ndarray:
+    """A read-only view of ``arr`` as ``dtype`` (a copy only to convert)."""
+    out = np.asarray(arr, dtype=dtype).view()
+    out.flags.writeable = False
+    return out
+
+
+def _check_window_rows(rows: np.ndarray, window_len: int, n_records: int, what: str) -> None:
+    """Raise unless every row of ``rows`` ends a whole window of a series
+    of ``n_records`` records; ``what`` names the rows in the message."""
+    if len(rows) and (rows.min() < window_len - 1 or rows.max() >= n_records):
+        raise ValueError(f"{what} rows must lie in [{window_len - 1}, {n_records}), "
+                         f"the final rows of whole windows")
+
+
 @dataclass(eq=False)
-class Windows:
-    """Every window of one normalized series, named by its final-record row."""
+class Phase:
+    """One greenhouse's normalized series, its training stream and its
+    held-out test set; the stream and the test set are final-record rows."""
 
     label: str               # originating greenhouse
-    inputs: np.ndarray       # (N, 5), values in [0, 1], read-only
-    targets: np.ndarray      # (N, 2), values in [0, 1], read-only
+    inputs: np.ndarray       # (N, D), read-only
+    targets: np.ndarray      # (N, K), read-only
     timestamps: np.ndarray   # (N,) record timestamps
-    ends: np.ndarray         # (W,) final-record row of each window, in temporal order
+    stream: np.ndarray       # training windows in temporal order
+    test_set: np.ndarray     # held-out windows
     window_len: int
 
+    def __post_init__(self):
+        self.inputs = _read_only(self.inputs, np.float64)
+        self.targets = _read_only(self.targets, np.float64)
+        self.timestamps = _read_only(self.timestamps, np.int64)
+        self.stream = _read_only(self.stream, np.int64).reshape(-1)
+        self.test_set = _read_only(self.test_set, np.int64).reshape(-1)
+        n = len(self.timestamps)
+        if len(self.inputs) != n or len(self.targets) != n:
+            raise ValueError(f"phase {self.label}: inputs, targets and timestamps need one row "
+                             f"per record, got {len(self.inputs)}, {len(self.targets)} and {n}")
+        for name, rows in (("stream", self.stream), ("test set", self.test_set)):
+            _check_window_rows(rows, self.window_len, n, f"phase {self.label}: {name}")
+        overlap = np.intersect1d(self.stream, self.test_set)
+        if len(overlap):
+            raise ValueError(f"phase {self.label}: test set overlaps training stream "
+                             f"({len(overlap)} shared windows)")
+
     def __len__(self) -> int:
-        return len(self.ends)
+        return len(self.stream) + len(self.test_set)
+
+    def split(self, test_positions) -> "Phase":
+        """This phase's windows, in temporal order, with those at
+        ``test_positions`` held out and the rest streamed."""
+        windows = np.sort(np.concatenate([self.stream, self.test_set]))
+        held = np.zeros(len(windows), dtype=bool)
+        held[np.asarray(list(test_positions), dtype=np.int64)] = True
+        return replace(self, stream=windows[~held], test_set=windows[held])
 
 
 @dataclass
@@ -118,19 +162,15 @@ def build_samples(
     window_len: int,
     stride: int,
     normalizer: Normalizer,
-) -> Windows:
-    """The series normalized once, with its windows in temporal order."""
+) -> Phase:
+    """The series normalized once, streaming its windows in temporal order."""
     count = window_count(len(series), window_len, stride)
     inputs = np.column_stack([getattr(series, f) for f in INPUT_FIELDS])
     targets = np.column_stack([getattr(series, f) for f in TARGET_FIELDS])
-    norm_inputs = normalizer.normalize_inputs(inputs)
-    norm_targets = normalizer.normalize_targets(targets)
-    timestamps = np.array(series.timestamp, dtype=np.int64)
-    norm_inputs.flags.writeable = False
-    norm_targets.flags.writeable = False
-    timestamps.flags.writeable = False
-    ends = np.arange(count, dtype=np.int64) * stride + (window_len - 1)
-    return Windows(label, norm_inputs, norm_targets, timestamps, ends, window_len)
+    stream = np.arange(count, dtype=np.int64) * stride + (window_len - 1)
+    # timestamps copied: the CSV reader's columns are views of its whole record table
+    return Phase(label, normalizer.normalize_inputs(inputs), normalizer.normalize_targets(targets),
+                 np.array(series.timestamp), stream, np.zeros(0, dtype=np.int64), window_len)
 
 
 def stack_samples(
@@ -145,9 +185,5 @@ def stack_steps(inputs: np.ndarray, rows: np.ndarray, window_len: int) -> np.nda
     """The windows ending at ``rows`` step-major: a C-contiguous (T, B, D)
     array whose [t, b] is step t of window b, so each step's rows are
     contiguous for a kernel that reads one step at a time."""
-    if len(rows) and (rows.min() < window_len - 1 or rows.max() >= len(inputs)):
-        raise ValueError(
-            f"window rows must lie in [{window_len - 1}, {len(inputs)}), "
-            f"the final rows of whole windows"
-        )
+    _check_window_rows(rows, window_len, len(inputs), "window")
     return inputs[rows - (window_len - 1) + np.arange(window_len)[:, None]]

@@ -23,11 +23,11 @@ import jsonschema
 from .atomic import atomic_open
 from .climate import PRESETS, GreenhouseParams, generate_series
 from .csvio import read_records, write_records
-from .dataset import Normalizer, build_samples, default_normalizer
+from .dataset import Normalizer, Phase, build_samples, default_normalizer
 from .memory import MemoryConfig
 from .model import ModelConfig
 from .rng import SeededRng
-from .trainer import Phase, ScenarioConfig
+from .trainer import ScenarioConfig
 
 
 class SpecError(ValueError):
@@ -162,6 +162,11 @@ def validate_spec(doc: dict) -> None:
         err = errors[0]
         where = ".".join(str(p) for p in err.absolute_path) or "spec"
         raise SpecError(f"{where}: {err.message}")
+    names = [entry["name"] for entry in doc["greenhouses"]]
+    for k, name in enumerate(names):
+        if name in names[:k]:
+            raise SpecError(f"greenhouses.{k}.name: {name!r} is repeated; "
+                            f"each greenhouse needs its own name")
 
 
 def _deep_merge(base: dict, override: dict) -> dict:

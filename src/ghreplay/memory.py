@@ -23,8 +23,9 @@ the number of distinct stored samples stays well-defined.
 
 Index layout: the memory holds no window data. It keeps a row table
 (``inputs`` (R, D), ``targets`` (R, K), ``timestamps`` and a label id
-per row), to which ``add_series`` appends each series the memory
-observes; a window is named by the table row of its final record, and
+per row), to which ``add_series`` appends the series of each
+``dataset.Phase`` the memory observes, labeled with the phase's
+greenhouse; a window is named by the table row of its final record, and
 its inputs are the ``window_len`` table rows ending there. A slot is one
 such row in the ``rows`` array. Observing and replaying move integers
 only; the trainer gathers the windows of a batch in one step.
@@ -47,6 +48,7 @@ from enum import Enum
 
 import numpy as np
 
+from .dataset import Phase
 from .rng import SeededRng
 
 _INV_2_53 = 2.0 ** -53
@@ -176,28 +178,22 @@ class EpisodicMemory:
         """Each slot's index into ``labels``."""
         return self.row_label_ids[self.rows]
 
-    def add_series(self, label: str, inputs: np.ndarray, targets: np.ndarray,
-                   timestamps: np.ndarray) -> int:
-        """Append one series to the row table; returns the table row of its
-        first record, to add to the series' own row numbers."""
-        if not len(inputs) == len(targets) == len(timestamps):
-            raise ValueError(
-                f"add_series: {label}: need one input, target and timestamp row per record, "
-                f"got {len(inputs)}, {len(targets)} and {len(timestamps)}"
-            )
-        if label not in self.labels:
-            self.labels.append(label)
-        label_id = self.labels.index(label)
+    def add_series(self, phase: Phase) -> int:
+        """Append a phase's series to the row table; returns the table row
+        of its first record, to add to the phase's own rows."""
+        if phase.label not in self.labels:
+            self.labels.append(phase.label)
+        label_id = self.labels.index(phase.label)
         offset = len(self.timestamps)
         if self.inputs is None:
-            self.inputs, self.targets = inputs, targets
+            self.inputs, self.targets = phase.inputs, phase.targets
         else:
-            self.inputs = np.concatenate([self.inputs, inputs])
-            self.targets = np.concatenate([self.targets, targets])
+            self.inputs = np.concatenate([self.inputs, phase.inputs])
+            self.targets = np.concatenate([self.targets, phase.targets])
             self.inputs.flags.writeable = self.targets.flags.writeable = False
-        self.timestamps = np.concatenate([self.timestamps, timestamps])
+        self.timestamps = np.concatenate([self.timestamps, phase.timestamps])
         self.row_label_ids = np.concatenate(
-            [self.row_label_ids, np.full(len(timestamps), label_id, dtype=np.int64)]
+            [self.row_label_ids, np.full(len(phase.timestamps), label_id, dtype=np.int64)]
         )
         return offset
 

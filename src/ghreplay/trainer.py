@@ -11,10 +11,11 @@ A run records into one ``LearningCurve``: its evaluations, phase starts,
 retention evaluations and the memory occupancy after every update; the
 CLI writes each part to its own CSV.
 
-Windows travel as integer rows (see ``dataset``): a phase's stream and
-test set are arrays of final-record rows, and when a phase starts its
-series is appended to the memory's row table, so new and replayed
-windows of an update are gathered together by ``stack_samples``.
+Windows travel as integer rows (see ``dataset.Phase``): a phase's
+stream and test set are arrays of final-record rows, and when a phase
+starts the memory appends its series to its row table, so new and
+replayed windows of an update are gathered together by
+``stack_samples``.
 Evaluation hands the phase's series and test rows to ``predict_batch``,
 whose workers gather one chunk of windows at a time: no stack of a
 whole test set outlives the call that uses it.
@@ -33,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .atomic import atomic_open
-from .dataset import Windows, stack_samples
+from .dataset import Phase, stack_samples
 from .memory import EpisodicMemory, MemoryConfig
 from .model import (
     AdamState,
@@ -50,68 +51,6 @@ from .model import (
     predict_batch,
 )
 from .rng import SeededRng
-
-
-def _read_only(arr, dtype) -> np.ndarray:
-    """A read-only view of ``arr`` as ``dtype`` (a copy only to convert)."""
-    out = np.asarray(arr, dtype=dtype).view()
-    out.flags.writeable = False
-    return out
-
-
-@dataclass(eq=False)
-class Phase:
-    """One greenhouse's normalized series, its training stream and its
-    held-out test set; the stream and the test set are final-record rows."""
-
-    label: str
-    inputs: np.ndarray       # (N, D)
-    targets: np.ndarray      # (N, K)
-    timestamps: np.ndarray   # (N,)
-    stream: np.ndarray       # training windows in temporal order
-    test_set: np.ndarray     # held-out windows
-    window_len: int
-
-    def __post_init__(self):
-        self.inputs = _read_only(self.inputs, np.float64)
-        self.targets = _read_only(self.targets, np.float64)
-        self.timestamps = _read_only(self.timestamps, np.int64)
-        self.stream = _read_only(self.stream, np.int64).reshape(-1)
-        self.test_set = _read_only(self.test_set, np.int64).reshape(-1)
-        n = len(self.timestamps)
-        if self.inputs.shape[0] != n or self.targets.shape[0] != n:
-            raise ValueError(
-                f"phase {self.label}: inputs, targets and timestamps need one row per record, "
-                f"got {self.inputs.shape[0]}, {self.targets.shape[0]} and {n}"
-            )
-        for name, rows in (("stream", self.stream), ("test set", self.test_set)):
-            if len(rows) and (rows.min() < self.window_len - 1 or rows.max() >= n):
-                raise ValueError(
-                    f"phase {self.label}: {name} rows must lie in "
-                    f"[{self.window_len - 1}, {n}), the final rows of whole windows"
-                )
-        overlap = np.intersect1d(self.stream, self.test_set)
-        if len(overlap):
-            raise ValueError(
-                f"phase {self.label}: test set overlaps training stream "
-                f"({len(overlap)} shared windows)"
-            )
-
-    @classmethod
-    def split(cls, windows: Windows, test_positions) -> "Phase":
-        """The windows at ``test_positions`` (indices into ``windows``) held
-        out, the rest streamed in temporal order."""
-        held = np.zeros(len(windows), dtype=bool)
-        held[np.asarray(list(test_positions), dtype=np.int64)] = True
-        return cls(
-            label=windows.label,
-            inputs=windows.inputs,
-            targets=windows.targets,
-            timestamps=windows.timestamps,
-            stream=windows.ends[~held],
-            test_set=windows.ends[held],
-            window_len=windows.window_len,
-        )
 
 
 @dataclass
@@ -264,8 +203,7 @@ def run_phase(
             f"but the model takes {model_cfg.window_len}"
         )
     curve.phase_starts.append((phase.label, state.update_index))
-    offset = state.memory.add_series(phase.label, phase.inputs, phase.targets, phase.timestamps)
-    stream = phase.stream + offset
+    stream = phase.stream + state.memory.add_series(phase)
     n_updates = len(stream) // scenario.batch_size
     for k in range(n_updates):
         batch = stream[k * scenario.batch_size : (k + 1) * scenario.batch_size]
@@ -313,14 +251,19 @@ def run_scenario(
     return ScenarioResult(curve, state)
 
 
-def phase_update_offset(scenario: ScenarioConfig, phase_label: str) -> int:
-    """Global update index at which the named phase begins."""
+def _locate_phase(scenario: ScenarioConfig, phase_label: str) -> tuple[Phase, int]:
+    """The named phase and the global update index at which it begins."""
     offset = 0
     for phase in scenario.phases:
         if phase.label == phase_label:
-            return offset
+            return phase, offset
         offset += len(phase.stream) // scenario.batch_size
     raise ValueError(f"unknown phase label {phase_label!r}")
+
+
+def phase_update_offset(scenario: ScenarioConfig, phase_label: str) -> int:
+    """Global update index at which the named phase begins."""
+    return _locate_phase(scenario, phase_label)[1]
 
 
 def run_baseline(
@@ -333,16 +276,14 @@ def run_baseline(
     update indices offset so the curve overlays the scenario's."""
     scenario.validate()
     model_cfg.validate()
-    phase = next((p for p in scenario.phases if p.label == phase_label), None)
-    if phase is None:
-        raise ValueError(f"unknown phase label {phase_label!r}")
+    phase, offset = _locate_phase(scenario, phase_label)
     if len(phase.stream) < scenario.batch_size:
         raise ValueError(
             f"phase {phase_label!r} stream ({len(phase.stream)} samples) is "
             f"shorter than one batch ({scenario.batch_size})"
         )
     state = _fresh_state(scenario, model_cfg, memory_cfg)
-    state.update_index = phase_update_offset(scenario, phase_label)
+    state.update_index = offset
     curve = LearningCurve()
     run_phase(state, phase, scenario, model_cfg, curve)
     return ScenarioResult(curve, state)
@@ -370,24 +311,32 @@ def write_curve_csv(path: str | Path, curve: LearningCurve) -> None:
     _write_table(path, CURVE_COLUMNS, map(astuple, curve.points))
 
 
-def read_curve_csv(path: str | Path) -> list[EvalPoint]:
-    points = []
+def _read_table(path: str | Path, columns: tuple[str, ...], converters: tuple,
+                what: str) -> list[list]:
+    """The rows under a header of ``columns``, each cell converted by its
+    column's converter; a bad or missing cell is named by file:line and column."""
+    rows = []
     with Path(path).open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if tuple(reader.fieldnames or ()) != CURVE_COLUMNS:
-            raise ValueError(f"{path}: expected curve columns {','.join(CURVE_COLUMNS)}")
-        for row in reader:
-            points.append(
-                EvalPoint(
-                    update_index=int(row["update_index"]),
-                    eval_index=int(row["eval_index"]),
-                    phase=row["phase"],
-                    mse_total=float(row["mse_total"]),
-                    mse_transpiration=float(row["mse_transpiration"]),
-                    mse_photosynthesis=float(row["mse_photosynthesis"]),
-                )
-            )
-    return points
+        reader = csv.reader(fh)
+        if tuple(next(reader, ())) != columns:
+            raise ValueError(f"{path}: expected {what} columns {','.join(columns)}")
+        for cells in filter(None, reader):  # blank lines skipped
+            where = f"{path}:{reader.line_num}"
+            if len(cells) < len(columns):
+                raise ValueError(f"{where}: column {columns[len(cells)]}: missing value")
+            row = []
+            for column, convert, cell in zip(columns, converters, cells):
+                try:
+                    row.append(convert(cell))
+                except ValueError:
+                    raise ValueError(f"{where}: column {column}: invalid value {cell!r}") from None
+            rows.append(row)
+    return rows
+
+
+def read_curve_csv(path: str | Path) -> list[EvalPoint]:
+    converters = (int, int, str, float, float, float)
+    return [EvalPoint(*row) for row in _read_table(path, CURVE_COLUMNS, converters, "curve")]
 
 
 def boundaries_path_for(curve_path: str | Path) -> Path:
@@ -400,14 +349,7 @@ def write_boundaries_csv(path: str | Path, curve: LearningCurve) -> None:
 
 
 def read_boundaries_csv(path: str | Path) -> list[tuple[str, int]]:
-    starts = []
-    with Path(path).open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if tuple(reader.fieldnames or ()) != BOUNDARY_COLUMNS:
-            raise ValueError(f"{path}: expected boundary columns {','.join(BOUNDARY_COLUMNS)}")
-        for row in reader:
-            starts.append((row["phase"], int(row["start_update"])))
-    return starts
+    return [tuple(row) for row in _read_table(path, BOUNDARY_COLUMNS, (str, int), "boundary")]
 
 
 def write_retention_csv(path: str | Path, curve: LearningCurve) -> None:

@@ -4,18 +4,16 @@ import pytest
 
 from ghreplay.climate import PRESETS, ClimateSeries, generate_series
 from ghreplay.csvio import COLUMNS
-from ghreplay.dataset import build_samples, default_normalizer
+from ghreplay.dataset import Phase, build_samples, default_normalizer
 from ghreplay.model import predict_batch
 from ghreplay.rng import SeededRng
-from ghreplay.trainer import Phase
 
 
 def add_rows(memory, label, n, input_dim=5, fill=0.5):
     """Append an n-record constant series to ``memory``'s row table under
     ``label``; returns its n table rows, to observe as window ends."""
-    offset = memory.add_series(
-        label, np.full((n, input_dim), fill), np.full((n, 2), fill), np.arange(n, dtype=np.int64)
-    )
+    offset = memory.add_series(Phase(label, np.full((n, input_dim), fill), np.full((n, 2), fill),
+                                     np.arange(n, dtype=np.int64), [], [], window_len=1))
     return offset + np.arange(n, dtype=np.int64)
 
 

@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from ghreplay.checkpoint import load_checkpoint, save_checkpoint
+from ghreplay.dataset import Phase
 from ghreplay.memory import EpisodicMemory, MemoryConfig, SubstitutionStrategy
 from ghreplay.model import ModelConfig, backward, init_adam, init_model, adam_step
 from ghreplay.rng import SeededRng
@@ -28,12 +31,13 @@ def trained_bundle(seed=0):
     ends = []
     for label in ("GH-0", "GH-1"):
         n = 30
-        offset = memory.add_series(
+        offset = memory.add_series(Phase(
             label,
             np.array([[rng.random() for _ in range(5)] for _ in range(n)]),
             np.array([[rng.random(), rng.random()] for _ in range(n)]),
             1000 * seed + 300 * np.arange(n, dtype=np.int64),
-        )
+            stream=[], test_set=[], window_len=WINDOW_LEN,
+        ))
         ends += (offset + np.arange(WINDOW_LEN - 1, n, 3)).tolist()
     mem_rng = SeededRng(seed + 2)
     memory.observe_batch(ends[:12], mem_rng)
@@ -103,8 +107,8 @@ def test_checkpoint_restores_equivalent_replay_behavior(tmp_path):
     # the loaded memory keeps absorbing new series like the saved one
     new_rows = {}
     for name, mem in (("saved", memory), ("loaded", bundle.memory)):
-        offset = mem.add_series("GH-2", np.full((20, 5), 0.5), np.full((20, 2), 0.5),
-                                np.arange(20, dtype=np.int64))
+        offset = mem.add_series(Phase("GH-2", np.full((20, 5), 0.5), np.full((20, 2), 0.5),
+                                      np.arange(20, dtype=np.int64), [], [], WINDOW_LEN))
         new_rows[name] = offset + np.arange(WINDOW_LEN - 1, 20)
         mem.observe_batch(new_rows[name], SeededRng(9))
     assert bundle.memory.occupancy_stats() == memory.occupancy_stats()
@@ -123,6 +127,15 @@ def test_checkpoint_empty_memory(tmp_path):
 
 
 
+def with_meta(section, key, value):
+    """A corruption of ``meta_json`` that sets ``meta[section][key]`` to ``value``."""
+    def corrupt(arr):
+        meta = json.loads(str(arr[()]))
+        meta[section][key] = value
+        return np.array(json.dumps(meta, sort_keys=True))
+    return corrupt
+
+
 @pytest.mark.parametrize(
     "key, corrupt, message",
     [
@@ -139,10 +152,25 @@ def test_checkpoint_empty_memory(tmp_path):
         ("mem_targets", lambda a: a[:, :1], r"mem_targets has shape \(10, 1\), expected \(10, 2\)"),
         ("mem_label_ids", lambda a: np.concatenate([a[:-1], [2]]), r"mem_label_ids has values outside \[0, 2\)"),
         ("mem_timestamps", lambda a: a[1:], r"mem_timestamps has shape \(9,\), expected \(10,\)"),
+        ("meta_json", with_meta("model_config", "learning_rate", -1.0),
+         "meta_json: ModelConfig.learning_rate must be > 0"),
+        ("meta_json", with_meta("model_config", "window_len", 0),
+         "meta_json: ModelConfig.window_len must be >= 1"),
+        ("meta_json", with_meta("model_config", "grad_clip", -3.0),
+         "meta_json: ModelConfig.grad_clip must be > 0 or None"),
+        ("meta_json", with_meta("memory_config", "capacity", 0),
+         "meta_json: MemoryConfig.capacity must be >= 1, got 0"),
+        ("meta_json", with_meta("memory_config", "capacity", 9),
+         "mem_rows has 10 slots, over the capacity 9"),
+        ("adam_t", lambda a: np.array(-5), "adam_t has value -5, expected >= 0"),
+        ("mem_observed_count", lambda a: np.array(-5),
+         "mem_observed_count has value -5, fewer than the 10 stored slots"),
     ],
     ids=["inf-b2", "shape-u", "nan-adam_v", "short-mem_inputs", "nan-mem_targets", "nan-mem_inputs",
          "below-mem_rows", "beyond-mem_rows", "float-mem_rows", "shape-mem_targets",
-         "unknown-mem_label_ids", "short-mem_timestamps"],
+         "unknown-mem_label_ids", "short-mem_timestamps", "negative-learning_rate",
+         "zero-window_len", "negative-grad_clip", "zero-capacity", "capacity-below-slots",
+         "negative-adam_t", "negative-mem_observed_count"],
 )
 def test_load_checkpoint_rejects_corrupt_arrays(tmp_path, key, corrupt, message):
     cfg, params, adam, memory, rng_states = trained_bundle(seed=7)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -156,6 +157,41 @@ def test_compare_malformed_curve_exit_1(tmp_path, capsys):
     (tmp_path / "bad_boundaries.csv").write_text("phase,start_update\nGH-A,0\n")
     assert main(["compare", str(bad), str(bad)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "curve, boundaries, message",
+    [
+        ("update_index,eval_index,phase,mse_total,mse_transpiration,mse_photosynthesis\n"
+         "3,1,GH-A,0.5,0.25,0.75\nx,2,GH-A,0.5,0.25,0.75\n",
+         "phase,start_update\nGH-A,0\n",
+         r"curve\.csv:3: column update_index: invalid value 'x'"),
+        ("update_index,eval_index,phase,mse_total,mse_transpiration,mse_photosynthesis\n"
+         "3,1,GH-A,0.5,0.25\n",
+         "phase,start_update\nGH-A,0\n",
+         r"curve\.csv:2: column mse_photosynthesis: missing value"),
+        ("update_index,eval_index,phase,mse_total,mse_transpiration,mse_photosynthesis\n"
+         "3,1,GH-A,0.5,0.25,0.75\n",
+         "phase,start_update\nGH-A,0\n\nGH-B,zero\n",
+         r"curve_boundaries\.csv:4: column start_update: invalid value 'zero'"),
+    ],
+    ids=["bad-int", "missing-float", "bad-boundary-after-blank-line"],
+)
+def test_compare_bad_cell_names_file_line_and_column(tmp_path, capsys, curve, boundaries, message):
+    (tmp_path / "curve.csv").write_text(curve)
+    (tmp_path / "curve_boundaries.csv").write_text(boundaries)
+    assert main(["compare", str(tmp_path / "curve.csv"), str(tmp_path / "curve.csv")]) == 1
+    assert re.search(f"^error: .*{message}$", capsys.readouterr().err.strip())
+
+
+def test_repeated_greenhouse_name_exit_2_before_writing(tmp_path, capsys):
+    spec_path, doc = write_tiny_spec(
+        tmp_path, greenhouses=[{"name": "GH-A"}, {"name": "GH-A", "params": {"i_max": 500.0}}]
+    )
+    for command in ("generate", "run"):
+        assert main([command, "--spec", str(spec_path)]) == 2
+        assert "greenhouses.1.name: 'GH-A' is repeated" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_unknown_spec_key_exit_2(tmp_path, capsys):

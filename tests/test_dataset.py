@@ -128,7 +128,7 @@ def test_build_samples_contiguous_targets_from_final_record():
     n = default_normalizer()
     windows = build_samples(series, "GH-A", window_len=12, stride=3, normalizer=n)
     assert windows.window_len == 12
-    for w_idx, end in enumerate(windows.ends.tolist()):
+    for w_idx, end in enumerate(windows.stream.tolist()):
         start = w_idx * 3
         assert end == start + 11
         assert windows.timestamps[end] == series.timestamp[end]
@@ -142,7 +142,7 @@ def test_build_samples_contiguous_targets_from_final_record():
 def test_build_samples_too_short_series():
     series = generate_series(PRESETS["GH-A"], days=1, rng=SeededRng(7))
     windows = build_samples(series_rows(series, slice(5)), "GH-A", window_len=6, stride=1, normalizer=default_normalizer())
-    assert len(windows) == 0 and windows.ends.shape == (0,)
+    assert len(windows) == 0 and windows.stream.shape == (0,)
 
 
 def test_build_samples_normalized_and_labeled():
@@ -154,7 +154,14 @@ def test_build_samples_normalized_and_labeled():
     assert windows.targets.shape == (len(series), 2)
     assert (windows.inputs >= 0.0).all() and (windows.inputs <= 1.0).all()
     assert (windows.targets >= 0.0).all() and (windows.targets <= 1.0).all()
-    assert (np.diff(windows.ends) == 2).all() and windows.ends[0] == 24
+    assert (np.diff(windows.stream) == 2).all() and windows.stream[0] == 24
+
+
+def test_build_samples_streams_every_window():
+    series = generate_series(PRESETS["GH-A"], days=1, rng=SeededRng(10))
+    phase = build_samples(series, "GH-A", 20, 3, default_normalizer())
+    assert len(phase) == len(phase.stream) == window_count(len(series), 20, 3)
+    assert phase.test_set.shape == (0,) and phase.window_len == 20
 
 
 def test_build_samples_views_are_readonly():

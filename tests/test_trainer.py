@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ghreplay import model
-from ghreplay.dataset import Windows, stack_steps
+from ghreplay.dataset import stack_steps
 from ghreplay.memory import EpisodicMemory, MemoryConfig
 from ghreplay.model import ModelConfig, TrainingDivergedError, init_adam, init_model, zeros_params
 from ghreplay.rng import SeededRng
@@ -35,20 +35,19 @@ MEM_CFG = MemoryConfig(capacity=500, substitution_probability=0.1)
 
 
 def synthetic_windows(n, label="GH-X", window_len=10, seed=0):
-    """A random series with n windows at stride 1."""
+    """A random series streaming n windows at stride 1."""
     rng = SeededRng(seed)
     records = n + window_len - 1
     inputs = np.array([[rng.random() for _ in range(5)] for _ in range(records)])
     targets = np.array([[rng.random(), rng.random()] for _ in range(records)])
     timestamps = 300 * np.arange(records, dtype=np.int64)
-    return Windows(label, inputs, targets, timestamps, np.arange(window_len - 1, records), window_len)
+    return Phase(label, inputs, targets, timestamps, np.arange(window_len - 1, records), [], window_len)
 
 
 def synthetic_stream(state, n, label="GH-X", seed=0):
     """Table rows of n new windows, appended to ``state``'s memory table."""
     windows = synthetic_windows(n, label=label, seed=seed)
-    offset = state.memory.add_series(label, windows.inputs, windows.targets, windows.timestamps)
-    return offset + windows.ends
+    return state.memory.add_series(windows) + windows.stream
 
 
 def fresh_state(seed=0, memory_cfg=None):
@@ -84,12 +83,12 @@ def test_phase_rejects_overlapping_test_set():
     w = synthetic_windows(10)
     with pytest.raises(ValueError, match="overlaps"):
         Phase(label="GH-X", inputs=w.inputs, targets=w.targets, timestamps=w.timestamps,
-              stream=w.ends, test_set=w.ends[:2], window_len=10)
+              stream=w.stream, test_set=w.stream[:2], window_len=10)
 
 
 def test_phase_rejects_rows_that_end_no_whole_window():
     w = synthetic_windows(10)
-    for bad in (w.ends - 1, w.ends + 1):
+    for bad in (w.stream - 1, w.stream + 1):
         with pytest.raises(ValueError, match=r"rows must lie in \[9, 19\)"):
             Phase(label="GH-X", inputs=w.inputs, targets=w.targets, timestamps=w.timestamps,
                   stream=bad, test_set=[], window_len=10)
@@ -101,6 +100,27 @@ def test_phase_split_keeps_temporal_order_and_is_read_only():
     assert phase.stream.tolist() == [9, 10, 12, 14, 15, 17, 18]
     with pytest.raises(ValueError):
         phase.stream[0] = 10
+
+
+def test_phase_split_counts_held_out_windows_and_resplits_them():
+    phase = Phase.split(synthetic_windows(10), [7, 2, 4])
+    assert len(phase) == 10
+    again = phase.split([0, 9])  # positions over all ten windows, held-out ones included
+    assert again.test_set.tolist() == [9, 18]
+    assert again.stream.tolist() == [10, 11, 12, 13, 14, 15, 16, 17]
+    assert again.label == "GH-X" and np.shares_memory(again.inputs, phase.inputs)
+    assert len(phase.test_set) == 3  # the original is kept
+
+
+def test_memory_add_series_appends_the_phase_series():
+    state = fresh_state()
+    first, second = make_phase(5, 3, label="GH-A", seed=1), make_phase(4, 2, label="GH-B", seed=2)
+    assert state.memory.add_series(first) == 0
+    assert state.memory.add_series(second) == len(first.timestamps)
+    assert np.array_equal(state.memory.inputs, np.concatenate([first.inputs, second.inputs]))
+    assert np.array_equal(state.memory.timestamps, np.concatenate([first.timestamps, second.timestamps]))
+    assert state.memory.labels == ["GH-A", "GH-B"]
+    assert state.memory.row_label_ids.tolist() == [0] * len(first.timestamps) + [1] * len(second.timestamps)
 
 
 def test_stack_samples_equals_stacked_window_slices():
@@ -443,7 +463,7 @@ def test_replay_toggle_identical_until_replay_engages(tiny_phases):
     results = {}
     for r in (0, 50):
         state = fresh_state(13)
-        offset = state.memory.add_series(phase_a.label, phase_a.inputs, phase_a.targets, phase_a.timestamps)
+        offset = state.memory.add_series(phase_a)
         batch1 = phase_a.stream[:50] + offset
         batch2 = phase_a.stream[50:100] + offset
         train_update(state, batch1, MODEL_CFG, replay_size=r)
