@@ -2,13 +2,17 @@
 
 A spec names the greenhouses (generator presets, explicit parameters, or
 existing CSV paths), the model, memory and scenario settings, and the
-output directory. It is validated against a JSON schema before any work
-starts; unknown keys are rejected. Two built-in presets supply defaults:
-``desk`` (minutes on a laptop) and ``paper`` (protocol-scale constants:
-window 250, 10-minute window separation, batches of 100, 10k-sample
-memory, substitution probability 0.1, evaluation every 3 updates,
-10k-sample test sets). Resolution order: preset defaults, then the spec
-file, then command-line flags.
+output directory. ``validate_spec`` checks it before any work starts,
+in-package, with the JSON Schema keywords ``EXPERIMENT_SCHEMA`` uses:
+``type`` (an ``integer`` is an ``int``, not a float or bool), ``enum``,
+``minimum``, ``maximum``, ``exclusiveMinimum``, ``exclusiveMaximum``,
+``minLength``, ``minItems``, ``items``, ``required``, ``properties`` and
+``additionalProperties: false``, so unknown keys are rejected. Two
+built-in presets supply defaults: ``desk`` (minutes on a laptop) and
+``paper`` (protocol-scale constants: window 250, 10-minute window
+separation, batches of 100, 10k-sample memory, substitution probability
+0.1, evaluation every 3 updates, 10k-sample test sets). Resolution order:
+preset defaults, then the spec file, then command-line flags.
 """
 
 from __future__ import annotations
@@ -16,9 +20,8 @@ from __future__ import annotations
 import copy
 import dataclasses
 import json
+import operator
 from pathlib import Path
-
-import jsonschema
 
 from .atomic import atomic_open
 from .climate import PRESETS, GreenhouseParams, generate_series
@@ -59,7 +62,7 @@ EXPERIMENT_SCHEMA = {
     "additionalProperties": False,
     "required": ["greenhouses"],
     "properties": {
-        "seed": {"type": "integer", "minimum": 0},
+        "seed": {"type": "integer", "minimum": 0, "maximum": 2**64 - 1},  # SeededRng's 64 bits
         "out_dir": {"type": "string", "minLength": 1},
         "days_per_phase": {"type": "integer", "minimum": 1},
         "greenhouses": {
@@ -155,13 +158,66 @@ def paper_spec() -> dict:
 PRESET_SPECS = {"desk": desk_spec, "paper": paper_spec}
 
 
+# JSON types as Python types; a bool is none of them, and an integer is an int
+_TYPES = {"object": dict, "array": list, "string": str, "integer": int,
+          "number": (int, float), "null": type(None)}
+_BOUNDS = {
+    "minimum": (operator.lt, "less than the minimum of"),
+    "maximum": (operator.gt, "greater than the maximum of"),
+    "exclusiveMinimum": (operator.le, "less than or equal to the minimum of"),
+    "exclusiveMaximum": (operator.ge, "greater than or equal to the maximum of"),
+}
+
+
+def _is(value, kind: str) -> bool:
+    return isinstance(value, _TYPES[kind]) and not isinstance(value, bool)
+
+
+def _schema_errors(value, schema: dict, path: tuple):
+    """Yield ``(path, message)`` for each way ``value`` breaks ``schema``,
+    keyword by keyword in the schema's order, as JSON Schema 2020-12 does."""
+    for keyword, arg in schema.items():
+        if keyword == "type":
+            kinds = [arg] if isinstance(arg, str) else arg
+            if not any(_is(value, kind) for kind in kinds):
+                yield path, f"{value!r} is not of type {' or '.join(map(repr, kinds))}"
+        elif keyword == "enum":
+            if value not in arg:
+                yield path, f"{value!r} is not one of {arg!r}"
+        elif keyword in _BOUNDS:
+            if _is(value, "number") and _BOUNDS[keyword][0](value, arg):
+                yield path, f"{value!r} is {_BOUNDS[keyword][1]} {arg!r}"
+        elif keyword in ("minLength", "minItems"):
+            if _is(value, "string" if keyword == "minLength" else "array") and len(value) < arg:
+                yield path, f"{value!r} is too short"
+        elif keyword == "items":
+            for index, item in enumerate(value if _is(value, "array") else ()):
+                yield from _schema_errors(item, arg, path + (index,))
+        elif keyword == "required":
+            for name in arg if _is(value, "object") else ():
+                if name not in value:
+                    yield path, f"{name!r} is a required property"
+        elif keyword == "properties":
+            for name, sub in arg.items() if _is(value, "object") else ():
+                if name in value:
+                    yield from _schema_errors(value[name], sub, path + (name,))
+        elif keyword == "additionalProperties" and arg is False:
+            allowed = schema.get("properties", {})
+            extra = sorted(set(value) - set(allowed)) if _is(value, "object") else []
+            if extra:
+                yield path, ("Additional properties are not allowed "
+                             f"({', '.join(map(repr, extra))} unexpected)")
+        elif keyword != "$schema":
+            raise ValueError(f"spec schema keyword {keyword}: {arg!r} is not supported")
+
+
 def validate_spec(doc: dict) -> None:
-    validator = jsonschema.Draft202012Validator(EXPERIMENT_SCHEMA)
-    errors = sorted(validator.iter_errors(doc), key=lambda e: list(e.absolute_path))
+    """Raise ``SpecError("<dotted.path>: <message>")`` for the first error by
+    path against ``EXPERIMENT_SCHEMA``, or for a repeated greenhouse name."""
+    errors = list(_schema_errors(doc, EXPERIMENT_SCHEMA, ()))
     if errors:
-        err = errors[0]
-        where = ".".join(str(p) for p in err.absolute_path) or "spec"
-        raise SpecError(f"{where}: {err.message}")
+        path, message = min(errors, key=lambda error: error[0])
+        raise SpecError(f"{'.'.join(map(str, path)) or 'spec'}: {message}")
     names = [entry["name"] for entry in doc["greenhouses"]]
     for k, name in enumerate(names):
         if name in names[:k]:

@@ -1,0 +1,228 @@
+"""The in-package spec checker: held to jsonschema as an oracle, strict
+about integers, and no longer pulling jsonschema into any command."""
+
+import copy
+import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from ghreplay.cli import main
+from ghreplay.experiment import (
+    EXPERIMENT_SCHEMA,
+    SpecError,
+    _schema_errors,
+    desk_spec,
+    paper_spec,
+    validate_spec,
+)
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+SUPPORTED_KEYWORDS = {
+    "$schema", "type", "enum", "minimum", "maximum", "exclusiveMinimum", "exclusiveMaximum",
+    "minLength", "minItems", "items", "required", "properties", "additionalProperties",
+}
+JSON_TYPES = {"object", "array", "string", "integer", "number", "null"}
+
+# values a mutation puts in place: every JSON type, integral floats, bounds and their neighbours
+VALUES = [
+    None, True, False, 0, 1, -1, 2, 16, 24, 25, 2**64 - 1, 2**64, 0.0, 0.5, 1.0, 16.0, -1.0,
+    1.5, 24.0, 1e300, float("nan"), float("inf"), "", "x", "GH-B", "per-sample", "per-row",
+    [], [{}], [{"name": "GH-B"}], [{"name": ""}], [{"name": "GH-Z", "csv": ""}], {},
+    {"name": "GH-Z"}, {"i_max": 0}, {"day_length_h": 24}, {"noise_sd": 0}, {"t_amp": 2.5},
+    {"surprise": 1},
+]
+
+
+def schema_keywords(schema):
+    """Every (keyword, argument) pair of ``schema`` and of its subschemas."""
+    for keyword, arg in schema.items():
+        yield keyword, arg
+        if keyword == "items":
+            yield from schema_keywords(arg)
+        elif keyword == "properties":
+            for sub in arg.values():
+                yield from schema_keywords(sub)
+
+
+EXTRA_KEYS = sorted({name for keyword, arg in schema_keywords(EXPERIMENT_SCHEMA)
+                     if keyword == "properties" for name in arg} | {"surprise"})
+
+
+def test_every_schema_keyword_is_one_the_checker_implements():
+    pairs = list(schema_keywords(EXPERIMENT_SCHEMA))
+    assert {keyword for keyword, _ in pairs} <= SUPPORTED_KEYWORDS
+    assert all(arg is False for keyword, arg in pairs if keyword == "additionalProperties")
+    for keyword, arg in pairs:
+        if keyword == "type":
+            assert set([arg] if isinstance(arg, str) else arg) <= JSON_TYPES
+    # a keyword the checker does not implement is an error, never silently passed
+    for schema in ({"anyOf": [{"type": "integer"}]}, {"additionalProperties": {"type": "integer"}}):
+        with pytest.raises(ValueError, match="is not supported"):
+            list(_schema_errors({"x": 1}, schema, ()))
+
+
+def spec_paths(doc, path=()):
+    """Every path below ``doc``'s root, containers before their contents."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from spec_paths(value, path + (key,))
+
+
+def containers(doc):
+    return [()] + [p for p in spec_paths(doc) if isinstance(at(doc, p), dict)]
+
+
+def at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def replaced(doc, path, value):
+    out = copy.deepcopy(doc)
+    at(out, path[:-1])[path[-1]] = copy.deepcopy(value)
+    return out
+
+
+def deleted(doc, path):
+    out = copy.deepcopy(doc)
+    del at(out, path[:-1])[path[-1]]
+    return out
+
+
+def extended(doc, path, key, value):
+    out = copy.deepcopy(doc)
+    at(out, path)[key] = copy.deepcopy(value)
+    return out
+
+
+def single_mutations(doc):
+    """Every value replaced by every test value, every key deleted, and an
+    extra key of each known name at every object."""
+    for path in spec_paths(doc):
+        for value in VALUES:
+            yield replaced(doc, path, value)
+        yield deleted(doc, path)
+    for path in containers(doc):
+        for key in EXTRA_KEYS:
+            yield extended(doc, path, key, VALUES[len(key) % len(VALUES)])
+
+
+def random_mutation(rng, doc):
+    """Two to four random replacements, deletions or extra keys in turn."""
+    for _ in range(rng.randint(2, 4)):
+        kind = rng.choice(["replace", "delete", "extend"])
+        if kind == "extend":
+            doc = extended(doc, rng.choice(containers(doc)), rng.choice(EXTRA_KEYS),
+                           rng.choice(VALUES))
+            continue
+        paths = list(spec_paths(doc))
+        if paths:
+            path = rng.choice(paths)
+            doc = replaced(doc, path, rng.choice(VALUES)) if kind == "replace" else deleted(doc, path)
+    return doc
+
+
+def checker_verdict(doc):
+    """The dotted path ``validate_spec`` reports, or None if it accepts."""
+    try:
+        validate_spec(doc)
+    except SpecError as exc:
+        return str(exc).split(": ", 1)[0]
+    return None
+
+
+def first_error(validator, doc):
+    errors = sorted(validator.iter_errors(doc), key=lambda e: list(e.absolute_path))
+    return errors[0] if errors else None
+
+
+def dotted(error):
+    return None if error is None else ".".join(map(str, error.absolute_path)) or "spec"
+
+
+def repeated_name(doc):
+    names = [entry["name"] for entry in doc["greenhouses"]]
+    for k, name in enumerate(names):
+        if name in names[:k]:
+            return f"greenhouses.{k}.name"
+    return None
+
+
+def test_checker_agrees_with_jsonschema_on_mutated_specs():
+    jsonschema = pytest.importorskip("jsonschema")
+    validator = jsonschema.Draft202012Validator(EXPERIMENT_SCHEMA)
+    # the checker's one intended difference: an integer is an int, never an integral float
+    strict_types = validator.TYPE_CHECKER.redefine(
+        "integer", lambda _, v: isinstance(v, int) and not isinstance(v, bool))
+    strict = jsonschema.validators.extend(jsonschema.Draft202012Validator,
+                                          type_checker=strict_types)(EXPERIMENT_SCHEMA)
+    rng = random.Random(20261018)
+    docs = []
+    for spec in (desk_spec(), paper_spec()):
+        docs += [spec, *single_mutations(spec)]
+        docs += [random_mutation(rng, spec) for _ in range(1100)]
+    assert len(docs) >= 5000
+    integral_floats = rejected = 0
+    for doc in docs:
+        got = checker_verdict(doc)
+        error = first_error(strict, doc)
+        expected = dotted(error) or repeated_name(doc)
+        assert got == expected, json.dumps(doc)
+        rejected += got is not None
+        if dotted(first_error(validator, doc)) != dotted(error):
+            # jsonschema takes 16.0 for an integer; the checker reports it
+            assert error.validator == "type" and error.validator_value == "integer", json.dumps(doc)
+            assert isinstance(error.instance, float) and error.instance.is_integer()
+            integral_floats += 1
+    assert integral_floats > 100 and 1000 < rejected < len(docs) - 100
+
+
+@pytest.mark.parametrize("key, value", [
+    ("model.hidden_dim", 16.0),
+    ("scenario.batch_size", 100.0),
+    ("memory.capacity", 2000.0),
+    ("data.window_len", 50.0),
+    ("seed", 1.0),
+    ("seed", True),
+    ("seed", 2**64),
+])
+def test_integer_fields_take_ints_that_fit_exit_2(tmp_path, capsys, key, value):
+    doc = value
+    for name in reversed(key.split(".")):
+        doc = {name: doc}
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["generate", "--spec", str(spec), "--out", str(out)]) == 2
+    assert f"{key}: {value!r} is" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def run_python(code, *args, cwd=None):
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, cwd=cwd,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_cli_import_leaves_jsonschema_unloaded():
+    out = run_python("import ghreplay.cli, sys; print('jsonschema' in sys.modules)")
+    assert out.returncode == 0 and out.stdout.strip() == "False", out.stderr
+
+
+def test_desk_commands_run_without_jsonschema(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"days_per_phase": 3, "scenario": {"test_size": 100}}))
+    code = ("import sys; sys.modules['jsonschema'] = None; "
+            "from ghreplay.cli import main; sys.exit(main(sys.argv[1:]))")
+    for command in ("generate", "run"):
+        out = run_python(code, command, "--preset", "desk", "--spec", str(spec),
+                         "--out", str(tmp_path / "out"), cwd=tmp_path)
+        assert out.returncode == 0, out.stderr
+    assert (tmp_path / "out" / "curve.csv").exists()
