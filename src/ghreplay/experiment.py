@@ -4,7 +4,8 @@ A spec names the greenhouses (generator presets, explicit parameters, or
 existing CSV paths), the model, memory and scenario settings, and the
 output directory. ``validate_spec`` checks it before any work starts,
 in-package, with the JSON Schema keywords ``EXPERIMENT_SCHEMA`` uses:
-``type`` (an ``integer`` is an ``int``, not a float or bool), ``enum``,
+``type`` (an ``integer`` is an ``int``, not a float or bool, and a
+``number`` is finite, not NaN or an infinity), ``enum``,
 ``minimum``, ``maximum``, ``exclusiveMinimum``, ``exclusiveMaximum``,
 ``minLength``, ``minItems``, ``items``, ``required``, ``properties`` and
 ``additionalProperties: false``, so unknown keys are rejected. Two
@@ -20,6 +21,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import json
+import math
 import operator
 from pathlib import Path
 
@@ -175,12 +177,17 @@ def _is(value, kind: str) -> bool:
 
 def _schema_errors(value, schema: dict, path: tuple):
     """Yield ``(path, message)`` for each way ``value`` breaks ``schema``,
-    keyword by keyword in the schema's order, as JSON Schema 2020-12 does."""
+    keyword by keyword in the schema's order, as JSON Schema 2020-12 does.
+    Stricter than JSON Schema in two ways: an integer is an int, never an
+    integral float, and a number is finite, never NaN or an infinity (which
+    Python's ``json`` reads)."""
     for keyword, arg in schema.items():
         if keyword == "type":
             kinds = [arg] if isinstance(arg, str) else arg
             if not any(_is(value, kind) for kind in kinds):
                 yield path, f"{value!r} is not of type {' or '.join(map(repr, kinds))}"
+            elif isinstance(value, float) and not math.isfinite(value):
+                yield path, f"{value!r} is not a finite number"
         elif keyword == "enum":
             if value not in arg:
                 yield path, f"{value!r} is not one of {arg!r}"

@@ -15,18 +15,23 @@ then the head's ``w1``, ``b1``, ``w2`` and ``b2``. These seven arrays are
 the unit of the gradients, the Adam moments and the checkpoint.
 
 One step loop serves training (keeping the BPTT cache) and prediction
-(keeping only the running state). The cache keeps the four gates and
-the cell state of every step, and the final hidden state; BPTT
-recomputes tanh(c) and h = o * tanh(c) one step back from them, with
-the same operations on the same inputs, so the gradients are the bits
-a cache of all seven would give. Finiteness is checked at the
-boundaries, not per operation: the windows once on entry, the four gate
-pre-activations once per step, then the dense pre-activation and the
-output product; prediction also checks the outputs after the bias b2,
-which training reports as divergence. A failed check raises
-``NonFiniteError``, a ``ValueError`` that names the batch rows holding a
-non-finite value; the rows are found only once a check has failed, and
-``trainer.train_update`` adds each row's greenhouse and timestamp.
+(keeping only the running state). The cache holds four (T, B, H) blocks,
+the four gates of every step, plus the cell state at the end of each
+segment of ceil(sqrt(T)) steps and the final hidden state. Just before
+BPTT walks a segment in reverse, it recomputes that segment's cell
+states from the last state before it, with the forward pass's three
+operations in the same order (recomputation as in Chen et al. 2016,
+arXiv 1604.06174); it recomputes tanh(c) and h = o * tanh(c) one step
+back. The same operations on the same inputs give the same bits, so the
+gradients are those a cache of every step's c, tanh(c) and h would give.
+Finiteness is checked at the boundaries, not per operation: the windows
+once on entry, the four gate pre-activations once per step, then the
+dense pre-activation and the output product; prediction also checks the
+outputs after the bias b2, which training reports as divergence. A
+failed check raises ``NonFiniteError``, a ``ValueError`` that names the
+batch rows holding a non-finite value; the rows are found only once a
+check has failed, and ``trainer.train_update`` adds each row's
+greenhouse and timestamp.
 Values read from CSV are already finite (``csvio``).
 
 Evaluation takes a series and the final rows of its windows (see
@@ -46,6 +51,7 @@ is Adam with bias correction.
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -175,16 +181,19 @@ def init_adam(cfg: ModelConfig) -> AdamState:
 
 @dataclass
 class ForwardCache:
-    """Per-step activations retained for backpropagation through time: five
-    (T, B, H) blocks. tanh(c) and the hidden states before the last are not
-    kept; BPTT recomputes them as tanh(c_s[t]) and gates[t, 2] * tanh(c_s[t])."""
+    """Activations retained for backpropagation through time: four (T, B, H)
+    blocks, the gates, and the cell states at the segment ends, steps
+    K - 1, 2K - 1, ... and T - 1 for segments of K = _segment(T) steps.
+    BPTT recomputes the other cell states one segment at a time, and
+    tanh(c) and the hidden states before the last one step at a time as
+    tanh(c) and gates[t, 2] * tanh(c)."""
 
     inputs: np.ndarray    # (B, T, D)
     gates: np.ndarray     # (T, 4, B, H) gates i, f, o and candidate g
-    c_s: np.ndarray       # (T, B, H) cell states
+    c_ends: np.ndarray    # (ceil(T / K), B, H) segment-end cell states
     h: np.ndarray         # (B, H) final hidden state
     dense: np.ndarray     # (B, dense) tanh layer output
-    outputs: np.ndarray   # (B, K) predictions
+    outputs: np.ndarray   # (B, output_dim) predictions
 
 
 _LAYOUTS = {
@@ -224,6 +233,13 @@ def _sigmoid_inplace(x: np.ndarray, e: np.ndarray, numerator: np.ndarray) -> Non
     np.divide(numerator, e, out=x)
 
 
+def _segment(steps: int) -> int:
+    """BPTT segment length for a ``steps``-step window: ceil(sqrt(steps)),
+    which keeps the segment-end states and one segment's recomputed
+    states both near sqrt(steps) (B, H) arrays."""
+    return math.isqrt(steps - 1) + 1
+
+
 def _forward(
     params: ModelParams, inputs: np.ndarray, keep_cache: bool, first_row: int = 0
 ) -> tuple[np.ndarray, ForwardCache | None]:
@@ -234,11 +250,11 @@ def _forward(
     non-finite product or bias makes its sum non-finite. The gates'
     weights are stored stacked, so each product is one broadcast matmul
     over transposed views that issues one gemm call per gate. With
-    keep_cache the gates and cell states are written straight into the
-    BPTT cache; h, tanh(c) and, without keep_cache, c and the gates are
-    scratch buffers updated in place. A failed check raises
-    ``NonFiniteError`` naming the batch rows involved, numbered from
-    ``first_row``.
+    keep_cache the gates are written straight into the BPTT cache and c
+    is copied out at each segment end; h, c, tanh(c) and, without
+    keep_cache, the gates are scratch buffers updated in place. A failed
+    check raises ``NonFiniteError`` naming the batch rows involved,
+    numbered from ``first_row``.
     """
     if not np.isfinite(inputs).all():
         raise _non_finite("windows contain", inputs, first_row)
@@ -257,17 +273,16 @@ def _forward(
     e = np.empty((3,) + shape)
     tc = np.empty(shape)
     if keep_cache:
+        segment = _segment(steps)
         gates_s = np.empty((steps, 4) + shape)
-        c_s = np.empty((steps,) + shape)
+        c_ends = np.empty((-(-steps // segment),) + shape)
     else:
         z = np.empty((4,) + shape)
 
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(steps):
             if keep_cache:
-                z, c_out = gates_s[t], c_s[t]
-            else:
-                c_out = c
+                z = gates_s[t]
             np.matmul(inputs[:, t, :], w, out=z)
             np.matmul(h, u, out=hu)
             z += hu
@@ -279,12 +294,13 @@ def _forward(
             _sigmoid_inplace(z[:3], e, hu[:3])  # hu is free once added
             np.tanh(z[3], out=z[3])
             i, f, o, g = z
-            np.multiply(f, c, out=c_out)
+            np.multiply(f, c, out=c)
             np.multiply(i, g, out=ig)
-            c_out += ig
-            np.tanh(c_out, out=tc)
+            c += ig
+            np.tanh(c, out=tc)
             np.multiply(o, tc, out=h)  # h's old value is spent in hu
-            c = c_out
+            if keep_cache and ((t + 1) % segment == 0 or t == steps - 1):
+                c_ends[t // segment] = c
 
         pre_dense = h @ params.w1.T + params.b1
         if not np.isfinite(pre_dense).all():
@@ -297,7 +313,7 @@ def _forward(
 
     if not keep_cache:
         return outputs, None
-    return outputs, ForwardCache(inputs, gates_s, c_s, h, dense, outputs)
+    return outputs, ForwardCache(inputs, gates_s, c_ends, h, dense, outputs)
 
 
 def _usable_cpus() -> int:
@@ -377,11 +393,15 @@ def backward(params: ModelParams, inputs: np.ndarray, targets: np.ndarray) -> tu
         di = dc * g;  df = dc * c_prev;  dg = dc * i
         dh_prev = sum_gate (d_pre_gate @ U_gate);  dc_prev = dc * f
 
-    The loop runs in place on preallocated (B, H) buffers. tanh(c_prev)
-    and h_prev = o_prev * tanh(c_prev) are recomputed from the cache once
+    The loop runs in place on preallocated (B, H) buffers. At the last
+    step of each segment it recomputes the cell states before that step
+    in the segment, from the cached state before the segment, as
+    f * c_prev + i * g with the forward pass's operations in its order.
+    tanh(c_prev) and h_prev = o_prev * tanh(c_prev) are recomputed once
     per step, and tanh(c_prev) is carried into the next step as tanh(c).
     The four gate deltas share one (4, B, H) buffer, so each weight
-    gradient is one broadcast matmul that issues one gemm call per gate.
+    gradient is one broadcast matmul that issues one gemm call per gate,
+    and the bias gradient is one einsum over the batch axis.
     """
     if inputs.shape[0] == 0:
         raise ValueError("backward: empty batch")
@@ -418,11 +438,24 @@ def backward(params: ModelParams, inputs: np.ndarray, targets: np.ndarray) -> tu
     da, p = np.empty((2, 4) + shape)
     s, dc_in, tc_prev, h_prev = np.empty((4,) + shape)
     dw, du, db = np.empty_like(params.w), np.empty_like(params.u), np.empty_like(params.b)
-    tc = np.tanh(cache.c_s[steps - 1])
+    segment = _segment(steps)
+    c_seg = np.empty((segment,) + shape)      # c_seg[k] is c_{t-1} at k = t % segment
+    tc = np.tanh(cache.c_ends[-1])
     for t in range(steps - 1, -1, -1):
+        k = t % segment
+        if t == steps - 1 or k == segment - 1:
+            # a segment's last step: recompute the states before it in the
+            # segment from the cached one before the segment
+            start = t - k
+            c_seg[0] = cache.c_ends[start // segment - 1] if start else zero
+            for j in range(k):
+                i, f, _, g = cache.gates[start + j]
+                np.multiply(f, c_seg[j], out=c_seg[j + 1])
+                np.multiply(i, g, out=s)
+                c_seg[j + 1] += s
         i, f, o, g = cache.gates[t]
         if t > 0:
-            c_prev = cache.c_s[t - 1]
+            c_prev = c_seg[k]
             np.tanh(c_prev, out=tc_prev)
             np.multiply(cache.gates[t - 1, 2], tc_prev, out=h_prev)
         else:
@@ -454,7 +487,7 @@ def backward(params: ModelParams, inputs: np.ndarray, targets: np.ndarray) -> tu
         da_t = da.transpose(0, 2, 1)
         grads.w += np.matmul(da_t, x_t, out=dw)
         grads.u += np.matmul(da_t, h_prev, out=du)
-        grads.b += np.sum(da, axis=1, out=db)
+        grads.b += np.einsum("kbh->kh", da, out=db)
 
         np.matmul(da, params.u, out=p)        # dh = ((p0 + p1) + p2) + p3
         np.add(p[0], p[1], out=dh)

@@ -50,9 +50,17 @@ def max_relative_gradient_error(seed, cfg=None, batch=3):
     return worst
 
 
-@pytest.mark.parametrize("seed", range(5))
-def test_bptt_matches_finite_differences(seed):
-    assert max_relative_gradient_error(seed) < REL_TOL
+# at hidden 1 the bias gradient's batch sum is not np.sum's pairwise one
+HIDDEN_1 = ModelConfig(input_dim=5, hidden_dim=1, dense_dim=4, window_len=9)
+
+
+@pytest.mark.parametrize(
+    "seed, cfg, batch",
+    [pytest.param(seed, None, 3, id=str(seed)) for seed in range(5)]
+    + [pytest.param(seed, HIDDEN_1, 9, id=f"hidden1-{seed}") for seed in range(3)],
+)
+def test_bptt_matches_finite_differences(seed, cfg, batch):
+    assert max_relative_gradient_error(seed, cfg, batch) < REL_TOL
 
 
 def test_batch_gradient_is_mean_of_single_gradients():
@@ -69,3 +77,4 @@ def test_batch_gradient_is_mean_of_single_gradients():
     for name, arr in g_pair.items():
         mean = (getattr(g_first, name) + getattr(g_second, name)) / 2.0
         assert np.max(np.abs(arr - mean)) < 1e-10
+

@@ -1,8 +1,10 @@
 """The in-package spec checker: held to jsonschema as an oracle, strict
-about integers, and no longer pulling jsonschema into any command."""
+about integers and finite numbers, and no longer pulling jsonschema into
+any command."""
 
 import copy
 import json
+import math
 import os
 import random
 import subprocess
@@ -31,8 +33,8 @@ JSON_TYPES = {"object", "array", "string", "integer", "number", "null"}
 # values a mutation puts in place: every JSON type, integral floats, bounds and their neighbours
 VALUES = [
     None, True, False, 0, 1, -1, 2, 16, 24, 25, 2**64 - 1, 2**64, 0.0, 0.5, 1.0, 16.0, -1.0,
-    1.5, 24.0, 1e300, float("nan"), float("inf"), "", "x", "GH-B", "per-sample", "per-row",
-    [], [{}], [{"name": "GH-B"}], [{"name": ""}], [{"name": "GH-Z", "csv": ""}], {},
+    1.5, 24.0, 1e300, float("nan"), float("inf"), float("-inf"), "", "x", "GH-B", "per-sample",
+    "per-row", [], [{}], [{"name": "GH-B"}], [{"name": ""}], [{"name": "GH-Z", "csv": ""}], {},
     {"name": "GH-Z"}, {"i_max": 0}, {"day_length_h": 24}, {"noise_sd": 0}, {"t_amp": 2.5},
     {"surprise": 1},
 ]
@@ -158,9 +160,13 @@ def repeated_name(doc):
 def test_checker_agrees_with_jsonschema_on_mutated_specs():
     jsonschema = pytest.importorskip("jsonschema")
     validator = jsonschema.Draft202012Validator(EXPERIMENT_SCHEMA)
-    # the checker's one intended difference: an integer is an int, never an integral float
-    strict_types = validator.TYPE_CHECKER.redefine(
-        "integer", lambda _, v: isinstance(v, int) and not isinstance(v, bool))
+    # the checker's two intended differences: an integer is an int, never an
+    # integral float, and a number is finite
+    strict_types = validator.TYPE_CHECKER.redefine_many({
+        "integer": lambda _, v: isinstance(v, int) and not isinstance(v, bool),
+        "number": lambda _, v: (isinstance(v, (int, float)) and not isinstance(v, bool)
+                                and (isinstance(v, int) or math.isfinite(v))),
+    })
     strict = jsonschema.validators.extend(jsonschema.Draft202012Validator,
                                           type_checker=strict_types)(EXPERIMENT_SCHEMA)
     rng = random.Random(20261018)
@@ -169,7 +175,7 @@ def test_checker_agrees_with_jsonschema_on_mutated_specs():
         docs += [spec, *single_mutations(spec)]
         docs += [random_mutation(rng, spec) for _ in range(1100)]
     assert len(docs) >= 5000
-    integral_floats = rejected = 0
+    integral_floats = non_finite = rejected = 0
     for doc in docs:
         got = checker_verdict(doc)
         error = first_error(strict, doc)
@@ -177,11 +183,18 @@ def test_checker_agrees_with_jsonschema_on_mutated_specs():
         assert got == expected, json.dumps(doc)
         rejected += got is not None
         if dotted(first_error(validator, doc)) != dotted(error):
-            # jsonschema takes 16.0 for an integer; the checker reports it
-            assert error.validator == "type" and error.validator_value == "integer", json.dumps(doc)
-            assert isinstance(error.instance, float) and error.instance.is_integer()
-            integral_floats += 1
-    assert integral_floats > 100 and 1000 < rejected < len(docs) - 100
+            # jsonschema takes 16.0 for an integer and NaN or inf for a
+            # number; the checker reports them
+            assert error.validator == "type" and isinstance(error.instance, float), json.dumps(doc)
+            if math.isfinite(error.instance):
+                assert error.validator_value == "integer" and error.instance.is_integer()
+                integral_floats += 1
+            else:
+                assert "number" in error.validator_value, json.dumps(doc)
+                non_finite += 1
+    # per spec, at least NaN in both of its number fields and inf in learning_rate
+    assert integral_floats > 100 and non_finite >= 6
+    assert 1000 < rejected < len(docs) - 100
 
 
 @pytest.mark.parametrize("key, value", [
@@ -202,6 +215,22 @@ def test_integer_fields_take_ints_that_fit_exit_2(tmp_path, capsys, key, value):
     out = tmp_path / "out"
     assert main(["generate", "--spec", str(spec), "--out", str(out)]) == 2
     assert f"{key}: {value!r} is" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value, text", [
+    ("model.adam_beta1", "nan", '{"model": {"adam_beta1": NaN}}'),
+    ("greenhouses.0.params.noise_sd", "inf",
+     '{"greenhouses": [{"name": "GH-Q", "params": {"noise_sd": Infinity}}]}'),
+    ("model.learning_rate", "inf", '{"model": {"learning_rate": Infinity}}'),
+    ("model.grad_clip", "-inf", '{"model": {"grad_clip": -Infinity}}'),
+])
+def test_number_fields_take_finite_numbers_exit_2(tmp_path, capsys, key, value, text):
+    spec = tmp_path / "spec.json"
+    spec.write_text(text)
+    out = tmp_path / "out"
+    assert main(["generate", "--spec", str(spec), "--out", str(out)]) == 2
+    assert f"{key}: {value} is not a finite number" in capsys.readouterr().err
     assert not out.exists()
 
 
