@@ -1,10 +1,14 @@
-"""Single-file checkpoints: model, optimizer, memory and RNG streams.
+"""Single-file checkpoints of a run's ``TrainerState``: model, optimizer,
+memory and RNG streams.
 
 The container is a numpy ``.npz`` archive (self-describing named arrays)
 with configuration and RNG stream states embedded as JSON strings. All
 float64 payloads round-trip bit-exactly. The file is written to a
 temporary name and moved into place, so a failed save keeps the
-previous checkpoint.
+previous checkpoint. Loading checks every array and both stream states
+and names the file and the first bad entry; it returns the model
+config and a ``TrainerState`` whose update counter is the Adam step
+count, one step per update in every checkpoint ``run`` writes.
 
 The memory is stored in its index layout, compacted to what its windows
 use (``R`` rows, ``n`` slots):
@@ -29,7 +33,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -37,15 +40,8 @@ import numpy as np
 from .atomic import atomic_open
 from .memory import EpisodicMemory, MemoryConfig
 from .model import AdamState, ModelConfig, ModelParams, zeros_params
-
-
-@dataclass
-class CheckpointBundle:
-    model_cfg: ModelConfig
-    params: ModelParams
-    adam: AdamState
-    memory: EpisodicMemory
-    rng_states: dict[str, dict]
+from .rng import SeededRng
+from .trainer import TrainerState
 
 
 def _memory_arrays(memory: EpisodicMemory, cfg: ModelConfig) -> dict[str, np.ndarray]:
@@ -70,26 +66,21 @@ def _memory_arrays(memory: EpisodicMemory, cfg: ModelConfig) -> dict[str, np.nda
     }
 
 
-def save_checkpoint(
-    path: str | Path,
-    model_cfg: ModelConfig,
-    params: ModelParams,
-    adam: AdamState,
-    memory: EpisodicMemory,
-    rng_states: dict[str, dict],
-) -> None:
+def save_checkpoint(path: str | Path, model_cfg: ModelConfig, state: TrainerState) -> None:
     arrays: dict[str, np.ndarray] = {}
-    for prefix, store in (("param", params), ("adam_m", adam.m), ("adam_v", adam.v)):
+    adam = state.adam
+    for prefix, store in (("param", state.params), ("adam_m", adam.m), ("adam_v", adam.v)):
         for name, arr in store.items():
             arrays[f"{prefix}__{name}"] = arr
     arrays["adam_t"] = np.array(adam.t, dtype=np.int64)
 
-    arrays.update(_memory_arrays(memory, model_cfg))
+    arrays.update(_memory_arrays(state.memory, model_cfg))
 
     meta = {
         "model_config": dataclasses.asdict(model_cfg),
-        "memory_config": dataclasses.asdict(memory.config),
-        "rng_states": rng_states,
+        "memory_config": dataclasses.asdict(state.memory.config),
+        "rng_states": {"replay": state.replay_rng.get_state(),
+                       "memory": state.memory_rng.get_state()},
     }
     arrays["meta_json"] = np.array(json.dumps(meta, sort_keys=True))
     with atomic_open(path, "wb") as fh:
@@ -103,10 +94,10 @@ def _array(path, data, key: str) -> np.ndarray:
 
 
 def _checked(path, key: str, arr: np.ndarray, shape: tuple, finite: bool = True,
-             within: tuple[int, int] | None = None) -> np.ndarray:
+             within: tuple[int, float] | None = None) -> np.ndarray:
     """``arr``, loaded as ``key``, checked to have ``shape`` and, if
     ``finite``, only finite values; if ``within`` is ``(low, high)``, to
-    hold integers in ``[low, high)``."""
+    hold integers in ``[low, high)`` (``high`` may be ``inf``)."""
     if arr.shape != shape:
         raise ValueError(f"{path}: array {key} has shape {arr.shape}, expected {shape}")
     if finite and not np.isfinite(arr).all():
@@ -115,7 +106,7 @@ def _checked(path, key: str, arr: np.ndarray, shape: tuple, finite: bool = True,
         low, high = within
         if not np.issubdtype(arr.dtype, np.integer):
             raise ValueError(f"{path}: array {key} has dtype {arr.dtype}, expected integers")
-        if len(arr) and (arr.min() < low or arr.max() >= high):
+        if arr.size and (arr.min() < low or arr.max() >= high):
             raise ValueError(f"{path}: array {key} has values outside [{low}, {high})")
     return arr
 
@@ -167,22 +158,26 @@ def _checked_memory(path, data, memory: EpisodicMemory, cfg: ModelConfig) -> Non
     memory.labels = [str(label) for label in labels]
     memory.inputs, memory.targets = inputs, targets
     memory.timestamps, memory.row_label_ids = timestamps, row_label_ids
-    memory.observed_count = int(data["mem_observed_count"])
-    if memory.observed_count < n:
-        raise ValueError(f"{path}: array mem_observed_count has value {memory.observed_count}, "
-                         f"fewer than the {n} stored slots")
+    memory.observed_count = int(_checked(path, "mem_observed_count",
+                                         _array(path, data, "mem_observed_count"), (),
+                                         finite=False, within=(n, np.inf)))
     if n > memory.config.capacity:
         raise ValueError(f"{path}: array mem_rows has {n} slots, "
                          f"over the capacity {memory.config.capacity}")
 
 
-def load_checkpoint(path: str | Path) -> CheckpointBundle:
+def load_checkpoint(path: str | Path) -> tuple[ModelConfig, TrainerState]:
     with np.load(Path(path), allow_pickle=False) as data:
-        meta = json.loads(str(data["meta_json"][()]))
+        meta_json = str(_array(path, data, "meta_json")[()])
         try:
+            meta = json.loads(meta_json)
             model_cfg = ModelConfig(**meta["model_config"])
             model_cfg.validate()
             memory = EpisodicMemory(MemoryConfig(**meta["memory_config"]))
+            replay_rng, memory_rng = (SeededRng.from_state(meta["rng_states"][name])
+                                      for name in ("replay", "memory"))
+        except KeyError as exc:
+            raise ValueError(f"{path}: array meta_json: {exc} is missing") from None
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{path}: array meta_json: {exc}") from None
 
@@ -191,17 +186,10 @@ def load_checkpoint(path: str | Path) -> CheckpointBundle:
         adam = AdamState(
             m=_checked_params(path, data, "adam_m", expected),
             v=_checked_params(path, data, "adam_v", expected),
-            t=int(data["adam_t"]),
+            t=int(_checked(path, "adam_t", _array(path, data, "adam_t"), (),
+                           finite=False, within=(0, np.inf))),
         )
-        if adam.t < 0:
-            raise ValueError(f"{path}: array adam_t has value {adam.t}, expected >= 0")
-
         _checked_memory(path, data, memory, model_cfg)
 
-    return CheckpointBundle(
-        model_cfg=model_cfg,
-        params=params,
-        adam=adam,
-        memory=memory,
-        rng_states=meta["rng_states"],
-    )
+    return model_cfg, TrainerState(params, adam, memory, replay_rng, memory_rng,
+                                   update_index=adam.t)

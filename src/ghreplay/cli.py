@@ -68,10 +68,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     result = trainer.run_scenario(scenario, model_cfg, memory_cfg, retention=args.retention)
 
     _write_curve(out_dir / "curve.csv", result.curve)
-    state = result.state
-    save_checkpoint(out_dir / "checkpoint.npz", model_cfg, state.params, state.adam, state.memory,
-                    {"replay": state.replay_rng.get_state(),
-                     "memory": state.memory_rng.get_state()})
+    save_checkpoint(out_dir / "checkpoint.npz", model_cfg, result.state)
     print(f"wrote {out_dir / 'checkpoint.npz'}")
     for wanted, name, write in ((args.retention, "retention.csv", trainer.write_retention_csv),
                                 (args.dump_memory, "memory.csv", trainer.write_memory_csv)):

@@ -18,10 +18,15 @@ model), timestamps must step by 300 s, and rh, radiation and co2 must lie
 in their physical ranges. The body is parsed in one vectorized pass
 (``np.loadtxt``, whose float parse rounds as ``float()`` does) and
 checked as whole columns. Only when that parse or a check fails does a
-per-line pass with ``int()`` and ``float()`` run: it names the first bad
-line or, for cells only Python's parsers read (``1_000``, a quoted
-number), reads the file itself. The reader thus accepts exactly the
-files the per-line checks accept.
+per-line pass over ``read_table`` run, converting with ``int()`` and
+``float()``: it names the first bad line or, for cells only Python's
+parsers read (``1_000``, a quoted number), reads the file itself. The
+reader thus accepts exactly the files the per-line checks accept.
+
+``read_table`` is the one reader of headed CSV tables, the climate files
+and the curves that ``compare`` reads back alike: it checks the header,
+skips blank lines, and rejects a row with the wrong number of cells or
+a cell that its column's converter rejects, naming the file and line.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
+from collections.abc import Callable, Iterator
 from pathlib import Path
 
 import numpy as np
@@ -61,7 +67,7 @@ def read_records(path: str | Path) -> ClimateSeries:
     """Read and validate a climate CSV; errors carry the 1-based line number."""
     path = Path(path)
     with path.open("r", encoding="utf-8", newline="") as fh:
-        _check_header(path, fh)
+        _check_header(path, fh, COLUMNS)
         try:
             with warnings.catch_warnings():
                 # an empty body warns, and numpy < 1.26 reads "300.0" as an int with a warning
@@ -74,19 +80,52 @@ def read_records(path: str | Path) -> ClimateSeries:
     return ClimateSeries(*(table[name] for name in COLUMNS))
 
 
-def _check_header(path: Path, fh):
+def _check_header(path: Path, fh, columns: tuple[str, ...]):
     """A CSV reader over ``fh``, positioned after its checked header."""
     reader = csv.reader(fh)
     try:
         header = next(reader)
     except StopIteration:
-        raise ValueError(f"{path}: empty file, expected header {','.join(COLUMNS)}") from None
-    if tuple(header) != COLUMNS:
-        missing = [c for c in COLUMNS if c not in header]
+        raise ValueError(f"{path}: empty file, expected header {','.join(columns)}") from None
+    if tuple(header) != columns:
+        missing = [c for c in columns if c not in header]
         if missing:
             raise ValueError(f"{path}:1: missing column(s) {', '.join(missing)}")
-        raise ValueError(f"{path}:1: columns must be exactly {','.join(COLUMNS)}")
+        raise ValueError(f"{path}:1: columns must be exactly {','.join(columns)}")
     return reader
+
+
+def read_table(
+    path: str | Path, columns: tuple[str, ...], converters: tuple[Callable[[str], object], ...]
+) -> Iterator[tuple[int, tuple]]:
+    """``(line number, cells)`` for each non-blank row under a header of
+    ``columns``, each cell converted by its column's converter; a row
+    with the wrong number of cells, or a cell whose converter raises
+    ``ValueError``, fails with the file and line."""
+    path = Path(path)
+    with path.open("r", encoding="utf-8", newline="") as fh:
+        reader = _check_header(path, fh, columns)
+        for cells in reader:
+            if not cells:
+                continue
+            where = f"{path}:{reader.line_num}"
+            if len(cells) != len(columns):
+                raise ValueError(f"{where}: expected {len(columns)} cells, got {len(cells)}")
+            row = []
+            for column, convert, cell in zip(columns, converters, cells):
+                try:
+                    row.append(convert(cell))
+                except ValueError:
+                    raise ValueError(f"{where}: column {column}: invalid value {cell!r}") from None
+            yield reader.line_num, tuple(row)
+
+
+def _finite_float(cell: str) -> float:
+    """``float(cell)``, rejecting ``nan``, ``inf`` and ``-inf``."""
+    value = float(cell)
+    if not math.isfinite(value):
+        raise ValueError(cell)
+    return value
 
 
 def _passes_checks(table: np.ndarray) -> bool:
@@ -107,40 +146,21 @@ def _read_lines(path: Path) -> np.ndarray:
     """The file parsed and checked line by line: raises for the first bad
     line, else returns the table."""
     rows = []
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        prev_ts: int | None = None
-        for line_no, row in enumerate(_check_header(path, fh), start=2):
-            if not row:
-                continue
-            if len(row) != len(COLUMNS):
-                raise ValueError(f"{path}:{line_no}: expected {len(COLUMNS)} cells, got {len(row)}")
-            try:
-                ts = int(row[0])
-            except ValueError:
-                raise ValueError(f"{path}:{line_no}: non-numeric timestamp {row[0]!r}") from None
-            values = []
-            for col, cell in zip(COLUMNS[1:], row[1:]):
-                try:
-                    values.append(float(cell))
-                except ValueError:
-                    raise ValueError(
-                        f"{path}:{line_no}: non-numeric value {cell!r} in column {col}"
-                    ) from None
-            for col, cell, value in zip(COLUMNS[1:], row[1:], values):
-                if not math.isfinite(value):
-                    raise ValueError(f"{path}:{line_no}: non-finite value {cell!r} in column {col}")
-            t_air, rh, radiation, co2, t_leaf, transp, photo = values
-            if prev_ts is not None and ts != prev_ts + SAMPLE_INTERVAL_S:
-                raise ValueError(
-                    f"{path}:{line_no}: timestamp {ts} does not increase by "
-                    f"{SAMPLE_INTERVAL_S} s over previous {prev_ts}"
-                )
-            if radiation < 0:
-                raise ValueError(f"{path}:{line_no}: radiation must be >= 0, got {radiation}")
-            if not 0.0 <= rh <= 100.0:
-                raise ValueError(f"{path}:{line_no}: rh must be in [0, 100], got {rh}")
-            if co2 <= 0:
-                raise ValueError(f"{path}:{line_no}: co2 must be > 0, got {co2}")
-            prev_ts = ts
-            rows.append((ts, *values))
+    prev_ts: int | None = None
+    converters = (int,) + (_finite_float,) * (len(COLUMNS) - 1)
+    for line_no, row in read_table(path, COLUMNS, converters):
+        ts, t_air, rh, radiation, co2, t_leaf, transp, photo = row
+        if prev_ts is not None and ts != prev_ts + SAMPLE_INTERVAL_S:
+            raise ValueError(
+                f"{path}:{line_no}: timestamp {ts} does not increase by "
+                f"{SAMPLE_INTERVAL_S} s over previous {prev_ts}"
+            )
+        if radiation < 0:
+            raise ValueError(f"{path}:{line_no}: radiation must be >= 0, got {radiation}")
+        if not 0.0 <= rh <= 100.0:
+            raise ValueError(f"{path}:{line_no}: rh must be in [0, 100], got {rh}")
+        if co2 <= 0:
+            raise ValueError(f"{path}:{line_no}: co2 must be > 0, got {co2}")
+        prev_ts = ts
+        rows.append(row)
     return np.array(rows, dtype=_TABLE)

@@ -26,21 +26,21 @@ back. The same operations on the same inputs give the same bits, so the
 gradients are those a cache of every step's c, tanh(c) and h would give.
 Finiteness is checked at the boundaries, not per operation: the windows
 once on entry, the four gate pre-activations once per step, then the
-dense pre-activation and the output product; prediction also checks the
-outputs after the bias b2, which training reports as divergence. A
-failed check raises ``NonFiniteError``, a ``ValueError`` that names the
-batch rows holding a non-finite value; the rows are found only once a
-check has failed, and ``trainer.train_update`` adds each row's
-greenhouse and timestamp.
+dense pre-activation and the outputs after the bias b2, in the one
+forward pass that training and prediction share; training also checks
+that the squared errors do not overflow. A failed check raises
+``NonFiniteError``, a ``ValueError`` that names the batch rows holding a
+non-finite value; the rows are found only once a check has failed, and
+``trainer.train_update`` adds each row's greenhouse and timestamp.
 Values read from CSV are already finite (``csvio``).
 
 Evaluation takes a series and the final rows of its windows (see
-``dataset``) and runs them in chunks of 512 windows, one worker thread
-per usable CPU; each worker gathers its own chunk from the series, so
-no stack of the whole test set is built. Results are bit-identical for
-any CPU count. Importing ``ghreplay`` pins BLAS to one thread unless the
-environment already sets its thread count, so chunk threads do not
-multiply with BLAS threads.
+``dataset``) and runs them in chunks of 512 windows, one contiguous
+block of chunks per usable CPU; each worker gathers its own chunk from
+the series, so no stack of the whole test set is built. Results are
+bit-identical for any CPU count. Importing ``ghreplay`` pins BLAS to one
+thread unless the environment already sets its thread count, so chunk
+threads do not multiply with BLAS threads.
 
 The training loss is the batch-mean MSE that evaluation also uses.
 Gradients are derived by hand through the unrolled window (no autodiff);
@@ -64,19 +64,10 @@ from .linalg import TANH
 from .rng import SeededRng
 
 
-class TrainingDivergedError(RuntimeError):
-    """Raised when a forward/backward pass produces a non-finite loss;
-    ``rows`` are the batch rows whose prediction or squared error is
-    non-finite (none when only their sum overflows)."""
-
-    def __init__(self, message: str, rows=()):
-        super().__init__(message)
-        self.rows = np.asarray(rows, dtype=np.int64)
-
-
 class NonFiniteError(ValueError):
     """Raised when a kernel finiteness check fails; ``rows`` are the batch
-    rows that hold a non-finite value."""
+    rows that hold a non-finite value (none when only the sum of finite
+    squared errors overflows)."""
 
     def __init__(self, message: str, rows=()):
         super().__init__(message)
@@ -193,7 +184,6 @@ class ForwardCache:
     c_ends: np.ndarray    # (ceil(T / K), B, H) segment-end cell states
     h: np.ndarray         # (B, H) final hidden state
     dense: np.ndarray     # (B, dense) tanh layer output
-    outputs: np.ndarray   # (B, output_dim) predictions
 
 
 _LAYOUTS = {
@@ -306,14 +296,13 @@ def _forward(
         if not np.isfinite(pre_dense).all():
             raise _non_finite("dense layer pre-activation contains", pre_dense, first_row)
         dense = np.tanh(pre_dense)
-        head = dense @ params.w2.T
-        if not np.isfinite(head).all():
-            raise _non_finite("output layer product contains", head, first_row)
-    outputs = head + params.b2
+        outputs = dense @ params.w2.T + params.b2
+        if not np.isfinite(outputs).all():
+            raise _non_finite("output layer contains", outputs, first_row)
 
     if not keep_cache:
         return outputs, None
-    return outputs, ForwardCache(inputs, gates_s, c_ends, h, dense, outputs)
+    return outputs, ForwardCache(inputs, gates_s, c_ends, h, dense)
 
 
 def _usable_cpus() -> int:
@@ -333,14 +322,16 @@ def predict_batch(
     """Stateless predictions for the windows of the (N, D) series ``inputs``
     that end at ``rows``, one output row per entry of ``rows``.
 
-    The windows run in independent chunks of ``CHUNK``, spread over one
-    worker per usable CPU: the calling thread takes chunks 0, w, 2w, ...
-    and w - 1 helper threads take the rest. Each worker gathers its own
-    chunk from the series, so at most one chunk per worker is ever
-    stacked. The gather is step-major, because the kernel reads one step
-    of all the chunk's windows at a time: with two workers, batch-major
-    chunks made a paper-shape evaluation about 15 % slower than one
-    whole-set stack, and step-major chunks did not. A chunk's result
+    The windows run in independent chunks of ``CHUNK``, dealt out as one
+    contiguous block of chunks per usable CPU: the calling thread takes
+    the first block and helper threads the others. The blocks join in
+    order, and the error reported is the lowest failing chunk's whatever
+    the CPU count. Each worker gathers its own chunk from the series, so
+    at most one chunk per worker is ever stacked. The gather is
+    step-major, because the kernel reads one step of all the chunk's
+    windows at a time: with two workers, batch-major chunks made a
+    paper-shape evaluation about 15 % slower than one whole-set stack,
+    and step-major chunks did not. A chunk's result
     does not depend on the thread that computes it, so the output is
     bit-identical for any CPU count; the chunk size does change bits.
     """
@@ -350,25 +341,22 @@ def predict_batch(
         raise ValueError("predict_batch: empty batch")
     starts = range(0, len(rows), CHUNK)
     workers = min(len(starts), _usable_cpus())
+    per_worker = -(-len(starts) // workers)
+    blocks = [starts[j : j + per_worker] for j in range(0, len(starts), per_worker)]
 
     def predict_chunk(start: int) -> np.ndarray:
         steps = stack_steps(inputs, rows[start : start + CHUNK], window_len)
         return _forward(params, steps.transpose(1, 0, 2), keep_cache=False, first_row=start)[0]
 
-    def run(share: range) -> list[np.ndarray]:
-        return [predict_chunk(s) for s in share]
+    def run(block: range) -> list[np.ndarray]:
+        return [predict_chunk(s) for s in block]
 
-    if workers == 1:
-        pieces = run(starts)
-    else:
-        with ThreadPoolExecutor(workers - 1) as pool:
-            helpers = [pool.submit(run, starts[j::workers]) for j in range(1, workers)]
-            shares = [run(starts[0::workers])] + [f.result() for f in helpers]
-        pieces = [shares[k % workers][k // workers] for k in range(len(starts))]
-    outputs = np.concatenate(pieces, axis=0)
-    if not np.isfinite(outputs).all():
-        raise _non_finite("output layer plus bias b2 contains", outputs, 0)
-    return outputs
+    with ThreadPoolExecutor(max(len(blocks) - 1, 1)) as pool:  # no thread until a submit
+        helpers = [pool.submit(run, block) for block in blocks[1:]]
+        pieces = run(blocks[0])
+        for helper in helpers:
+            pieces += helper.result()
+    return np.concatenate(pieces, axis=0)
 
 
 def mse_loss(predictions: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
@@ -408,13 +396,9 @@ def backward(params: ModelParams, inputs: np.ndarray, targets: np.ndarray) -> tu
     outputs, cache = _forward(params, _check_inputs(params, inputs, 3), keep_cache=True)
     targets = np.asarray(targets, dtype=np.float64)
 
-    if not np.isfinite(outputs).all():
-        bad = np.where(~np.isfinite(outputs).all(axis=1))[0]
-        raise TrainingDivergedError(f"non-finite predictions for batch rows {bad.tolist()}", bad)
     loss, _ = mse_loss(outputs, targets)
     if not np.isfinite(loss):
-        bad = np.where(~np.isfinite((outputs - targets) ** 2).all(axis=1))[0]
-        raise TrainingDivergedError(f"non-finite loss from batch rows {bad.tolist()}", bad)
+        raise _non_finite("squared errors or their mean contain", (outputs - targets) ** 2, 0)
 
     batch, steps, _ = cache.inputs.shape
     n_out = targets.shape[1]

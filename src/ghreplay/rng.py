@@ -198,7 +198,15 @@ class SeededRng:
 
     @classmethod
     def from_state(cls, state: dict) -> "SeededRng":
+        """The stream that ``get_state`` gave ``state``: 64-bit unsigned
+        ``seed`` and ``state`` and a finite float or None ``gauss``."""
+        if not (isinstance(state, dict) and set(state) == {"seed", "state", "gauss"}
+                and all(type(state[k]) is int and 0 <= state[k] <= _MASK64
+                        for k in ("seed", "state"))
+                and (state["gauss"] is None
+                     or type(state["gauss"]) is float and math.isfinite(state["gauss"]))):
+            raise ValueError(f"not a stream state: {state!r}")
         rng = cls(state["seed"])
-        rng._state = state["state"] & _MASK64
+        rng._state = state["state"]
         rng._gauss = state["gauss"]
         return rng

@@ -34,6 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .atomic import atomic_open
+from .csvio import read_table
 from .dataset import Phase, stack_samples
 from .memory import EpisodicMemory, MemoryConfig
 from .model import (
@@ -41,7 +42,6 @@ from .model import (
     ModelConfig,
     ModelParams,
     NonFiniteError,
-    TrainingDivergedError,
     adam_step,
     backward,
     clip_gradients,
@@ -154,7 +154,7 @@ def train_update(
     inputs, targets = stack_samples(memory.inputs, memory.targets, batch, model_cfg.window_len)
     try:
         loss, grads = backward(state.params, inputs, targets)
-    except (TrainingDivergedError, NonFiniteError) as err:
+    except NonFiniteError as err:
         if not len(err.rows):
             raise
         origins = ", ".join(
@@ -261,11 +261,6 @@ def _locate_phase(scenario: ScenarioConfig, phase_label: str) -> tuple[Phase, in
     raise ValueError(f"unknown phase label {phase_label!r}")
 
 
-def phase_update_offset(scenario: ScenarioConfig, phase_label: str) -> int:
-    """Global update index at which the named phase begins."""
-    return _locate_phase(scenario, phase_label)[1]
-
-
 def run_baseline(
     scenario: ScenarioConfig,
     model_cfg: ModelConfig,
@@ -311,32 +306,9 @@ def write_curve_csv(path: str | Path, curve: LearningCurve) -> None:
     _write_table(path, CURVE_COLUMNS, map(astuple, curve.points))
 
 
-def _read_table(path: str | Path, columns: tuple[str, ...], converters: tuple,
-                what: str) -> list[list]:
-    """The rows under a header of ``columns``, each cell converted by its
-    column's converter; a bad or missing cell is named by file:line and column."""
-    rows = []
-    with Path(path).open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        if tuple(next(reader, ())) != columns:
-            raise ValueError(f"{path}: expected {what} columns {','.join(columns)}")
-        for cells in filter(None, reader):  # blank lines skipped
-            where = f"{path}:{reader.line_num}"
-            if len(cells) < len(columns):
-                raise ValueError(f"{where}: column {columns[len(cells)]}: missing value")
-            row = []
-            for column, convert, cell in zip(columns, converters, cells):
-                try:
-                    row.append(convert(cell))
-                except ValueError:
-                    raise ValueError(f"{where}: column {column}: invalid value {cell!r}") from None
-            rows.append(row)
-    return rows
-
-
 def read_curve_csv(path: str | Path) -> list[EvalPoint]:
     converters = (int, int, str, float, float, float)
-    return [EvalPoint(*row) for row in _read_table(path, CURVE_COLUMNS, converters, "curve")]
+    return [EvalPoint(*row) for _, row in read_table(path, CURVE_COLUMNS, converters)]
 
 
 def boundaries_path_for(curve_path: str | Path) -> Path:
@@ -349,7 +321,7 @@ def write_boundaries_csv(path: str | Path, curve: LearningCurve) -> None:
 
 
 def read_boundaries_csv(path: str | Path) -> list[tuple[str, int]]:
-    return [tuple(row) for row in _read_table(path, BOUNDARY_COLUMNS, (str, int), "boundary")]
+    return [row for _, row in read_table(path, BOUNDARY_COLUMNS, (str, int))]
 
 
 def write_retention_csv(path: str | Path, curve: LearningCurve) -> None:

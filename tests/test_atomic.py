@@ -20,6 +20,14 @@ def rows_then_boom():
     raise Boom("failed after one row")
 
 
+def small_state(seed):
+    cfg = ModelConfig(hidden_dim=3, dense_dim=3, window_len=4)
+    root = SeededRng(seed)
+    return cfg, trainer.TrainerState(init_model(cfg, root), init_adam(cfg),
+                                     EpisodicMemory(MemoryConfig(capacity=2)),
+                                     root.split("replay"), root.split("memory"))
+
+
 def write_table(path, monkeypatch):
     trainer._write_table(path, trainer.MEMORY_COLUMNS, rows_then_boom())
 
@@ -42,9 +50,7 @@ def write_checkpoint(path, monkeypatch):
         raise Boom("failed mid-archive")
 
     monkeypatch.setattr(np, "savez_compressed", partial_savez)
-    cfg = ModelConfig(hidden_dim=3, dense_dim=3, window_len=4)
-    checkpoint.save_checkpoint(path, cfg, init_model(cfg, SeededRng(2)), init_adam(cfg),
-                               EpisodicMemory(MemoryConfig(capacity=2)), {})
+    checkpoint.save_checkpoint(path, *small_state(2))
 
 
 @pytest.mark.parametrize("write", [write_table, write_climate, write_checkpoint],
@@ -75,9 +81,8 @@ def test_atomic_open_replaces_only_on_success(tmp_path):
 
 def test_checkpoint_file_name_is_kept_exactly(tmp_path):
     # numpy appends ".npz" to a bare path; the open handle keeps the name
-    cfg = ModelConfig(hidden_dim=3, dense_dim=3, window_len=4)
+    cfg, state = small_state(3)
     path = tmp_path / "state.ckpt"
-    checkpoint.save_checkpoint(path, cfg, init_model(cfg, SeededRng(3)), init_adam(cfg),
-                               EpisodicMemory(MemoryConfig(capacity=2)), {})
+    checkpoint.save_checkpoint(path, cfg, state)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["state.ckpt"]
-    assert checkpoint.load_checkpoint(path).model_cfg == cfg
+    assert checkpoint.load_checkpoint(path)[0] == cfg

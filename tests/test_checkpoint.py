@@ -8,13 +8,15 @@ from ghreplay.dataset import Phase
 from ghreplay.memory import EpisodicMemory, MemoryConfig, SubstitutionStrategy
 from ghreplay.model import ModelConfig, backward, init_adam, init_model, adam_step
 from ghreplay.rng import SeededRng
-from ghreplay.trainer import stack_samples
+from ghreplay.trainer import TrainerState, stack_samples
 
 
 WINDOW_LEN = 8
 
 
-def trained_bundle(seed=0):
+def trained_state(seed=0):
+    """A model config and a ``TrainerState`` after three updates, its
+    memory holding windows of two series."""
     cfg = ModelConfig(hidden_dim=6, dense_dim=5, window_len=WINDOW_LEN, learning_rate=1e-2, grad_clip=None)
     params = init_model(cfg, SeededRng(seed))
     adam = init_adam(cfg)
@@ -41,11 +43,9 @@ def trained_bundle(seed=0):
         ends += (offset + np.arange(WINDOW_LEN - 1, n, 3)).tolist()
     mem_rng = SeededRng(seed + 2)
     memory.observe_batch(ends[:12], mem_rng)
-    rng_states = {
-        "replay": SeededRng(seed + 3).get_state(),
-        "memory": mem_rng.get_state(),
-    }
-    return cfg, params, adam, memory, rng_states
+    replay_rng = SeededRng(seed + 3)
+    replay_rng.standard_normal()  # leaves a Box-Muller partner cached
+    return cfg, TrainerState(params, adam, memory, replay_rng, mem_rng, update_index=adam.t)
 
 
 def windows_of(memory, rows):
@@ -62,43 +62,58 @@ def assert_same_windows(a, b):
 
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path):
-    cfg, params, adam, memory, rng_states = trained_bundle()
+    cfg, state = trained_state()
+    memory = state.memory
     path = tmp_path / "ckpt.npz"
-    save_checkpoint(path, cfg, params, adam, memory, rng_states)
-    bundle = load_checkpoint(path)
+    save_checkpoint(path, cfg, state)
+    loaded_cfg, loaded = load_checkpoint(path)
 
-    assert bundle.model_cfg == cfg
-    for (name, orig), (_, back) in zip(params.items(), bundle.params.items()):
+    assert loaded_cfg == cfg
+    for (name, orig), (_, back) in zip(state.params.items(), loaded.params.items()):
         assert orig.tobytes() == back.tobytes(), name
     for store in ("m", "v"):
         for (name, orig), (_, back) in zip(
-            getattr(adam, store).items(), getattr(bundle.adam, store).items()
+            getattr(state.adam, store).items(), getattr(loaded.adam, store).items()
         ):
             assert orig.tobytes() == back.tobytes(), (store, name)
-    assert bundle.adam.t == adam.t
+    assert loaded.adam.t == loaded.update_index == state.adam.t == 3
 
-    assert bundle.memory.config.capacity == memory.config.capacity
-    assert bundle.memory.config.substitution_probability == memory.config.substitution_probability
-    assert bundle.memory.config.strategy == memory.config.strategy
-    assert bundle.memory.observed_count == memory.observed_count
-    assert len(bundle.memory) == len(memory) == 10
-    assert_same_windows(windows_of(memory, memory.rows), windows_of(bundle.memory, bundle.memory.rows))
-    assert bundle.memory.occupancy_stats() == memory.occupancy_stats()
+    assert loaded.memory.config.capacity == memory.config.capacity
+    assert loaded.memory.config.substitution_probability == memory.config.substitution_probability
+    assert loaded.memory.config.strategy == memory.config.strategy
+    assert loaded.memory.observed_count == memory.observed_count
+    assert len(loaded.memory) == len(memory) == 10
+    assert_same_windows(windows_of(memory, memory.rows), windows_of(loaded.memory, loaded.memory.rows))
+    assert loaded.memory.occupancy_stats() == memory.occupancy_stats()
     # the row block holds each table row that a stored window covers, once
     covered = {row for end in memory.rows.tolist() for row in range(end - WINDOW_LEN + 1, end + 1)}
-    assert len(bundle.memory.inputs) == len(covered) < len(memory.inputs)
+    assert len(loaded.memory.inputs) == len(covered) < len(memory.inputs)
 
-    assert bundle.rng_states == rng_states
+    for name in ("replay_rng", "memory_rng"):
+        assert getattr(loaded, name).get_state() == getattr(state, name).get_state(), name
+    assert loaded.replay_rng.get_state()["gauss"] is not None
+
+
+def test_checkpoint_load_and_save_rewrites_every_array(tmp_path):
+    cfg, state = trained_state(seed=4)
+    first, second = tmp_path / "first.npz", tmp_path / "second.npz"
+    save_checkpoint(first, cfg, state)
+    save_checkpoint(second, *load_checkpoint(first))
+    with np.load(first) as a, np.load(second) as b:
+        assert a.files == b.files
+        for key in a.files:
+            assert (a[key].dtype, a[key].shape, a[key].tobytes()) == \
+                (b[key].dtype, b[key].shape, b[key].tobytes()), key
 
 
 def test_checkpoint_restores_equivalent_replay_behavior(tmp_path):
-    cfg, params, adam, memory, rng_states = trained_bundle(seed=5)
+    cfg, state = trained_state(seed=5)
+    memory = state.memory
     path = tmp_path / "ckpt.npz"
-    save_checkpoint(path, cfg, params, adam, memory, rng_states)
-    bundle = load_checkpoint(path)
+    save_checkpoint(path, cfg, state)
+    _, bundle = load_checkpoint(path)
 
-    rng_a = SeededRng.from_state(rng_states["replay"])
-    rng_b = SeededRng.from_state(bundle.rng_states["replay"])
+    rng_a, rng_b = state.replay_rng, bundle.replay_rng
     draws_a = memory.draw_replay(20, rng_a)
     draws_b = bundle.memory.draw_replay(20, rng_b)
     assert_same_windows(windows_of(memory, draws_a), windows_of(bundle.memory, draws_b))
@@ -116,11 +131,11 @@ def test_checkpoint_restores_equivalent_replay_behavior(tmp_path):
 
 
 def test_checkpoint_empty_memory(tmp_path):
-    cfg, params, adam, _, rng_states = trained_bundle(seed=6)
-    memory = EpisodicMemory(MemoryConfig(capacity=4))
+    cfg, state = trained_state(seed=6)
+    state.memory = EpisodicMemory(MemoryConfig(capacity=4))
     path = tmp_path / "ckpt.npz"
-    save_checkpoint(path, cfg, params, adam, memory, rng_states)
-    bundle = load_checkpoint(path)
+    save_checkpoint(path, cfg, state)
+    _, bundle = load_checkpoint(path)
     assert len(bundle.memory.rows) == 0
     assert bundle.memory.inputs.shape == (0, 5)
     assert bundle.memory.observed_count == 0
@@ -132,6 +147,15 @@ def with_meta(section, key, value):
     def corrupt(arr):
         meta = json.loads(str(arr[()]))
         meta[section][key] = value
+        return np.array(json.dumps(meta, sort_keys=True))
+    return corrupt
+
+
+def without_meta(section, key):
+    """A corruption of ``meta_json`` that deletes ``meta[section][key]``."""
+    def corrupt(arr):
+        meta = json.loads(str(arr[()]))
+        del meta[section][key]
         return np.array(json.dumps(meta, sort_keys=True))
     return corrupt
 
@@ -162,32 +186,54 @@ def with_meta(section, key, value):
          "meta_json: MemoryConfig.capacity must be >= 1, got 0"),
         ("meta_json", with_meta("memory_config", "capacity", 9),
          "mem_rows has 10 slots, over the capacity 9"),
-        ("adam_t", lambda a: np.array(-5), "adam_t has value -5, expected >= 0"),
+        ("adam_t", lambda a: np.array(-5), r"adam_t has values outside \[0, inf\)"),
         ("mem_observed_count", lambda a: np.array(-5),
-         "mem_observed_count has value -5, fewer than the 10 stored slots"),
+         r"mem_observed_count has values outside \[10, inf\)"),
+        ("adam_t", None, "adam_t is missing"),
+        ("mem_observed_count", None, "mem_observed_count is missing"),
+        ("meta_json", None, "meta_json is missing"),
+        ("adam_t", lambda a: np.array(3.7), "adam_t has dtype float64, expected integers"),
+        ("mem_observed_count", lambda a: np.array([a, a]),
+         r"mem_observed_count has shape \(2,\), expected \(\)"),
+        ("meta_json", with_meta("rng_states", "replay", "garbage"),
+         "meta_json: not a stream state: 'garbage'"),
+        ("meta_json", with_meta("rng_states", "memory", None), "meta_json: not a stream state: None"),
+        ("meta_json", without_meta("rng_states", "memory"), "meta_json: 'memory' is missing"),
+        ("meta_json", with_meta("rng_states", "replay", {"seed": 1, "state": 2 ** 64, "gauss": None}),
+         "meta_json: not a stream state"),
+        ("meta_json", with_meta("rng_states", "replay", {"seed": -1, "state": 2, "gauss": None}),
+         "meta_json: not a stream state"),
+        ("meta_json", with_meta("rng_states", "replay", {"seed": 1, "state": 2, "gauss": "NaN"}),
+         "meta_json: not a stream state"),
     ],
     ids=["inf-b2", "shape-u", "nan-adam_v", "short-mem_inputs", "nan-mem_targets", "nan-mem_inputs",
          "below-mem_rows", "beyond-mem_rows", "float-mem_rows", "shape-mem_targets",
          "unknown-mem_label_ids", "short-mem_timestamps", "negative-learning_rate",
          "zero-window_len", "negative-grad_clip", "zero-capacity", "capacity-below-slots",
-         "negative-adam_t", "negative-mem_observed_count"],
+         "negative-adam_t", "negative-mem_observed_count", "missing-adam_t",
+         "missing-mem_observed_count", "missing-meta_json", "float-adam_t",
+         "vector-mem_observed_count", "non-dict-rng-state", "null-rng-state", "missing-rng-state",
+         "state-beyond-64-bits", "negative-seed", "non-float-gauss"],
 )
 def test_load_checkpoint_rejects_corrupt_arrays(tmp_path, key, corrupt, message):
-    cfg, params, adam, memory, rng_states = trained_bundle(seed=7)
+    cfg, state = trained_state(seed=7)
     path = tmp_path / "ckpt.npz"
-    save_checkpoint(path, cfg, params, adam, memory, rng_states)
+    save_checkpoint(path, cfg, state)
     with np.load(path, allow_pickle=False) as data:
         arrays = dict(data)
-    arrays[key] = corrupt(arrays[key])
+    if corrupt is None:
+        del arrays[key]
+    else:
+        arrays[key] = corrupt(arrays[key])
     np.savez_compressed(path, **arrays)
     with pytest.raises(ValueError, match=f"ckpt.npz: array {message}"):
         load_checkpoint(path)
 
 
 def test_load_checkpoint_rejects_per_gate_layout(tmp_path):
-    cfg, params, adam, memory, rng_states = trained_bundle(seed=8)
+    cfg, state = trained_state(seed=8)
     path = tmp_path / "ckpt.npz"
-    save_checkpoint(path, cfg, params, adam, memory, rng_states)
+    save_checkpoint(path, cfg, state)
     with np.load(path, allow_pickle=False) as data:
         arrays = dict(data)
     w = arrays.pop("param__w")
@@ -199,9 +245,9 @@ def test_load_checkpoint_rejects_per_gate_layout(tmp_path):
 
 
 def test_load_checkpoint_rejects_whole_window_memory_layout(tmp_path):
-    cfg, params, adam, memory, rng_states = trained_bundle(seed=9)
+    cfg, state = trained_state(seed=9)
     path = tmp_path / "ckpt.npz"
-    save_checkpoint(path, cfg, params, adam, memory, rng_states)
+    save_checkpoint(path, cfg, state)
     with np.load(path, allow_pickle=False) as data:
         arrays = dict(data)
     # the earlier layout: one whole window, label and end timestamp per slot
@@ -218,10 +264,10 @@ def test_load_checkpoint_rejects_whole_window_memory_layout(tmp_path):
 def test_load_checkpoint_takes_empty_pending_arrays_only(tmp_path):
     # checkpoints from before the memory took batches only carry four
     # mem_pending_* arrays, empty in every checkpoint that `run` wrote
-    cfg, params, adam, memory, rng_states = trained_bundle(seed=10)
+    cfg, state = trained_state(seed=10)
     path = tmp_path / "ckpt.npz"
-    save_checkpoint(path, cfg, params, adam, memory, rng_states)
-    current = load_checkpoint(path).memory
+    save_checkpoint(path, cfg, state)
+    current = load_checkpoint(path)[1].memory
     with np.load(path, allow_pickle=False) as data:
         arrays = dict(data)
     arrays["mem_pending_rows"] = np.zeros(0, dtype=np.int64)
@@ -229,7 +275,7 @@ def test_load_checkpoint_takes_empty_pending_arrays_only(tmp_path):
     arrays["mem_pending_timestamps"] = np.zeros(0, dtype=np.int64)
     arrays["mem_pending_label_ids"] = np.zeros(0, dtype=np.int64)
     np.savez_compressed(path, **arrays)
-    older = load_checkpoint(path).memory
+    older = load_checkpoint(path)[1].memory
     assert older.labels == current.labels and older.observed_count == current.observed_count
     for name in ("rows", "inputs", "targets", "timestamps", "row_label_ids"):
         assert getattr(older, name).tobytes() == getattr(current, name).tobytes(), name

@@ -53,7 +53,7 @@ def test_non_numeric_cell_names_line(tmp_path):
         "300,oops,80,0,650,20,0.01,0\n",
         encoding="utf-8",
     )
-    with pytest.raises(ValueError, match=r"bad\.csv:3: non-numeric value 'oops' in column t_air"):
+    with pytest.raises(ValueError, match=r"bad\.csv:3: column t_air: invalid value 'oops'$"):
         read_records(path)
 
 
@@ -70,7 +70,7 @@ def test_non_finite_cell_names_line_and_column(tmp_path, column, value):
         encoding="utf-8",
     )
     with pytest.raises(
-        ValueError, match=rf"bad\.csv:3: non-finite value '{value}' in column {column}$"
+        ValueError, match=rf"bad\.csv:3: column {column}: invalid value '{value}'$"
     ):
         read_records(path)
 

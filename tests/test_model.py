@@ -16,7 +16,6 @@ from ghreplay.model import (
     AdamState,
     ModelConfig,
     ModelParams,
-    TrainingDivergedError,
     adam_step,
     backward,
     clip_gradients,
@@ -234,7 +233,7 @@ def test_backward_reports_divergence_with_origin():
     params.b2[:] = 1e308
     x = random_windows(SeededRng(16), 2, cfg.window_len)
     t = random_targets(SeededRng(17), 2)
-    with np.errstate(over="ignore"), pytest.raises((TrainingDivergedError, ValueError)):
+    with np.errstate(over="ignore"), pytest.raises(model.NonFiniteError):
         backward(params, x, t)
 
 
@@ -355,17 +354,15 @@ def test_kernel_rejects_non_finite_values(poison, entry):
     params = init_model(cfg, SeededRng(22))
     x = random_windows(SeededRng(23), 3, cfg.window_len)
     poison(params, x)
-    if entry == "predict_batch":
-        with pytest.raises(ValueError, match="non-finite"):
+    with pytest.raises(model.NonFiniteError, match="non-finite") as err:
+        if entry == "predict_batch":
             predict_stack(params, x)
-    elif poison is _poison_b2:
-        # b2 is added after the kernel's last check: training reports the rows
-        with pytest.raises(TrainingDivergedError, match=r"non-finite predictions for batch rows \[0, 1, 2\]") as err:
+        else:
             backward(params, x, random_targets(SeededRng(24), 3))
+    if poison is _poison_b2:
+        # both entry points check the outputs after the bias in the one forward pass
+        assert str(err.value) == "output layer contains non-finite values in batch rows [0, 1, 2]"
         assert err.value.rows.tolist() == [0, 1, 2]
-    else:
-        with pytest.raises(ValueError, match="non-finite"):
-            backward(params, x, random_targets(SeededRng(24), 3))
 
 
 def test_predict_batch_names_rows_of_later_chunks():
@@ -406,15 +403,22 @@ def test_predict_batch_bit_identical_for_any_cpu_count(monkeypatch):
         assert len(threads) == cpus
 
 
-@pytest.mark.parametrize("bad_chunk", [1, 2], ids=["helper-chunk", "last-chunk"])
-def test_predict_batch_threads_raise_non_finite(monkeypatch, bad_chunk):
+@pytest.mark.parametrize("bad_chunks", [[1], [2], [1, 2]],
+                         ids=["helper-chunk", "last-chunk", "two-chunks"])
+def test_predict_batch_threads_raise_non_finite(monkeypatch, bad_chunks):
+    # the error names the lowest failing chunk's rows whatever the CPU count
     cfg = small_cfg()
     params = init_model(cfg, SeededRng(32))
     windows = np.random.default_rng(33).uniform(0.0, 1.0, (1100, cfg.window_len, 5))
-    windows[512 * bad_chunk + 3, 2, 1] = np.nan
-    monkeypatch.setattr(model, "_usable_cpus", lambda: 2)
-    with pytest.raises(ValueError, match="non-finite"):
-        predict_stack(params, windows)
+    for chunk in bad_chunks:
+        windows[512 * chunk + 3, 2, 1] = np.nan
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(model, "_usable_cpus", lambda: cpus)
+        with pytest.raises(model.NonFiniteError) as err:
+            predict_stack(params, windows)
+        assert err.value.rows.tolist() == [512 * bad_chunks[0] + 3], cpus
+        assert str(err.value) == (f"windows contain non-finite values in batch rows "
+                                  f"[{512 * bad_chunks[0] + 3}]"), cpus
 
 
 def python_with_blas_threads(preset, code):
