@@ -120,10 +120,18 @@ def read_table(
             yield reader.line_num, tuple(row)
 
 
-def _finite_float(cell: str) -> float:
+def finite_float(cell: str) -> float:
     """``float(cell)``, rejecting ``nan``, ``inf`` and ``-inf``."""
     value = float(cell)
     if not math.isfinite(value):
+        raise ValueError(cell)
+    return value
+
+
+def _int64(cell: str) -> int:
+    """``int(cell)``, rejecting a value outside int64."""
+    value = int(cell)
+    if not -(1 << 63) <= value < 1 << 63:
         raise ValueError(cell)
     return value
 
@@ -147,7 +155,7 @@ def _read_lines(path: Path) -> np.ndarray:
     line, else returns the table."""
     rows = []
     prev_ts: int | None = None
-    converters = (int,) + (_finite_float,) * (len(COLUMNS) - 1)
+    converters = (_int64,) + (finite_float,) * (len(COLUMNS) - 1)
     for line_no, row in read_table(path, COLUMNS, converters):
         ts, t_air, rh, radiation, co2, t_leaf, transp, photo = row
         if prev_ts is not None and ts != prev_ts + SAMPLE_INTERVAL_S:

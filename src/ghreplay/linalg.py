@@ -1,4 +1,4 @@
-"""Dense float64 matrix primitives for the recurrent model and its tests.
+"""Checked dense float64 primitives, the reference for the model's kernel.
 
 Matrices are 2-D C-contiguous numpy float64 arrays; numpy supplies the
 kernels. These wrappers pin down the contracts the model relies on:
@@ -6,20 +6,14 @@ shape errors that name both operands, finite results, a sigmoid that
 never exponentiates a large positive argument, and activation
 derivatives expressed in terms of the activation *output*.
 
-The LSTM forward kernel in ``model.py`` does not call ``matmul`` or
-``activation`` per operation: it runs the same arithmetic on numpy
-directly and checks finiteness once per step. ``matmul`` and
-``activation`` stay as the checked reference that the kernel's
-bit-identity test is written against.
+No module of the package imports this one: ``model.py`` runs the same
+arithmetic on numpy directly, and its bit-identity tests compare it with
+gate-by-gate passes that the tests write on these functions.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
-
-from .rng import SeededRng
 
 SIGMOID = "sigmoid"
 TANH = "tanh"
@@ -76,11 +70,3 @@ def activation_grad(kind: str, y: np.ndarray) -> np.ndarray:
         return np.ones_like(y)
     raise ValueError(f"unknown activation kind {kind!r}")
 
-
-def glorot_init(rows: int, cols: int, rng: SeededRng) -> np.ndarray:
-    """Uniform Glorot initialization, filled in row-major draw order."""
-    if rows < 1 or cols < 1:
-        raise ValueError(f"glorot_init: need rows, cols >= 1, got {rows}x{cols}")
-    limit = math.sqrt(6.0 / (rows + cols))
-    data = [rng.uniform(-limit, limit) for _ in range(rows * cols)]
-    return np.array(data, dtype=np.float64).reshape(rows, cols)

@@ -30,15 +30,10 @@ its inputs are the ``window_len`` table rows ending there. A slot is one
 such row in the ``rows`` array. Observing and replaying move integers
 only; the trainer gathers the windows of a batch in one step.
 
-Block draws: a sweep consumes the same SplitMix64 outputs, in the same
-order, as the scalar loop it replaces (``random()`` per slot, then
-``randbelow`` by masked rejection on a hit). It computes a block of
-upcoming outputs with ``SeededRng.peek_u64``, finds the hits and the
-accepted rejection draws with array operations, walks over the hits
-only (about p of the slots) to line each one up with the draws its
-``randbelow`` used, and advances the stream past exactly the outputs
-the loop would have used. Slots, picks and the final stream state are
-therefore identical to the scalar loop's.
+The random draws are ``SeededRng``'s: a substitution sweep is
+``SeededRng.sweep`` and a replay draw ``SeededRng.randbelow_many``, each
+bit-identical to the loop of scalar calls it stands for, so this module
+keeps only the slot policy.
 """
 
 from __future__ import annotations
@@ -50,8 +45,6 @@ import numpy as np
 
 from .dataset import Phase
 from .rng import SeededRng
-
-_INV_2_53 = 2.0 ** -53
 
 
 class SubstitutionStrategy(str, Enum):
@@ -81,79 +74,6 @@ class MemoryConfig:
 class OccupancyStats:
     counts: dict[str, int]
     fractions: dict[str, float]
-
-
-def _uniforms(block: np.ndarray) -> np.ndarray:
-    """``SeededRng.random`` of each output in a ``peek_u64`` block."""
-    return (block >> np.uint64(11)).astype(np.float64) * _INV_2_53
-
-
-def _rejection_mask(m: int) -> int:
-    """The bit mask ``SeededRng.randbelow(m)`` applies before rejecting."""
-    return (1 << (m - 1).bit_length()) - 1
-
-
-def _block_size(decisions: int, picks: float, m: int) -> int:
-    """Outputs to peek for ``decisions`` single draws plus about ``picks``
-    ``randbelow(m)`` calls: the expected count with a 25 % margin. A
-    consumer that runs out peeks again with twice as many."""
-    return decisions + int(picks * (_rejection_mask(m) + 1) / m * 1.25) + 64
-
-
-def _randbelow_many(rng: SeededRng, n: int, m: int) -> np.ndarray:
-    """``[rng.randbelow(m) for _ in range(n)]`` as an array, from one block."""
-    if m == 1:
-        return np.zeros(n, dtype=np.int64)  # randbelow(1) draws nothing
-    mask = _rejection_mask(m)
-    size = _block_size(0, n, m)
-    while True:
-        low = (rng.peek_u64(size) & np.uint64(mask)).astype(np.int64)
-        accepted = np.flatnonzero(low < m)
-        if len(accepted) >= n:
-            rng.skip(int(accepted[n - 1]) + 1)
-            return low[accepted[:n]]
-        size *= 2
-
-
-def _sweep(rng: SeededRng, count: int, p: float, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The hits and picks of the scalar loop
-
-        for i in range(count):
-            if rng.random() < p:
-                hit i, pick rng.randbelow(m)
-
-    as two arrays, leaving ``rng`` where that loop leaves it."""
-    if m == 1:
-        hits = np.flatnonzero(_uniforms(rng.peek_u64(count)) < p)
-        rng.skip(count)
-        return hits, np.zeros(len(hits), dtype=np.int64)
-    mask = _rejection_mask(m)
-    size = _block_size(count, count * p, m)
-    while True:
-        block = rng.peek_u64(size)
-        low = (block & np.uint64(mask)).astype(np.int64)
-        accepted = np.flatnonzero(low < m)
-        candidates = np.flatnonzero(_uniforms(block) < p)
-        # the draw that ends randbelow if draw k is a hit (size: beyond the block)
-        resolving = np.append(accepted, size)[np.searchsorted(accepted, candidates + 1)]
-        hits, picks = [], []
-        drawn = decided = 0
-        for k, r in zip(candidates.tolist(), resolving.tolist()):
-            if k < drawn:
-                continue  # a rejection draw of an earlier hit, not a slot's draw
-            slot = decided + k - drawn
-            if slot >= count or r == size:
-                break
-            hits.append(slot)
-            picks.append(r)
-            decided, drawn = slot + 1, r + 1
-        else:
-            slot = count
-        drawn += count - decided
-        if slot >= count and drawn <= size:
-            rng.skip(drawn)
-            return np.array(hits, dtype=np.int64), low[np.array(picks, dtype=np.int64)]
-        size *= 2
 
 
 class EpisodicMemory:
@@ -215,15 +135,15 @@ class EpisodicMemory:
         capacity = len(self.rows)
         if strategy is SubstitutionStrategy.PER_ELEMENT:
             for row in rows.tolist():
-                hits, _ = _sweep(rng, capacity, p, 1)
+                hits, _ = rng.sweep(capacity, p, 1)
                 self.rows[hits] = row
         elif strategy is SubstitutionStrategy.PER_SAMPLE:
-            hits, slots = _sweep(rng, len(rows), p, capacity)
+            hits, slots = rng.sweep(len(rows), p, capacity)
             # a later sample overwrites an earlier one in the same slot
             slots, last = np.unique(slots[::-1], return_index=True)
             self.rows[slots] = rows[hits[::-1][last]]
         else:
-            hits, picks = _sweep(rng, capacity, p, len(rows))
+            hits, picks = rng.sweep(capacity, p, len(rows))
             self.rows[hits] = rows[picks]
 
     def draw_replay(self, n: int, rng: SeededRng) -> np.ndarray:
@@ -231,11 +151,9 @@ class EpisodicMemory:
         the current slots."""
         if n < 0:
             raise ValueError(f"draw_replay: n must be >= 0, got {n}")
-        if n == 0:
-            return np.zeros(0, dtype=np.int64)
-        if not len(self.rows):
+        if n and not len(self.rows):
             raise ValueError("draw_replay: memory is empty")
-        return self.rows[_randbelow_many(rng, n, len(self.rows))]
+        return self.rows[rng.randbelow_many(n, len(self.rows))]
 
     def occupancy_stats(self) -> OccupancyStats:
         """Per-origin-label slot counts and fractions (fractions sum to 1)."""

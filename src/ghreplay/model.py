@@ -27,8 +27,8 @@ gradients are those a cache of every step's c, tanh(c) and h would give.
 Finiteness is checked at the boundaries, not per operation: the windows
 once on entry, the four gate pre-activations once per step, then the
 dense pre-activation and the outputs after the bias b2, in the one
-forward pass that training and prediction share; training also checks
-that the squared errors do not overflow. A failed check raises
+forward pass that training and prediction share; ``mse_loss`` checks
+the squared errors of training and evaluation alike. A failed check raises
 ``NonFiniteError``, a ``ValueError`` that names the batch rows holding a
 non-finite value; the rows are found only once a check has failed, and
 ``trainer.train_update`` adds each row's greenhouse and timestamp.
@@ -58,9 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
 from .dataset import stack_steps
-from .linalg import TANH
 from .rng import SeededRng
 
 
@@ -142,6 +140,12 @@ def zeros_params(cfg: ModelConfig) -> ModelParams:
     )
 
 
+def _glorot(rows: int, cols: int, rng: SeededRng) -> np.ndarray:
+    """Uniform Glorot weights, drawn in row-major order."""
+    limit = math.sqrt(6.0 / (rows + cols))
+    return rng.uniforms(rows * cols, -limit, limit).reshape(rows, cols)
+
+
 def init_model(cfg: ModelConfig, rng: SeededRng) -> ModelParams:
     """Glorot weights drawn in a fixed order (the four input gates, the four
     recurrent gates, w1, w2); zero biases except the forget gate's at 1 so
@@ -150,11 +154,11 @@ def init_model(cfg: ModelConfig, rng: SeededRng) -> ModelParams:
     h, d = cfg.hidden_dim, cfg.input_dim
     params = zeros_params(cfg)
     for k in range(4):
-        params.w[k] = linalg.glorot_init(h, d, rng)
+        params.w[k] = _glorot(h, d, rng)
     for k in range(4):
-        params.u[k] = linalg.glorot_init(h, h, rng)
-    params.w1 = linalg.glorot_init(cfg.dense_dim, h, rng)
-    params.w2 = linalg.glorot_init(cfg.output_dim, cfg.dense_dim, rng)
+        params.u[k] = _glorot(h, h, rng)
+    params.w1 = _glorot(cfg.dense_dim, h, rng)
+    params.w2 = _glorot(cfg.output_dim, cfg.dense_dim, rng)
     params.b[1] = 1.0
     return params
 
@@ -360,16 +364,22 @@ def predict_batch(
 
 
 def mse_loss(predictions: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
-    """Batch MSE: per-output column means, total defined as their mean."""
+    """Batch MSE: per-output column means, total defined as their mean.
+    A total that is not finite raises ``NonFiniteError`` naming the rows
+    whose squared error is not finite."""
     predictions = np.asarray(predictions, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     if predictions.shape != targets.shape:
         raise ValueError(f"mse_loss: shape mismatch {predictions.shape} vs {targets.shape}")
     if predictions.ndim != 2 or predictions.shape[0] == 0:
         raise ValueError(f"mse_loss: need a nonempty (n, outputs) batch, got {predictions.shape}")
-    err = predictions - targets
-    per_output = np.mean(err * err, axis=0)
-    return float(np.mean(per_output)), per_output
+    with np.errstate(over="ignore", invalid="ignore"):
+        squared = np.square(predictions - targets)
+        per_output = np.mean(squared, axis=0)
+        loss = float(np.mean(per_output))
+    if not math.isfinite(loss):
+        raise _non_finite("squared errors or their mean contain", squared, 0)
+    return loss, per_output
 
 
 def backward(params: ModelParams, inputs: np.ndarray, targets: np.ndarray) -> tuple[float, Gradients]:
@@ -397,8 +407,6 @@ def backward(params: ModelParams, inputs: np.ndarray, targets: np.ndarray) -> tu
     targets = np.asarray(targets, dtype=np.float64)
 
     loss, _ = mse_loss(outputs, targets)
-    if not np.isfinite(loss):
-        raise _non_finite("squared errors or their mean contain", (outputs - targets) ** 2, 0)
 
     batch, steps, _ = cache.inputs.shape
     n_out = targets.shape[1]
@@ -409,7 +417,7 @@ def backward(params: ModelParams, inputs: np.ndarray, targets: np.ndarray) -> tu
     grads.w2 = d_out.T @ cache.dense
     grads.b2 = d_out.sum(axis=0)
     d_dense = d_out @ params.w2
-    d_z1 = d_dense * linalg.activation_grad(TANH, cache.dense)
+    d_z1 = d_dense * (1.0 - cache.dense * cache.dense)
     grads.w1 = d_z1.T @ cache.h
     grads.b1 = d_z1.sum(axis=0)
     dh = d_z1 @ params.w1

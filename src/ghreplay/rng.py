@@ -21,8 +21,10 @@ advanced, so enabling one consumer cannot shift another's sequence.
 The recurrence is a counter: output k after a state s is the output
 function applied to s + k * gamma. ``peek_u64`` uses that form to compute
 a block of upcoming outputs at once in ``uint64`` arithmetic, and
-``skip`` advances past the outputs a vectorized consumer actually used,
-so block and scalar consumers leave the stream in the same state.
+``skip`` advances past the outputs a block draw used. Each block draw
+(``uniforms``, ``truncated_normals``, ``randbelow_many``, ``sweep``)
+returns the values of a loop of scalar calls and leaves the stream where
+that loop leaves it; no other module turns SplitMix64 outputs into values.
 """
 
 from __future__ import annotations
@@ -55,6 +57,24 @@ def _fnv1a64(text: str) -> int:
         h ^= byte
         h = (h * _FNV_PRIME) & _MASK64
     return h
+
+
+def _uniforms(block: np.ndarray) -> np.ndarray:
+    """``SeededRng.random`` of each output in a ``peek_u64`` block."""
+    return (block >> np.uint64(11)).astype(np.float64) * _INV_2_53
+
+
+def _rejection_mask(m: int) -> int:
+    """The bit mask ``SeededRng.randbelow(m)`` applies before rejecting."""
+    if m < 1:
+        raise ValueError(f"randbelow: the bound must be positive, got {m}")
+    return (1 << (m - 1).bit_length()) - 1
+
+
+def _block_size(decisions: int, picks: float, m: int) -> int:
+    """Outputs to peek for ``decisions`` single draws plus about ``picks``
+    ``randbelow(m)`` calls: the expected count with a 25 % margin."""
+    return decisions + int(picks * (_rejection_mask(m) + 1) / m * 1.25) + 64
 
 
 class SeededRng:
@@ -104,17 +124,75 @@ class SeededRng:
     def uniform(self, low: float, high: float) -> float:
         return low + (high - low) * self.random()
 
+    def uniforms(self, n: int, low: float, high: float) -> np.ndarray:
+        """``n`` successive ``uniform(low, high)`` values as one array."""
+        values = low + (high - low) * _uniforms(self.peek_u64(n))
+        self.skip(n)
+        return values
+
     def randbelow(self, n: int) -> int:
         """Uniform integer in [0, n) by masked rejection (exactly uniform)."""
-        if n <= 0:
-            raise ValueError(f"randbelow: n must be positive, got {n}")
+        mask = _rejection_mask(n)
         if n == 1:
             return 0
-        mask = (1 << (n - 1).bit_length()) - 1
         while True:
             r = self.next_u64() & mask
             if r < n:
                 return r
+
+    def randbelow_many(self, n: int, m: int) -> np.ndarray:
+        """``[self.randbelow(m) for _ in range(n)]`` as an int64 array."""
+        if n == 0 or m == 1:
+            return np.zeros(n, dtype=np.int64)  # randbelow(1) draws nothing
+        mask = np.uint64(_rejection_mask(m))
+        size = _block_size(0, n, m)
+        while True:
+            low = (self.peek_u64(size) & mask).astype(np.int64)
+            accepted = np.flatnonzero(low < m)
+            if len(accepted) >= n:
+                self.skip(int(accepted[n - 1]) + 1)
+                return low[accepted[:n]]
+            size *= 2
+
+    def sweep(self, count: int, p: float, m: int) -> tuple[np.ndarray, np.ndarray]:
+        """The hits and picks of the scalar loop
+
+            for i in range(count):
+                if self.random() < p:
+                    hit i, pick self.randbelow(m)
+
+        as two int64 arrays, leaving the stream where that loop leaves it."""
+        mask = np.uint64(_rejection_mask(m))
+        if m == 1:
+            hits = np.flatnonzero(_uniforms(self.peek_u64(count)) < p)
+            self.skip(count)
+            return hits, np.zeros(len(hits), dtype=np.int64)
+        size = _block_size(count, count * p, m)
+        while True:
+            block = self.peek_u64(size)
+            low = (block & mask).astype(np.int64)
+            accepted = np.flatnonzero(low < m)
+            candidates = np.flatnonzero(_uniforms(block) < p)
+            # the draw that ends randbelow if draw k is a hit (size: beyond the block)
+            resolving = np.append(accepted, size)[np.searchsorted(accepted, candidates + 1)]
+            hits, picks = [], []
+            drawn = decided = 0
+            for k, r in zip(candidates.tolist(), resolving.tolist()):
+                if k < drawn:
+                    continue  # a rejection draw of an earlier hit, not a decision
+                i = decided + k - drawn
+                if i >= count or r == size:
+                    break
+                hits.append(i)
+                picks.append(r)
+                decided, drawn = i + 1, r + 1
+            else:
+                i = count
+            drawn += count - decided
+            if i >= count and drawn <= size:
+                self.skip(drawn)
+                return np.array(hits, dtype=np.int64), low[np.array(picks, dtype=np.int64)]
+            size *= 2
 
     def standard_normal(self) -> float:
         """N(0, 1) via Box-Muller; the paired value is cached."""

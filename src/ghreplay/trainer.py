@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .atomic import atomic_open
-from .csvio import read_table
+from .csvio import finite_float, read_table
 from .dataset import Phase, stack_samples
 from .memory import EpisodicMemory, MemoryConfig
 from .model import (
@@ -307,7 +307,7 @@ def write_curve_csv(path: str | Path, curve: LearningCurve) -> None:
 
 
 def read_curve_csv(path: str | Path) -> list[EvalPoint]:
-    converters = (int, int, str, float, float, float)
+    converters = (int, int, str, finite_float, finite_float, finite_float)
     return [EvalPoint(*row) for _, row in read_table(path, CURVE_COLUMNS, converters)]
 
 

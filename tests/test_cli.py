@@ -178,8 +178,17 @@ def test_compare_malformed_curve_exit_1(tmp_path, capsys):
          "3,1,GH-A,0.5,0.25,0.75\n",
          "phase,start_update\nGH-A,0\n\nGH-B,zero\n",
          r"curve_boundaries\.csv:4: column start_update: invalid value 'zero'"),
+        ("update_index,eval_index,phase,mse_total,mse_transpiration,mse_photosynthesis\n"
+         "3,1,GH-A,nan,0.5,nan\n",
+         "phase,start_update\nGH-A,0\n",
+         r"curve\.csv:2: column mse_total: invalid value 'nan'"),
+        ("update_index,eval_index,phase,mse_total,mse_transpiration,mse_photosynthesis\n"
+         "3,1,GH-A,0.5,0.25,0.75\n4,2,GH-A,0.5,-inf,0.75\n",
+         "phase,start_update\nGH-A,0\n",
+         r"curve\.csv:3: column mse_transpiration: invalid value '-inf'"),
     ],
-    ids=["bad-int", "missing-float", "extra-cells", "bad-boundary-after-blank-line"],
+    ids=["bad-int", "missing-float", "extra-cells", "bad-boundary-after-blank-line",
+         "nan-mse", "inf-mse"],
 )
 def test_compare_bad_cell_names_file_line_and_column(tmp_path, capsys, curve, boundaries, message):
     (tmp_path / "curve.csv").write_text(curve)

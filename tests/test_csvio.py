@@ -75,6 +75,17 @@ def test_non_finite_cell_names_line_and_column(tmp_path, column, value):
         read_records(path)
 
 
+@pytest.mark.parametrize("timestamp", [str(1 << 63), str(-(1 << 63) - 1)])
+def test_timestamp_outside_int64_names_line_and_column(tmp_path, timestamp):
+    path = tmp_path / "bad.csv"
+    path.write_text(",".join(COLUMNS) + "\n" + timestamp + ",20,80,0,650,20,0.01,0\n",
+                    encoding="utf-8")
+    with pytest.raises(
+        ValueError, match=rf"bad\.csv:2: column timestamp: invalid value '{timestamp}'$"
+    ):
+        read_records(path)
+
+
 def test_finite_values_whose_row_sum_overflows_are_accepted(tmp_path):
     path = tmp_path / "huge.csv"
     path.write_text(

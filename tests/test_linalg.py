@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -9,7 +7,6 @@ from ghreplay.linalg import (
     TANH,
     activation,
     activation_grad,
-    glorot_init,
     matmul,
 )
 from ghreplay.rng import SeededRng
@@ -122,28 +119,3 @@ def test_activation_grad_matches_finite_differences(kind):
         ) / (2 * h)
         assert abs(grad - fd) < 1e-8
 
-
-def test_glorot_single_entry_bound():
-    # limit for a 1x1 matrix is sqrt(6/2) = sqrt(3)
-    for seed in range(10):
-        value = glorot_init(1, 1, SeededRng(seed))[0, 0]
-        assert -math.sqrt(3) <= value <= math.sqrt(3)
-
-
-def test_glorot_deterministic_per_seed():
-    a = glorot_init(7, 5, SeededRng(99))
-    b = glorot_init(7, 5, SeededRng(99))
-    assert np.array_equal(a, b)
-
-
-def test_glorot_mean_within_three_sigma():
-    rows, cols = 100, 100
-    m = glorot_init(rows, cols, SeededRng(4))
-    limit = math.sqrt(6.0 / (rows + cols))
-    sigma_mean = limit / math.sqrt(3.0 * rows * cols)
-    assert abs(m.mean()) < 3.0 * sigma_mean
-
-
-def test_glorot_rejects_bad_shape():
-    with pytest.raises(ValueError):
-        glorot_init(0, 3, SeededRng(0))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import add_rows
-from ghreplay import memory as memory_module
+from ghreplay import rng as rng_module
 from ghreplay.memory import EpisodicMemory, MemoryConfig, SubstitutionStrategy
 from ghreplay.rng import SeededRng
 
@@ -313,7 +313,7 @@ def assert_same(scalar, mem, rng_scalar, rng_block):
 @pytest.mark.parametrize("strategy", [PER_BATCH, PER_ELEMENT, PER_SAMPLE])
 def test_block_sweeps_match_scalar_stream(strategy, tight_blocks, monkeypatch):
     if tight_blocks:  # every block too short: exercises the peek-again path
-        monkeypatch.setattr(memory_module, "_block_size", lambda decisions, picks, m: 1)
+        monkeypatch.setattr(rng_module, "_block_size", lambda decisions, picks, m: 1)
     meta = SeededRng(26).split(strategy.value)
     for pool in (1, 2, 64, 100, 128, 129):
         for p in (0.0, 0.1, 1.0):

@@ -69,6 +69,56 @@ def test_init_deterministic():
         assert np.array_equal(arr_a, arr_b)
 
 
+def glorot_limits(cfg):
+    """(rows, cols, limit) of each Glorot matrix, in init_model's draw order."""
+    h, d, dn, out = cfg.hidden_dim, cfg.input_dim, cfg.dense_dim, cfg.output_dim
+    shapes = [(h, d)] * 4 + [(h, h)] * 4 + [(dn, h), (out, dn)]
+    return [(rows, cols, math.sqrt(6.0 / (rows + cols))) for rows, cols in shapes]
+
+
+def glorot_matrices(params):
+    return [*params.w, *params.u, params.w1, params.w2]
+
+
+@pytest.mark.parametrize("dims", [(1, 1, 1, 1), (5, 4, 4, 2), (3, 7, 2, 1)],
+                         ids=["1x1", "small", "uneven"])
+def test_init_weights_within_glorot_bounds(dims):
+    d, h, dn, out = dims
+    cfg = ModelConfig(input_dim=d, hidden_dim=h, dense_dim=dn, output_dim=out)
+    for seed in range(10):  # a 1x1 matrix's limit is sqrt(6 / 2) = sqrt(3)
+        params = init_model(cfg, SeededRng(seed))
+        for matrix, (rows, cols, limit) in zip(glorot_matrices(params), glorot_limits(cfg)):
+            assert matrix.shape == (rows, cols)
+            assert (np.abs(matrix) <= limit).all()
+
+
+def test_init_draws_glorot_in_row_major_fixed_order():
+    # the scalar loop each matrix's block draw stands for, matrix by matrix
+    cfg = ModelConfig(input_dim=5, hidden_dim=3, dense_dim=4, output_dim=2)
+    scalar = SeededRng(44)
+    expected = [[scalar.uniform(-limit, limit) for _ in range(rows * cols)]
+                for rows, cols, limit in glorot_limits(cfg)]
+    block = SeededRng(44)
+    params = init_model(cfg, block)
+    assert [m.ravel().tolist() for m in glorot_matrices(params)] == expected
+    assert block.get_state() == scalar.get_state()
+
+
+def test_init_glorot_mean_within_three_sigma():
+    cfg = ModelConfig(hidden_dim=100)
+    u = init_model(cfg, SeededRng(4)).u[0]  # 100 x 100
+    limit = math.sqrt(6.0 / 200)
+    sigma_mean = limit / math.sqrt(3.0 * u.size)
+    assert abs(u.mean()) < 3.0 * sigma_mean
+
+
+def test_init_rejects_bad_shape_before_drawing():
+    rng = SeededRng(0)
+    with pytest.raises(ValueError, match="hidden_dim"):
+        init_model(ModelConfig(hidden_dim=0), rng)
+    assert rng.get_state() == SeededRng(0).get_state()
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         ModelConfig(hidden_dim=0).validate()
@@ -171,6 +221,20 @@ def test_mse_total_is_mean_of_per_output_exactly():
     targets = random_targets(rng, 17)
     total, per = mse_loss(preds, targets)
     assert total == (per[0] + per[1]) / 2.0
+
+
+def test_mse_overflow_raises_non_finite_naming_rows():
+    # under the suite's RuntimeWarning filter an overflow warning would fail first
+    predictions = np.array([[0.5, 0.5], [1e200, 0.5], [0.5, -1e154]])
+    with pytest.raises(model.NonFiniteError,
+                       match=r"^squared errors or their mean contain non-finite values "
+                             r"in batch rows \[1\]$") as err:
+        mse_loss(predictions, np.zeros((3, 2)))
+    assert err.value.rows.tolist() == [1]
+    # finite squared errors whose mean overflows name no row
+    with pytest.raises(model.NonFiniteError) as err:
+        mse_loss(np.full((2, 2), 1e154), np.zeros((2, 2)))
+    assert err.value.rows.tolist() == []
 
 
 def test_mse_rejects_empty_and_mismatched():
@@ -448,6 +512,12 @@ def test_import_after_numpy_warns_when_unset(order, preset):
     out = python_with_blas_threads(preset, f"import {order}")
     warned = "RuntimeWarning" in out.stderr and "set OPENBLAS_NUM_THREADS=1" in out.stderr
     assert warned == (order == "numpy, ghreplay" and preset is None), out.stderr
+
+
+def test_cli_import_leaves_linalg_unloaded():
+    # linalg is the tests' checked reference; no module of the package imports it
+    out = python_with_blas_threads("1", "import ghreplay.cli, sys; print('ghreplay.linalg' in sys.modules)")
+    assert out.stdout.strip() == "False"
 
 
 # --- bit-identity against the per-gate reference loops ----------------------

@@ -191,7 +191,8 @@ def test_train_update_divergence_names_greenhouse_and_timestamp():
     state = fresh_state()
     rows = synthetic_stream(state, 3, label="GH-Q", seed=9)
     state.params.w2[:] = 1e200  # finite outputs whose squared errors overflow
-    with np.errstate(over="ignore"), pytest.raises(
+    # an overflow warning would fail here, under the suite's RuntimeWarning filter
+    with pytest.raises(
         model.NonFiniteError, match=r"^squared errors or their mean contain non-finite values"
     ) as err:
         train_update(state, rows, MODEL_CFG, replay_size=0)
@@ -252,6 +253,16 @@ def test_evaluate_total_is_mean_of_outputs():
     targets = np.array([[rng.random(), rng.random()] for _ in range(50)])
     total, per = evaluate(params, held_out_phase(targets))
     assert total == (per[0] + per[1]) / 2.0
+
+
+def test_evaluate_overflowing_squared_errors_raise_non_finite():
+    params = zeros_params(MODEL_CFG)
+    params.b2[:] = [0.5, 1e200]  # finite outputs whose squared errors overflow
+    with pytest.raises(
+        model.NonFiniteError,
+        match=r"^squared errors or their mean contain non-finite values in batch rows \[0, 1, 2\]$",
+    ):
+        evaluate(params, held_out_phase(np.full((3, 2), 0.5)))
 
 
 def test_evaluate_rejects_empty_test_set():
