@@ -172,7 +172,6 @@ def load_checkpoint(path: str | Path) -> tuple[ModelConfig, TrainerState]:
         try:
             meta = json.loads(meta_json)
             model_cfg = ModelConfig(**meta["model_config"])
-            model_cfg.validate()
             memory = EpisodicMemory(MemoryConfig(**meta["memory_config"]))
             replay_rng, memory_rng = (SeededRng.from_state(meta["rng_states"][name])
                                       for name in ("replay", "memory"))

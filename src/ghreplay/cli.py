@@ -16,6 +16,7 @@ from pathlib import Path
 from . import experiment, trainer
 from .checkpoint import save_checkpoint
 from .experiment import SpecError
+from .memory import SubstitutionStrategy
 
 
 def _spec_overrides(args: argparse.Namespace) -> dict:
@@ -142,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_flags.add_argument(
         "--memory-strategy",
-        choices=["per-element", "per-sample", "per-batch"],
+        choices=[strategy.value for strategy in SubstitutionStrategy],
         default=None,
         help="memory substitution strategy",
     )

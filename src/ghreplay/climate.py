@@ -23,11 +23,12 @@ loop gives.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from .rng import SeededRng
+from .schema import _GREENHOUSE_PARAMS_SCHEMA, check_fields
 
 SAMPLE_INTERVAL_S = 300
 RECORDS_PER_DAY = 86400 // SAMPLE_INTERVAL_S  # 288
@@ -73,19 +74,10 @@ class GreenhouseParams:
     noise_sd: float = 0.03      # relative noise level
     day_length_h: float = 14.0  # hours of daylight
 
-    def validate(self) -> None:
-        for f in fields(self):
-            if f.name in ("name", "noise_sd"):
-                continue
-            value = getattr(self, f.name)
-            if not value > 0:
-                raise ValueError(f"{self.name or 'greenhouse'}: {f.name} must be > 0, got {value}")
-        if self.noise_sd < 0:
-            raise ValueError(f"{self.name}: noise_sd must be >= 0, got {self.noise_sd}")
-        if not 0 < self.day_length_h < 24:
-            raise ValueError(
-                f"{self.name}: day_length_h must be in (0, 24), got {self.day_length_h}"
-            )
+    SCHEMA = _GREENHOUSE_PARAMS_SCHEMA["properties"]
+
+    def __post_init__(self) -> None:
+        check_fields(self, self.SCHEMA)
 
 
 # GH-A and GH-B differ mildly (a_rad, p_max); GH-C is a strong shift
@@ -163,7 +155,6 @@ def generate_series(
     Each record draws three noise values in the order temperature,
     transpiration, photosynthesis.
     """
-    p.validate()
     if days < 1:
         raise ValueError(f"generate_series: days must be >= 1, got {days}")
 

@@ -2,18 +2,17 @@
 
 A spec names the greenhouses (generator presets, explicit parameters, or
 existing CSV paths), the model, memory and scenario settings, and the
-output directory. ``validate_spec`` checks it before any work starts,
-in-package, with the JSON Schema keywords ``EXPERIMENT_SCHEMA`` uses:
-``type`` (an ``integer`` is an ``int``, not a float or bool, and a
-``number`` is finite, not NaN or an infinity), ``enum``,
-``minimum``, ``maximum``, ``exclusiveMinimum``, ``exclusiveMaximum``,
-``minLength``, ``minItems``, ``items``, ``required``, ``properties`` and
-``additionalProperties: false``, so unknown keys are rejected. Two
-built-in presets supply defaults: ``desk`` (minutes on a laptop) and
-``paper`` (protocol-scale constants: window 250, 10-minute window
-separation, batches of 100, 10k-sample memory, substitution probability
-0.1, evaluation every 3 updates, 10k-sample test sets). Resolution order:
-preset defaults, then the spec file, then command-line flags.
+output directory. ``validate_spec`` checks it against ``EXPERIMENT_SCHEMA``
+(see ``schema``) before any work starts and names the first bad key by
+its dotted path; unknown keys are rejected. The configs built from a
+spec check themselves against the same schema parts, so a setting's
+bounds are stated once. Two built-in presets supply defaults: ``desk``
+(minutes on a laptop) and ``paper`` (protocol-scale constants: window
+250, 10-minute window separation, batches of 100, 10k-sample memory,
+substitution probability 0.1, evaluation every 3 updates, 10k-sample
+test sets). Resolution order: preset defaults, then the spec file, then
+command-line flags. ``build_phases`` refuses a greenhouse whose windows
+leave no test set, or a stream shorter than one batch.
 """
 
 from __future__ import annotations
@@ -21,8 +20,6 @@ from __future__ import annotations
 import copy
 import dataclasses
 import json
-import math
-import operator
 from pathlib import Path
 
 from .atomic import atomic_open
@@ -32,101 +29,12 @@ from .dataset import Normalizer, Phase, build_samples, default_normalizer
 from .memory import MemoryConfig
 from .model import ModelConfig
 from .rng import SeededRng
+from .schema import EXPERIMENT_SCHEMA, _schema_errors
 from .trainer import ScenarioConfig
 
 
 class SpecError(ValueError):
     """Invalid spec, flags or input files (CLI exit code 2)."""
-
-
-_GREENHOUSE_PARAMS_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "i_max": {"type": "number", "exclusiveMinimum": 0},
-        "alpha": {"type": "number", "exclusiveMinimum": 0},
-        "p_max": {"type": "number", "exclusiveMinimum": 0},
-        "k_c": {"type": "number", "exclusiveMinimum": 0},
-        "a_rad": {"type": "number", "exclusiveMinimum": 0},
-        "b_vpd": {"type": "number", "exclusiveMinimum": 0},
-        "t_base": {"type": "number", "exclusiveMinimum": 0},
-        "t_amp": {"type": "number", "exclusiveMinimum": 0},
-        "co2_day": {"type": "number", "exclusiveMinimum": 0},
-        "co2_night": {"type": "number", "exclusiveMinimum": 0},
-        "noise_sd": {"type": "number", "minimum": 0},
-        "day_length_h": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 24},
-    },
-}
-
-EXPERIMENT_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["greenhouses"],
-    "properties": {
-        "seed": {"type": "integer", "minimum": 0, "maximum": 2**64 - 1},  # SeededRng's 64 bits
-        "out_dir": {"type": "string", "minLength": 1},
-        "days_per_phase": {"type": "integer", "minimum": 1},
-        "greenhouses": {
-            "type": "array",
-            "minItems": 1,
-            "items": {
-                "type": "object",
-                "additionalProperties": False,
-                "required": ["name"],
-                "properties": {
-                    "name": {"type": "string", "minLength": 1},
-                    "params": _GREENHOUSE_PARAMS_SCHEMA,
-                    "csv": {"type": "string", "minLength": 1},
-                },
-            },
-        },
-        "data": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "window_len": {"type": "integer", "minimum": 1},
-                "stride": {"type": "integer", "minimum": 1},
-                "start_timestamp": {"type": "integer", "minimum": 0},
-            },
-        },
-        "model": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "hidden_dim": {"type": "integer", "minimum": 1},
-                "dense_dim": {"type": "integer", "minimum": 1},
-                "learning_rate": {"type": "number", "exclusiveMinimum": 0},
-                "adam_beta1": {"type": "number", "minimum": 0, "exclusiveMaximum": 1},
-                "adam_beta2": {"type": "number", "minimum": 0, "exclusiveMaximum": 1},
-                "adam_epsilon": {"type": "number", "exclusiveMinimum": 0},
-                "grad_clip": {"type": ["number", "null"], "exclusiveMinimum": 0},
-            },
-        },
-        "memory": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "capacity": {"type": "integer", "minimum": 1},
-                "substitution_probability": {"type": "number", "minimum": 0, "maximum": 1},
-                "strategy": {
-                    "type": "string",
-                    "enum": ["per-element", "per-sample", "per-batch"],
-                },
-            },
-        },
-        "scenario": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "batch_size": {"type": "integer", "minimum": 1},
-                "replay_size": {"type": "integer", "minimum": 0},
-                "eval_every": {"type": "integer", "minimum": 1},
-                "test_size": {"type": "integer", "minimum": 1},
-            },
-        },
-    },
-}
 
 
 def desk_spec() -> dict:
@@ -158,64 +66,6 @@ def paper_spec() -> dict:
 
 
 PRESET_SPECS = {"desk": desk_spec, "paper": paper_spec}
-
-
-# JSON types as Python types; a bool is none of them, and an integer is an int
-_TYPES = {"object": dict, "array": list, "string": str, "integer": int,
-          "number": (int, float), "null": type(None)}
-_BOUNDS = {
-    "minimum": (operator.lt, "less than the minimum of"),
-    "maximum": (operator.gt, "greater than the maximum of"),
-    "exclusiveMinimum": (operator.le, "less than or equal to the minimum of"),
-    "exclusiveMaximum": (operator.ge, "greater than or equal to the maximum of"),
-}
-
-
-def _is(value, kind: str) -> bool:
-    return isinstance(value, _TYPES[kind]) and not isinstance(value, bool)
-
-
-def _schema_errors(value, schema: dict, path: tuple):
-    """Yield ``(path, message)`` for each way ``value`` breaks ``schema``,
-    keyword by keyword in the schema's order, as JSON Schema 2020-12 does.
-    Stricter than JSON Schema in two ways: an integer is an int, never an
-    integral float, and a number is finite, never NaN or an infinity (which
-    Python's ``json`` reads)."""
-    for keyword, arg in schema.items():
-        if keyword == "type":
-            kinds = [arg] if isinstance(arg, str) else arg
-            if not any(_is(value, kind) for kind in kinds):
-                yield path, f"{value!r} is not of type {' or '.join(map(repr, kinds))}"
-            elif isinstance(value, float) and not math.isfinite(value):
-                yield path, f"{value!r} is not a finite number"
-        elif keyword == "enum":
-            if value not in arg:
-                yield path, f"{value!r} is not one of {arg!r}"
-        elif keyword in _BOUNDS:
-            if _is(value, "number") and _BOUNDS[keyword][0](value, arg):
-                yield path, f"{value!r} is {_BOUNDS[keyword][1]} {arg!r}"
-        elif keyword in ("minLength", "minItems"):
-            if _is(value, "string" if keyword == "minLength" else "array") and len(value) < arg:
-                yield path, f"{value!r} is too short"
-        elif keyword == "items":
-            for index, item in enumerate(value if _is(value, "array") else ()):
-                yield from _schema_errors(item, arg, path + (index,))
-        elif keyword == "required":
-            for name in arg if _is(value, "object") else ():
-                if name not in value:
-                    yield path, f"{name!r} is a required property"
-        elif keyword == "properties":
-            for name, sub in arg.items() if _is(value, "object") else ():
-                if name in value:
-                    yield from _schema_errors(value[name], sub, path + (name,))
-        elif keyword == "additionalProperties" and arg is False:
-            allowed = schema.get("properties", {})
-            extra = sorted(set(value) - set(allowed)) if _is(value, "object") else []
-            if extra:
-                yield path, ("Additional properties are not allowed "
-                             f"({', '.join(map(repr, extra))} unexpected)")
-        elif keyword != "$schema":
-            raise ValueError(f"spec schema keyword {keyword}: {arg!r} is not supported")
 
 
 def validate_spec(doc: dict) -> None:
@@ -288,23 +138,15 @@ def greenhouse_params(entry: dict) -> GreenhouseParams:
             f"greenhouse {name!r} has no 'params' and is not a built-in preset "
             f"({', '.join(sorted(PRESETS))})"
         )
-    try:
-        params.validate()
-    except ValueError as exc:
-        raise SpecError(str(exc)) from None
     return params
 
 
 def build_model_config(spec: dict) -> ModelConfig:
-    cfg = ModelConfig(window_len=spec["data"]["window_len"], **spec["model"])
-    cfg.validate()
-    return cfg
+    return ModelConfig(window_len=spec["data"]["window_len"], **spec["model"])
 
 
 def build_memory_config(spec: dict) -> MemoryConfig:
-    cfg = MemoryConfig(**spec["memory"])
-    cfg.validate()
-    return cfg
+    return MemoryConfig(**spec["memory"])
 
 
 def dataset_path(entry: dict, out_dir: Path) -> Path:
@@ -350,6 +192,7 @@ def build_phases(spec: dict, out_dir: Path) -> tuple[list[Phase], Normalizer]:
     window_len = spec["data"]["window_len"]
     stride = spec["data"]["stride"]
     test_size = spec["scenario"]["test_size"]
+    batch_size = spec["scenario"]["batch_size"]
     normalizer = default_normalizer()
 
     phases = []
@@ -364,6 +207,11 @@ def build_phases(spec: dict, out_dir: Path) -> tuple[list[Phase], Normalizer]:
                 f"greenhouse {entry['name']!r}: {len(windows)} windows is not "
                 f"enough for a test set of {test_size}"
             )
+        if len(windows) - test_size < batch_size:
+            raise SpecError(
+                f"greenhouse {entry['name']!r}: a stream of {len(windows) - test_size} "
+                f"windows is shorter than one batch of {batch_size}"
+            )
         rng = SeededRng(seed).split(f"test-sampling/{entry['name']}")
         phases.append(Phase.split(windows, rng.sample_indices(len(windows), test_size)))
     return phases, normalizer
@@ -371,12 +219,10 @@ def build_phases(spec: dict, out_dir: Path) -> tuple[list[Phase], Normalizer]:
 
 def build_scenario(spec: dict, phases: list[Phase]) -> ScenarioConfig:
     scenario = spec["scenario"]
-    cfg = ScenarioConfig(
+    return ScenarioConfig(
         phases=phases,
         batch_size=scenario["batch_size"],
         replay_size=scenario["replay_size"],
         eval_every=scenario["eval_every"],
         seed=spec["seed"],
     )
-    cfg.validate()
-    return cfg

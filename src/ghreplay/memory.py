@@ -45,6 +45,7 @@ import numpy as np
 
 from .dataset import Phase
 from .rng import SeededRng
+from .schema import EXPERIMENT_SCHEMA, check_fields
 
 
 class SubstitutionStrategy(str, Enum):
@@ -59,14 +60,10 @@ class MemoryConfig:
     substitution_probability: float = 0.1
     strategy: SubstitutionStrategy = SubstitutionStrategy.PER_BATCH
 
-    def validate(self) -> None:
-        if self.capacity < 1:
-            raise ValueError(f"MemoryConfig.capacity must be >= 1, got {self.capacity}")
-        if not 0.0 <= self.substitution_probability <= 1.0:
-            raise ValueError(
-                f"MemoryConfig.substitution_probability must be in [0, 1], "
-                f"got {self.substitution_probability}"
-            )
+    SCHEMA = EXPERIMENT_SCHEMA["properties"]["memory"]["properties"]
+
+    def __post_init__(self) -> None:
+        check_fields(self, self.SCHEMA)
         self.strategy = SubstitutionStrategy(self.strategy)
 
 
@@ -80,7 +77,6 @@ class EpisodicMemory:
     """Single-owner sample buffer; mutations must stay sequential."""
 
     def __init__(self, config: MemoryConfig):
-        config.validate()
         self.config = config
         self.labels: list[str] = []
         self.inputs: np.ndarray | None = None

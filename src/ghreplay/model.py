@@ -60,6 +60,9 @@ import numpy as np
 
 from .dataset import stack_steps
 from .rng import SeededRng
+from .schema import EXPERIMENT_SCHEMA, check_fields
+
+_SPEC = EXPERIMENT_SCHEMA["properties"]
 
 
 class NonFiniteError(ValueError):
@@ -93,14 +96,15 @@ class ModelConfig:
     adam_epsilon: float = 1e-8
     grad_clip: float | None = None   # max global grad norm, None = off
 
-    def validate(self) -> None:
-        for name in ("input_dim", "hidden_dim", "dense_dim", "output_dim", "window_len"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"ModelConfig.{name} must be >= 1")
-        if not self.learning_rate > 0:
-            raise ValueError("ModelConfig.learning_rate must be > 0")
-        if self.grad_clip is not None and not self.grad_clip > 0:
-            raise ValueError("ModelConfig.grad_clip must be > 0 or None")
+    # the spec's model section and window length; the data's own widths
+    SCHEMA = {
+        **_SPEC["model"]["properties"],
+        "window_len": _SPEC["data"]["properties"]["window_len"],
+        **dict.fromkeys(("input_dim", "output_dim"), {"type": "integer", "minimum": 1}),
+    }
+
+    def __post_init__(self) -> None:
+        check_fields(self, self.SCHEMA)
 
 
 @dataclass
@@ -150,7 +154,6 @@ def init_model(cfg: ModelConfig, rng: SeededRng) -> ModelParams:
     """Glorot weights drawn in a fixed order (the four input gates, the four
     recurrent gates, w1, w2); zero biases except the forget gate's at 1 so
     gradients flow through long windows from the start."""
-    cfg.validate()
     h, d = cfg.hidden_dim, cfg.input_dim
     params = zeros_params(cfg)
     for k in range(4):

@@ -51,25 +51,26 @@ from .model import (
     predict_batch,
 )
 from .rng import SeededRng
+from .schema import EXPERIMENT_SCHEMA, check_fields
+
+_SPEC = EXPERIMENT_SCHEMA["properties"]
 
 
 @dataclass
 class ScenarioConfig:
     phases: list[Phase]
-    batch_size: int = 100
-    replay_size: int = 100
-    eval_every: int = 3
-    seed: int = 0
+    batch_size: int
+    replay_size: int
+    eval_every: int
+    seed: int
 
-    def validate(self) -> None:
+    SCHEMA = {name: _SPEC["scenario"]["properties"][name]
+              for name in ("batch_size", "replay_size", "eval_every")} | {"seed": _SPEC["seed"]}
+
+    def __post_init__(self) -> None:
         if not self.phases:
             raise ValueError("ScenarioConfig: need at least one phase")
-        if self.batch_size < 1:
-            raise ValueError("ScenarioConfig.batch_size must be >= 1")
-        if self.replay_size < 0:
-            raise ValueError("ScenarioConfig.replay_size must be >= 0")
-        if self.eval_every < 1:
-            raise ValueError("ScenarioConfig.eval_every must be >= 1")
+        check_fields(self, self.SCHEMA)
 
 
 @dataclass
@@ -241,8 +242,6 @@ def run_scenario(
 ) -> ScenarioResult:
     """Train one model across all phases in order, carrying the memory;
     with ``retention``, also evaluate every earlier phase at each evaluation."""
-    scenario.validate()
-    model_cfg.validate()
     state = _fresh_state(scenario, model_cfg, memory_cfg)
     curve = LearningCurve()
     for idx, phase in enumerate(scenario.phases):
@@ -269,14 +268,7 @@ def run_baseline(
 ) -> ScenarioResult:
     """Fresh model + empty memory trained on a single named phase, with
     update indices offset so the curve overlays the scenario's."""
-    scenario.validate()
-    model_cfg.validate()
     phase, offset = _locate_phase(scenario, phase_label)
-    if len(phase.stream) < scenario.batch_size:
-        raise ValueError(
-            f"phase {phase_label!r} stream ({len(phase.stream)} samples) is "
-            f"shorter than one batch ({scenario.batch_size})"
-        )
     state = _fresh_state(scenario, model_cfg, memory_cfg)
     state.update_index = offset
     curve = LearningCurve()

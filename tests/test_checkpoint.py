@@ -177,13 +177,27 @@ def without_meta(section, key):
         ("mem_label_ids", lambda a: np.concatenate([a[:-1], [2]]), r"mem_label_ids has values outside \[0, 2\)"),
         ("mem_timestamps", lambda a: a[1:], r"mem_timestamps has shape \(9,\), expected \(10,\)"),
         ("meta_json", with_meta("model_config", "learning_rate", -1.0),
-         "meta_json: ModelConfig.learning_rate must be > 0"),
+         "meta_json: ModelConfig.learning_rate: -1.0 is less than or equal to the minimum of 0"),
         ("meta_json", with_meta("model_config", "window_len", 0),
-         "meta_json: ModelConfig.window_len must be >= 1"),
+         "meta_json: ModelConfig.window_len: 0 is less than the minimum of 1"),
         ("meta_json", with_meta("model_config", "grad_clip", -3.0),
-         "meta_json: ModelConfig.grad_clip must be > 0 or None"),
+         "meta_json: ModelConfig.grad_clip: -3.0 is less than or equal to the minimum of 0"),
         ("meta_json", with_meta("memory_config", "capacity", 0),
-         "meta_json: MemoryConfig.capacity must be >= 1, got 0"),
+         "meta_json: MemoryConfig.capacity: 0 is less than the minimum of 1"),
+        ("meta_json", with_meta("model_config", "adam_beta1", 1.5),
+         "meta_json: ModelConfig.adam_beta1: 1.5 is greater than or equal to the maximum of 1"),
+        ("meta_json", with_meta("model_config", "adam_epsilon", -1.0),
+         "meta_json: ModelConfig.adam_epsilon: -1.0 is less than or equal to the minimum of 0"),
+        ("meta_json", with_meta("model_config", "adam_beta2", float("nan")),
+         "meta_json: ModelConfig.adam_beta2: nan is not a finite number"),
+        ("meta_json", with_meta("model_config", "learning_rate", float("inf")),
+         "meta_json: ModelConfig.learning_rate: inf is not a finite number"),
+        ("meta_json", with_meta("model_config", "hidden_dim", 3.0),
+         "meta_json: ModelConfig.hidden_dim: 3.0 is not of type 'integer'"),
+        ("meta_json", with_meta("memory_config", "capacity", 2.5),
+         "meta_json: MemoryConfig.capacity: 2.5 is not of type 'integer'"),
+        ("meta_json", with_meta("memory_config", "capacity", True),
+         "meta_json: MemoryConfig.capacity: True is not of type 'integer'"),
         ("meta_json", with_meta("memory_config", "capacity", 9),
          "mem_rows has 10 slots, over the capacity 9"),
         ("adam_t", lambda a: np.array(-5), r"adam_t has values outside \[0, inf\)"),
@@ -209,7 +223,9 @@ def without_meta(section, key):
     ids=["inf-b2", "shape-u", "nan-adam_v", "short-mem_inputs", "nan-mem_targets", "nan-mem_inputs",
          "below-mem_rows", "beyond-mem_rows", "float-mem_rows", "shape-mem_targets",
          "unknown-mem_label_ids", "short-mem_timestamps", "negative-learning_rate",
-         "zero-window_len", "negative-grad_clip", "zero-capacity", "capacity-below-slots",
+         "zero-window_len", "negative-grad_clip", "zero-capacity", "above-one-adam_beta1",
+         "negative-adam_epsilon", "nan-adam_beta2", "inf-learning_rate", "float-hidden_dim",
+         "float-capacity", "bool-capacity", "capacity-below-slots",
          "negative-adam_t", "negative-mem_observed_count", "missing-adam_t",
          "missing-mem_observed_count", "missing-meta_json", "float-adam_t",
          "vector-mem_observed_count", "non-dict-rng-state", "null-rng-state", "missing-rng-state",

@@ -104,6 +104,24 @@ def test_baseline_unknown_phase_exit_2(tmp_path, capsys):
     assert "GH-Z" in capsys.readouterr().err
 
 
+def test_stream_shorter_than_one_batch_exit_2_for_run_and_baseline(tmp_path, capsys):
+    # one desk day gives 120 windows per greenhouse: 100 for the test set, 20 to stream
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"days_per_phase": 1, "scenario": {"test_size": 100}}))
+    out = tmp_path / "out"
+    flags = ["--preset", "desk", "--spec", str(spec), "--out", str(out)]
+    assert main(["generate", *flags]) == 0
+    capsys.readouterr()
+    errors = []
+    for command in (["run"], ["baseline", "--phase", "GH-A"]):
+        assert main([*command, *flags]) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] == (
+        "error: greenhouse 'GH-A': a stream of 20 windows is shorter than one batch of 100\n")
+    assert sorted(p.name for p in out.iterdir()) == ["GH-A.csv", "GH-B.csv", "GH-C.csv",
+                                                     "manifest.json"]
+
+
 def test_baseline_and_compare_pipeline(tmp_path, capsys):
     spec_path, doc = write_tiny_spec(tmp_path)
     out = tmp_path / "out"

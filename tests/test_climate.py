@@ -111,12 +111,14 @@ def test_transpiration_linear_in_radiation():
 
 
 def test_params_validation():
-    with pytest.raises(ValueError, match="day_length_h"):
-        GreenhouseParams(name="bad", day_length_h=25.0).validate()
-    with pytest.raises(ValueError, match="i_max"):
-        GreenhouseParams(name="bad", i_max=-1.0).validate()
-    with pytest.raises(ValueError, match="noise_sd"):
-        GreenhouseParams(name="bad", noise_sd=-0.1).validate()
+    for kwargs, message in [
+        ({"day_length_h": 25.0},
+         "GreenhouseParams.day_length_h: 25.0 is greater than or equal to the maximum of 24"),
+        ({"i_max": -1.0}, "GreenhouseParams.i_max: -1.0 is less than or equal to the minimum of 0"),
+        ({"noise_sd": -0.1}, "GreenhouseParams.noise_sd: -0.1 is less than the minimum of 0"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            GreenhouseParams(name="bad", **kwargs)
 
 
 def test_generate_series_shape_and_spacing():

@@ -174,10 +174,15 @@ def test_observe_batch_rejects_empty():
 
 
 def test_memory_config_validation():
-    with pytest.raises(ValueError):
-        MemoryConfig(capacity=0).validate()
-    with pytest.raises(ValueError):
-        MemoryConfig(substitution_probability=1.5).validate()
+    for kwargs, message in [
+        ({"capacity": 0}, "MemoryConfig.capacity: 0 is less than the minimum of 1"),
+        ({"capacity": True}, "MemoryConfig.capacity: True is not of type 'integer'"),
+        ({"substitution_probability": 1.5},
+         "MemoryConfig.substitution_probability: 1.5 is greater than the maximum of 1"),
+        ({"strategy": "per-row"}, "MemoryConfig.strategy: 'per-row' is not one of"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            MemoryConfig(**kwargs)
 
 
 # --- replay draws -----------------------------------------------------------

@@ -3,6 +3,7 @@ about integers and finite numbers, and no longer pulling jsonschema into
 any command."""
 
 import copy
+import dataclasses
 import json
 import math
 import os
@@ -14,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from ghreplay.cli import main
+from ghreplay.climate import GreenhouseParams
 from ghreplay.experiment import (
     EXPERIMENT_SCHEMA,
     SpecError,
@@ -22,6 +24,9 @@ from ghreplay.experiment import (
     paper_spec,
     validate_spec,
 )
+from ghreplay.memory import MemoryConfig, SubstitutionStrategy
+from ghreplay.model import ModelConfig
+from ghreplay.trainer import ScenarioConfig
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 SUPPORTED_KEYWORDS = {
@@ -55,8 +60,14 @@ EXTRA_KEYS = sorted({name for keyword, arg in schema_keywords(EXPERIMENT_SCHEMA)
                      if keyword == "properties" for name in arg} | {"surprise"})
 
 
+# the configs that check their fields against parts of the schema when built
+CONFIGS = (ModelConfig, MemoryConfig, ScenarioConfig, GreenhouseParams)
+
+
 def test_every_schema_keyword_is_one_the_checker_implements():
     pairs = list(schema_keywords(EXPERIMENT_SCHEMA))
+    for config in CONFIGS:
+        pairs += [pair for sub in config.SCHEMA.values() for pair in schema_keywords(sub)]
     assert {keyword for keyword, _ in pairs} <= SUPPORTED_KEYWORDS
     assert all(arg is False for keyword, arg in pairs if keyword == "additionalProperties")
     for keyword, arg in pairs:
@@ -66,6 +77,23 @@ def test_every_schema_keyword_is_one_the_checker_implements():
     for schema in ({"anyOf": [{"type": "integer"}]}, {"additionalProperties": {"type": "integer"}}):
         with pytest.raises(ValueError, match="is not supported"):
             list(_schema_errors({"x": 1}, schema, ()))
+
+
+def test_config_schemas_name_fields_and_reuse_the_spec_schema():
+    spec_parts = {id(sub) for keyword, arg in schema_keywords(EXPERIMENT_SCHEMA)
+                  if keyword == "properties" for sub in arg.values()}
+    for config in CONFIGS:
+        names = {f.name for f in dataclasses.fields(config)}
+        for name, sub in config.SCHEMA.items():
+            assert name in names, f"{config.__name__}.SCHEMA names no field {name!r}"
+            # each bound is stated once: only the data's widths are not spec settings
+            if (config, name) not in ((ModelConfig, "input_dim"), (ModelConfig, "output_dim")):
+                assert id(sub) in spec_parts, f"{config.__name__}.{name}"
+
+
+def test_strategy_enum_matches_substitution_strategy():
+    enum = EXPERIMENT_SCHEMA["properties"]["memory"]["properties"]["strategy"]["enum"]
+    assert enum == [strategy.value for strategy in SubstitutionStrategy]
 
 
 def spec_paths(doc, path=()):
