@@ -108,8 +108,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     for r in rows:
         print(
             f"{r.phase:<10} {r.boundary_update:>8} {r.transferred_mse:>12.6g} "
-            f"{r.fresh_mse:>12.6g} {r.ratio:>8.3g}  "
-            f"{'pass' if r.transfer_benefit else 'fail'}"
+            f"{r.fresh_mse:>12.6g} {r.ratio:>8.3g}  {r.result}"
         )
     if args.out is not None:
         out_path = Path(args.out)

@@ -35,6 +35,8 @@ import csv
 import math
 import warnings
 from collections.abc import Callable, Iterator
+from contextlib import contextmanager
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -42,16 +44,7 @@ import numpy as np
 from .atomic import atomic_open
 from .climate import SAMPLE_INTERVAL_S, ClimateSeries
 
-COLUMNS = (
-    "timestamp",
-    "t_air",
-    "rh",
-    "radiation",
-    "co2",
-    "t_leaf",
-    "transpiration",
-    "photosynthesis",
-)
+COLUMNS = tuple(f.name for f in fields(ClimateSeries))
 
 _LINE = "%d" + ",%.9g" * (len(COLUMNS) - 1) + "\r\n"
 _TABLE = np.dtype([(COLUMNS[0], np.int64)] + [(name, np.float64) for name in COLUMNS[1:]])
@@ -66,7 +59,7 @@ def write_records(path: str | Path, series: ClimateSeries) -> None:
 def read_records(path: str | Path) -> ClimateSeries:
     """Read and validate a climate CSV; errors carry the 1-based line number."""
     path = Path(path)
-    with path.open("r", encoding="utf-8", newline="") as fh:
+    with _open_text(path) as fh:
         _check_header(path, fh, COLUMNS)
         try:
             with warnings.catch_warnings():
@@ -78,6 +71,22 @@ def read_records(path: str | Path) -> ClimateSeries:
     if table is None or not _passes_checks(table):
         table = _read_lines(path)
     return ClimateSeries(*(table[name] for name in COLUMNS))
+
+
+@contextmanager
+def _open_text(path: Path):
+    """``path`` opened for reading as UTF-8; a byte that is not UTF-8 fails
+    with the file and the line of the first such byte, found only then."""
+    with path.open("r", encoding="utf-8", newline="") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError:
+            try:
+                path.read_bytes().decode("utf-8")
+            except UnicodeDecodeError as exc:
+                line = exc.object.count(b"\n", 0, exc.start) + 1
+                raise ValueError(f"{path}:{line}: not valid UTF-8") from None
+            raise
 
 
 def _check_header(path: Path, fh, columns: tuple[str, ...]):
@@ -103,7 +112,7 @@ def read_table(
     with the wrong number of cells, or a cell whose converter raises
     ``ValueError``, fails with the file and line."""
     path = Path(path)
-    with path.open("r", encoding="utf-8", newline="") as fh:
+    with _open_text(path) as fh:
         reader = _check_header(path, fh, columns)
         for cells in reader:
             if not cells:

@@ -98,6 +98,8 @@ def load_spec_file(path: str | Path) -> dict:
         raise SpecError(f"spec file not found: {path}")
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError:
+        raise SpecError(f"{path}: not valid UTF-8") from None
     except json.JSONDecodeError as exc:
         raise SpecError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(doc, dict):

@@ -29,6 +29,8 @@ greenhouse; a window is named by the table row of its final record, and
 its inputs are the ``window_len`` table rows ending there. A slot is one
 such row in the ``rows`` array. Observing and replaying move integers
 only; the trainer gathers the windows of a batch in one step.
+``snapshot`` compacts the table to the rows that stored windows cover,
+as a checkpoint's arrays, and ``restore`` rebuilds a memory from them.
 
 The random draws are ``SeededRng``'s: a substitution sweep is
 ``SeededRng.sweep`` and a replay draw ``SeededRng.randbelow_many``, each
@@ -150,6 +152,61 @@ class EpisodicMemory:
         if n and not len(self.rows):
             raise ValueError("draw_replay: memory is empty")
         return self.rows[rng.randbelow_many(n, len(self.rows))]
+
+    def origins(self, rows) -> list[tuple[str, int]]:
+        """Each table row's ``(greenhouse label, timestamp)``."""
+        label_ids, timestamps = self.row_label_ids[rows].tolist(), self.timestamps[rows].tolist()
+        return [(self.labels[i], ts) for i, ts in zip(label_ids, timestamps)]
+
+    def snapshot(self, window_len: int, input_dim: int, output_dim: int) -> dict[str, np.ndarray]:
+        """The slots over the table rows their windows cover (``R`` rows,
+        ``n`` slots), as the seven ``mem_*`` arrays of a checkpoint:
+
+        * ``mem_inputs`` (R, D): every table row that some stored window
+          covers, once, in table order, so each window stays ``window_len``
+          consecutive rows; ``input_dim`` is D for a memory without series;
+        * ``mem_rows`` (n,): each slot's final-record row into that block,
+          in ``[window_len - 1, R)``, with its target ``mem_targets`` (n, K),
+          the timestamp of that record ``mem_timestamps`` (n,) and its index
+          into ``mem_labels``, ``mem_label_ids`` (n,);
+        * ``mem_observed_count``: the number of samples observed."""
+        ends = self.rows
+        table_rows = len(self.timestamps)
+        # +1 where a window starts, -1 past where it ends: rows with a positive
+        # running sum lie inside some window
+        edges = (np.bincount(ends - (window_len - 1), minlength=table_rows + 1)
+                 - np.bincount(ends + 1, minlength=table_rows + 1))
+        covered = np.cumsum(edges[:table_rows]) > 0
+        block_row = np.cumsum(covered) - 1
+        keep = np.flatnonzero(covered)
+        return {
+            "mem_inputs": self.inputs[keep] if len(keep) else np.zeros((0, input_dim)),
+            "mem_labels": np.array(self.labels, dtype=str),
+            "mem_observed_count": np.array(self.observed_count, dtype=np.int64),
+            "mem_rows": block_row[ends],
+            "mem_targets": self.targets[ends] if len(ends) else np.zeros((0, output_dim)),
+            "mem_timestamps": self.timestamps[ends],
+            "mem_label_ids": self.row_label_ids[ends],
+        }
+
+    @classmethod
+    def restore(cls, config: MemoryConfig, arrays: dict[str, np.ndarray]) -> EpisodicMemory:
+        """The memory whose ``snapshot`` gave ``arrays``, which the caller
+        has checked. Its row table is the snapshot's row block, holding a
+        target, a timestamp and a label id only at the slots' final rows."""
+        memory = cls(config)
+        memory.inputs, rows = arrays["mem_inputs"], arrays["mem_rows"].astype(np.int64)
+        n_rows = len(memory.inputs)
+        memory.targets = np.zeros((n_rows, arrays["mem_targets"].shape[1]))
+        memory.timestamps = np.zeros(n_rows, dtype=np.int64)
+        memory.row_label_ids = np.full(n_rows, -1, dtype=np.int64)
+        memory.targets[rows] = arrays["mem_targets"]
+        memory.timestamps[rows] = arrays["mem_timestamps"]
+        memory.row_label_ids[rows] = arrays["mem_label_ids"]
+        memory.inputs.flags.writeable = memory.targets.flags.writeable = False
+        memory.rows, memory.labels = rows, [str(label) for label in arrays["mem_labels"]]
+        memory.observed_count = int(arrays["mem_observed_count"])
+        return memory
 
     def occupancy_stats(self) -> OccupancyStats:
         """Per-origin-label slot counts and fractions (fractions sum to 1)."""

@@ -158,10 +158,7 @@ def train_update(
     except NonFiniteError as err:
         if not len(err.rows):
             raise
-        origins = ", ".join(
-            str((memory.labels[memory.row_label_ids[r]], int(memory.timestamps[r])))
-            for r in batch[err.rows].tolist()
-        )
+        origins = ", ".join(map(str, memory.origins(batch[err.rows])))
         raise type(err)(f"{err} (samples {origins})", err.rows) from err
     if model_cfg.grad_clip is not None:
         clip_gradients(grads, model_cfg.grad_clip)
@@ -336,6 +333,11 @@ class CompareRow:
     ratio: float
     transfer_benefit: bool
 
+    @property
+    def result(self) -> str:
+        """``transfer_benefit`` as written in the table: pass or fail."""
+        return "pass" if self.transfer_benefit else "fail"
+
 
 def compare_transfer(
     run_points: list[EvalPoint],
@@ -376,19 +378,8 @@ def compare_transfer(
     return rows
 
 
-COMPARE_COLUMNS = (
-    "phase",
-    "boundary_update",
-    "transferred_mse",
-    "fresh_mse",
-    "ratio",
-    "transfer_benefit",
-)
+COMPARE_COLUMNS = tuple(f.name for f in fields(CompareRow))
 
 
 def write_compare_csv(path: str | Path, rows: list[CompareRow]) -> None:
-    _write_table(path, COMPARE_COLUMNS, (
-        (r.phase, r.boundary_update, r.transferred_mse, r.fresh_mse, r.ratio,
-         "pass" if r.transfer_benefit else "fail")
-        for r in rows
-    ))
+    _write_table(path, COMPARE_COLUMNS, ((*astuple(r)[:-1], r.result) for r in rows))

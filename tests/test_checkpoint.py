@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from ghreplay.checkpoint import load_checkpoint, save_checkpoint
+from ghreplay.checkpoint import LAYOUT, load_checkpoint, save_checkpoint
 from ghreplay.dataset import Phase
 from ghreplay.memory import EpisodicMemory, MemoryConfig, SubstitutionStrategy
 from ghreplay.model import ModelConfig, backward, init_adam, init_model, adam_step
@@ -14,7 +14,7 @@ from ghreplay.trainer import TrainerState, stack_samples
 WINDOW_LEN = 8
 
 
-def trained_state(seed=0):
+def trained_state(seed=0, strategy=SubstitutionStrategy.PER_BATCH):
     """A model config and a ``TrainerState`` after three updates, its
     memory holding windows of two series."""
     cfg = ModelConfig(hidden_dim=6, dense_dim=5, window_len=WINDOW_LEN, learning_rate=1e-2, grad_clip=None)
@@ -28,7 +28,7 @@ def trained_state(seed=0):
         adam_step(params, grads, adam, cfg)
 
     memory = EpisodicMemory(
-        MemoryConfig(capacity=10, substitution_probability=0.25, strategy=SubstitutionStrategy.PER_BATCH)
+        MemoryConfig(capacity=10, substitution_probability=0.25, strategy=strategy)
     )
     ends = []
     for label in ("GH-0", "GH-1"):
@@ -49,10 +49,9 @@ def trained_state(seed=0):
 
 
 def windows_of(memory, rows):
-    """(inputs, targets, labels, timestamps) of the windows ending at ``rows``."""
+    """(inputs, targets, origins) of the windows ending at ``rows``."""
     inputs, targets = stack_samples(memory.inputs, memory.targets, rows, WINDOW_LEN)
-    labels = [memory.labels[i] for i in memory.row_label_ids[rows]]
-    return inputs, targets, labels, memory.timestamps[rows].tolist()
+    return inputs, targets, memory.origins(rows)
 
 
 def assert_same_windows(a, b):
@@ -100,14 +99,15 @@ def test_checkpoint_load_and_save_rewrites_every_array(tmp_path):
     save_checkpoint(first, cfg, state)
     save_checkpoint(second, *load_checkpoint(first))
     with np.load(first) as a, np.load(second) as b:
-        assert a.files == b.files
+        assert a.files == b.files == list(LAYOUT)
         for key in a.files:
             assert (a[key].dtype, a[key].shape, a[key].tobytes()) == \
                 (b[key].dtype, b[key].shape, b[key].tobytes()), key
 
 
-def test_checkpoint_restores_equivalent_replay_behavior(tmp_path):
-    cfg, state = trained_state(seed=5)
+@pytest.mark.parametrize("strategy", list(SubstitutionStrategy), ids=lambda s: s.value)
+def test_checkpoint_restores_equivalent_replay_behavior(tmp_path, strategy):
+    cfg, state = trained_state(seed=5, strategy=strategy)
     memory = state.memory
     path = tmp_path / "ckpt.npz"
     save_checkpoint(path, cfg, state)
@@ -260,43 +260,44 @@ def test_load_checkpoint_rejects_per_gate_layout(tmp_path):
         load_checkpoint(path)
 
 
-def test_load_checkpoint_rejects_whole_window_memory_layout(tmp_path):
-    cfg, state = trained_state(seed=9)
-    path = tmp_path / "ckpt.npz"
-    save_checkpoint(path, cfg, state)
-    with np.load(path, allow_pickle=False) as data:
-        arrays = dict(data)
-    # the earlier layout: one whole window, label and end timestamp per slot
+def whole_window_layout(arrays):
+    """The memory layout before the index table: one whole window, label
+    and end timestamp per slot."""
     arrays["mem_inputs"] = np.zeros((10, WINDOW_LEN, 5))
     arrays["mem_labels"] = np.array(["GH-0"] * 10)
     arrays["mem_end_ts"] = np.arange(10, dtype=np.int64)
     for key in ("mem_rows", "mem_label_ids", "mem_timestamps"):
         del arrays[key]
-    np.savez_compressed(path, **arrays)
-    with pytest.raises(ValueError, match="ckpt.npz: the memory is stored as whole windows"):
-        load_checkpoint(path)
 
 
-def test_load_checkpoint_takes_empty_pending_arrays_only(tmp_path):
-    # checkpoints from before the memory took batches only carry four
-    # mem_pending_* arrays, empty in every checkpoint that `run` wrote
-    cfg, state = trained_state(seed=10)
-    path = tmp_path / "ckpt.npz"
-    save_checkpoint(path, cfg, state)
-    current = load_checkpoint(path)[1].memory
-    with np.load(path, allow_pickle=False) as data:
-        arrays = dict(data)
+def empty_pending_arrays(arrays):
+    """The four arrays of windows held back for a per-batch sweep, empty,
+    as checkpoints written before the memory took batches only held them."""
     arrays["mem_pending_rows"] = np.zeros(0, dtype=np.int64)
     arrays["mem_pending_targets"] = np.zeros((0, 2))
     arrays["mem_pending_timestamps"] = np.zeros(0, dtype=np.int64)
     arrays["mem_pending_label_ids"] = np.zeros(0, dtype=np.int64)
-    np.savez_compressed(path, **arrays)
-    older = load_checkpoint(path)[1].memory
-    assert older.labels == current.labels and older.observed_count == current.observed_count
-    for name in ("rows", "inputs", "targets", "timestamps", "row_label_ids"):
-        assert getattr(older, name).tobytes() == getattr(current, name).tobytes(), name
 
-    arrays["mem_pending_rows"] = arrays["mem_rows"][:1]
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (whole_window_layout, "mem_rows is missing"),
+        (empty_pending_arrays, "mem_pending_rows is not part of this checkpoint layout"),
+        (lambda arrays: arrays.update(mem_pending_rows=arrays["mem_rows"][:1]),
+         "mem_pending_rows is not part of this checkpoint layout"),
+        (lambda arrays: arrays.update(notes=np.array("stray")),
+         "notes is not part of this checkpoint layout"),
+    ],
+    ids=["whole-window", "empty-pending", "pending-rows", "stray"],
+)
+def test_load_checkpoint_refuses_arrays_outside_the_layout(tmp_path, change, message):
+    cfg, state = trained_state(seed=9)
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(path, cfg, state)
+    with np.load(path, allow_pickle=False) as data:
+        arrays = dict(data)
+    change(arrays)
     np.savez_compressed(path, **arrays)
-    with pytest.raises(ValueError, match="ckpt.npz: array mem_pending_rows holds windows"):
+    with pytest.raises(ValueError, match=f"ckpt.npz: array {message}$"):
         load_checkpoint(path)

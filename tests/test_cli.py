@@ -215,6 +215,36 @@ def test_compare_bad_cell_names_file_line_and_column(tmp_path, capsys, curve, bo
     assert re.search(f"^error: .*{message}$", capsys.readouterr().err.strip())
 
 
+def put_non_utf8_byte(path, line):
+    """Start the 1-based ``line`` of ``path`` with a byte that is not UTF-8."""
+    lines = path.read_bytes().split(b"\n")
+    lines[line - 1] = b"\xff" + lines[line - 1]
+    path.write_bytes(b"\n".join(lines))
+
+
+@pytest.mark.parametrize("line", [1, 3], ids=["header", "body"])
+@pytest.mark.parametrize("source", ["climate", "curve", "spec"])
+def test_non_utf8_byte_names_the_file(tmp_path, capsys, source, line):
+    spec_path, doc = write_tiny_spec(tmp_path)
+    if source == "climate":
+        assert main(["generate", "--spec", str(spec_path)]) == 0
+        put_non_utf8_byte(tmp_path / "out" / "GH-A.csv", line)
+        command, status, message = ["run", "--spec", str(spec_path)], 1, rf"GH-A\.csv:{line}"
+    elif source == "curve":
+        curve = tmp_path / "curve.csv"
+        curve.write_text("update_index,eval_index,phase,mse_total,mse_transpiration,mse_photosynthesis\n"
+                         "3,1,GH-A,0.5,0.25,0.75\n4,2,GH-A,0.5,0.25,0.75\n")
+        (tmp_path / "curve_boundaries.csv").write_text("phase,start_update\nGH-A,0\n")
+        put_non_utf8_byte(curve, line)
+        command, status, message = ["compare", str(curve), str(curve)], 1, rf"curve\.csv:{line}"
+    else:
+        spec_path.write_text(json.dumps(doc, indent=1))
+        put_non_utf8_byte(spec_path, line)
+        command, status, message = ["generate", "--spec", str(spec_path)], 2, r"spec\.json"
+    assert main(command) == status
+    assert re.search(f"^error: .*{message}: not valid UTF-8$", capsys.readouterr().err.strip())
+
+
 def test_repeated_greenhouse_name_exit_2_before_writing(tmp_path, capsys):
     spec_path, doc = write_tiny_spec(
         tmp_path, greenhouses=[{"name": "GH-A"}, {"name": "GH-A", "params": {"i_max": 500.0}}]
