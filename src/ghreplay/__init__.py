@@ -38,7 +38,7 @@ from .climate import (
     transpiration_rate,
     vapor_pressure_deficit,
 )
-from .dataset import Normalizer, Phase, build_samples, default_normalizer
+from .dataset import Normalizer, Phase, build_samples
 from .memory import EpisodicMemory, MemoryConfig, SubstitutionStrategy
 from .model import (
     AdamState,
@@ -83,7 +83,6 @@ __all__ = [
     "adam_step",
     "backward",
     "build_samples",
-    "default_normalizer",
     "evaluate",
     "generate_series",
     "init_adam",

@@ -17,11 +17,10 @@ are rejected here, so no non-finite input reaches the normalizer or the
 model), timestamps must step by 300 s, and rh, radiation and co2 must lie
 in their physical ranges. The body is parsed in one vectorized pass
 (``np.loadtxt``, whose float parse rounds as ``float()`` does) and
-checked as whole columns. Only when that parse or a check fails does a
-per-line pass over ``read_table`` run, converting with ``int()`` and
-``float()``: it names the first bad line or, for cells only Python's
-parsers read (``1_000``, a quoted number), reads the file itself. The
-reader thus accepts exactly the files the per-line checks accept.
+checked by ``_first_failure``, the one statement of the four checks. If
+that fails, ``read_table`` parses it again with ``int()`` and
+``float()``, naming a bad cell and reading cells only Python reads
+(``1_000``, a quoted number); the same checks then name the first bad line.
 
 ``read_table`` is the one reader of headed CSV tables, the climate files
 and the curves that ``compare`` reads back alike: it checks the header,
@@ -68,7 +67,8 @@ def read_records(path: str | Path) -> ClimateSeries:
                 table = np.loadtxt(fh, dtype=_TABLE, delimiter=",", comments=None, ndmin=1)
         except (ValueError, Warning):
             table = None
-    if table is None or not _passes_checks(table):
+    if (table is None or not all(np.isfinite(table[name]).all() for name in COLUMNS[1:])
+            or _first_failure(table) is not None):
         table = _read_lines(path)
     return ClimateSeries(*(table[name] for name in COLUMNS))
 
@@ -145,39 +145,39 @@ def _int64(cell: str) -> int:
     return value
 
 
-def _passes_checks(table: np.ndarray) -> bool:
-    """The checks of ``_read_lines`` on whole columns."""
-    ts, rh = table["timestamp"], table["rh"]
-    return bool(
-        all(np.isfinite(table[name]).all() for name in COLUMNS[1:])
-        and (np.diff(ts) == SAMPLE_INTERVAL_S).all()
-        # int64 differences wrap around; the span in Python integers does not
-        and (len(ts) == 0 or int(ts[-1]) - int(ts[0]) == SAMPLE_INTERVAL_S * (len(ts) - 1))
-        and (table["radiation"] >= 0).all()
-        and ((rh >= 0.0) & (rh <= 100.0)).all()
-        and (table["co2"] > 0).all()
-    )
-
-
 def _read_lines(path: Path) -> np.ndarray:
-    """The file parsed and checked line by line: raises for the first bad
-    line, else returns the table."""
-    rows = []
-    prev_ts: int | None = None
+    """The file parsed line by line: raises for the first bad line, else
+    returns the table. The rows before a bad cell are checked first."""
+    parsed, parse_error = [], None
     converters = (_int64,) + (finite_float,) * (len(COLUMNS) - 1)
-    for line_no, row in read_table(path, COLUMNS, converters):
-        ts, t_air, rh, radiation, co2, t_leaf, transp, photo = row
-        if prev_ts is not None and ts != prev_ts + SAMPLE_INTERVAL_S:
-            raise ValueError(
-                f"{path}:{line_no}: timestamp {ts} does not increase by "
-                f"{SAMPLE_INTERVAL_S} s over previous {prev_ts}"
-            )
-        if radiation < 0:
-            raise ValueError(f"{path}:{line_no}: radiation must be >= 0, got {radiation}")
-        if not 0.0 <= rh <= 100.0:
-            raise ValueError(f"{path}:{line_no}: rh must be in [0, 100], got {rh}")
-        if co2 <= 0:
-            raise ValueError(f"{path}:{line_no}: co2 must be > 0, got {co2}")
-        prev_ts = ts
-        rows.append(row)
-    return np.array(rows, dtype=_TABLE)
+    try:
+        for line_row in read_table(path, COLUMNS, converters):
+            parsed.append(line_row)
+    except ValueError as exc:
+        parse_error = exc
+    table = np.array([row for _, row in parsed], dtype=_TABLE)
+    if (failure := _first_failure(table)) is not None:
+        raise ValueError(f"{path}:{parsed[failure[0]][0]}: {failure[1]}")
+    if parse_error is not None:
+        raise parse_error
+    return table
+
+
+def _first_failure(table: np.ndarray) -> tuple[int, str] | None:
+    """(first row breaking a check, its message), or None; checks run in order."""
+    ts, radiation, rh, co2 = (table[name] for name in ("timestamp", "radiation", "rh", "co2"))
+    steps = np.ones(len(ts), dtype=bool)
+    # an increase first: the int64 difference wraps around
+    steps[1:] = (ts[1:] > ts[:-1]) & (np.diff(ts) == SAMPLE_INTERVAL_S)
+    checks = (
+        (steps, lambda i: f"timestamp {ts[i]} does not increase by "
+                          f"{SAMPLE_INTERVAL_S} s over previous {ts[i - 1]}"),
+        (radiation >= 0, lambda i: f"radiation must be >= 0, got {radiation[i]}"),
+        ((rh >= 0.0) & (rh <= 100.0), lambda i: f"rh must be in [0, 100], got {rh[i]}"),
+        (co2 > 0, lambda i: f"co2 must be > 0, got {co2[i]}"),
+    )
+    passed = np.logical_and.reduce([ok for ok, _ in checks])
+    if passed.all():
+        return None
+    row = int(passed.argmin())
+    return next((row, message(row)) for ok, message in checks if not ok[row])

@@ -15,10 +15,11 @@ are arrays of such rows. The window ending at row e is
 ``stack_steps`` gathers a batch of windows in one step, step-major
 (T, B, D), because the LSTM kernel reads one step of every window at a
 time; ``stack_samples`` returns that gather as a (B, T, D) view, with
-the windows' targets. Normalization bounds are fixed physical ranges
+the windows' targets. Normalization bounds are fixed physical ranges,
+the constants ``DEFAULT_INPUT_BOUNDS`` and ``DEFAULT_TARGET_BOUNDS``,
 rather than data statistics, so the mapping is identical across
-greenhouses and across time; out-of-range values are clamped to [0, 1]
-and every clamp is counted.
+greenhouses and across time; a ``Normalizer`` clamps out-of-range
+values to [0, 1] and counts every clamp.
 """
 
 from __future__ import annotations
@@ -32,25 +33,26 @@ from .climate import ClimateSeries
 INPUT_FIELDS = ("t_air", "rh", "radiation", "co2", "t_leaf")
 TARGET_FIELDS = ("transpiration", "photosynthesis")
 
-# (min, max) physical bounds per feature
-DEFAULT_INPUT_BOUNDS = (
-    (0.0, 50.0),     # t_air
-    (0.0, 100.0),    # rh
-    (0.0, 1200.0),   # radiation
-    (0.0, 2000.0),   # co2
-    (0.0, 50.0),     # t_leaf
-)
-DEFAULT_TARGET_BOUNDS = (
-    (0.0, 5.0),      # transpiration
-    (0.0, 50.0),     # photosynthesis
-)
-
 
 def _read_only(arr, dtype) -> np.ndarray:
     """A read-only view of ``arr`` as ``dtype`` (a copy only to convert)."""
     out = np.asarray(arr, dtype=dtype).view()
     out.flags.writeable = False
     return out
+
+
+# (min, max) physical bounds per feature, one row per field
+DEFAULT_INPUT_BOUNDS = _read_only([
+    (0.0, 50.0),     # t_air
+    (0.0, 100.0),    # rh
+    (0.0, 1200.0),   # radiation
+    (0.0, 2000.0),   # co2
+    (0.0, 50.0),     # t_leaf
+], np.float64)
+DEFAULT_TARGET_BOUNDS = _read_only([
+    (0.0, 5.0),      # transpiration
+    (0.0, 50.0),     # photosynthesis
+], np.float64)
 
 
 def _check_window_rows(rows: np.ndarray, window_len: int, n_records: int, what: str) -> None:
@@ -105,46 +107,19 @@ class Phase:
 
 @dataclass
 class Normalizer:
-    """Affine [0, 1] mapping with fixed per-feature bounds and clamp counting."""
+    """Affine [0, 1] mapping by fixed bounds, counting the values it clamps."""
 
-    input_low: np.ndarray
-    input_high: np.ndarray
-    target_low: np.ndarray
-    target_high: np.ndarray
     clamp_count: int = 0
 
-    def __post_init__(self):
-        for low, high in (
-            (self.input_low, self.input_high),
-            (self.target_low, self.target_high),
-        ):
-            if not (high > low).all():
-                raise ValueError("Normalizer: every feature needs max > min")
-
-    def _normalize(self, values: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.ndarray:
+    def normalize(self, values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+        """``values`` (N, F) mapped by ``bounds`` (F, 2) of (min, max)."""
+        low, high = bounds[:, 0], bounds[:, 1]
         out = (np.asarray(values, dtype=np.float64) - low) / (high - low)
         clamped = int((out < 0.0).sum() + (out > 1.0).sum())
         if clamped:
             self.clamp_count += clamped
             out = np.clip(out, 0.0, 1.0)
         return out
-
-    def normalize_inputs(self, values: np.ndarray) -> np.ndarray:
-        return self._normalize(values, self.input_low, self.input_high)
-
-    def normalize_targets(self, values: np.ndarray) -> np.ndarray:
-        return self._normalize(values, self.target_low, self.target_high)
-
-
-def default_normalizer() -> Normalizer:
-    input_bounds = np.array(DEFAULT_INPUT_BOUNDS, dtype=np.float64)
-    target_bounds = np.array(DEFAULT_TARGET_BOUNDS, dtype=np.float64)
-    return Normalizer(
-        input_low=input_bounds[:, 0],
-        input_high=input_bounds[:, 1],
-        target_low=target_bounds[:, 0],
-        target_high=target_bounds[:, 1],
-    )
 
 
 def window_count(n_records: int, window_len: int, stride: int) -> int:
@@ -169,7 +144,8 @@ def build_samples(
     targets = np.column_stack([getattr(series, f) for f in TARGET_FIELDS])
     stream = np.arange(count, dtype=np.int64) * stride + (window_len - 1)
     # timestamps copied: the CSV reader's columns are views of its whole record table
-    return Phase(label, normalizer.normalize_inputs(inputs), normalizer.normalize_targets(targets),
+    return Phase(label, normalizer.normalize(inputs, DEFAULT_INPUT_BOUNDS),
+                 normalizer.normalize(targets, DEFAULT_TARGET_BOUNDS),
                  np.array(series.timestamp), stream, np.zeros(0, dtype=np.int64), window_len)
 
 

@@ -25,7 +25,7 @@ from pathlib import Path
 from .atomic import atomic_open
 from .climate import PRESETS, GreenhouseParams, generate_series
 from .csvio import read_records, write_records
-from .dataset import Normalizer, Phase, build_samples, default_normalizer
+from .dataset import Normalizer, Phase, build_samples
 from .memory import MemoryConfig
 from .model import ModelConfig
 from .rng import SeededRng
@@ -70,16 +70,25 @@ PRESET_SPECS = {"desk": desk_spec, "paper": paper_spec}
 
 def validate_spec(doc: dict) -> None:
     """Raise ``SpecError("<dotted.path>: <message>")`` for the first error by
-    path against ``EXPERIMENT_SCHEMA``, or for a repeated greenhouse name."""
+    path against ``EXPERIMENT_SCHEMA``, else for the first greenhouse that
+    repeats a name, gives both ``params`` and ``csv``, or gives neither
+    and names no built-in preset."""
     errors = list(_schema_errors(doc, EXPERIMENT_SCHEMA, ()))
     if errors:
         path, message = min(errors, key=lambda error: error[0])
         raise SpecError(f"{'.'.join(map(str, path)) or 'spec'}: {message}")
     names = [entry["name"] for entry in doc["greenhouses"]]
-    for k, name in enumerate(names):
+    for k, entry in enumerate(doc["greenhouses"]):
+        name = entry["name"]
         if name in names[:k]:
             raise SpecError(f"greenhouses.{k}.name: {name!r} is repeated; "
                             f"each greenhouse needs its own name")
+        if "params" in entry and "csv" in entry:
+            raise SpecError(f"greenhouses.{k}: greenhouse {name!r} gives both 'params' and "
+                            f"'csv'; a greenhouse is generated or read, not both")
+        if "params" not in entry and "csv" not in entry and name not in PRESETS:
+            raise SpecError(f"greenhouses.{k}.name: greenhouse {name!r} has no 'params' or "
+                            f"'csv' and is not a built-in preset ({', '.join(sorted(PRESETS))})")
 
 
 def _deep_merge(base: dict, override: dict) -> dict:
@@ -130,17 +139,11 @@ def resolve_spec(
 # building runtime objects from a validated spec
 
 def greenhouse_params(entry: dict) -> GreenhouseParams:
+    """A generated greenhouse's parameters: its ``params``, else its preset's."""
     name = entry["name"]
     if "params" in entry:
-        params = GreenhouseParams(name=name, **entry["params"])
-    elif name in PRESETS:
-        params = dataclasses.replace(PRESETS[name], name=name)
-    else:
-        raise SpecError(
-            f"greenhouse {name!r} has no 'params' and is not a built-in preset "
-            f"({', '.join(sorted(PRESETS))})"
-        )
-    return params
+        return GreenhouseParams(name=name, **entry["params"])
+    return dataclasses.replace(PRESETS[name], name=name)
 
 
 def build_model_config(spec: dict) -> ModelConfig:
@@ -195,13 +198,14 @@ def build_phases(spec: dict, out_dir: Path) -> tuple[list[Phase], Normalizer]:
     stride = spec["data"]["stride"]
     test_size = spec["scenario"]["test_size"]
     batch_size = spec["scenario"]["batch_size"]
-    normalizer = default_normalizer()
+    normalizer = Normalizer()
 
     phases = []
     for entry in spec["greenhouses"]:
         path = dataset_path(entry, out_dir)
         if not path.exists():
-            raise SpecError(f"dataset file not found: {path} (run `generate` first?)")
+            hint = "" if "csv" in entry else " (run `generate` first?)"
+            raise SpecError(f"dataset file not found: {path}{hint}")
         series = read_records(path)
         windows = build_samples(series, entry["name"], window_len, stride, normalizer)
         if len(windows) <= test_size:

@@ -4,7 +4,7 @@ import pytest
 
 from ghreplay.climate import PRESETS, ClimateSeries, generate_series
 from ghreplay.csvio import COLUMNS
-from ghreplay.dataset import Phase, build_samples, default_normalizer
+from ghreplay.dataset import Normalizer, Phase, build_samples
 from ghreplay.model import predict_batch
 from ghreplay.rng import SeededRng
 
@@ -35,7 +35,7 @@ def build_phase(name, days, seed, window_len=50, stride=2, test_size=1000):
     """Phase built the same way the experiment layer does, without CSV I/O."""
     rng = SeededRng(seed).split(f"generator/{name}")
     series = generate_series(PRESETS[name], days, rng)
-    windows = build_samples(series, name, window_len, stride, default_normalizer())
+    windows = build_samples(series, name, window_len, stride, Normalizer())
     test_rng = SeededRng(seed).split(f"test-sampling/{name}")
     return Phase.split(windows, test_rng.sample_indices(len(windows), test_size))
 

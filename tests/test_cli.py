@@ -87,7 +87,39 @@ def test_run_missing_dataset_exit_2_names_path(tmp_path, capsys):
     spec_path, doc = write_tiny_spec(tmp_path)
     assert main(["run", "--spec", str(spec_path)]) == 2
     err = capsys.readouterr().err
-    assert "GH-A.csv" in err and "error:" in err
+    assert "GH-A.csv" in err and "error:" in err and "(run `generate` first?)" in err
+
+
+@pytest.mark.parametrize("command", ["generate", "run", "baseline"])
+def test_greenhouse_without_params_csv_or_preset_exit_2(tmp_path, capsys, command):
+    spec_path, doc = write_tiny_spec(tmp_path, greenhouses=[{"name": "GH-A"}, {"name": "mine"}])
+    args = [command, "--spec", str(spec_path)] + (["--phase", "GH-A"] if command == "baseline" else [])
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert ("greenhouses.1.name: greenhouse 'mine' has no 'params' or 'csv' and is not a "
+            "built-in preset (GH-A, GH-B, GH-C)") in err
+    assert "generate` first" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "run"])
+def test_greenhouse_with_params_and_csv_exit_2(tmp_path, capsys, command):
+    spec_path, doc = write_tiny_spec(tmp_path)
+    assert main(["generate", "--spec", str(spec_path)]) == 0
+    entry = {"name": "GH-A", "params": {"i_max": 700.0}, "csv": str(tmp_path / "out" / "GH-C.csv")}
+    spec_path, doc = write_tiny_spec(tmp_path, greenhouses=[entry])
+    before = sorted((tmp_path / "out").iterdir())
+    assert main([command, "--spec", str(spec_path)]) == 2
+    assert "greenhouses.0: greenhouse 'GH-A' gives both 'params' and 'csv'" in capsys.readouterr().err
+    assert sorted((tmp_path / "out").iterdir()) == before
+
+
+def test_run_missing_external_csv_has_no_generate_hint(tmp_path, capsys):
+    missing = tmp_path / "data" / "real.csv"
+    spec_path, doc = write_tiny_spec(tmp_path, greenhouses=[{"name": "real", "csv": str(missing)}])
+    assert main(["run", "--spec", str(spec_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"dataset file not found: {missing}" in err and "generate" not in err
 
 
 def test_run_replay_size_zero_flag(tmp_path):

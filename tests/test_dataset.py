@@ -10,28 +10,34 @@ from ghreplay.dataset import (
     DEFAULT_TARGET_BOUNDS,
     Normalizer,
     build_samples,
-    default_normalizer,
     window_count,
 )
 from ghreplay.rng import SeededRng
 
+IN_LOW, IN_HIGH = DEFAULT_INPUT_BOUNDS[:, 0], DEFAULT_INPUT_BOUNDS[:, 1]
+OUT_LOW, OUT_HIGH = DEFAULT_TARGET_BOUNDS[:, 0], DEFAULT_TARGET_BOUNDS[:, 1]
+
 
 def test_default_bounds_match_configuration():
-    assert DEFAULT_INPUT_BOUNDS == (
-        (0.0, 50.0),
-        (0.0, 100.0),
-        (0.0, 1200.0),
-        (0.0, 2000.0),
-        (0.0, 50.0),
-    )
-    assert DEFAULT_TARGET_BOUNDS == ((0.0, 5.0), (0.0, 50.0))
+    assert DEFAULT_INPUT_BOUNDS.dtype == DEFAULT_TARGET_BOUNDS.dtype == np.float64
+    assert DEFAULT_INPUT_BOUNDS.tolist() == [
+        [0.0, 50.0],
+        [0.0, 100.0],
+        [0.0, 1200.0],
+        [0.0, 2000.0],
+        [0.0, 50.0],
+    ]
+    assert DEFAULT_TARGET_BOUNDS.tolist() == [[0.0, 5.0], [0.0, 50.0]]
+    for bounds in (DEFAULT_INPUT_BOUNDS, DEFAULT_TARGET_BOUNDS):
+        with pytest.raises(ValueError):
+            bounds[0, 1] = 1.0
 
 
 def test_normalize_endpoints_and_midpoint():
-    n = default_normalizer()
-    lows = n.normalize_inputs(n.input_low[None, :])
-    highs = n.normalize_inputs(n.input_high[None, :])
-    mids = n.normalize_inputs(((n.input_low + n.input_high) / 2.0)[None, :])
+    n = Normalizer()
+    lows = n.normalize(IN_LOW[None, :], DEFAULT_INPUT_BOUNDS)
+    highs = n.normalize(IN_HIGH[None, :], DEFAULT_INPUT_BOUNDS)
+    mids = n.normalize(((IN_LOW + IN_HIGH) / 2.0)[None, :], DEFAULT_INPUT_BOUNDS)
     assert np.array_equal(lows, np.zeros((1, 5)))
     assert np.array_equal(highs, np.ones((1, 5)))
     assert np.allclose(mids, 0.5)
@@ -44,57 +50,47 @@ def test_normalize_endpoints_and_midpoint():
     feature=st.integers(min_value=0, max_value=4),
 )
 def test_normalize_roundtrip_in_range(frac, feature):
-    n = default_normalizer()
-    value = n.input_low[feature] + frac * (n.input_high[feature] - n.input_low[feature])
-    row = ((n.input_low + n.input_high) / 2.0).copy()
+    n = Normalizer()
+    low, high = IN_LOW[feature], IN_HIGH[feature]
+    value = low + frac * (high - low)
+    row = ((IN_LOW + IN_HIGH) / 2.0).copy()
     row[feature] = value
-    low, high = n.input_low[feature], n.input_high[feature]
-    out = n.normalize_inputs(row[None, :])
+    out = n.normalize(row[None, :], DEFAULT_INPUT_BOUNDS)
     assert out[0, feature] == (value - low) / (high - low)
     assert n.clamp_count == 0
 
 
 def test_roundtrip_thousand_random_values():
-    n = default_normalizer()
+    n = Normalizer()
     rng = SeededRng(21)
     values = np.array(
         [
-            [n.input_low[j] + rng.random() * (n.input_high[j] - n.input_low[j]) for j in range(5)]
+            [IN_LOW[j] + rng.random() * (IN_HIGH[j] - IN_LOW[j]) for j in range(5)]
             for _ in range(1000)
         ]
     )
-    out = n.normalize_inputs(values)
+    out = n.normalize(values, DEFAULT_INPUT_BOUNDS)
     for j in range(5):
-        low, high = n.input_low[j], n.input_high[j]
+        low, high = IN_LOW[j], IN_HIGH[j]
         assert all(out[r, j] == (values[r, j] - low) / (high - low) for r in range(1000))
     assert n.clamp_count == 0
 
 
 def test_clamping_is_counted():
-    n = default_normalizer()
-    out = n.normalize_inputs(np.array([[-5.0, 120.0, 600.0, 500.0, 10.0]]))
+    n = Normalizer()
+    out = n.normalize(np.array([[-5.0, 120.0, 600.0, 500.0, 10.0]]), DEFAULT_INPUT_BOUNDS)
     assert n.clamp_count == 2
     assert out[0, 0] == 0.0 and out[0, 1] == 1.0
-    n.normalize_targets(np.array([[10.0, 10.0]]))
+    n.normalize(np.array([[10.0, 10.0]]), DEFAULT_TARGET_BOUNDS)
     assert n.clamp_count == 3
 
 
 def test_no_clamping_on_generated_data():
-    n = default_normalizer()
+    n = Normalizer()
     for name in PRESETS:
         series = generate_series(PRESETS[name], days=2, rng=SeededRng(4))
         build_samples(series, name, 20, 2, n)
     assert n.clamp_count == 0
-
-
-def test_normalizer_rejects_degenerate_bounds():
-    with pytest.raises(ValueError, match="max > min"):
-        Normalizer(
-            input_low=np.zeros(5),
-            input_high=np.zeros(5),
-            target_low=np.zeros(2),
-            target_high=np.ones(2),
-        )
 
 
 def test_window_count_examples():
@@ -119,13 +115,13 @@ def test_build_samples_counts_match_formula():
     for _ in range(10):
         window_len = rng.randbelow(100) + 1
         stride = rng.randbelow(8) + 1
-        samples = build_samples(series, "GH-A", window_len, stride, default_normalizer())
+        samples = build_samples(series, "GH-A", window_len, stride, Normalizer())
         assert len(samples) == window_count(len(series), window_len, stride)
 
 
 def test_build_samples_contiguous_targets_from_final_record():
     series = generate_series(PRESETS["GH-A"], days=1, rng=SeededRng(6))
-    n = default_normalizer()
+    n = Normalizer()
     windows = build_samples(series, "GH-A", window_len=12, stride=3, normalizer=n)
     assert windows.window_len == 12
     for w_idx, end in enumerate(windows.stream.tolist()):
@@ -134,20 +130,20 @@ def test_build_samples_contiguous_targets_from_final_record():
         assert windows.timestamps[end] == series.timestamp[end]
         window = windows.inputs[end - 11 : end + 1]
         assert window.shape == (12, 5)
-        assert windows.targets[end, 0] == (series.transpiration[end] - n.target_low[0]) / (n.target_high[0] - n.target_low[0])
-        assert windows.targets[end, 1] == (series.photosynthesis[end] - n.target_low[1]) / (n.target_high[1] - n.target_low[1])
-        assert window[0, 0] == (series.t_air[start] - n.input_low[0]) / (n.input_high[0] - n.input_low[0])
+        assert windows.targets[end, 0] == (series.transpiration[end] - OUT_LOW[0]) / (OUT_HIGH[0] - OUT_LOW[0])
+        assert windows.targets[end, 1] == (series.photosynthesis[end] - OUT_LOW[1]) / (OUT_HIGH[1] - OUT_LOW[1])
+        assert window[0, 0] == (series.t_air[start] - IN_LOW[0]) / (IN_HIGH[0] - IN_LOW[0])
 
 
 def test_build_samples_too_short_series():
     series = generate_series(PRESETS["GH-A"], days=1, rng=SeededRng(7))
-    windows = build_samples(series_rows(series, slice(5)), "GH-A", window_len=6, stride=1, normalizer=default_normalizer())
+    windows = build_samples(series_rows(series, slice(5)), "GH-A", window_len=6, stride=1, normalizer=Normalizer())
     assert len(windows) == 0 and windows.stream.shape == (0,)
 
 
 def test_build_samples_normalized_and_labeled():
     series = generate_series(PRESETS["GH-B"], days=1, rng=SeededRng(8))
-    windows = build_samples(series, "GH-B", 25, 2, default_normalizer())
+    windows = build_samples(series, "GH-B", 25, 2, Normalizer())
     assert len(windows) == window_count(len(series), 25, 2)
     assert windows.label == "GH-B"
     assert windows.inputs.shape == (len(series), 5)
@@ -159,14 +155,14 @@ def test_build_samples_normalized_and_labeled():
 
 def test_build_samples_streams_every_window():
     series = generate_series(PRESETS["GH-A"], days=1, rng=SeededRng(10))
-    phase = build_samples(series, "GH-A", 20, 3, default_normalizer())
+    phase = build_samples(series, "GH-A", 20, 3, Normalizer())
     assert len(phase) == len(phase.stream) == window_count(len(series), 20, 3)
     assert phase.test_set.shape == (0,) and phase.window_len == 20
 
 
 def test_build_samples_views_are_readonly():
     series = generate_series(PRESETS["GH-A"], days=1, rng=SeededRng(9))
-    windows = build_samples(series, "GH-A", 10, 2, default_normalizer())
+    windows = build_samples(series, "GH-A", 10, 2, Normalizer())
     for arr in (windows.inputs, windows.targets, windows.timestamps):
         with pytest.raises(ValueError):
             arr[0] = 2

@@ -88,8 +88,20 @@ def test_greenhouse_params_resolution():
     assert greenhouse_params({"name": "GH-B"}).a_rad == pytest.approx(3.3e-4)
     custom = greenhouse_params({"name": "mine", "params": {"i_max": 700.0}})
     assert custom.i_max == 700.0 and custom.name == "mine"
-    with pytest.raises(SpecError, match="not a built-in preset"):
-        greenhouse_params({"name": "GH-Z"})
+
+
+def test_validate_spec_checks_each_greenhouse_source():
+    doc = desk_spec()
+    doc["greenhouses"] = [{"name": "GH-A"}, {"name": "GH-Z"}]
+    with pytest.raises(SpecError, match=r"^greenhouses\.1\.name: greenhouse 'GH-Z' has no "
+                                        r"'params' or 'csv' and is not a built-in preset"):
+        validate_spec(doc)
+    doc["greenhouses"] = [{"name": "GH-A", "params": {}, "csv": "GH-B.csv"}]
+    with pytest.raises(SpecError, match=r"^greenhouses\.0: greenhouse 'GH-A' gives both"):
+        validate_spec(doc)
+    # a name outside the presets is fine with parameters or a file to read
+    doc["greenhouses"] = [{"name": "GH-Z", "params": {}}, {"name": "ext", "csv": "ext.csv"}]
+    validate_spec(doc)
 
 
 def test_config_builders_respect_spec():

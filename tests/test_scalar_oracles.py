@@ -1,10 +1,11 @@
 """The columnar data path against the record-by-record code it replaced.
 
-The scalar generator, the ``csv.writer`` output and the per-cell
-``int()``/``float()`` parse below are the reference: the columnar
-generator, writer and reader must reproduce them bit for bit, and the
-block of truncated normals must equal one scalar draw per value,
-including the stream state left behind.
+The scalar generator, the ``csv.writer`` output, the per-cell
+``int()``/``float()`` parse and the line-by-line climate checks below are
+the reference: the columnar generator, writer and reader must reproduce
+them bit for bit, error messages included, and the block of truncated
+normals must equal one scalar draw per value, including the stream state
+left behind.
 """
 
 import csv
@@ -13,6 +14,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ghreplay.climate import (
     PRESETS,
@@ -23,7 +26,7 @@ from ghreplay.climate import (
     transpiration_rate,
     vapor_pressure_deficit,
 )
-from ghreplay.csvio import COLUMNS, read_records, write_records
+from ghreplay.csvio import COLUMNS, _int64, finite_float, read_records, read_table, write_records
 from ghreplay.rng import SeededRng
 
 
@@ -167,3 +170,99 @@ def test_read_records_reads_cells_only_python_parses(tmp_path):
         encoding="utf-8",
     )
     assert as_records(read_records(path)) == float_parse(path)
+
+
+def line_by_line_read(path):
+    """The climate reader as a loop over lines: the first bad line raises."""
+    rows = []
+    prev_ts = None
+    converters = (_int64,) + (finite_float,) * (len(COLUMNS) - 1)
+    for line_no, row in read_table(path, COLUMNS, converters):
+        ts, t_air, rh, radiation, co2, t_leaf, transp, photo = row
+        if prev_ts is not None and ts != prev_ts + SAMPLE_INTERVAL_S:
+            raise ValueError(
+                f"{path}:{line_no}: timestamp {ts} does not increase by "
+                f"{SAMPLE_INTERVAL_S} s over previous {prev_ts}"
+            )
+        if radiation < 0:
+            raise ValueError(f"{path}:{line_no}: radiation must be >= 0, got {radiation}")
+        if not 0.0 <= rh <= 100.0:
+            raise ValueError(f"{path}:{line_no}: rh must be in [0, 100], got {rh}")
+        if co2 <= 0:
+            raise ValueError(f"{path}:{line_no}: co2 must be > 0, got {co2}")
+        prev_ts = ts
+        rows.append(row)
+    table = np.array(rows, dtype=[(COLUMNS[0], np.int64)] + [(c, np.float64) for c in COLUMNS[1:]])
+    return [table[name] for name in COLUMNS]
+
+
+# an in-range value for each float column: t_air, rh, radiation, co2, t_leaf, then the targets
+IN_RANGE = [(-10.0, 50.0), (0.0, 100.0), (0.0, 1200.0), (1e-3, 2000.0), (-10.0, 50.0),
+            (0.0, 5.0), (0.0, 50.0)]
+WRAP = (str((1 << 63) - 1), str(-(1 << 63) + 299))  # an int64 difference of 300
+
+
+def defect(draw, rows, start):
+    """One defect put into ``rows`` (lists of cells, the first timestamp
+    ``start``) at a drawn row."""
+    kind = draw(st.sampled_from(["timestamp", "radiation", "rh", "co2", "non-finite",
+                                 "non-numeric", "cell-count", "python-only", "wrap"]))
+    i = draw(st.integers(0, len(rows) - 1))
+    cells = rows[i]
+    j = draw(st.integers(0, len(COLUMNS) - 1))
+    if kind == "timestamp":
+        cells[0] = str(start + SAMPLE_INTERVAL_S * i + draw(st.sampled_from([1, -300, 300, 600])))
+    elif kind == "radiation":
+        cells[3] = draw(st.sampled_from(["-5", "-0.5", "-1e-300"]))
+    elif kind == "rh":
+        cells[2] = draw(st.sampled_from(["100.5", "-0.5", "1e300", "100.00000000000001"]))
+    elif kind == "co2":
+        cells[4] = draw(st.sampled_from(["0", "-0.0", "-3"]))
+    elif kind == "non-finite":
+        cells[j] = draw(st.sampled_from(["nan", "inf", "-inf", "NaN", "Infinity"]))
+    elif kind == "non-numeric":
+        cells[j] = draw(st.sampled_from(["oops", "", "1e"]))
+    elif kind == "cell-count":
+        rows[i] = cells[:-1] if draw(st.booleans()) else cells + ["0"]
+    elif kind == "python-only":  # a quoted cell, or 10.0 written with an underscore
+        cells[j] = f'"{cells[j]}"' if j == 0 or draw(st.booleans()) else "1_0"
+    elif i + 1 < len(rows):  # an int64-wrapping pair of timestamps
+        rows[i][0], rows[i + 1][0] = WRAP
+    else:
+        cells[0] = WRAP[0]
+
+
+@st.composite
+def climate_files(draw):
+    """A header, 1-8 rows with 0-2 defects, and blank lines, as text."""
+    start = draw(st.sampled_from([0, 86400, -(1 << 62), (1 << 63) - 1 - 300 * 7]))
+    rows = [[str(start + SAMPLE_INTERVAL_S * k)]
+            + [repr(draw(st.floats(low, high))) for low, high in IN_RANGE]
+            for k in range(draw(st.integers(1, 8)))]
+    for _ in range(draw(st.integers(0, 2))):
+        defect(draw, rows, start)
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = [",".join(COLUMNS)]
+    for cells in rows:
+        lines += [""] * draw(st.integers(0, 1)) + [",".join(cells)]
+    return newline.join(lines + [""] * draw(st.integers(0, 2))) + newline
+
+
+def read_outcome(read, path):
+    """The columns ``read`` returns, as dtypes and bytes, or its error message."""
+    try:
+        columns = read(path)
+    except ValueError as exc:
+        return str(exc)
+    return [(np.asarray(column).dtype, np.asarray(column).tobytes()) for column in columns]
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=climate_files())
+def test_read_records_equals_line_by_line_read(tmp_path, text):
+    path = tmp_path / "gh.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    expected = read_outcome(line_by_line_read, path)
+    got = read_outcome(lambda p: [getattr(read_records(p), name) for name in COLUMNS], path)
+    assert got == expected

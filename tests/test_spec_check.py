@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from ghreplay.cli import main
-from ghreplay.climate import GreenhouseParams
+from ghreplay.climate import PRESETS, GreenhouseParams
 from ghreplay.experiment import (
     EXPERIMENT_SCHEMA,
     SpecError,
@@ -40,8 +40,8 @@ VALUES = [
     None, True, False, 0, 1, -1, 2, 16, 24, 25, 2**64 - 1, 2**64, 0.0, 0.5, 1.0, 16.0, -1.0,
     1.5, 24.0, 1e300, float("nan"), float("inf"), float("-inf"), "", "x", "GH-B", "per-sample",
     "per-row", [], [{}], [{"name": "GH-B"}], [{"name": ""}], [{"name": "GH-Z", "csv": ""}], {},
-    {"name": "GH-Z"}, {"i_max": 0}, {"day_length_h": 24}, {"noise_sd": 0}, {"t_amp": 2.5},
-    {"surprise": 1},
+    {"name": "GH-Z"}, {"name": "GH-Z", "params": {}, "csv": "x"}, {"i_max": 0},
+    {"day_length_h": 24}, {"noise_sd": 0}, {"t_amp": 2.5}, {"surprise": 1},
 ]
 
 
@@ -177,11 +177,16 @@ def dotted(error):
     return None if error is None else ".".join(map(str, error.absolute_path)) or "spec"
 
 
-def repeated_name(doc):
+def greenhouse_error(doc):
+    """The path of the first greenhouse that repeats a name, gives both
+    ``params`` and ``csv``, or gives neither and names no preset."""
     names = [entry["name"] for entry in doc["greenhouses"]]
-    for k, name in enumerate(names):
-        if name in names[:k]:
+    for k, entry in enumerate(doc["greenhouses"]):
+        sources = {"params", "csv"} & entry.keys()
+        if entry["name"] in names[:k] or not (sources or entry["name"] in PRESETS):
             return f"greenhouses.{k}.name"
+        if len(sources) == 2:
+            return f"greenhouses.{k}"
     return None
 
 
@@ -207,7 +212,7 @@ def test_checker_agrees_with_jsonschema_on_mutated_specs():
     for doc in docs:
         got = checker_verdict(doc)
         error = first_error(strict, doc)
-        expected = dotted(error) or repeated_name(doc)
+        expected = dotted(error) or greenhouse_error(doc)
         assert got == expected, json.dumps(doc)
         rejected += got is not None
         if dotted(first_error(validator, doc)) != dotted(error):
