@@ -14,16 +14,19 @@ The weights are stored gate-stacked in the order i, f, o, g: ``w``
 then the head's ``w1``, ``b1``, ``w2`` and ``b2``. These seven arrays are
 the unit of the gradients, the Adam moments and the checkpoint.
 
-One step loop serves training (keeping the BPTT cache) and prediction
-(keeping only the running state). The cache holds four (T, B, H) blocks,
-the four gates of every step, plus the cell state at the end of each
-segment of ceil(sqrt(T)) steps and the final hidden state. Just before
-BPTT walks a segment in reverse, it recomputes that segment's cell
-states from the last state before it, with the forward pass's three
-operations in the same order (recomputation as in Chen et al. 2016,
-arXiv 1604.06174); it recomputes tanh(c) and h = o * tanh(c) one step
-back. The same operations on the same inputs give the same bits, so the
-gradients are those a cache of every step's c, tanh(c) and h would give.
+One step routine serves training (keeping the BPTT cache), prediction
+(keeping only the running state) and BPTT's replay. The cache holds the
+cell state at the end of each segment of ceil(sqrt(T)) steps, the final
+hidden state and, if they fit in ``GATE_CACHE_BYTES`` (8 MiB), the four
+gates of every step as four (T, B, H) blocks; otherwise (paper shapes)
+no gate, but the hidden state at each segment end. Just before BPTT
+walks a segment in reverse, it recomputes that segment's cell states
+from the last state before it (Chen et al. 2016, arXiv 1604.06174): from
+the kept gates with the forward pass's three operations in its order,
+or by replaying the segment's steps (Gruslys et al. 2016, arXiv
+1606.03401); it recomputes tanh(c) and h = o * tanh(c) one step back.
+The same operations on the same inputs give the same bits, so the
+gradients are those a cache of every step's state would give.
 Finiteness is checked at the boundaries, not per operation: the windows
 once on entry, the four gate pre-activations once per step, then the
 dense pre-activation and the outputs after the bias b2, in the one
@@ -63,6 +66,7 @@ from .rng import SeededRng
 from .schema import EXPERIMENT_SCHEMA, check_fields
 
 _SPEC = EXPERIMENT_SCHEMA["properties"]
+GATE_CACHE_BYTES = 8 * 2**20  # the largest gate cache a training forward keeps
 
 
 class NonFiniteError(ValueError):
@@ -179,16 +183,18 @@ def init_adam(cfg: ModelConfig) -> AdamState:
 
 @dataclass
 class ForwardCache:
-    """Activations retained for backpropagation through time: four (T, B, H)
-    blocks, the gates, and the cell states at the segment ends, steps
-    K - 1, 2K - 1, ... and T - 1 for segments of K = _segment(T) steps.
-    BPTT recomputes the other cell states one segment at a time, and
-    tanh(c) and the hidden states before the last one step at a time as
-    tanh(c) and gates[t, 2] * tanh(c)."""
+    """Activations retained for backpropagation through time: the cell
+    states at the segment ends, steps K - 1, 2K - 1, ... and T - 1 for
+    K = _segment(T), and either the gates, if their four (T, B, H) blocks
+    fit in GATE_CACHE_BYTES, or the hidden states at the segment ends.
+    BPTT recomputes the other states one segment at a time, from the
+    gates or by replaying the segment's steps, and tanh(c) and h one step
+    at a time as tanh(c) and o * tanh(c)."""
 
     inputs: np.ndarray    # (B, T, D)
-    gates: np.ndarray     # (T, 4, B, H) gates i, f, o and candidate g
+    gates: np.ndarray | None   # (T, 4, B, H) gates i, f, o and candidate g
     c_ends: np.ndarray    # (ceil(T / K), B, H) segment-end cell states
+    h_ends: np.ndarray | None  # (ceil(T / K), B, H) segment-end hidden states, if no gates
     h: np.ndarray         # (B, H) final hidden state
     dense: np.ndarray     # (B, dense) tanh layer output
 
@@ -237,67 +243,86 @@ def _segment(steps: int) -> int:
     return math.isqrt(steps - 1) + 1
 
 
+def _stepper(params: ModelParams, batch: int):
+    """The LSTM step for ``batch`` rows that the forward pass and BPTT's
+    replay share, so a replayed step has the forward's bits:
+    step(x_t, h, c, z, check) writes the gates into z and advances h and c
+    in place. Each gate's pre-activation is x_t @ W^T + h @ U^T + b, in
+    that order, each product one broadcast matmul over transposed views
+    (one gemm call per gate). With check, a non-finite sum returns False."""
+    w = params.w.transpose(0, 2, 1)
+    u = params.u.transpose(0, 2, 1)
+    shape = (batch, params.u.shape[1])
+    # full-shape, because a broadcast add over rows of H is twice as slow
+    b = np.empty((4,) + shape)
+    b[:] = params.b[:, None, :]
+    hu = np.empty((4,) + shape)
+    e = np.empty((3,) + shape)
+    ig, tc = np.empty((2,) + shape)
+
+    def step(x_t, h, c, z, check=True) -> bool:
+        np.matmul(x_t, w, out=z)
+        np.matmul(h, u, out=hu)
+        z += hu
+        z += b
+        if check and not np.isfinite(z).all():
+            return False
+        _sigmoid_inplace(z[:3], e, hu[:3])  # hu is free once added
+        np.tanh(z[3], out=z[3])
+        i, f, o, g = z
+        np.multiply(f, c, out=c)
+        np.multiply(i, g, out=ig)
+        c += ig
+        np.tanh(c, out=tc)
+        np.multiply(o, tc, out=h)  # h's old value is spent in hu
+        return True
+
+    return step
+
+
 def _forward(
     params: ModelParams, inputs: np.ndarray, keep_cache: bool, first_row: int = 0
 ) -> tuple[np.ndarray, ForwardCache | None]:
     """The LSTM forward pass over a shape-checked (B, T, D) batch.
 
-    Each gate's pre-activation is x_t @ W^T + h @ U^T + b, summed in that
-    order, and finiteness is checked once per step on all four sums: a
-    non-finite product or bias makes its sum non-finite. The gates'
-    weights are stored stacked, so each product is one broadcast matmul
-    over transposed views that issues one gemm call per gate. With
-    keep_cache the gates are written straight into the BPTT cache and c
-    is copied out at each segment end; h, c, tanh(c) and, without
-    keep_cache, the gates are scratch buffers updated in place. A failed
-    check raises ``NonFiniteError`` naming the batch rows involved,
-    numbered from ``first_row``.
+    Finiteness is checked once per step on the four gate pre-activations,
+    as a non-finite product or bias makes its sum non-finite. With
+    keep_cache, c (and h, if the gates are not kept) is copied out at each
+    segment end, and the gates are written straight into the BPTT cache
+    if it keeps them; h, c and otherwise the gates are scratch buffers
+    updated in place. A failed check raises ``NonFiniteError`` naming the
+    batch rows involved, numbered from ``first_row``.
     """
     if not np.isfinite(inputs).all():
         raise _non_finite("windows contain", inputs, first_row)
     batch, steps, _ = inputs.shape
-    hidden = params.u.shape[1]
-    w = params.w.transpose(0, 2, 1)
-    u = params.u.transpose(0, 2, 1)
-    shape = (batch, hidden)
-    # full-shape, because a broadcast add over rows of H is twice as slow
-    b = np.empty((4,) + shape)
-    b[:] = params.b[:, None, :]
+    shape = (batch, params.u.shape[1])
+    step = _stepper(params, batch)
     h = np.zeros(shape)
     c = np.zeros(shape)
-    ig = np.empty(shape)
-    hu = np.empty((4,) + shape)
-    e = np.empty((3,) + shape)
-    tc = np.empty(shape)
+    gates_s = h_ends = None
     if keep_cache:
         segment = _segment(steps)
-        gates_s = np.empty((steps, 4) + shape)
         c_ends = np.empty((-(-steps // segment),) + shape)
-    else:
+        if 4 * steps * h.nbytes <= GATE_CACHE_BYTES:
+            gates_s = np.empty((steps, 4) + shape)
+        else:
+            h_ends = np.empty_like(c_ends)
+    if gates_s is None:
         z = np.empty((4,) + shape)
 
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(steps):
-            if keep_cache:
+            if gates_s is not None:
                 z = gates_s[t]
-            np.matmul(inputs[:, t, :], w, out=z)
-            np.matmul(h, u, out=hu)
-            z += hu
-            z += b
-            if not np.isfinite(z).all():
+            if not step(inputs[:, t, :], h, c, z):
                 raise _non_finite(
                     f"LSTM step {t}: gate pre-activation contains", z.transpose(1, 0, 2), first_row
                 )
-            _sigmoid_inplace(z[:3], e, hu[:3])  # hu is free once added
-            np.tanh(z[3], out=z[3])
-            i, f, o, g = z
-            np.multiply(f, c, out=c)
-            np.multiply(i, g, out=ig)
-            c += ig
-            np.tanh(c, out=tc)
-            np.multiply(o, tc, out=h)  # h's old value is spent in hu
             if keep_cache and ((t + 1) % segment == 0 or t == steps - 1):
                 c_ends[t // segment] = c
+                if h_ends is not None:
+                    h_ends[t // segment] = h
 
         pre_dense = h @ params.w1.T + params.b1
         if not np.isfinite(pre_dense).all():
@@ -309,7 +334,7 @@ def _forward(
 
     if not keep_cache:
         return outputs, None
-    return outputs, ForwardCache(inputs, gates_s, c_ends, h, dense)
+    return outputs, ForwardCache(inputs, gates_s, c_ends, h_ends, h, dense)
 
 
 def _usable_cpus() -> int:
@@ -396,10 +421,12 @@ def backward(params: ModelParams, inputs: np.ndarray, targets: np.ndarray) -> tu
 
     The loop runs in place on preallocated (B, H) buffers. At the last
     step of each segment it recomputes the cell states before that step
-    in the segment, from the cached state before the segment, as
-    f * c_prev + i * g with the forward pass's operations in its order.
-    tanh(c_prev) and h_prev = o_prev * tanh(c_prev) are recomputed once
-    per step, and tanh(c_prev) is carried into the next step as tanh(c).
+    in the segment, from the cached state before the segment: as
+    f * c_prev + i * g with the forward pass's operations in its order,
+    or, without kept gates, by replaying the steps into one (K, 4, B, H)
+    buffer. tanh(c_prev) and h_prev = o_prev * tanh(c_prev) are
+    recomputed once per step (a replayed segment's first h_prev is kept),
+    and tanh(c_prev) is carried into the next step as tanh(c).
     The four gate deltas share one (4, B, H) buffer, so each weight
     gradient is one broadcast matmul that issues one gemm call per gate,
     and the bias gradient is one einsum over the batch axis.
@@ -435,6 +462,11 @@ def backward(params: ModelParams, inputs: np.ndarray, targets: np.ndarray) -> tu
     dw, du, db = np.empty_like(params.w), np.empty_like(params.u), np.empty_like(params.b)
     segment = _segment(steps)
     c_seg = np.empty((segment,) + shape)      # c_seg[k] is c_{t-1} at k = t % segment
+    gates, first = cache.gates, 0             # gates[t - first] are step t's gates
+    if gates is None:
+        gates = np.empty((segment, 4) + shape)
+        h_run, c_run = np.empty((2,) + shape)
+        step = _stepper(params, batch)
     tc = np.tanh(cache.c_ends[-1])
     for t in range(steps - 1, -1, -1):
         k = t % segment
@@ -443,16 +475,28 @@ def backward(params: ModelParams, inputs: np.ndarray, targets: np.ndarray) -> tu
             # segment from the cached one before the segment
             start = t - k
             c_seg[0] = cache.c_ends[start // segment - 1] if start else zero
-            for j in range(k):
-                i, f, _, g = cache.gates[start + j]
-                np.multiply(f, c_seg[j], out=c_seg[j + 1])
-                np.multiply(i, g, out=s)
-                c_seg[j + 1] += s
-        i, f, o, g = cache.gates[t]
+            if cache.gates is not None:
+                for j in range(k):
+                    i, f, _, g = gates[start + j]
+                    np.multiply(f, c_seg[j], out=c_seg[j + 1])
+                    np.multiply(i, g, out=s)
+                    c_seg[j + 1] += s
+            else:
+                first = start
+                h_run[:] = cache.h_ends[start // segment - 1] if start else zero
+                c_run[:] = c_seg[0]
+                for j in range(k + 1):
+                    step(cache.inputs[:, start + j, :], h_run, c_run, gates[j], check=False)
+                    if j < k:
+                        c_seg[j + 1] = c_run
+        i, f, o, g = gates[t - first]
         if t > 0:
             c_prev = c_seg[k]
             np.tanh(c_prev, out=tc_prev)
-            np.multiply(cache.gates[t - 1, 2], tc_prev, out=h_prev)
+            if t > first:
+                np.multiply(gates[t - first - 1, 2], tc_prev, out=h_prev)
+            else:  # a replayed segment's first step: the gates before it are gone
+                h_prev[:] = cache.h_ends[t // segment - 1]
         else:
             c_prev = h_prev = zero
         x_t = cache.inputs[:, t, :]

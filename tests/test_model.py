@@ -331,6 +331,24 @@ def test_backward_keeps_four_cache_blocks():
     assert peak < 4.75 * block
 
 
+def test_backward_replays_gates_in_bounded_memory_at_paper_shape():
+    cfg = ModelConfig(hidden_dim=32, dense_dim=32, window_len=250)
+    params = init_model(cfg, SeededRng(38))
+    rng = np.random.default_rng(39)
+    inputs = rng.uniform(0.0, 1.0, (200, 250, 5))
+    targets = rng.uniform(0.0, 1.0, (200, 2))
+    tracemalloc.start()
+    try:
+        backward(params, inputs, targets)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # every step's gates would be 51.2 MB (a 54.0 MB peak); replayed, one
+    # 16-step segment's gates (3.3 MB), the segment-end c and h, one
+    # segment's cell states and the scratch buffers measured 7.6 MB
+    assert peak < 12e6
+
+
 def test_adam_zero_gradients_leave_params_unchanged():
     cfg = small_cfg()
     params = init_model(cfg, SeededRng(18))
@@ -640,6 +658,35 @@ def test_training_forward_bit_identical_to_reference_at_desk_shape():
             assert np.array_equal(o * tc, expected["h"][t]), t
 
 
+def test_training_forward_without_gate_cache_bit_identical_to_reference_at_desk_shape(monkeypatch):
+    monkeypatch.setattr(model, "GATE_CACHE_BYTES", 0)
+    cfg = ModelConfig(hidden_dim=16, dense_dim=16, window_len=50)
+    params = init_model(cfg, SeededRng(27))
+    inputs = np.random.default_rng(28).uniform(0.0, 1.0, (200, 50, 5))
+    expected_out, expected = reference_forward(params, inputs)
+    outputs, cache = _forward(params, _check_inputs(params, inputs, 3), keep_cache=True)
+    assert np.array_equal(outputs, expected_out)
+    assert cache.gates is None
+    ends = [7, 15, 23, 31, 39, 47, 49]
+    assert np.array_equal(cache.c_ends, expected["c"][ends])
+    assert np.array_equal(cache.h_ends, expected["h"][ends])
+    assert np.array_equal(cache.h, expected["h"][-1])
+    # the replay backward relies on for the gates it does not cache: each
+    # segment's steps rerun by the forward's step routine from the states
+    # at the end of the one before
+    step = model._stepper(params, 200)
+    z = np.empty((4, 200, 16))
+    for start in range(0, 50, 8):
+        h = cache.h_ends[start // 8 - 1].copy() if start else np.zeros_like(cache.h)
+        c = cache.c_ends[start // 8 - 1].copy() if start else np.zeros_like(cache.h)
+        for t in range(start, min(start + 8, 50)):
+            step(inputs[:, t, :], h, c, z, check=False)
+            for k, gate in enumerate(GATES):
+                assert np.array_equal(z[k], expected[gate][t]), (gate, t)
+            assert np.array_equal(c, expected["c"][t]), t
+            assert np.array_equal(h, expected["h"][t]), t
+
+
 def assert_same_gradients(params, inputs, targets):
     expected_loss, expected = reference_backward(params, inputs, targets)
     loss, grads = backward(params, inputs, targets)
@@ -652,9 +699,18 @@ def assert_same_gradients(params, inputs, targets):
     return grads
 
 
-# the segment edges of K = 4 and K = 7 steps: T = 1, 2, K - 1, K, K + 1, K^2, K^2 + 1
-@pytest.mark.parametrize("steps", [1, 2, 3, 4, 5, 16, 17, 6, 7, 8, 49, 50])
-def test_backward_bit_identical_to_reference_at_segment_edges(steps):
+# the segment edges of K = 4 and K = 7 steps: T = 1, 2, K - 1, K, K + 1, K^2, K^2 + 1,
+# with the gates kept (the default budget) and replayed (budget 0)
+EDGES = [1, 2, 3, 4, 5, 16, 17, 6, 7, 8, 49, 50]
+
+
+@pytest.mark.parametrize(
+    "steps, budget",
+    [pytest.param(steps, model.GATE_CACHE_BYTES, id=str(steps)) for steps in EDGES]
+    + [pytest.param(steps, 0, id=f"{steps}-replay") for steps in EDGES],
+)
+def test_backward_bit_identical_to_reference_at_segment_edges(monkeypatch, steps, budget):
+    monkeypatch.setattr(model, "GATE_CACHE_BYTES", budget)
     assert model._segment(steps) == math.ceil(math.sqrt(steps))
     cfg = ModelConfig(hidden_dim=2, dense_dim=3, window_len=steps)
     params = init_model(cfg, SeededRng(40 + steps))
@@ -663,6 +719,8 @@ def test_backward_bit_identical_to_reference_at_segment_edges(steps):
 
 
 def test_backward_bit_identical_to_reference_at_paper_shape():
+    # the gates (51.2 MB) do not fit GATE_CACHE_BYTES: this runs the replay
+    assert 250 * 4 * 200 * 32 * 8 > model.GATE_CACHE_BYTES
     cfg = ModelConfig(hidden_dim=32, dense_dim=32, window_len=250)
     params = init_model(cfg, SeededRng(38))
     rng = np.random.default_rng(39)
