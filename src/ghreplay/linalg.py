@@ -8,7 +8,7 @@ derivatives expressed in terms of the activation *output*.
 
 No module of the package imports this one: ``model.py`` runs the same
 arithmetic on numpy directly, and its bit-identity tests compare it with
-gate-by-gate passes that the tests write on these functions.
+reference passes that the tests write on these functions.
 """
 
 from __future__ import annotations

@@ -15,18 +15,26 @@ then the head's ``w1``, ``b1``, ``w2`` and ``b2``. These seven arrays are
 the unit of the gradients, the Adam moments and the checkpoint.
 
 One step routine serves training (keeping the BPTT cache), prediction
-(keeping only the running state) and BPTT's replay. The cache holds the
-cell state at the end of each segment of ceil(sqrt(T)) steps, the final
-hidden state and, if they fit in ``GATE_CACHE_BYTES`` (8 MiB), the four
-gates of every step as four (T, B, H) blocks; otherwise (paper shapes)
-no gate, but the hidden state at each segment end. Just before BPTT
-walks a segment in reverse, it recomputes that segment's cell states
-from the last state before it (Chen et al. 2016, arXiv 1604.06174): from
-the kept gates with the forward pass's three operations in its order,
-or by replaying the segment's steps (Gruslys et al. 2016, arXiv
-1606.03401); it recomputes tanh(c) and h = o * tanh(c) one step back.
+(keeping only the running state) and BPTT's replay. Each step issues one
+GEMM, the (4H, D + H + 1) stacked weights [w | u | b] times the
+(D + H + 1, B) operand [x_t; h; 1] (Appleyard et al. 2016, arXiv
+1604.01946), and the state runs hidden-major: the gates come out as
+(4H, B), each gate a contiguous (H, B) block, and h and c are (H, B).
+The cache holds the cell state at the end of each segment of
+ceil(sqrt(T)) steps, the final hidden state and, if they fit in
+``GATE_CACHE_BYTES`` (8 MiB), the four gates of every step as one
+(T, 4, H, B) block; otherwise (paper shapes) no gate, but the hidden
+state at each segment end. Just before BPTT walks a segment in reverse,
+it recomputes that segment's cell states from the last state before it
+(Chen et al. 2016, arXiv 1604.06174): from the kept gates with the
+forward pass's three operations in its order, or by replaying the
+segment's steps (Gruslys et al. 2016, arXiv 1606.03401); it recomputes
+tanh(c) and h = o * tanh(c) one step back.
 The same operations on the same inputs give the same bits, so the
-gradients are those a cache of every step's state would give.
+gradients are those a cache of every step's state would give. BPTT
+issues two GEMMs per step: the gate deltas times the step's operand
+transposed, the gradient of [w | u | b] at once, and the stacked
+recurrent weights transposed times the deltas, dh.
 Finiteness is checked at the boundaries, not per operation: the windows
 once on entry, the four gate pre-activations once per step, then the
 dense pre-activation and the outputs after the bias b2, in the one
@@ -183,19 +191,20 @@ def init_adam(cfg: ModelConfig) -> AdamState:
 
 @dataclass
 class ForwardCache:
-    """Activations retained for backpropagation through time: the cell
-    states at the segment ends, steps K - 1, 2K - 1, ... and T - 1 for
-    K = _segment(T), and either the gates, if their four (T, B, H) blocks
-    fit in GATE_CACHE_BYTES, or the hidden states at the segment ends.
-    BPTT recomputes the other states one segment at a time, from the
-    gates or by replaying the segment's steps, and tanh(c) and h one step
-    at a time as tanh(c) and o * tanh(c)."""
+    """Activations retained for backpropagation through time, hidden-major
+    as the step routine leaves them: the cell states at the segment ends,
+    steps K - 1, 2K - 1, ... and T - 1 for K = _segment(T), and either the
+    gates, if their (T, 4, H, B) block fits in GATE_CACHE_BYTES, or the
+    hidden states at the segment ends. BPTT recomputes the other states
+    one segment at a time, from the gates or by replaying the segment's
+    steps, and tanh(c) and h one step at a time as tanh(c) and
+    o * tanh(c)."""
 
     inputs: np.ndarray    # (B, T, D)
-    gates: np.ndarray | None   # (T, 4, B, H) gates i, f, o and candidate g
-    c_ends: np.ndarray    # (ceil(T / K), B, H) segment-end cell states
-    h_ends: np.ndarray | None  # (ceil(T / K), B, H) segment-end hidden states, if no gates
-    h: np.ndarray         # (B, H) final hidden state
+    gates: np.ndarray | None   # (T, 4, H, B) gates i, f, o and candidate g
+    c_ends: np.ndarray    # (ceil(T / K), H, B) segment-end cell states
+    h_ends: np.ndarray | None  # (ceil(T / K), H, B) segment-end hidden states, if no gates
+    h: np.ndarray         # (H, B) final hidden state
     dense: np.ndarray     # (B, dense) tanh layer output
 
 
@@ -239,45 +248,52 @@ def _sigmoid_inplace(x: np.ndarray, e: np.ndarray, numerator: np.ndarray) -> Non
 def _segment(steps: int) -> int:
     """BPTT segment length for a ``steps``-step window: ceil(sqrt(steps)),
     which keeps the segment-end states and one segment's recomputed
-    states both near sqrt(steps) (B, H) arrays."""
+    states both near sqrt(steps) (H, B) arrays."""
     return math.isqrt(steps - 1) + 1
 
 
 def _stepper(params: ModelParams, batch: int):
     """The LSTM step for ``batch`` rows that the forward pass and BPTT's
-    replay share, so a replayed step has the forward's bits:
-    step(x_t, h, c, z, check) writes the gates into z and advances h and c
-    in place. Each gate's pre-activation is x_t @ W^T + h @ U^T + b, in
-    that order, each product one broadcast matmul over transposed views
-    (one gemm call per gate). With check, a non-finite sum returns False."""
-    w = params.w.transpose(0, 2, 1)
-    u = params.u.transpose(0, 2, 1)
-    shape = (batch, params.u.shape[1])
-    # full-shape, because a broadcast add over rows of H is twice as slow
-    b = np.empty((4,) + shape)
-    b[:] = params.b[:, None, :]
-    hu = np.empty((4,) + shape)
-    e = np.empty((3,) + shape)
+    replay share, so a replayed step has the forward's bits. Returns
+    (step, h): step(x_t, c, z, check) writes the gates into z, a
+    contiguous (4, H, B) block, and advances h and c in place, where h
+    is the (H, B) hidden state, zero until the caller writes it.
+
+    The four gate pre-activations are one GEMM, [w | u | b] @ [x_t; h; 1]:
+    the (4H, D + H + 1) stacked weights, built once per call, times one
+    (D + H + 1, B) operand whose h rows are the state itself, so the
+    step writes h straight into its next product and the bias rides on
+    the operand's row of ones. The gates come out hidden-major, each a
+    contiguous (H, B) block. With check, a non-finite sum returns False."""
+    hidden, dim = params.u.shape[1], params.w.shape[2]
+    weights = np.concatenate(
+        (params.w.reshape(4 * hidden, dim), params.u.reshape(4 * hidden, hidden),
+         params.b.reshape(4 * hidden, 1)),
+        axis=1,
+    )
+    operand = np.zeros((dim + hidden + 1, batch))
+    operand[-1] = 1.0
+    x_rows, h = operand[:dim], operand[dim : dim + hidden]
+    shape = (hidden, batch)
+    e, numerator = np.empty((2, 3) + shape)
     ig, tc = np.empty((2,) + shape)
 
-    def step(x_t, h, c, z, check=True) -> bool:
-        np.matmul(x_t, w, out=z)
-        np.matmul(h, u, out=hu)
-        z += hu
-        z += b
+    def step(x_t, c, z, check=True) -> bool:
+        x_rows[:] = x_t.T
+        np.matmul(weights, operand, out=z.reshape(4 * hidden, batch))
         if check and not np.isfinite(z).all():
             return False
-        _sigmoid_inplace(z[:3], e, hu[:3])  # hu is free once added
+        _sigmoid_inplace(z[:3], e, numerator)
         np.tanh(z[3], out=z[3])
         i, f, o, g = z
         np.multiply(f, c, out=c)
         np.multiply(i, g, out=ig)
         c += ig
         np.tanh(c, out=tc)
-        np.multiply(o, tc, out=h)  # h's old value is spent in hu
+        np.multiply(o, tc, out=h)  # h's old value is spent in the product
         return True
 
-    return step
+    return step, h
 
 
 def _forward(
@@ -286,19 +302,19 @@ def _forward(
     """The LSTM forward pass over a shape-checked (B, T, D) batch.
 
     Finiteness is checked once per step on the four gate pre-activations,
-    as a non-finite product or bias makes its sum non-finite. With
-    keep_cache, c (and h, if the gates are not kept) is copied out at each
-    segment end, and the gates are written straight into the BPTT cache
-    if it keeps them; h, c and otherwise the gates are scratch buffers
-    updated in place. A failed check raises ``NonFiniteError`` naming the
-    batch rows involved, numbered from ``first_row``.
+    as a non-finite weight, bias or state makes the step's product
+    non-finite. With keep_cache, c (and h, if the gates are not kept) is
+    copied out at each segment end, and the gates are written straight
+    into the BPTT cache if it keeps them; h, c and otherwise the gates
+    are scratch buffers updated in place. A failed check raises
+    ``NonFiniteError`` naming the batch rows involved, numbered from
+    ``first_row``.
     """
     if not np.isfinite(inputs).all():
         raise _non_finite("windows contain", inputs, first_row)
     batch, steps, _ = inputs.shape
-    shape = (batch, params.u.shape[1])
-    step = _stepper(params, batch)
-    h = np.zeros(shape)
+    shape = (params.u.shape[1], batch)
+    step, h = _stepper(params, batch)
     c = np.zeros(shape)
     gates_s = h_ends = None
     if keep_cache:
@@ -315,16 +331,16 @@ def _forward(
         for t in range(steps):
             if gates_s is not None:
                 z = gates_s[t]
-            if not step(inputs[:, t, :], h, c, z):
+            if not step(inputs[:, t, :], c, z):
                 raise _non_finite(
-                    f"LSTM step {t}: gate pre-activation contains", z.transpose(1, 0, 2), first_row
+                    f"LSTM step {t}: gate pre-activation contains", z.transpose(2, 0, 1), first_row
                 )
             if keep_cache and ((t + 1) % segment == 0 or t == steps - 1):
                 c_ends[t // segment] = c
                 if h_ends is not None:
                     h_ends[t // segment] = h
 
-        pre_dense = h @ params.w1.T + params.b1
+        pre_dense = h.T @ params.w1.T + params.b1
         if not np.isfinite(pre_dense).all():
             raise _non_finite("dense layer pre-activation contains", pre_dense, first_row)
         dense = np.tanh(pre_dense)
@@ -417,19 +433,21 @@ def backward(params: ModelParams, inputs: np.ndarray, targets: np.ndarray) -> tu
 
         do = dh * tanh(c);        dc += dh * o * (1 - tanh(c)^2)
         di = dc * g;  df = dc * c_prev;  dg = dc * i
-        dh_prev = sum_gate (d_pre_gate @ U_gate);  dc_prev = dc * f
+        dh_prev = U^T @ d_pre;    dc_prev = dc * f
 
-    The loop runs in place on preallocated (B, H) buffers. At the last
-    step of each segment it recomputes the cell states before that step
-    in the segment, from the cached state before the segment: as
-    f * c_prev + i * g with the forward pass's operations in its order,
-    or, without kept gates, by replaying the steps into one (K, 4, B, H)
-    buffer. tanh(c_prev) and h_prev = o_prev * tanh(c_prev) are
-    recomputed once per step (a replayed segment's first h_prev is kept),
-    and tanh(c_prev) is carried into the next step as tanh(c).
-    The four gate deltas share one (4, B, H) buffer, so each weight
-    gradient is one broadcast matmul that issues one gemm call per gate,
-    and the bias gradient is one einsum over the batch axis.
+    The loop runs in place on preallocated hidden-major (H, B) buffers.
+    At the last step of each segment it recomputes the cell states
+    before that step in the segment, from the cached state before the
+    segment: as f * c_prev + i * g with the forward pass's operations in
+    its order, or, without kept gates, by replaying the steps into one
+    (K, 4, H, B) buffer. tanh(c_prev) and h_prev = o_prev * tanh(c_prev)
+    are recomputed once per step (a replayed segment's first h_prev is
+    kept), and tanh(c_prev) is carried into the next step as tanh(c).
+    Each step issues two GEMMs on the (4H, B) gate deltas d_pre: d_pre
+    times the step's operand [x_t; h_prev; 1] transposed, the gradient
+    of the stacked [w | u | b], into which h_prev is written; and the
+    stacked (4H, H) recurrent weights transposed times d_pre, which is
+    dh_prev.
     """
     if inputs.shape[0] == 0:
         raise ValueError("backward: empty batch")
@@ -438,35 +456,37 @@ def backward(params: ModelParams, inputs: np.ndarray, targets: np.ndarray) -> tu
 
     loss, _ = mse_loss(outputs, targets)
 
-    batch, steps, _ = cache.inputs.shape
+    batch, steps, dim = cache.inputs.shape
+    hidden = params.u.shape[1]
     n_out = targets.shape[1]
-    grads = Gradients(**{name: np.zeros_like(arr) for name, arr in params.items()})
 
     # head
     d_out = 2.0 * (outputs - targets) / (batch * n_out)
-    grads.w2 = d_out.T @ cache.dense
-    grads.b2 = d_out.sum(axis=0)
     d_dense = d_out @ params.w2
     d_z1 = d_dense * (1.0 - cache.dense * cache.dense)
-    grads.w1 = d_z1.T @ cache.h
-    grads.b1 = d_z1.sum(axis=0)
-    dh = d_z1 @ params.w1
+    dh = np.ascontiguousarray((d_z1 @ params.w1).T)
 
     # unrolled LSTM; da holds the gate pre-activation deltas in gate order,
     # s an activation derivative written in terms of the activation output
-    shape = dh.shape
+    shape = (hidden, batch)
     dc = np.zeros(shape)
     zero = np.zeros(shape)
-    da, p = np.empty((2, 4) + shape)
-    s, dc_in, tc_prev, h_prev = np.empty((4,) + shape)
-    dw, du, db = np.empty_like(params.w), np.empty_like(params.u), np.empty_like(params.b)
+    da = np.empty((4,) + shape)
+    d_pre = da.reshape(4 * hidden, batch)     # da with the gates stacked
+    s, dc_in, tc_prev = np.empty((3,) + shape)
+    operand = np.empty((dim + hidden + 1, batch))  # [x_t; h_prev; 1]
+    operand[-1] = 1.0
+    x_rows, h_prev = operand[:dim], operand[dim : dim + hidden]
+    u_t = params.u.reshape(4 * hidden, hidden).T
+    d_stacked = np.zeros((4 * hidden, dim + hidden + 1))  # the gradient of [w | u | b]
+    d_step = np.empty_like(d_stacked)
     segment = _segment(steps)
     c_seg = np.empty((segment,) + shape)      # c_seg[k] is c_{t-1} at k = t % segment
     gates, first = cache.gates, 0             # gates[t - first] are step t's gates
     if gates is None:
         gates = np.empty((segment, 4) + shape)
-        h_run, c_run = np.empty((2,) + shape)
-        step = _stepper(params, batch)
+        c_run = np.empty(shape)
+        step, h_run = _stepper(params, batch)
     tc = np.tanh(cache.c_ends[-1])
     for t in range(steps - 1, -1, -1):
         k = t % segment
@@ -486,7 +506,7 @@ def backward(params: ModelParams, inputs: np.ndarray, targets: np.ndarray) -> tu
                 h_run[:] = cache.h_ends[start // segment - 1] if start else zero
                 c_run[:] = c_seg[0]
                 for j in range(k + 1):
-                    step(cache.inputs[:, start + j, :], h_run, c_run, gates[j], check=False)
+                    step(cache.inputs[:, start + j, :], c_run, gates[j], check=False)
                     if j < k:
                         c_seg[j + 1] = c_run
         i, f, o, g = gates[t - first]
@@ -498,8 +518,9 @@ def backward(params: ModelParams, inputs: np.ndarray, targets: np.ndarray) -> tu
             else:  # a replayed segment's first step: the gates before it are gone
                 h_prev[:] = cache.h_ends[t // segment - 1]
         else:
-            c_prev = h_prev = zero
-        x_t = cache.inputs[:, t, :]
+            c_prev = zero
+            h_prev[:] = 0.0
+        x_rows[:] = cache.inputs[:, t, :].T
 
         np.multiply(dh, tc, out=da[2])        # da_o = (dh * tc) * (o (1 - o))
         np.subtract(1.0, o, out=s)
@@ -523,19 +544,21 @@ def backward(params: ModelParams, inputs: np.ndarray, targets: np.ndarray) -> tu
         np.subtract(1.0, s, out=s)
         da[3] *= s
 
-        da_t = da.transpose(0, 2, 1)
-        grads.w += np.matmul(da_t, x_t, out=dw)
-        grads.u += np.matmul(da_t, h_prev, out=du)
-        grads.b += np.einsum("kbh->kh", da, out=db)
-
-        np.matmul(da, params.u, out=p)        # dh = ((p0 + p1) + p2) + p3
-        np.add(p[0], p[1], out=dh)
-        dh += p[2]
-        dh += p[3]
+        d_stacked += np.matmul(d_pre, operand.T, out=d_step)
+        np.matmul(u_t, d_pre, out=dh)
         dc *= f
         tc, tc_prev = tc_prev, tc
 
-    return loss, grads
+    d_w, d_u, d_b = np.split(d_stacked, (dim, dim + hidden), axis=1)
+    return loss, Gradients(
+        w=d_w.reshape(params.w.shape),
+        u=d_u.reshape(params.u.shape),
+        b=d_b.reshape(params.b.shape),
+        w1=d_z1.T @ cache.h.T,
+        b1=d_z1.sum(axis=0),
+        w2=d_out.T @ cache.dense,
+        b2=d_out.sum(axis=0),
+    )
 
 
 def clip_gradients(grads: Gradients, max_norm: float) -> float:

@@ -457,6 +457,37 @@ def test_kernel_rejects_non_finite_values(poison, entry):
         assert err.value.rows.tolist() == [0, 1, 2]
 
 
+@pytest.mark.parametrize("entry", ["predict_batch-helper", "backward-kept", "backward-replayed"])
+def test_gate_overflow_names_its_row_and_step(monkeypatch, entry):
+    # one window, not the first, overflows its gate products at a later step;
+    # the hidden-major (4, H, B) gates still name that batch row alone
+    cfg = small_cfg()
+    params = init_model(cfg, SeededRng(22))
+    x = random_windows(SeededRng(23), 3, cfg.window_len)
+    x[2, 4, :] = 1e308
+    threads = set()
+
+    def recording_forward(*args, **kwargs):
+        threads.add(threading.get_ident())
+        return _forward(*args, **kwargs)
+
+    monkeypatch.setattr(model, "_forward", recording_forward)
+    if entry == "predict_batch-helper":
+        # chunks of 2 windows on 2 CPUs: window 2 is the helper thread's chunk
+        monkeypatch.setattr(model, "CHUNK", 2)
+        monkeypatch.setattr(model, "_usable_cpus", lambda: 2)
+    elif entry == "backward-replayed":
+        monkeypatch.setattr(model, "GATE_CACHE_BYTES", 0)
+    with pytest.raises(model.NonFiniteError) as err:
+        if entry == "predict_batch-helper":
+            predict_stack(params, x)
+        else:
+            backward(params, x, random_targets(SeededRng(24), 3))
+    assert str(err.value) == "LSTM step 4: gate pre-activation contains non-finite values in batch rows [2]"
+    assert err.value.rows.tolist() == [2]
+    assert len(threads) == (2 if entry == "predict_batch-helper" else 1)
+
+
 def test_predict_batch_names_rows_of_later_chunks():
     params = init_model(small_cfg(), SeededRng(22))
     x = np.random.default_rng(23).uniform(0.0, 1.0, (700, 6, 5))
@@ -548,64 +579,82 @@ def test_cli_import_leaves_linalg_unloaded():
     assert out.stdout.strip() == "False"
 
 
-# --- bit-identity against the per-gate reference loops ----------------------
+# --- bit-identity against the reference loops -------------------------------
 
 GATES = "ifog"
 
 
+def stacked_weights(params):
+    """[w | u | b]: the (4H, D + H + 1) left factor of every gate product."""
+    hidden, dim = params.u.shape[1], params.w.shape[2]
+    return np.concatenate(
+        (params.w.reshape(4 * hidden, dim), params.u.reshape(4 * hidden, hidden),
+         params.b.reshape(4 * hidden, 1)),
+        axis=1,
+    )
+
+
+def step_operand(x_t, h):
+    """[x_t; h; 1]: the (D + H + 1, B) right factor of a step's gate product."""
+    return np.concatenate((x_t.T, h, np.ones((1, h.shape[1]))))
+
+
 def reference_forward(params, inputs):
-    """The LSTM forward pass written gate by gate against the checked linalg
-    helpers: the kernel must reproduce its every bit."""
+    """The LSTM forward pass against the checked linalg helpers: the four
+    gate pre-activations as one product [w | u | b] @ [x_t; h; 1], then the
+    activations and the cell recurrence gate by gate, hidden-major (H, B).
+    The kernel must reproduce its every bit."""
     batch, steps, _ = inputs.shape
     hidden = params.u.shape[1]
-    cache = {name: np.empty((steps, batch, hidden)) for name in ("i", "f", "o", "g", "c", "tc", "h")}
-    w, u, b = params.w, params.u, params.b
-    h = np.zeros((batch, hidden))
-    c = np.zeros((batch, hidden))
+    cache = {name: np.empty((steps, hidden, batch)) for name in ("i", "f", "o", "g", "c", "tc", "h")}
+    weights = stacked_weights(params)
+    h = np.zeros((hidden, batch))
+    c = np.zeros((hidden, batch))
     for t in range(steps):
-        x_t = inputs[:, t, :]
-        i = linalg.activation(SIGMOID, linalg.matmul(x_t, w[0].T) + linalg.matmul(h, u[0].T) + b[0])
-        f = linalg.activation(SIGMOID, linalg.matmul(x_t, w[1].T) + linalg.matmul(h, u[1].T) + b[1])
-        o = linalg.activation(SIGMOID, linalg.matmul(x_t, w[2].T) + linalg.matmul(h, u[2].T) + b[2])
-        g = linalg.activation(TANH, linalg.matmul(x_t, w[3].T) + linalg.matmul(h, u[3].T) + b[3])
+        pre = linalg.matmul(weights, step_operand(inputs[:, t, :], h)).reshape(4, hidden, batch)
+        i = linalg.activation(SIGMOID, pre[0])
+        f = linalg.activation(SIGMOID, pre[1])
+        o = linalg.activation(SIGMOID, pre[2])
+        g = linalg.activation(TANH, pre[3])
         c = f * c + i * g
         tc = np.tanh(c)
         h = o * tc
         for name, value in (("i", i), ("f", f), ("o", o), ("g", g), ("c", c), ("tc", tc), ("h", h)):
             cache[name][t] = value
-    dense = linalg.activation(TANH, linalg.matmul(h, params.w1.T) + params.b1)
+    dense = linalg.activation(TANH, linalg.matmul(h.T, params.w1.T) + params.b1)
     cache["dense"] = dense
     return linalg.matmul(dense, params.w2.T) + params.b2, cache
 
 
 def reference_backward(params, inputs, targets):
-    """Loss and gradients written gate by gate on linalg.activation_grad,
-    one array per gate (``w_i`` ... ``b_g``) plus the head's: backward must
-    reproduce their every bit."""
+    """Loss and gradients on linalg.activation_grad, the gate deltas written
+    gate by gate and stacked into (4H, B) for the kernel's two products per
+    step: deltas @ [x_t; h_prev; 1]^T, the gradient of [w | u | b], and the
+    stacked recurrent weights transposed @ deltas, dh. Returned as one array
+    per gate (``w_i`` ... ``b_g``) plus the head's: backward must reproduce
+    their every bit."""
     outputs, cache = reference_forward(params, inputs)
     loss, _ = mse_loss(outputs, targets)
-    batch, steps, _ = inputs.shape
+    batch, steps, dim = inputs.shape
+    hidden = params.u.shape[1]
     grads = {}
-    for k, gate in enumerate(GATES):
-        grads[f"w_{gate}"] = np.zeros_like(params.w[k])
-        grads[f"u_{gate}"] = np.zeros_like(params.u[k])
-        grads[f"b_{gate}"] = np.zeros_like(params.b[k])
 
     d_out = 2.0 * (outputs - targets) / (batch * targets.shape[1])
     grads["w2"] = d_out.T @ cache["dense"]
     grads["b2"] = d_out.sum(axis=0)
     d_z1 = (d_out @ params.w2) * linalg.activation_grad(TANH, cache["dense"])
-    grads["w1"] = d_z1.T @ cache["h"][steps - 1]
+    grads["w1"] = d_z1.T @ cache["h"][steps - 1].T
     grads["b1"] = d_z1.sum(axis=0)
-    dh = d_z1 @ params.w1
+    dh = (d_z1 @ params.w1).T
 
+    u_t = params.u.reshape(4 * hidden, hidden).T
+    d_stacked = np.zeros((4 * hidden, dim + hidden + 1))
     dc = np.zeros_like(dh)
     for t in range(steps - 1, -1, -1):
         i, f, o, g = (cache[gate][t] for gate in GATES)
         tc = cache["tc"][t]
         c_prev = cache["c"][t - 1] if t > 0 else np.zeros_like(tc)
         h_prev = cache["h"][t - 1] if t > 0 else np.zeros_like(tc)
-        x_t = inputs[:, t, :]
 
         da_o = dh * tc * linalg.activation_grad(SIGMOID, o)
         dc = dc + dh * o * linalg.activation_grad(TANH, tc)
@@ -613,12 +662,13 @@ def reference_backward(params, inputs, targets):
         da_f = dc * c_prev * linalg.activation_grad(SIGMOID, f)
         da_g = dc * i * linalg.activation_grad(TANH, g)
 
-        for gate, da in zip(GATES, (da_i, da_f, da_o, da_g)):
-            grads[f"w_{gate}"] += da.T @ x_t
-            grads[f"u_{gate}"] += da.T @ h_prev
-            grads[f"b_{gate}"] += da.sum(axis=0)
-        dh = da_i @ params.u[0] + da_f @ params.u[1] + da_o @ params.u[2] + da_g @ params.u[3]
+        d_pre = np.concatenate((da_i, da_f, da_o, da_g))
+        d_stacked += linalg.matmul(d_pre, step_operand(inputs[:, t, :], h_prev).T)
+        dh = linalg.matmul(u_t, d_pre)
         dc = dc * f
+    for k, gate in enumerate(GATES):
+        rows = d_stacked[k * hidden : (k + 1) * hidden]
+        grads[f"w_{gate}"], grads[f"u_{gate}"], grads[f"b_{gate}"] = rows[:, :dim], rows[:, dim:-1], rows[:, -1]
     return loss, grads
 
 
@@ -674,17 +724,130 @@ def test_training_forward_without_gate_cache_bit_identical_to_reference_at_desk_
     # the replay backward relies on for the gates it does not cache: each
     # segment's steps rerun by the forward's step routine from the states
     # at the end of the one before
-    step = model._stepper(params, 200)
-    z = np.empty((4, 200, 16))
+    step, h = model._stepper(params, 200)
+    z = np.empty((4, 16, 200))
     for start in range(0, 50, 8):
-        h = cache.h_ends[start // 8 - 1].copy() if start else np.zeros_like(cache.h)
+        h[:] = cache.h_ends[start // 8 - 1] if start else 0.0
         c = cache.c_ends[start // 8 - 1].copy() if start else np.zeros_like(cache.h)
         for t in range(start, min(start + 8, 50)):
-            step(inputs[:, t, :], h, c, z, check=False)
+            step(inputs[:, t, :], c, z, check=False)
             for k, gate in enumerate(GATES):
                 assert np.array_equal(z[k], expected[gate][t]), (gate, t)
             assert np.array_equal(c, expected["c"][t]), t
             assert np.array_equal(h, expected["h"][t]), t
+
+
+# --- drift from the per-gate association ------------------------------------
+#
+# The kernel sums each gate pre-activation and each weight gradient in one
+# stacked product. The per-gate loops below sum them as the kernel once did:
+# x_t @ W^T and h @ U^T as separate products, then + b; per-gate weight
+# gradients, an explicit bias sum and dh as the sum of four products. They
+# are a second oracle: the reassociation may move each result by rounding,
+# relative to the array's largest entry, and by nothing more.
+
+DRIFT = 1e-12
+
+
+def per_gate_forward(params, inputs):
+    """Outputs and activations of the LSTM forward pass, batch-major (B, H),
+    with each gate's two products summed separately and then the bias."""
+    batch, steps, _ = inputs.shape
+    hidden = params.u.shape[1]
+    w, u, b = params.w, params.u, params.b
+    h = np.zeros((batch, hidden))
+    c = np.zeros((batch, hidden))
+    cache = {name: np.empty((steps, batch, hidden)) for name in ("i", "f", "o", "g", "c", "tc", "h")}
+    for t in range(steps):
+        x_t = inputs[:, t, :]
+        pre = [linalg.matmul(x_t, w[k].T) + linalg.matmul(h, u[k].T) + b[k] for k in range(4)]
+        i, f, o = (linalg.activation(SIGMOID, a) for a in pre[:3])
+        g = linalg.activation(TANH, pre[3])
+        c = f * c + i * g
+        tc = np.tanh(c)
+        h = o * tc
+        for name, value in (("i", i), ("f", f), ("o", o), ("g", g), ("c", c), ("tc", tc), ("h", h)):
+            cache[name][t] = value
+    dense = linalg.activation(TANH, linalg.matmul(h, params.w1.T) + params.b1)
+    cache["dense"] = dense
+    return linalg.matmul(dense, params.w2.T) + params.b2, cache
+
+
+def per_gate_backward(params, inputs, targets):
+    """Loss and gradients (a ModelParams) with every sum in the per-gate order."""
+    outputs, cache = per_gate_forward(params, inputs)
+    loss, _ = mse_loss(outputs, targets)
+    batch, steps, _ = inputs.shape
+    grads = ModelParams(**{name: np.zeros_like(arr) for name, arr in params.items()})
+    d_out = 2.0 * (outputs - targets) / (batch * targets.shape[1])
+    grads.w2 = d_out.T @ cache["dense"]
+    grads.b2 = d_out.sum(axis=0)
+    d_z1 = (d_out @ params.w2) * linalg.activation_grad(TANH, cache["dense"])
+    grads.w1 = d_z1.T @ cache["h"][steps - 1]
+    grads.b1 = d_z1.sum(axis=0)
+    dh = d_z1 @ params.w1
+    dc = np.zeros_like(dh)
+    for t in range(steps - 1, -1, -1):
+        i, f, o, g = (cache[gate][t] for gate in GATES)
+        tc = cache["tc"][t]
+        c_prev = cache["c"][t - 1] if t > 0 else np.zeros_like(tc)
+        h_prev = cache["h"][t - 1] if t > 0 else np.zeros_like(tc)
+        da_o = dh * tc * linalg.activation_grad(SIGMOID, o)
+        dc = dc + dh * o * linalg.activation_grad(TANH, tc)
+        da_i = dc * g * linalg.activation_grad(SIGMOID, i)
+        da_f = dc * c_prev * linalg.activation_grad(SIGMOID, f)
+        da_g = dc * i * linalg.activation_grad(TANH, g)
+        for k, da in enumerate((da_i, da_f, da_o, da_g)):
+            grads.w[k] += da.T @ inputs[:, t, :]
+            grads.u[k] += da.T @ h_prev
+            grads.b[k] += da.sum(axis=0)
+        dh = da_i @ params.u[0] + da_f @ params.u[1] + da_o @ params.u[2] + da_g @ params.u[3]
+        dc = dc * f
+    return loss, grads
+
+
+def assert_drift_within(actual, expected, what):
+    """Every entry of ``actual`` within DRIFT of ``expected``, relative to
+    ``expected``'s largest magnitude."""
+    assert actual.shape == expected.shape, what
+    assert np.max(np.abs(actual - expected)) <= DRIFT * np.max(np.abs(expected)), what
+
+
+def assert_gradients_drift_within(params, inputs, targets):
+    expected_loss, expected = per_gate_backward(params, inputs, targets)
+    loss, grads = backward(params, inputs, targets)
+    assert abs(loss - expected_loss) <= DRIFT * expected_loss
+    for name, grad in grads.items():
+        assert_drift_within(grad, getattr(expected, name), name)
+
+
+@pytest.mark.parametrize("budget", [model.GATE_CACHE_BYTES, 0], ids=["kept", "replayed"])
+def test_training_drift_from_per_gate_reference_at_desk_shape(monkeypatch, budget):
+    monkeypatch.setattr(model, "GATE_CACHE_BYTES", budget)
+    cfg = ModelConfig(hidden_dim=16, dense_dim=16, window_len=50)
+    params = init_model(cfg, SeededRng(27))
+    rng = np.random.default_rng(28)
+    inputs = rng.uniform(0.0, 1.0, (200, 50, 5))
+    outputs, cache = _forward(params, _check_inputs(params, inputs, 3), keep_cache=True)
+    assert (cache.gates is None) == (budget == 0)
+    assert_drift_within(outputs, per_gate_forward(params, inputs)[0], "outputs")
+    assert_gradients_drift_within(params, inputs, rng.uniform(0.0, 1.0, (200, 2)))
+
+
+def test_backward_drift_from_per_gate_reference_at_paper_shape():
+    cfg = ModelConfig(hidden_dim=32, dense_dim=32, window_len=250)
+    params = init_model(cfg, SeededRng(38))
+    rng = np.random.default_rng(39)
+    assert_gradients_drift_within(params, rng.uniform(0.0, 1.0, (200, 250, 5)),
+                                  rng.uniform(0.0, 1.0, (200, 2)))
+
+
+def test_predict_batch_drift_from_per_gate_reference_at_paper_shape():
+    cfg = ModelConfig(hidden_dim=32, dense_dim=32, window_len=250)
+    params = init_model(cfg, SeededRng(25))
+    windows = np.random.default_rng(26).uniform(0.0, 1.0, (600, 250, 5))
+    assert_drift_within(predict_stack(params, windows), per_gate_forward(params, windows)[0],
+                        "outputs")
 
 
 def assert_same_gradients(params, inputs, targets):
