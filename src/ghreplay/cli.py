@@ -189,6 +189,9 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename or exc}", file=sys.stderr)
         return 2
+    except IsADirectoryError as exc:  # os.replace names the target second
+        print(f"error: {exc.filename2 or exc.filename} is a directory, not a file", file=sys.stderr)
+        return 2
     except Exception as exc:  # runtime failure
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -19,17 +19,20 @@ One step routine serves training (keeping the BPTT cache), prediction
 GEMM, the (4H, D + H + 1) stacked weights [w | u | b] times the
 (D + H + 1, B) operand [x_t; h; 1] (Appleyard et al. 2016, arXiv
 1604.01946), and the state runs hidden-major: the gates come out as
-(4H, B), each gate a contiguous (H, B) block, and h and c are (H, B).
+(4H, B), each gate a contiguous (H, B) block, and h and c are (H, B);
+the step's temporaries share one (3, H, B) scratch block.
 The cache holds the cell state at the end of each segment of
 ceil(sqrt(T)) steps, the final hidden state and, if they fit in
 ``GATE_CACHE_BYTES`` (8 MiB), the four gates of every step as one
 (T, 4, H, B) block; otherwise (paper shapes) no gate, but the hidden
 state at each segment end. Just before BPTT walks a segment in reverse,
-it recomputes that segment's cell states from the last state before it
-(Chen et al. 2016, arXiv 1604.06174): from the kept gates with the
-forward pass's three operations in its order, or by replaying the
-segment's steps (Gruslys et al. 2016, arXiv 1606.03401); it recomputes
-tanh(c) and h = o * tanh(c) one step back.
+it recomputes that segment's cell states from the last state before it,
+the zero state before the first segment (Chen et al. 2016, arXiv
+1604.06174): from the kept gates with the forward pass's three
+operations in its order, or by replaying the segment's steps, each
+writing its cell state straight into the segment's rows (Gruslys et al.
+2016, arXiv 1606.03401); it recomputes tanh(c) and h = o * tanh(c) one
+step back.
 The same operations on the same inputs give the same bits, so the
 gradients are those a cache of every step's state would give. BPTT
 issues two GEMMs per step: the gate deltas times the step's operand
@@ -198,9 +201,9 @@ class ForwardCache:
     hidden states at the segment ends. BPTT recomputes the other states
     one segment at a time, from the gates or by replaying the segment's
     steps, and tanh(c) and h one step at a time as tanh(c) and
-    o * tanh(c)."""
+    o * tanh(c). The windows are not kept: ``backward``, the one caller
+    that keeps a cache, holds them already."""
 
-    inputs: np.ndarray    # (B, T, D)
     gates: np.ndarray | None   # (T, 4, H, B) gates i, f, o and candidate g
     c_ends: np.ndarray    # (ceil(T / K), H, B) segment-end cell states
     h_ends: np.ndarray | None  # (ceil(T / K), H, B) segment-end hidden states, if no gates
@@ -227,22 +230,22 @@ def _check_inputs(params: ModelParams, inputs: np.ndarray, ndim: int) -> np.ndar
     return inputs
 
 
-def _sigmoid_inplace(x: np.ndarray, e: np.ndarray, numerator: np.ndarray) -> None:
-    """Sigmoid of finite x into x, with e and numerator scratch buffers of
-    x's shape.
+def _sigmoid_inplace(x: np.ndarray, e: np.ndarray) -> None:
+    """Sigmoid of finite x into x, with e a scratch buffer of x's shape.
 
     Bit-identical to linalg.activation(SIGMOID, x): exp() only sees
     -|x|, so 1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below.
-    The numerator max(e, x >= 0) is that select without a data-dependent
-    branch, because 0 <= e <= 1.
+    The numerator is built in x itself once e holds exp(-|x|): the 0/1
+    mask x >= 0, then max(e, mask), which is that select without a
+    data-dependent branch, because 0 <= e <= 1.
     """
     np.abs(x, out=e)
     np.negative(e, out=e)
     np.exp(e, out=e)
-    np.greater_equal(x, 0.0, out=numerator, casting="unsafe")
-    np.maximum(e, numerator, out=numerator)
+    np.greater_equal(x, 0.0, out=x, casting="unsafe")
+    np.maximum(e, x, out=x)
     e += 1.0
-    np.divide(numerator, e, out=x)
+    np.divide(x, e, out=x)
 
 
 def _segment(steps: int) -> int:
@@ -255,16 +258,19 @@ def _segment(steps: int) -> int:
 def _stepper(params: ModelParams, batch: int):
     """The LSTM step for ``batch`` rows that the forward pass and BPTT's
     replay share, so a replayed step has the forward's bits. Returns
-    (step, h): step(x_t, c, z, check) writes the gates into z, a
-    contiguous (4, H, B) block, and advances h and c in place, where h
-    is the (H, B) hidden state, zero until the caller writes it.
+    (step, h): step(x_t, c_prev, c, z, check) writes the gates into z, a
+    contiguous (4, H, B) block, the cell state f * c_prev + i * g into c
+    (which may be c_prev itself) and advances h in place, where h is the
+    (H, B) hidden state, zero until the caller writes it.
 
     The four gate pre-activations are one GEMM, [w | u | b] @ [x_t; h; 1]:
     the (4H, D + H + 1) stacked weights, built once per call, times one
     (D + H + 1, B) operand whose h rows are the state itself, so the
     step writes h straight into its next product and the bias rides on
     the operand's row of ones. The gates come out hidden-major, each a
-    contiguous (H, B) block. With check, a non-finite sum returns False."""
+    contiguous (H, B) block. One (3, H, B) scratch block holds the
+    sigmoid's exp, then i * g in its first row, then tanh(c) there. With
+    check, a non-finite sum returns False."""
     hidden, dim = params.u.shape[1], params.w.shape[2]
     weights = np.concatenate(
         (params.w.reshape(4 * hidden, dim), params.u.reshape(4 * hidden, hidden),
@@ -274,23 +280,22 @@ def _stepper(params: ModelParams, batch: int):
     operand = np.zeros((dim + hidden + 1, batch))
     operand[-1] = 1.0
     x_rows, h = operand[:dim], operand[dim : dim + hidden]
-    shape = (hidden, batch)
-    e, numerator = np.empty((2, 3) + shape)
-    ig, tc = np.empty((2,) + shape)
+    scratch = np.empty((3, hidden, batch))
+    work = scratch[0]
 
-    def step(x_t, c, z, check=True) -> bool:
+    def step(x_t, c_prev, c, z, check=True) -> bool:
         x_rows[:] = x_t.T
         np.matmul(weights, operand, out=z.reshape(4 * hidden, batch))
         if check and not np.isfinite(z).all():
             return False
-        _sigmoid_inplace(z[:3], e, numerator)
+        _sigmoid_inplace(z[:3], scratch)
         np.tanh(z[3], out=z[3])
         i, f, o, g = z
-        np.multiply(f, c, out=c)
-        np.multiply(i, g, out=ig)
-        c += ig
-        np.tanh(c, out=tc)
-        np.multiply(o, tc, out=h)  # h's old value is spent in the product
+        np.multiply(f, c_prev, out=c)
+        np.multiply(i, g, out=work)
+        c += work
+        np.tanh(c, out=work)
+        np.multiply(o, work, out=h)  # h's old value is spent in the product
         return True
 
     return step, h
@@ -331,7 +336,7 @@ def _forward(
         for t in range(steps):
             if gates_s is not None:
                 z = gates_s[t]
-            if not step(inputs[:, t, :], c, z):
+            if not step(inputs[:, t, :], c, c, z):
                 raise _non_finite(
                     f"LSTM step {t}: gate pre-activation contains", z.transpose(2, 0, 1), first_row
                 )
@@ -350,7 +355,7 @@ def _forward(
 
     if not keep_cache:
         return outputs, None
-    return outputs, ForwardCache(inputs, gates_s, c_ends, h_ends, h, dense)
+    return outputs, ForwardCache(gates_s, c_ends, h_ends, h, dense)
 
 
 def _usable_cpus() -> int:
@@ -438,11 +443,14 @@ def backward(params: ModelParams, inputs: np.ndarray, targets: np.ndarray) -> tu
     The loop runs in place on preallocated hidden-major (H, B) buffers.
     At the last step of each segment it recomputes the cell states
     before that step in the segment, from the cached state before the
-    segment: as f * c_prev + i * g with the forward pass's operations in
-    its order, or, without kept gates, by replaying the steps into one
-    (K, 4, H, B) buffer. tanh(c_prev) and h_prev = o_prev * tanh(c_prev)
-    are recomputed once per step (a replayed segment's first h_prev is
-    kept), and tanh(c_prev) is carried into the next step as tanh(c).
+    segment (the zero state before the first): as f * c_prev + i * g
+    with the forward pass's operations in its order, or, without kept
+    gates, by replaying the steps into one (K, 4, H, B) buffer and the
+    segment's K + 1 cell-state rows. tanh(c_prev) and h_prev = o_prev *
+    tanh(c_prev) are recomputed once per step (a replayed segment's first
+    h_prev is kept, step 0's is zero), and tanh(c_prev) is carried into
+    the next step as tanh(c). a (1 - a) of the sigmoid gates i, f and o
+    is one pass over their (3, H, B) block.
     Each step issues two GEMMs on the (4H, B) gate deltas d_pre: d_pre
     times the step's operand [x_t; h_prev; 1] transposed, the gradient
     of the stacked [w | u | b], into which h_prev is written; and the
@@ -451,12 +459,13 @@ def backward(params: ModelParams, inputs: np.ndarray, targets: np.ndarray) -> tu
     """
     if inputs.shape[0] == 0:
         raise ValueError("backward: empty batch")
-    outputs, cache = _forward(params, _check_inputs(params, inputs, 3), keep_cache=True)
+    inputs = _check_inputs(params, inputs, 3)
+    outputs, cache = _forward(params, inputs, keep_cache=True)
     targets = np.asarray(targets, dtype=np.float64)
 
     loss, _ = mse_loss(outputs, targets)
 
-    batch, steps, dim = cache.inputs.shape
+    batch, steps, dim = inputs.shape
     hidden = params.u.shape[1]
     n_out = targets.shape[1]
 
@@ -467,13 +476,12 @@ def backward(params: ModelParams, inputs: np.ndarray, targets: np.ndarray) -> tu
     dh = np.ascontiguousarray((d_z1 @ params.w1).T)
 
     # unrolled LSTM; da holds the gate pre-activation deltas in gate order,
-    # s an activation derivative written in terms of the activation output
+    # s a factor of one of them
     shape = (hidden, batch)
     dc = np.zeros(shape)
-    zero = np.zeros(shape)
     da = np.empty((4,) + shape)
     d_pre = da.reshape(4 * hidden, batch)     # da with the gates stacked
-    s, dc_in, tc_prev = np.empty((3,) + shape)
+    s, tc_prev = np.empty((2,) + shape)
     operand = np.empty((dim + hidden + 1, batch))  # [x_t; h_prev; 1]
     operand[-1] = 1.0
     x_rows, h_prev = operand[:dim], operand[dim : dim + hidden]
@@ -481,11 +489,10 @@ def backward(params: ModelParams, inputs: np.ndarray, targets: np.ndarray) -> tu
     d_stacked = np.zeros((4 * hidden, dim + hidden + 1))  # the gradient of [w | u | b]
     d_step = np.empty_like(d_stacked)
     segment = _segment(steps)
-    c_seg = np.empty((segment,) + shape)      # c_seg[k] is c_{t-1} at k = t % segment
+    c_seg = np.empty((segment + 1,) + shape)  # c_seg[k] is c_{t-1} at k = t % segment
     gates, first = cache.gates, 0             # gates[t - first] are step t's gates
     if gates is None:
         gates = np.empty((segment, 4) + shape)
-        c_run = np.empty(shape)
         step, h_run = _stepper(params, batch)
     tc = np.tanh(cache.c_ends[-1])
     for t in range(steps - 1, -1, -1):
@@ -494,7 +501,7 @@ def backward(params: ModelParams, inputs: np.ndarray, targets: np.ndarray) -> tu
             # a segment's last step: recompute the states before it in the
             # segment from the cached one before the segment
             start = t - k
-            c_seg[0] = cache.c_ends[start // segment - 1] if start else zero
+            c_seg[0] = cache.c_ends[start // segment - 1] if start else 0.0
             if cache.gates is not None:
                 for j in range(k):
                     i, f, _, g = gates[start + j]
@@ -503,41 +510,31 @@ def backward(params: ModelParams, inputs: np.ndarray, targets: np.ndarray) -> tu
                     c_seg[j + 1] += s
             else:
                 first = start
-                h_run[:] = cache.h_ends[start // segment - 1] if start else zero
-                c_run[:] = c_seg[0]
+                h_run[:] = cache.h_ends[start // segment - 1] if start else 0.0
                 for j in range(k + 1):
-                    step(cache.inputs[:, start + j, :], c_run, gates[j], check=False)
-                    if j < k:
-                        c_seg[j + 1] = c_run
-        i, f, o, g = gates[t - first]
-        if t > 0:
-            c_prev = c_seg[k]
-            np.tanh(c_prev, out=tc_prev)
-            if t > first:
-                np.multiply(gates[t - first - 1, 2], tc_prev, out=h_prev)
-            else:  # a replayed segment's first step: the gates before it are gone
-                h_prev[:] = cache.h_ends[t // segment - 1]
-        else:
-            c_prev = zero
-            h_prev[:] = 0.0
-        x_rows[:] = cache.inputs[:, t, :].T
+                    step(inputs[:, start + j, :], c_seg[j], c_seg[j + 1], gates[j], check=False)
+        z = gates[t - first]
+        i, f, o, g = z
+        c_prev = c_seg[k]
+        np.tanh(c_prev, out=tc_prev)
+        if t > first:
+            np.multiply(gates[t - first - 1, 2], tc_prev, out=h_prev)
+        else:  # step 0, or a replayed segment's first step: the gates before it are gone
+            h_prev[:] = cache.h_ends[t // segment - 1] if t else 0.0
+        x_rows[:] = inputs[:, t, :].T
 
-        np.multiply(dh, tc, out=da[2])        # da_o = (dh * tc) * (o (1 - o))
-        np.subtract(1.0, o, out=s)
-        s *= o
+        np.subtract(1.0, z[:3], out=da[:3])   # a (1 - a) for i, f and o
+        da[:3] *= z[:3]
+        np.multiply(dh, tc, out=s)            # da_o = (o (1 - o)) * (dh * tc)
         da[2] *= s
-        np.multiply(dh, o, out=dc_in)         # dc += (dh * o) * (1 - tc^2)
+        dh *= o                               # dc += (dh * o) * (1 - tc^2); dh is spent
         np.multiply(tc, tc, out=s)
         np.subtract(1.0, s, out=s)
-        dc_in *= s
-        dc += dc_in
-        np.multiply(dc, g, out=da[0])         # da_i = (dc * g) * (i (1 - i))
-        np.subtract(1.0, i, out=s)
-        s *= i
+        dh *= s
+        dc += dh
+        np.multiply(dc, g, out=s)             # da_i = (i (1 - i)) * (dc * g)
         da[0] *= s
-        np.multiply(dc, c_prev, out=da[1])    # da_f = (dc * c_prev) * (f (1 - f))
-        np.subtract(1.0, f, out=s)
-        s *= f
+        np.multiply(dc, c_prev, out=s)        # da_f = (f (1 - f)) * (dc * c_prev)
         da[1] *= s
         np.multiply(dc, i, out=da[3])         # da_g = (dc * i) * (1 - g^2)
         np.multiply(g, g, out=s)

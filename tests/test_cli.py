@@ -293,6 +293,21 @@ def test_unknown_spec_key_exit_2(tmp_path, capsys):
     assert "mystery" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("where", ["spec", "compare", "csv"])
+def test_directory_for_a_file_exit_2_names_it(tmp_path, capsys, where):
+    folder = tmp_path / "d1"
+    folder.mkdir()
+    if where == "spec":
+        args = ["run", "--spec", str(folder)]
+    elif where == "compare":
+        args = ["compare", str(folder), str(folder)]
+    else:
+        spec_path, doc = write_tiny_spec(tmp_path, greenhouses=[{"name": "real", "csv": str(folder)}])
+        args = ["run", "--spec", str(spec_path)]
+    assert main(args) == 2
+    assert f"error: {folder} is a directory, not a file" in capsys.readouterr().err
+
+
 def test_help_lists_flags(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["run", "--help"])

@@ -349,6 +349,44 @@ def test_backward_replays_gates_in_bounded_memory_at_paper_shape():
     assert peak < 12e6
 
 
+def test_predict_batch_step_scratch_is_bounded(monkeypatch):
+    # one CPU, one 512-window chunk at paper shape
+    monkeypatch.setattr(model, "_usable_cpus", lambda: 1)
+    cfg = ModelConfig(hidden_dim=32, dense_dim=32, window_len=250)
+    params = init_model(cfg, SeededRng(25))
+    series = np.random.default_rng(26).uniform(0.0, 1.0, (250 + 511, 5))
+    gather = 512 * 250 * 5 * 8  # the chunk's step-major windows
+    index = 512 * 250 * 8       # the gather's row index
+    block = 32 * 512 * 8        # one (H, B) array
+    tracemalloc.start()
+    try:
+        predict_batch(params, np.arange(249, 249 + 512), series, 250)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the gates, c, the operand and one (3, H, B) scratch block measured
+    # 6.70 MB in all; an eight-block scratch (7.35 MB) fails here
+    assert peak < gather + index + 6 * block
+
+
+# ±0, the smallest subnormal, a tiny normal, and about where exp(-|x|) drops
+# below half an ulp of 1, where exp(x) overflows and where exp(-|x|) underflows
+SIGMOID_EDGES = [0.0, 5e-324, 1e-300, 36.7, 709.0, 745.0, 746.0, 1e308]
+
+
+def test_sigmoid_inplace_bit_identical_to_linalg_at_edges():
+    # the kernel's sigmoid builds its numerator in its own input; in a
+    # (3, H, B) view of a (4, H, B) gate block, as the step runs it
+    values = np.array([sign * v for v in SIGMOID_EDGES for sign in (1.0, -1.0)])
+    z = np.empty((4, 5, 7))
+    z[:3] = np.resize(values, (3, 5, 7))  # every edge in every gate
+    z[3] = 0.25
+    expected = linalg.activation(SIGMOID, z[:3])
+    model._sigmoid_inplace(z[:3], np.empty((3, 5, 7)))
+    assert np.array_equal(z[:3].view(np.int64), expected.view(np.int64))
+    assert (z[3] == 0.25).all()
+
+
 def test_adam_zero_gradients_leave_params_unchanged():
     cfg = small_cfg()
     params = init_model(cfg, SeededRng(18))
@@ -730,7 +768,7 @@ def test_training_forward_without_gate_cache_bit_identical_to_reference_at_desk_
         h[:] = cache.h_ends[start // 8 - 1] if start else 0.0
         c = cache.c_ends[start // 8 - 1].copy() if start else np.zeros_like(cache.h)
         for t in range(start, min(start + 8, 50)):
-            step(inputs[:, t, :], c, z, check=False)
+            step(inputs[:, t, :], c, c, z, check=False)
             for k, gate in enumerate(GATES):
                 assert np.array_equal(z[k], expected[gate][t]), (gate, t)
             assert np.array_equal(c, expected["c"][t]), t
@@ -863,22 +901,42 @@ def assert_same_gradients(params, inputs, targets):
 
 
 # the segment edges of K = 4 and K = 7 steps: T = 1, 2, K - 1, K, K + 1, K^2, K^2 + 1,
-# with the gates kept (the default budget) and replayed (budget 0)
+# with the gates kept (the default budget) and replayed (budget 0); and at
+# T = 17 and 50, a budget of exactly the gates' bytes, which keeps them, and
+# one byte less, which replays them
 EDGES = [1, 2, 3, 4, 5, 16, 17, 6, 7, 8, 49, 50]
 
 
+def gate_cache_bytes(steps):
+    """The bytes of the (T, 4, H, B) gates at H = 2, B = 1: the least
+    budget that keeps them."""
+    return steps * 4 * 2 * 1 * 8
+
+
 @pytest.mark.parametrize(
-    "steps, budget",
-    [pytest.param(steps, model.GATE_CACHE_BYTES, id=str(steps)) for steps in EDGES]
-    + [pytest.param(steps, 0, id=f"{steps}-replay") for steps in EDGES],
+    "steps, budget, kept",
+    [pytest.param(steps, model.GATE_CACHE_BYTES, True, id=str(steps)) for steps in EDGES]
+    + [pytest.param(steps, 0, False, id=f"{steps}-replay") for steps in EDGES]
+    + [pytest.param(steps, gate_cache_bytes(steps) - less, less == 0,
+                    id=f"{steps}-budget-{'exact' if less == 0 else 'one-byte-short'}")
+       for steps in (17, 50) for less in (0, 1)],
 )
-def test_backward_bit_identical_to_reference_at_segment_edges(monkeypatch, steps, budget):
+def test_backward_bit_identical_to_reference_at_segment_edges(monkeypatch, steps, budget, kept):
     monkeypatch.setattr(model, "GATE_CACHE_BYTES", budget)
+    caches = []
+
+    def recording_forward(*args, **kwargs):
+        outputs, cache = _forward(*args, **kwargs)
+        caches.append(cache)
+        return outputs, cache
+
+    monkeypatch.setattr(model, "_forward", recording_forward)
     assert model._segment(steps) == math.ceil(math.sqrt(steps))
     cfg = ModelConfig(hidden_dim=2, dense_dim=3, window_len=steps)
     params = init_model(cfg, SeededRng(40 + steps))
     rng = np.random.default_rng(steps)
     assert_same_gradients(params, rng.uniform(0.0, 1.0, (1, steps, 5)), rng.uniform(0.0, 1.0, (1, 2)))
+    assert [cache.gates is not None for cache in caches] == [kept]
 
 
 def test_backward_bit_identical_to_reference_at_paper_shape():
