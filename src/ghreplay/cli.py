@@ -96,12 +96,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
     run_points = trainer.read_curve_csv(run_curve)
     run_starts = trainer.read_boundaries_csv(trainer.boundaries_path_for(run_curve))
     baselines = []
-    for base_path in args.baselines:
-        base_path = Path(base_path)
+    for base_path in map(Path, args.baselines):
+        points = trainer.read_curve_csv(base_path)
         starts = trainer.read_boundaries_csv(trainer.boundaries_path_for(base_path))
         if len(starts) != 1:
             raise ValueError(f"{base_path}: baseline must cover exactly one phase")
-        baselines.append((starts[0][0], trainer.read_curve_csv(base_path)))
+        baselines.append((starts[0][0], points))
     rows = trainer.compare_transfer(run_points, run_starts, baselines)
     header = f"{'phase':<10} {'boundary':>8} {'transferred':>12} {'fresh':>12} {'ratio':>8}  result"
     print(header)
@@ -191,6 +191,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except IsADirectoryError as exc:  # os.replace names the target second
         print(f"error: {exc.filename2 or exc.filename} is a directory, not a file", file=sys.stderr)
+        return 2
+    except (FileExistsError, NotADirectoryError) as exc:  # the path is, or lies under, a file
+        print(f"error: {exc.filename}: a file stands where a directory is needed", file=sys.stderr)
         return 2
     except Exception as exc:  # runtime failure
         print(f"error: {exc}", file=sys.stderr)

@@ -9,18 +9,20 @@ candidate g:
     c_t = f_t * c_{t-1} + i_t * g_t
     h_t = o_t * tanh(c_t)
 
-The weights are stored gate-stacked in the order i, f, o, g: ``w``
-(4, hidden, input), ``u`` (4, hidden, hidden) and ``b`` (4, hidden),
-then the head's ``w1``, ``b1``, ``w2`` and ``b2``. These seven arrays are
-the unit of the gradients, the Adam moments and the checkpoint.
+The LSTM's weights are stored as the one matrix its step multiplies,
+``lstm`` = [w | u | b] of shape (4H, D + H + 1): the input weights, the
+recurrent weights and the biases side by side, the rows stacked by gate
+in the order i, f, o, g. Then come the head's ``w1``, ``b1``, ``w2`` and
+``b2``. These five arrays are the unit of the gradients, the Adam
+moments and the checkpoint.
 
 One step routine serves training (keeping the BPTT cache), prediction
 (keeping only the running state) and BPTT's replay. Each step issues one
-GEMM, the (4H, D + H + 1) stacked weights [w | u | b] times the
-(D + H + 1, B) operand [x_t; h; 1] (Appleyard et al. 2016, arXiv
-1604.01946), and the state runs hidden-major: the gates come out as
-(4H, B), each gate a contiguous (H, B) block, and h and c are (H, B);
-the step's temporaries share one (3, H, B) scratch block.
+GEMM, ``lstm`` times the (D + H + 1, B) operand [x_t; h; 1] (Appleyard
+et al. 2016, arXiv 1604.01946), and the state runs hidden-major: the
+gates come out as (4H, B), each gate a contiguous (H, B) block, and h
+and c are (H, B); the step's temporaries share one (3, H, B) scratch
+block.
 The cache holds the cell state at the end of each segment of
 ceil(sqrt(T)) steps, the final hidden state and, if they fit in
 ``GATE_CACHE_BYTES`` (8 MiB), the four gates of every step as one
@@ -36,8 +38,8 @@ step back.
 The same operations on the same inputs give the same bits, so the
 gradients are those a cache of every step's state would give. BPTT
 issues two GEMMs per step: the gate deltas times the step's operand
-transposed, the gradient of [w | u | b] at once, and the stacked
-recurrent weights transposed times the deltas, dh.
+transposed, the gradient of ``lstm`` at once, and its recurrent block
+transposed times the deltas, dh.
 Finiteness is checked at the boundaries, not per operation: the windows
 once on entry, the four gate pre-activations once per step, then the
 dense pre-activation and the outputs after the bias b2, in the one
@@ -124,14 +126,12 @@ class ModelConfig:
 
 @dataclass
 class ModelParams:
-    """All weights. The LSTM gates are stacked in the order i, f, o, g:
-    input weights w (4, hidden, input), recurrent weights u (4, hidden,
-    hidden) and biases b (4, hidden). The head is w1 (dense, hidden), b1,
-    w2 (output, dense) and b2."""
+    """All weights. ``lstm`` (4 hidden, input + hidden + 1) is [w | u | b]:
+    the LSTM's input weights, recurrent weights and biases side by side,
+    its rows stacked by gate in the order i, f, o, g. The head is w1
+    (dense, hidden), b1, w2 (output, dense) and b2."""
 
-    w: np.ndarray
-    u: np.ndarray
-    b: np.ndarray
+    lstm: np.ndarray
     w1: np.ndarray
     b1: np.ndarray
     w2: np.ndarray
@@ -153,10 +153,7 @@ def zeros_params(cfg: ModelConfig) -> ModelParams:
     h, d = cfg.hidden_dim, cfg.input_dim
     dn, out = cfg.dense_dim, cfg.output_dim
     z = np.zeros
-    return ModelParams(
-        w=z((4, h, d)), u=z((4, h, h)), b=z((4, h)),
-        w1=z((dn, h)), b1=z(dn), w2=z((out, dn)), b2=z(out),
-    )
+    return ModelParams(lstm=z((4 * h, d + h + 1)), w1=z((dn, h)), b1=z(dn), w2=z((out, dn)), b2=z(out))
 
 
 def _glorot(rows: int, cols: int, rng: SeededRng) -> np.ndarray:
@@ -171,13 +168,14 @@ def init_model(cfg: ModelConfig, rng: SeededRng) -> ModelParams:
     gradients flow through long windows from the start."""
     h, d = cfg.hidden_dim, cfg.input_dim
     params = zeros_params(cfg)
+    gates = params.lstm.reshape(4, h, d + h + 1)  # a view: gate k's rows of [w | u | b]
     for k in range(4):
-        params.w[k] = _glorot(h, d, rng)
+        gates[k, :, :d] = _glorot(h, d, rng)
     for k in range(4):
-        params.u[k] = _glorot(h, h, rng)
+        gates[k, :, d:-1] = _glorot(h, h, rng)
     params.w1 = _glorot(cfg.dense_dim, h, rng)
     params.w2 = _glorot(cfg.output_dim, cfg.dense_dim, rng)
-    params.b[1] = 1.0
+    gates[1, :, -1] = 1.0
     return params
 
 
@@ -223,10 +221,9 @@ def _check_inputs(params: ModelParams, inputs: np.ndarray, ndim: int) -> np.ndar
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim != ndim:
         raise ValueError(f"expected {_LAYOUTS[ndim]}, got {inputs.shape}")
-    if inputs.shape[-1] != params.w.shape[2]:
-        raise ValueError(
-            f"input_dim {inputs.shape[-1]} does not match model input_dim {params.w.shape[2]}"
-        )
+    dim = params.lstm.shape[1] - params.lstm.shape[0] // 4 - 1
+    if inputs.shape[-1] != dim:
+        raise ValueError(f"input_dim {inputs.shape[-1]} does not match model input_dim {dim}")
     return inputs
 
 
@@ -264,28 +261,23 @@ def _stepper(params: ModelParams, batch: int):
     (H, B) hidden state, zero until the caller writes it.
 
     The four gate pre-activations are one GEMM, [w | u | b] @ [x_t; h; 1]:
-    the (4H, D + H + 1) stacked weights, built once per call, times one
-    (D + H + 1, B) operand whose h rows are the state itself, so the
-    step writes h straight into its next product and the bias rides on
-    the operand's row of ones. The gates come out hidden-major, each a
-    contiguous (H, B) block. One (3, H, B) scratch block holds the
-    sigmoid's exp, then i * g in its first row, then tanh(c) there. With
-    check, a non-finite sum returns False."""
-    hidden, dim = params.u.shape[1], params.w.shape[2]
-    weights = np.concatenate(
-        (params.w.reshape(4 * hidden, dim), params.u.reshape(4 * hidden, hidden),
-         params.b.reshape(4 * hidden, 1)),
-        axis=1,
-    )
-    operand = np.zeros((dim + hidden + 1, batch))
+    ``params.lstm`` as it is stored times one (D + H + 1, B) operand
+    whose h rows are the state itself, so the step writes h straight
+    into its next product and the bias rides on the operand's row of
+    ones. The gates come out hidden-major, each a contiguous (H, B)
+    block. One (3, H, B) scratch block holds the sigmoid's exp, then
+    i * g in its first row, then tanh(c) there. With check, a non-finite
+    sum returns False."""
+    hidden = params.lstm.shape[0] // 4
+    operand = np.zeros((params.lstm.shape[1], batch))
     operand[-1] = 1.0
-    x_rows, h = operand[:dim], operand[dim : dim + hidden]
+    x_rows, h = operand[: -hidden - 1], operand[-hidden - 1 : -1]
     scratch = np.empty((3, hidden, batch))
     work = scratch[0]
 
     def step(x_t, c_prev, c, z, check=True) -> bool:
         x_rows[:] = x_t.T
-        np.matmul(weights, operand, out=z.reshape(4 * hidden, batch))
+        np.matmul(params.lstm, operand, out=z.reshape(4 * hidden, batch))
         if check and not np.isfinite(z).all():
             return False
         _sigmoid_inplace(z[:3], scratch)
@@ -318,8 +310,8 @@ def _forward(
     if not np.isfinite(inputs).all():
         raise _non_finite("windows contain", inputs, first_row)
     batch, steps, _ = inputs.shape
-    shape = (params.u.shape[1], batch)
     step, h = _stepper(params, batch)
+    shape = h.shape
     c = np.zeros(shape)
     gates_s = h_ends = None
     if keep_cache:
@@ -377,10 +369,10 @@ def predict_batch(
 
     The windows run in independent chunks of ``CHUNK``, dealt out as one
     contiguous block of chunks per usable CPU: the calling thread takes
-    the first block and helper threads the others. The blocks join in
-    order, and the error reported is the lowest failing chunk's whatever
-    the CPU count. Each worker gathers its own chunk from the series, so
-    at most one chunk per worker is ever stacked. The gather is
+    the first block and helper threads the others. Each chunk writes its
+    rows of the output; the error reported is the lowest failing chunk's
+    whatever the CPU count. Each worker gathers its own chunk from the
+    series, so at most one chunk per worker is ever stacked. The gather is
     step-major, because the kernel reads one step of all the chunk's
     windows at a time: with two workers, batch-major chunks made a
     paper-shape evaluation about 15 % slower than one whole-set stack,
@@ -397,19 +389,20 @@ def predict_batch(
     per_worker = -(-len(starts) // workers)
     blocks = [starts[j : j + per_worker] for j in range(0, len(starts), per_worker)]
 
-    def predict_chunk(start: int) -> np.ndarray:
-        steps = stack_steps(inputs, rows[start : start + CHUNK], window_len)
-        return _forward(params, steps.transpose(1, 0, 2), keep_cache=False, first_row=start)[0]
+    outputs = np.empty((len(rows), len(params.b2)))
 
-    def run(block: range) -> list[np.ndarray]:
-        return [predict_chunk(s) for s in block]
+    def run(block: range) -> None:
+        for start in block:  # no name holds a chunk's stack while the next is gathered
+            outputs[start : start + CHUNK] = _forward(
+                params, stack_steps(inputs, rows[start : start + CHUNK], window_len).transpose(1, 0, 2),
+                keep_cache=False, first_row=start,
+            )[0]
 
     with ThreadPoolExecutor(max(len(blocks) - 1, 1)) as pool:  # no thread until a submit
-        helpers = [pool.submit(run, block) for block in blocks[1:]]
-        pieces = run(blocks[0])
-        for helper in helpers:
-            pieces += helper.result()
-    return np.concatenate(pieces, axis=0)
+        helpers = pool.map(run, blocks[1:])  # submitted at once, their errors raised in order
+        run(blocks[0])
+        list(helpers)
+    return outputs
 
 
 def mse_loss(predictions: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
@@ -453,9 +446,9 @@ def backward(params: ModelParams, inputs: np.ndarray, targets: np.ndarray) -> tu
     is one pass over their (3, H, B) block.
     Each step issues two GEMMs on the (4H, B) gate deltas d_pre: d_pre
     times the step's operand [x_t; h_prev; 1] transposed, the gradient
-    of the stacked [w | u | b], into which h_prev is written; and the
-    stacked (4H, H) recurrent weights transposed times d_pre, which is
-    dh_prev.
+    of ``lstm``, into which h_prev is written; and the transpose of
+    lstm's (4H, H) recurrent block, a strided view, times d_pre, which
+    is dh_prev.
     """
     if inputs.shape[0] == 0:
         raise ValueError("backward: empty batch")
@@ -466,7 +459,7 @@ def backward(params: ModelParams, inputs: np.ndarray, targets: np.ndarray) -> tu
     loss, _ = mse_loss(outputs, targets)
 
     batch, steps, dim = inputs.shape
-    hidden = params.u.shape[1]
+    hidden = params.lstm.shape[0] // 4
     n_out = targets.shape[1]
 
     # head
@@ -485,9 +478,9 @@ def backward(params: ModelParams, inputs: np.ndarray, targets: np.ndarray) -> tu
     operand = np.empty((dim + hidden + 1, batch))  # [x_t; h_prev; 1]
     operand[-1] = 1.0
     x_rows, h_prev = operand[:dim], operand[dim : dim + hidden]
-    u_t = params.u.reshape(4 * hidden, hidden).T
-    d_stacked = np.zeros((4 * hidden, dim + hidden + 1))  # the gradient of [w | u | b]
-    d_step = np.empty_like(d_stacked)
+    u_t = params.lstm[:, dim : dim + hidden].T
+    d_lstm = np.zeros_like(params.lstm)
+    d_step = np.empty_like(d_lstm)
     segment = _segment(steps)
     c_seg = np.empty((segment + 1,) + shape)  # c_seg[k] is c_{t-1} at k = t % segment
     gates, first = cache.gates, 0             # gates[t - first] are step t's gates
@@ -541,16 +534,13 @@ def backward(params: ModelParams, inputs: np.ndarray, targets: np.ndarray) -> tu
         np.subtract(1.0, s, out=s)
         da[3] *= s
 
-        d_stacked += np.matmul(d_pre, operand.T, out=d_step)
+        d_lstm += np.matmul(d_pre, operand.T, out=d_step)
         np.matmul(u_t, d_pre, out=dh)
         dc *= f
         tc, tc_prev = tc_prev, tc
 
-    d_w, d_u, d_b = np.split(d_stacked, (dim, dim + hidden), axis=1)
     return loss, Gradients(
-        w=d_w.reshape(params.w.shape),
-        u=d_u.reshape(params.u.shape),
-        b=d_b.reshape(params.b.shape),
+        lstm=d_lstm,
         w1=d_z1.T @ cache.h.T,
         b1=d_z1.sum(axis=0),
         w2=d_out.T @ cache.dense,

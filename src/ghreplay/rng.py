@@ -95,11 +95,9 @@ class SeededRng:
         return f"SeededRng(seed=0x{self.seed:016x})"
 
     def next_u64(self) -> int:
+        out = _mix64(self._state)  # _mix64 adds the gamma step itself
         self._state = (self._state + _GOLDEN_GAMMA) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * _MIX_A) & _MASK64
-        z = ((z ^ (z >> 27)) * _MIX_B) & _MASK64
-        return z ^ (z >> 31)
+        return out
 
     def peek_u64(self, n: int) -> np.ndarray:
         """The next ``n`` outputs of ``next_u64`` as a ``uint64`` array,

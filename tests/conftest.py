@@ -22,6 +22,15 @@ def series_rows(series, rows):
     return ClimateSeries(*(getattr(series, name)[rows] for name in COLUMNS))
 
 
+def lstm_blocks(params):
+    """(w, u, b): the input weights (4, H, D), recurrent weights (4, H, H)
+    and biases (4, H) of ``params.lstm`` = [w | u | b], per gate in the
+    order i, f, o, g, as writable views."""
+    hidden = params.lstm.shape[0] // 4
+    gates = params.lstm.reshape(4, hidden, -1)
+    return gates[:, :, : -hidden - 1], gates[:, :, -hidden - 1 : -1], gates[:, :, -1]
+
+
 def predict_stack(params, stack, **kwargs):
     """``predict_batch`` on a (B, T, D) stack of windows, laid out as the
     series ``stack.reshape(B * T, D)`` with windows ending at rows

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from conftest import lstm_blocks
 
 from ghreplay.checkpoint import LAYOUT, load_checkpoint, save_checkpoint
 from ghreplay.dataset import Phase
@@ -164,7 +165,9 @@ def without_meta(section, key):
     "key, corrupt, message",
     [
         ("param__b2", lambda a: np.concatenate([[np.inf], a[1:]]), "param__b2 contains non-finite"),
-        ("param__u", lambda a: a[:, :, :-1], r"param__u has shape \(4, 6, 5\), expected \(4, 6, 6\)"),
+        # the recurrent block [w | u | b][:, 5:11] one column short
+        ("param__lstm", lambda a: np.delete(a, 10, axis=1),
+         r"param__lstm has shape \(24, 11\), expected \(24, 12\)"),
         ("adam_v__w1", lambda a: np.full_like(a, np.nan), "adam_v__w1 contains non-finite"),
         ("mem_inputs", lambda a: a[:, :4], r"mem_inputs has shape \(\d+, 4\), expected \(\d+, 5\)"),
         ("mem_targets", lambda a: np.vstack([[np.nan, a[0, 1]], a[1:]]), "mem_targets contains non-finite"),
@@ -247,17 +250,25 @@ def test_load_checkpoint_rejects_corrupt_arrays(tmp_path, key, corrupt, message)
 
 
 def test_load_checkpoint_rejects_per_gate_layout(tmp_path):
+    # the earlier layouts of the LSTM weights and moments: w, u and b as
+    # three arrays each, or as one array per gate
     cfg, state = trained_state(seed=8)
     path = tmp_path / "ckpt.npz"
     save_checkpoint(path, cfg, state)
     with np.load(path, allow_pickle=False) as data:
-        arrays = dict(data)
-    w = arrays.pop("param__w")
-    for k, gate in enumerate("ifog"):
-        arrays[f"param__w_{gate}"] = w[k]
-    np.savez_compressed(path, **arrays)
-    with pytest.raises(ValueError, match="ckpt.npz: array param__w is missing"):
-        load_checkpoint(path)
+        saved = dict(data)
+    for per_gate in (False, True):
+        arrays = dict(saved)
+        for prefix, store in (("param", state.params), ("adam_m", state.adam.m), ("adam_v", state.adam.v)):
+            del arrays[f"{prefix}__lstm"]
+            for name, block in zip("wub", lstm_blocks(store)):
+                if per_gate:
+                    arrays.update({f"{prefix}__{name}_{gate}": block[k] for k, gate in enumerate("ifog")})
+                else:
+                    arrays[f"{prefix}__{name}"] = block
+        np.savez_compressed(path, **arrays)
+        with pytest.raises(ValueError, match="ckpt.npz: array param__lstm is missing"):
+            load_checkpoint(path)
 
 
 def whole_window_layout(arrays):

@@ -308,6 +308,37 @@ def test_directory_for_a_file_exit_2_names_it(tmp_path, capsys, where):
     assert f"error: {folder} is a directory, not a file" in capsys.readouterr().err
 
 
+def write_one_phase_curve(folder):
+    """A one-phase curve and its boundaries file in ``folder``; returns the curve's path."""
+    (folder / "curve.csv").write_text(
+        "update_index,eval_index,phase,mse_total,mse_transpiration,mse_photosynthesis\n"
+        "3,1,GH-A,0.5,0.25,0.75\n")
+    (folder / "curve_boundaries.csv").write_text("phase,start_update\nGH-A,0\n")
+    return folder / "curve.csv"
+
+
+@pytest.mark.parametrize("where", ["generate", "generate-below", "compare"])
+def test_file_for_a_directory_exit_2_names_it(tmp_path, capsys, where):
+    file = tmp_path / "f1"
+    file.write_text("")
+    if where == "generate":
+        args, named = ["generate", "--out", str(file)], file
+    elif where == "generate-below":
+        args, named = ["generate", "--out", str(file / "sub")], file / "sub"
+    else:
+        curve = write_one_phase_curve(tmp_path)
+        args, named = ["compare", str(curve), str(curve), "--out", str(file / "x.csv")], file
+    assert main(args) == 2
+    assert capsys.readouterr().err == f"error: {named}: a file stands where a directory is needed\n"
+
+
+def test_compare_missing_baseline_names_it(tmp_path, capsys):
+    curve = write_one_phase_curve(tmp_path)
+    missing = tmp_path / "missing.csv"
+    assert main(["compare", str(curve), str(missing)]) == 2
+    assert capsys.readouterr().err == f"error: file not found: {missing}\n"
+
+
 def test_help_lists_flags(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["run", "--help"])

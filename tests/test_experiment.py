@@ -1,4 +1,7 @@
+import ast
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -181,3 +184,17 @@ def test_external_csv_entry_skipped_by_generate(tmp_path):
     assert not (tmp_path / "real.csv").exists()
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert [g["name"] for g in manifest["greenhouses"]] == ["GH-A", "GH-C"]
+
+
+def test_readme_library_use_runs_as_written(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^## Library use\n\n```python\n(.*?)^```$", readme, re.M | re.S).group(1)
+    monkeypatch.chdir(tmp_path)  # the desk preset writes to the relative out-desk
+    exec(compile(block, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    assert len(printed) == 3
+    assert printed[0].startswith("EvalPoint(") and "phase='GH-C'" in printed[0]
+    assert printed[1].startswith("RetentionPoint(") and "test_phase='GH-B'" in printed[1]
+    assert [name for _, name, _ in ast.literal_eval(printed[2])] == ["GH-A", "GH-B", "GH-C"]
+    assert sorted(p.name for p in (tmp_path / "out-desk").glob("GH-*.csv")) == [
+        "GH-A.csv", "GH-B.csv", "GH-C.csv"]

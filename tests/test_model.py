@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import predict_stack
+from conftest import lstm_blocks, predict_stack
 
 from ghreplay import linalg, model
 from ghreplay.linalg import SIGMOID, TANH
@@ -49,15 +49,18 @@ def random_targets(rng, batch, outputs=2):
 
 def test_init_biases():
     params = init_model(small_cfg(), SeededRng(0))
-    assert np.array_equal(params.b[1], np.ones(4))
-    for bias in (params.b[0], params.b[2], params.b[3], params.b1, params.b2):
+    _, _, b = lstm_blocks(params)
+    assert np.array_equal(b[1], np.ones(4))
+    for bias in (b[0], b[2], b[3], params.b1, params.b2):
         assert np.array_equal(bias, np.zeros_like(bias))
 
 
 def test_init_shapes():
     cfg = ModelConfig(input_dim=5, hidden_dim=7, dense_dim=3, output_dim=2, window_len=9)
     p = init_model(cfg, SeededRng(1))
-    assert p.w.shape == (4, 7, 5) and p.u.shape == (4, 7, 7) and p.b.shape == (4, 7)
+    assert p.lstm.shape == (4 * 7, 5 + 7 + 1)
+    w, u, b = lstm_blocks(p)
+    assert w.shape == (4, 7, 5) and u.shape == (4, 7, 7) and b.shape == (4, 7)
     assert p.w1.shape == (3, 7) and p.b1.shape == (3,)
     assert p.w2.shape == (2, 3) and p.b2.shape == (2,)
 
@@ -77,7 +80,8 @@ def glorot_limits(cfg):
 
 
 def glorot_matrices(params):
-    return [*params.w, *params.u, params.w1, params.w2]
+    w, u, _ = lstm_blocks(params)
+    return [*w, *u, params.w1, params.w2]
 
 
 @pytest.mark.parametrize("dims", [(1, 1, 1, 1), (5, 4, 4, 2), (3, 7, 2, 1)],
@@ -106,7 +110,7 @@ def test_init_draws_glorot_in_row_major_fixed_order():
 
 def test_init_glorot_mean_within_three_sigma():
     cfg = ModelConfig(hidden_dim=100)
-    u = init_model(cfg, SeededRng(4)).u[0]  # 100 x 100
+    u = lstm_blocks(init_model(cfg, SeededRng(4)))[1][0]  # 100 x 100
     limit = math.sqrt(6.0 / 200)
     sigma_mean = limit / math.sqrt(3.0 * u.size)
     assert abs(u.mean()) < 3.0 * sigma_mean
@@ -150,9 +154,10 @@ def test_forward_scalar_hand_computation():
     # hidden 1, dense 1, window 1: the whole network in plain floats
     cfg = ModelConfig(input_dim=2, hidden_dim=1, dense_dim=1, output_dim=2, window_len=1)
     p = zeros_params(cfg)
-    p.w[:, 0] = [[0.3, -0.1], [-0.2, 0.4], [0.5, 0.2], [0.7, -0.6]]  # gates i, f, o, g
-    p.u[0] = 0.11  # unused at t=0 (h0 = 0) but set to catch misuse
-    p.b[:, 0] = [0.1, 1.0, -0.3, 0.2]
+    w, u, b = lstm_blocks(p)
+    w[:, 0] = [[0.3, -0.1], [-0.2, 0.4], [0.5, 0.2], [0.7, -0.6]]  # gates i, f, o, g
+    u[0] = 0.11  # unused at t=0 (h0 = 0) but set to catch misuse
+    b[:, 0] = [0.1, 1.0, -0.3, 0.2]
     p.w1[:] = 0.9
     p.b1[:] = 0.05
     p.w2[:] = [[-1.1], [0.8]]
@@ -404,7 +409,8 @@ def test_adam_zero_learning_rate_leaves_params_unchanged():
     cfg.learning_rate = 0.0  # after init; adam_step itself must be inert
     before = params.copy()
     grads = zeros_params(cfg)
-    grads.w[0] = 1.0
+    w, _, _ = lstm_blocks(grads)
+    w[0] = 1.0
     adam_step(params, grads, init_adam(cfg), cfg)
     for (_, a), (_, b) in zip(params.items(), before.items()):
         assert np.array_equal(a, b)
@@ -444,7 +450,8 @@ def test_overfit_tiny_batch():
 def test_clip_gradients_scales_to_max_norm():
     cfg = small_cfg()
     grads = zeros_params(cfg)
-    grads.w[0] = 3.0
+    w, _, _ = lstm_blocks(grads)
+    w[0] = 3.0
     norm = clip_gradients(grads, 1.0)
     assert norm > 1.0
     total = sum(float(np.sum(g * g)) for _, g in grads.items())
@@ -458,15 +465,18 @@ def _poison_windows(params, x):
 
 
 def _poison_u_f(params, x):
-    params.u[1, 2, 1] = np.nan
+    _, u, _ = lstm_blocks(params)
+    u[1, 2, 1] = np.nan
 
 
 def _poison_b_g(params, x):
-    params.b[3, 0] = np.inf
+    _, _, b = lstm_blocks(params)
+    b[3, 0] = np.inf
 
 
 def _overflow_w_i(params, x):
-    params.w[0] = 1e308
+    w, _, _ = lstm_blocks(params)
+    w[0] = 1e308
     x[:] = 1.0
 
 
@@ -622,16 +632,6 @@ def test_cli_import_leaves_linalg_unloaded():
 GATES = "ifog"
 
 
-def stacked_weights(params):
-    """[w | u | b]: the (4H, D + H + 1) left factor of every gate product."""
-    hidden, dim = params.u.shape[1], params.w.shape[2]
-    return np.concatenate(
-        (params.w.reshape(4 * hidden, dim), params.u.reshape(4 * hidden, hidden),
-         params.b.reshape(4 * hidden, 1)),
-        axis=1,
-    )
-
-
 def step_operand(x_t, h):
     """[x_t; h; 1]: the (D + H + 1, B) right factor of a step's gate product."""
     return np.concatenate((x_t.T, h, np.ones((1, h.shape[1]))))
@@ -643,13 +643,12 @@ def reference_forward(params, inputs):
     activations and the cell recurrence gate by gate, hidden-major (H, B).
     The kernel must reproduce its every bit."""
     batch, steps, _ = inputs.shape
-    hidden = params.u.shape[1]
+    hidden = params.lstm.shape[0] // 4
     cache = {name: np.empty((steps, hidden, batch)) for name in ("i", "f", "o", "g", "c", "tc", "h")}
-    weights = stacked_weights(params)
     h = np.zeros((hidden, batch))
     c = np.zeros((hidden, batch))
     for t in range(steps):
-        pre = linalg.matmul(weights, step_operand(inputs[:, t, :], h)).reshape(4, hidden, batch)
+        pre = linalg.matmul(params.lstm, step_operand(inputs[:, t, :], h)).reshape(4, hidden, batch)
         i = linalg.activation(SIGMOID, pre[0])
         f = linalg.activation(SIGMOID, pre[1])
         o = linalg.activation(SIGMOID, pre[2])
@@ -674,7 +673,7 @@ def reference_backward(params, inputs, targets):
     outputs, cache = reference_forward(params, inputs)
     loss, _ = mse_loss(outputs, targets)
     batch, steps, dim = inputs.shape
-    hidden = params.u.shape[1]
+    hidden = params.lstm.shape[0] // 4
     grads = {}
 
     d_out = 2.0 * (outputs - targets) / (batch * targets.shape[1])
@@ -685,7 +684,7 @@ def reference_backward(params, inputs, targets):
     grads["b1"] = d_z1.sum(axis=0)
     dh = (d_z1 @ params.w1).T
 
-    u_t = params.u.reshape(4 * hidden, hidden).T
+    u_t = lstm_blocks(params)[1].reshape(4 * hidden, hidden).T  # a copy; backward reads a strided view
     d_stacked = np.zeros((4 * hidden, dim + hidden + 1))
     dc = np.zeros_like(dh)
     for t in range(steps - 1, -1, -1):
@@ -791,8 +790,8 @@ def per_gate_forward(params, inputs):
     """Outputs and activations of the LSTM forward pass, batch-major (B, H),
     with each gate's two products summed separately and then the bias."""
     batch, steps, _ = inputs.shape
-    hidden = params.u.shape[1]
-    w, u, b = params.w, params.u, params.b
+    hidden = params.lstm.shape[0] // 4
+    w, u, b = lstm_blocks(params)
     h = np.zeros((batch, hidden))
     c = np.zeros((batch, hidden))
     cache = {name: np.empty((steps, batch, hidden)) for name in ("i", "f", "o", "g", "c", "tc", "h")}
@@ -825,6 +824,8 @@ def per_gate_backward(params, inputs, targets):
     grads.b1 = d_z1.sum(axis=0)
     dh = d_z1 @ params.w1
     dc = np.zeros_like(dh)
+    d_w, d_u, d_b = lstm_blocks(grads)
+    u = lstm_blocks(params)[1]
     for t in range(steps - 1, -1, -1):
         i, f, o, g = (cache[gate][t] for gate in GATES)
         tc = cache["tc"][t]
@@ -836,10 +837,10 @@ def per_gate_backward(params, inputs, targets):
         da_f = dc * c_prev * linalg.activation_grad(SIGMOID, f)
         da_g = dc * i * linalg.activation_grad(TANH, g)
         for k, da in enumerate((da_i, da_f, da_o, da_g)):
-            grads.w[k] += da.T @ inputs[:, t, :]
-            grads.u[k] += da.T @ h_prev
-            grads.b[k] += da.sum(axis=0)
-        dh = da_i @ params.u[0] + da_f @ params.u[1] + da_o @ params.u[2] + da_g @ params.u[3]
+            d_w[k] += da.T @ inputs[:, t, :]
+            d_u[k] += da.T @ h_prev
+            d_b[k] += da.sum(axis=0)
+        dh = da_i @ u[0] + da_f @ u[1] + da_o @ u[2] + da_g @ u[3]
         dc = dc * f
     return loss, grads
 
@@ -892,9 +893,9 @@ def assert_same_gradients(params, inputs, targets):
     expected_loss, expected = reference_backward(params, inputs, targets)
     loss, grads = backward(params, inputs, targets)
     assert loss == expected_loss
-    for k, gate in enumerate(GATES):
-        for kind in ("w", "u", "b"):
-            assert np.array_equal(getattr(grads, kind)[k], expected[f"{kind}_{gate}"]), (kind, gate)
+    for kind, blocks in zip(("w", "u", "b"), lstm_blocks(grads)):
+        for k, gate in enumerate(GATES):
+            assert np.array_equal(blocks[k], expected[f"{kind}_{gate}"]), (kind, gate)
     for name in ("w1", "b1", "w2", "b2"):
         assert np.array_equal(getattr(grads, name), expected[name]), name
     return grads

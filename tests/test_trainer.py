@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import lstm_blocks
 
 from ghreplay import model
 from ghreplay.dataset import stack_steps
@@ -206,7 +207,8 @@ def _overflow_w2(params):
 
 
 def _nan_in_u(params):
-    params.u[1, 2, 1] = np.nan
+    _, u, _ = lstm_blocks(params)
+    u[1, 2, 1] = np.nan
 
 
 @pytest.mark.parametrize(
