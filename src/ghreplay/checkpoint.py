@@ -5,10 +5,11 @@ The container is a numpy ``.npz`` archive (self-describing named arrays)
 with configuration and RNG stream states embedded as JSON strings. All
 float64 payloads round-trip bit-exactly. The file is written to a
 temporary name and moved into place, so a failed save keeps the
-previous checkpoint. Loading checks every array and both stream states
-and names the file and the first bad entry; it returns the model
-config and a ``TrainerState`` whose update counter is the Adam step
-count, one step per update in every checkpoint ``run`` writes.
+previous checkpoint. Loading refuses a file that is not a zip archive,
+checks every array and both stream states and names the file and the
+first bad entry; it returns the model config and a ``TrainerState``
+whose update counter is the Adam step count, one step per update in
+every checkpoint ``run`` writes.
 
 The file holds exactly the arrays ``save_checkpoint`` writes, ``LAYOUT``:
 one per parameter and Adam moment, ``adam_t``, ``meta_json`` and the
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -103,6 +105,9 @@ def _check_memory(path, arrays, cfg: ModelConfig, capacity: int) -> None:
 
 
 def load_checkpoint(path: str | Path) -> tuple[ModelConfig, TrainerState]:
+    with open(path, "rb") as fh:  # np.load would read any other file as a pickle or a broken zip
+        if not zipfile.is_zipfile(fh):
+            raise ValueError(f"{path}: not a checkpoint archive (no zip directory found)")
     with np.load(Path(path), allow_pickle=False) as data:
         for key in (*LAYOUT, *data.files):
             if key not in data.files:

@@ -81,11 +81,6 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_baseline(args: argparse.Namespace) -> int:
     out_dir, scenario, model_cfg, memory_cfg = _set_up(args)
-    if all(p.label != args.phase for p in scenario.phases):
-        raise SpecError(
-            f"unknown phase {args.phase!r}, expected one of "
-            f"{', '.join(p.label for p in scenario.phases)}"
-        )
     result = trainer.run_baseline(scenario, model_cfg, memory_cfg, args.phase)
     _write_curve(out_dir / f"baseline_{args.phase}.csv", result.curve)
     return 0
@@ -130,8 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--preset",
         choices=sorted(experiment.PRESET_SPECS),
-        default=None,
-        help="base defaults to merge the spec into (default: desk)",
+        default="desk",
+        help="base defaults to merge the spec into (default: %(default)s)",
     )
     common.add_argument("--seed", type=int, default=None, help="override the spec seed")
     common.add_argument("--out", type=str, default=None, help="override the spec output directory")

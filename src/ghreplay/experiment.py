@@ -6,11 +6,11 @@ output directory. ``validate_spec`` checks it against ``EXPERIMENT_SCHEMA``
 (see ``schema``) before any work starts and names the first bad key by
 its dotted path; unknown keys are rejected. The configs built from a
 spec check themselves against the same schema parts, so a setting's
-bounds are stated once. Two built-in presets supply defaults: ``desk``
-(minutes on a laptop) and ``paper`` (protocol-scale constants: window
-250, 10-minute window separation, batches of 100, 10k-sample memory,
-substitution probability 0.1, evaluation every 3 updates, 10k-sample
-test sets). Resolution order: preset defaults, then the spec file, then
+bounds are stated once. Two built-in presets supply defaults: ``paper``
+(protocol-scale constants: window 250, 10-minute window separation,
+batches of 100, 10k-sample memory, substitution probability 0.1,
+evaluation every 3 updates, 10k-sample test sets) and ``desk``, the same
+protocol scaled down to run in seconds. Resolution order: preset defaults, then the spec file, then
 command-line flags. ``build_phases`` refuses a greenhouse whose windows
 leave no test set, or a stream shorter than one batch.
 """
@@ -29,26 +29,22 @@ from .dataset import Normalizer, Phase, build_samples
 from .memory import MemoryConfig
 from .model import ModelConfig
 from .rng import SeededRng
-from .schema import EXPERIMENT_SCHEMA, _schema_errors
+from .schema import EXPERIMENT_SCHEMA, SpecError, _schema_errors
 from .trainer import ScenarioConfig
 
 
-class SpecError(ValueError):
-    """Invalid spec, flags or input files (CLI exit code 2)."""
-
-
 def desk_spec() -> dict:
-    """Desk-scale defaults: the full pipeline runs in minutes."""
-    return {
-        "seed": 42,
+    """The paper protocol scaled down to finish in seconds: 30 days per
+    greenhouse, windows of 50, a 16-unit model at learning rate 0.01, a
+    2k memory and 1k test sets; every other setting is the paper's."""
+    return _deep_merge(paper_spec(), {
         "out_dir": "out-desk",
         "days_per_phase": 30,
-        "greenhouses": [{"name": "GH-A"}, {"name": "GH-B"}, {"name": "GH-C"}],
-        "data": {"window_len": 50, "stride": 2, "start_timestamp": 0},
+        "data": {"window_len": 50},
         "model": {"hidden_dim": 16, "dense_dim": 16, "learning_rate": 0.01},
-        "memory": {"capacity": 2000, "substitution_probability": 0.1, "strategy": "per-batch"},
-        "scenario": {"batch_size": 100, "replay_size": 100, "eval_every": 3, "test_size": 1000},
-    }
+        "memory": {"capacity": 2000},
+        "scenario": {"test_size": 1000},
+    })
 
 
 def paper_spec() -> dict:
@@ -118,12 +114,10 @@ def load_spec_file(path: str | Path) -> dict:
 
 def resolve_spec(
     spec_path: str | Path | None,
-    preset: str | None = None,
+    preset: str = "desk",
     overrides: dict | None = None,
 ) -> dict:
     """Merge preset defaults, the spec file, and flag overrides (flags win)."""
-    if preset is None:
-        preset = "desk"
     if preset not in PRESET_SPECS:
         raise SpecError(f"unknown preset {preset!r}, expected one of {sorted(PRESET_SPECS)}")
     doc = PRESET_SPECS[preset]()
@@ -224,11 +218,6 @@ def build_phases(spec: dict, out_dir: Path) -> tuple[list[Phase], Normalizer]:
 
 
 def build_scenario(spec: dict, phases: list[Phase]) -> ScenarioConfig:
-    scenario = spec["scenario"]
-    return ScenarioConfig(
-        phases=phases,
-        batch_size=scenario["batch_size"],
-        replay_size=scenario["replay_size"],
-        eval_every=scenario["eval_every"],
-        seed=spec["seed"],
-    )
+    """The scenario section but ``test_size``, which ``build_phases`` applies."""
+    settings = {key: value for key, value in spec["scenario"].items() if key != "test_size"}
+    return ScenarioConfig(phases=phases, seed=spec["seed"], **settings)

@@ -61,7 +61,9 @@ threads do not multiply with BLAS threads.
 The training loss is the batch-mean MSE that evaluation also uses.
 Gradients are derived by hand through the unrolled window (no autodiff);
 the finite-difference suite checks every parameter entry. The optimizer
-is Adam with bias correction.
+is Adam with bias correction at its published constants, beta1 = 0.9,
+beta2 = 0.999 and epsilon = 1e-8 (Kingma & Ba 2015, arXiv 1412.6980);
+they are module constants, not settings.
 """
 
 from __future__ import annotations
@@ -80,6 +82,7 @@ from .schema import EXPERIMENT_SCHEMA, check_fields
 
 _SPEC = EXPERIMENT_SCHEMA["properties"]
 GATE_CACHE_BYTES = 8 * 2**20  # the largest gate cache a training forward keeps
+ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8  # Kingma & Ba's published constants
 
 
 class NonFiniteError(ValueError):
@@ -108,9 +111,6 @@ class ModelConfig:
     output_dim: int = 2
     window_len: int = 250
     learning_rate: float = 1e-3
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_epsilon: float = 1e-8
     grad_clip: float | None = None   # max global grad norm, None = off
 
     # the spec's model section and window length; the data's own widths
@@ -564,7 +564,7 @@ def clip_gradients(grads: Gradients, max_norm: float) -> float:
 def adam_step(params: ModelParams, grads: Gradients, adam: AdamState, cfg: ModelConfig) -> None:
     """One bias-corrected Adam update, in place."""
     adam.t += 1
-    b1, b2 = cfg.adam_beta1, cfg.adam_beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     bc1 = 1.0 - b1 ** adam.t
     bc2 = 1.0 - b2 ** adam.t
     for name, p in params.items():
@@ -575,4 +575,4 @@ def adam_step(params: ModelParams, grads: Gradients, adam: AdamState, cfg: Model
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * (g * g)
-        p -= cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + cfg.adam_epsilon)
+        p -= cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPSILON)

@@ -1,14 +1,20 @@
 """The spec schema, the one statement of every setting's type and bounds.
 
-``validate_spec`` checks a spec against ``EXPERIMENT_SCHEMA``, and each
-config built from a spec, in code or from a checkpoint, checks its part
-of it with ``check_fields``. This module imports nothing from the package.
+``validate_spec`` checks a spec against ``EXPERIMENT_SCHEMA`` and raises
+``SpecError``, and each config built from a spec, in code or from a
+checkpoint, checks its part of it with ``check_fields``. This module
+imports nothing from the package.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+
+
+class SpecError(ValueError):
+    """Invalid spec, flags or input files (CLI exit code 2)."""
+
 
 _GREENHOUSE_PARAMS_SCHEMA = {
     "type": "object",
@@ -68,9 +74,6 @@ EXPERIMENT_SCHEMA = {
                 "hidden_dim": {"type": "integer", "minimum": 1},
                 "dense_dim": {"type": "integer", "minimum": 1},
                 "learning_rate": {"type": "number", "exclusiveMinimum": 0},
-                "adam_beta1": {"type": "number", "minimum": 0, "exclusiveMaximum": 1},
-                "adam_beta2": {"type": "number", "minimum": 0, "exclusiveMaximum": 1},
-                "adam_epsilon": {"type": "number", "exclusiveMinimum": 0},
                 "grad_clip": {"type": ["number", "null"], "exclusiveMinimum": 0},
             },
         },

@@ -51,7 +51,7 @@ from .model import (
     predict_batch,
 )
 from .rng import SeededRng
-from .schema import EXPERIMENT_SCHEMA, check_fields
+from .schema import EXPERIMENT_SCHEMA, SpecError, check_fields
 
 _SPEC = EXPERIMENT_SCHEMA["properties"]
 
@@ -254,7 +254,8 @@ def _locate_phase(scenario: ScenarioConfig, phase_label: str) -> tuple[Phase, in
         if phase.label == phase_label:
             return phase, offset
         offset += len(phase.stream) // scenario.batch_size
-    raise ValueError(f"unknown phase label {phase_label!r}")
+    raise SpecError(f"unknown phase {phase_label!r}, expected one of "
+                    f"{', '.join(p.label for p in scenario.phases)}")
 
 
 def run_baseline(

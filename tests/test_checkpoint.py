@@ -187,12 +187,13 @@ def without_meta(section, key):
          "meta_json: ModelConfig.grad_clip: -3.0 is less than or equal to the minimum of 0"),
         ("meta_json", with_meta("memory_config", "capacity", 0),
          "meta_json: MemoryConfig.capacity: 0 is less than the minimum of 1"),
+        # Adam's constants are not settings: a stored config that names one is refused
         ("meta_json", with_meta("model_config", "adam_beta1", 1.5),
-         "meta_json: ModelConfig.adam_beta1: 1.5 is greater than or equal to the maximum of 1"),
+         r"meta_json: ModelConfig.__init__\(\) got an unexpected keyword argument 'adam_beta1'"),
         ("meta_json", with_meta("model_config", "adam_epsilon", -1.0),
-         "meta_json: ModelConfig.adam_epsilon: -1.0 is less than or equal to the minimum of 0"),
+         r"meta_json: ModelConfig.__init__\(\) got an unexpected keyword argument 'adam_epsilon'"),
         ("meta_json", with_meta("model_config", "adam_beta2", float("nan")),
-         "meta_json: ModelConfig.adam_beta2: nan is not a finite number"),
+         r"meta_json: ModelConfig.__init__\(\) got an unexpected keyword argument 'adam_beta2'"),
         ("meta_json", with_meta("model_config", "learning_rate", float("inf")),
          "meta_json: ModelConfig.learning_rate: inf is not a finite number"),
         ("meta_json", with_meta("model_config", "hidden_dim", 3.0),
@@ -246,6 +247,23 @@ def test_load_checkpoint_rejects_corrupt_arrays(tmp_path, key, corrupt, message)
         arrays[key] = corrupt(arrays[key])
     np.savez_compressed(path, **arrays)
     with pytest.raises(ValueError, match=f"ckpt.npz: array {message}"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "contents",
+    [lambda whole: bytes(range(256)) * 4,
+     lambda whole: b"timestamp,t_air,rh\n0,20.0,50.0\n",
+     lambda whole: whole[:5000],
+     lambda whole: b""],
+    ids=["garbage", "csv", "truncated", "empty"],
+)
+def test_load_checkpoint_refuses_a_file_that_is_no_archive(tmp_path, contents):
+    cfg, state = trained_state(seed=5)
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(path, cfg, state)
+    path.write_bytes(contents(path.read_bytes()))
+    with pytest.raises(ValueError, match=r"^.*ckpt.npz: not a checkpoint archive \("):
         load_checkpoint(path)
 
 

@@ -209,7 +209,7 @@ def defect(draw, rows, start):
                                  "non-numeric", "cell-count", "python-only", "wrap"]))
     i = draw(st.integers(0, len(rows) - 1))
     cells = rows[i]
-    j = draw(st.integers(0, len(COLUMNS) - 1))
+    j = draw(st.integers(0, len(cells) - 1))  # an earlier cell-count defect may have dropped a cell
     if kind == "timestamp":
         cells[0] = str(start + SAMPLE_INTERVAL_S * i + draw(st.sampled_from([1, -300, 300, 600])))
     elif kind == "radiation":

@@ -252,7 +252,7 @@ def test_integer_fields_take_ints_that_fit_exit_2(tmp_path, capsys, key, value):
 
 
 @pytest.mark.parametrize("key, value, text", [
-    ("model.adam_beta1", "nan", '{"model": {"adam_beta1": NaN}}'),
+    ("memory.substitution_probability", "nan", '{"memory": {"substitution_probability": NaN}}'),
     ("greenhouses.0.params.noise_sd", "inf",
      '{"greenhouses": [{"name": "GH-Q", "params": {"noise_sd": Infinity}}]}'),
     ("model.learning_rate", "inf", '{"model": {"learning_rate": Infinity}}'),
@@ -264,6 +264,20 @@ def test_number_fields_take_finite_numbers_exit_2(tmp_path, capsys, key, value, 
     out = tmp_path / "out"
     assert main(["generate", "--spec", str(spec), "--out", str(out)]) == 2
     assert f"{key}: {value} is not a finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("adam_beta1", 0.9), ("adam_beta2", 0.999), ("adam_epsilon", 1e-8),
+])
+def test_adam_constants_are_not_spec_keys_exit_2(tmp_path, capsys, key, value):
+    # Adam runs at its published constants; a spec that names one, even at its value, is refused
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"model": {key: value}}))
+    out = tmp_path / "out"
+    assert main(["generate", "--spec", str(spec), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"model: Additional properties are not allowed ('{key}' unexpected)" in err
     assert not out.exists()
 
 

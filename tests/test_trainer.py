@@ -1,3 +1,4 @@
+import dataclasses
 import statistics
 import tracemalloc
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 from conftest import lstm_blocks
 
-from ghreplay import model
+from ghreplay import model, trainer
 from ghreplay.dataset import stack_steps
 from ghreplay.memory import EpisodicMemory, MemoryConfig
 from ghreplay.model import ModelConfig, init_adam, init_model, zeros_params
@@ -186,6 +187,22 @@ def test_replay_drawn_before_new_batch_enters_memory():
 def test_train_update_rejects_empty_batch():
     with pytest.raises(ValueError, match="empty"):
         train_update(fresh_state(), [], MODEL_CFG, replay_size=0)
+
+
+def test_train_update_clips_the_gradients_it_hands_to_adam(monkeypatch):
+    norms = []
+
+    def recording_adam_step(params, grads, adam, cfg):
+        norms.append(np.sqrt(sum(float(np.sum(g * g)) for _, g in grads.items())))
+        model.adam_step(params, grads, adam, cfg)
+
+    monkeypatch.setattr(trainer, "adam_step", recording_adam_step)
+    for cfg in (MODEL_CFG, dataclasses.replace(MODEL_CFG, grad_clip=1e-3)):
+        state = fresh_state()  # the same state each time
+        train_update(state, synthetic_stream(state, 20), cfg, replay_size=0)
+    unclipped, clipped = norms
+    assert MODEL_CFG.grad_clip is None and unclipped > 1e-3
+    assert clipped <= 1e-3
 
 
 def test_train_update_divergence_names_greenhouse_and_timestamp():
