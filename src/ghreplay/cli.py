@@ -3,7 +3,9 @@
 Subcommands: ``generate`` (synthetic datasets), ``run`` (transfer
 scenario), ``baseline`` (fresh model on one phase), ``compare``
 (transferred vs fresh first-eval table). Every command is deterministic
-under a fixed spec; flags override spec values. Exit codes: 0 success,
+under a fixed spec, which states every setting of an experiment; the
+flags choose the spec, the preset it is merged over, the seed, the
+output directory and the optional outputs. Exit codes: 0 success,
 1 runtime failure, 2 usage or validation error.
 """
 
@@ -16,7 +18,6 @@ from pathlib import Path
 from . import experiment, trainer
 from .checkpoint import save_checkpoint
 from .experiment import SpecError
-from .memory import SubstitutionStrategy
 
 
 def _spec_overrides(args: argparse.Namespace) -> dict:
@@ -25,10 +26,6 @@ def _spec_overrides(args: argparse.Namespace) -> dict:
         overrides["seed"] = args.seed
     if getattr(args, "out", None) is not None:
         overrides["out_dir"] = args.out
-    if getattr(args, "replay_size", None) is not None:
-        overrides.setdefault("scenario", {})["replay_size"] = args.replay_size
-    if getattr(args, "memory_strategy", None) is not None:
-        overrides.setdefault("memory", {})["strategy"] = args.memory_strategy
     return overrides
 
 
@@ -131,21 +128,10 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=None, help="override the spec seed")
     common.add_argument("--out", type=str, default=None, help="override the spec output directory")
 
-    run_flags = argparse.ArgumentParser(add_help=False)
-    run_flags.add_argument(
-        "--replay-size", type=int, default=None, help="replayed samples per update (0 disables replay)"
-    )
-    run_flags.add_argument(
-        "--memory-strategy",
-        choices=[strategy.value for strategy in SubstitutionStrategy],
-        default=None,
-        help="memory substitution strategy",
-    )
-
     p_gen = sub.add_parser("generate", parents=[common], help="write synthetic greenhouse CSVs")
     p_gen.set_defaults(func=cmd_generate)
 
-    p_run = sub.add_parser("run", parents=[common, run_flags], help="run the transfer scenario")
+    p_run = sub.add_parser("run", parents=[common], help="run the transfer scenario")
     p_run.add_argument(
         "--retention",
         action="store_true",
@@ -159,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=cmd_run)
 
     p_base = sub.add_parser(
-        "baseline", parents=[common, run_flags], help="train a fresh model on a single phase"
+        "baseline", parents=[common], help="train a fresh model on a single phase"
     )
     p_base.add_argument("--phase", required=True, help="phase (greenhouse) label to train on")
     p_base.set_defaults(func=cmd_baseline)

@@ -144,9 +144,9 @@ def generate_series(
     p: GreenhouseParams,
     days: int,
     rng: SeededRng,
-    start_timestamp: int = 0,
 ) -> ClimateSeries:
-    """Generate `days` of 5-minute records, deterministic per (params, seed).
+    """Generate `days` of 5-minute records from timestamp 0, deterministic
+    per (params, seed).
 
     Targets are computed from the noise-free climate and then perturbed by
     multiplicative Gaussian noise (relative sd = noise_sd, truncated at
@@ -162,7 +162,7 @@ def generate_series(
     sunrise = 12.0 - p.day_length_h / 2.0
     clean = []
     for k in range(RECORDS_PER_DAY):
-        hour = ((start_timestamp + k * SAMPLE_INTERVAL_S) % 86400) / 3600.0
+        hour = k * SAMPLE_INTERVAL_S / 3600.0
         phase = (hour - sunrise) / p.day_length_h
         radiation = p.i_max * math.sin(math.pi * phase) if 0.0 < phase < 1.0 else 0.0
         radiation = max(0.0, radiation)
@@ -179,7 +179,7 @@ def generate_series(
     t_noise, transp_noise, photo_noise = rng.truncated_normals(3 * n).reshape(n, 3).T
     t_air = t_clean + p.noise_sd * p.t_amp * t_noise
     return ClimateSeries(
-        timestamp=start_timestamp + SAMPLE_INTERVAL_S * np.arange(n, dtype=np.int64),
+        timestamp=SAMPLE_INTERVAL_S * np.arange(n, dtype=np.int64),
         t_air=t_air,
         rh=_humidity(t_air - p.t_base),
         radiation=radiation,

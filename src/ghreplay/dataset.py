@@ -32,6 +32,7 @@ from .climate import ClimateSeries
 
 INPUT_FIELDS = ("t_air", "rh", "radiation", "co2", "t_leaf")
 TARGET_FIELDS = ("transpiration", "photosynthesis")
+WINDOW_STRIDE = 2  # records between window ends: 10 minutes at 5-minute sampling
 
 
 def _read_only(arr, dtype) -> np.ndarray:

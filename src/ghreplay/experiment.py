@@ -7,12 +7,14 @@ output directory. ``validate_spec`` checks it against ``EXPERIMENT_SCHEMA``
 its dotted path; unknown keys are rejected. The configs built from a
 spec check themselves against the same schema parts, so a setting's
 bounds are stated once. Two built-in presets supply defaults: ``paper``
-(protocol-scale constants: window 250, 10-minute window separation,
-batches of 100, 10k-sample memory, substitution probability 0.1,
-evaluation every 3 updates, 10k-sample test sets) and ``desk``, the same
-protocol scaled down to run in seconds. Resolution order: preset defaults, then the spec file, then
-command-line flags. ``build_phases`` refuses a greenhouse whose windows
-leave no test set, or a stream shorter than one batch.
+(protocol-scale constants: window 250, batches of 100, 10k-sample
+memory, substitution probability 0.1, evaluation every 3 updates,
+10k-sample test sets) and ``desk``, the same protocol scaled down to run
+in seconds. Windows end every ``WINDOW_STRIDE`` records, 10 minutes
+apart, in every run. Resolution order: preset defaults, then the spec
+file, then the ``--seed`` and ``--out`` flags. ``build_phases`` refuses a
+greenhouse whose windows leave no test set, or a stream shorter than one
+batch.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from pathlib import Path
 from .atomic import atomic_open
 from .climate import PRESETS, GreenhouseParams, generate_series
 from .csvio import read_records, write_records
-from .dataset import Normalizer, Phase, build_samples
+from .dataset import WINDOW_STRIDE, Normalizer, Phase, build_samples
 from .memory import MemoryConfig
 from .model import ModelConfig
 from .rng import SeededRng
@@ -54,7 +56,7 @@ def paper_spec() -> dict:
         "out_dir": "out-paper",
         "days_per_phase": 365,
         "greenhouses": [{"name": "GH-A"}, {"name": "GH-B"}, {"name": "GH-C"}],
-        "data": {"window_len": 250, "stride": 2, "start_timestamp": 0},
+        "data": {"window_len": 250},
         "model": {"hidden_dim": 32, "dense_dim": 32, "learning_rate": 0.001},
         "memory": {"capacity": 10000, "substitution_probability": 0.1, "strategy": "per-batch"},
         "scenario": {"batch_size": 100, "replay_size": 100, "eval_every": 3, "test_size": 10000},
@@ -158,7 +160,6 @@ def generate_datasets(spec: dict, out_dir: Path) -> list[Path]:
     """Write one CSV per generated greenhouse plus a manifest of the inputs."""
     seed = spec["seed"]
     days = spec["days_per_phase"]
-    start_ts = spec["data"]["start_timestamp"]
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     manifest_entries = []
@@ -167,17 +168,12 @@ def generate_datasets(spec: dict, out_dir: Path) -> list[Path]:
             continue  # externally supplied data is never regenerated
         params = greenhouse_params(entry)
         rng = SeededRng(seed).split(f"generator/{params.name}")
-        series = generate_series(params, days, rng, start_timestamp=start_ts)
+        series = generate_series(params, days, rng)
         path = dataset_path(entry, out_dir)
         write_records(path, series)
         written.append(path)
         manifest_entries.append({"name": params.name, "params": dataclasses.asdict(params)})
-    manifest = {
-        "seed": seed,
-        "days_per_phase": days,
-        "start_timestamp": start_ts,
-        "greenhouses": manifest_entries,
-    }
+    manifest = {"seed": seed, "days_per_phase": days, "greenhouses": manifest_entries}
     manifest_path = out_dir / "manifest.json"
     with atomic_open(manifest_path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
@@ -189,7 +185,6 @@ def build_phases(spec: dict, out_dir: Path) -> tuple[list[Phase], Normalizer]:
     """Load every greenhouse CSV and split windows into stream/test sets."""
     seed = spec["seed"]
     window_len = spec["data"]["window_len"]
-    stride = spec["data"]["stride"]
     test_size = spec["scenario"]["test_size"]
     batch_size = spec["scenario"]["batch_size"]
     normalizer = Normalizer()
@@ -201,7 +196,7 @@ def build_phases(spec: dict, out_dir: Path) -> tuple[list[Phase], Normalizer]:
             hint = "" if "csv" in entry else " (run `generate` first?)"
             raise SpecError(f"dataset file not found: {path}{hint}")
         series = read_records(path)
-        windows = build_samples(series, entry["name"], window_len, stride, normalizer)
+        windows = build_samples(series, entry["name"], window_len, WINDOW_STRIDE, normalizer)
         if len(windows) <= test_size:
             raise SpecError(
                 f"greenhouse {entry['name']!r}: {len(windows)} windows is not "

@@ -63,8 +63,6 @@ EXPERIMENT_SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "window_len": {"type": "integer", "minimum": 1},
-                "stride": {"type": "integer", "minimum": 1},
-                "start_timestamp": {"type": "integer", "minimum": 0},
             },
         },
         "model": {

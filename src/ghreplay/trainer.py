@@ -284,12 +284,12 @@ MEMORY_COLUMNS = ("update_index", "label", "fraction")
 
 
 def _write_table(path: str | Path, columns: tuple[str, ...], rows) -> None:
-    """A header row, then one row per item; floats are written with repr."""
+    """A header row, then one row per item; ``csv.writer`` writes a float,
+    numpy's included, with ``str``, which round-trips."""
     with atomic_open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+        writer.writerows(rows)
 
 
 def write_curve_csv(path: str | Path, curve: LearningCurve) -> None:

@@ -17,7 +17,7 @@ import pytest
 from conftest import add_rows, build_phase
 from ghreplay.climate import SAMPLE_INTERVAL_S
 from ghreplay.cli import main
-from ghreplay.dataset import window_count
+from ghreplay.dataset import WINDOW_STRIDE, window_count
 from ghreplay.memory import EpisodicMemory, MemoryConfig, SubstitutionStrategy
 from ghreplay.rng import SeededRng
 from ghreplay.trainer import ScenarioConfig, run_baseline, run_scenario
@@ -92,8 +92,8 @@ def test_acceptance_2_protocol_constants():
         model_cfg = experiment.build_model_config(spec)
         memory_cfg = experiment.build_memory_config(spec)
         assert model_cfg.window_len == 250
-        assert spec["data"]["stride"] == 2
-        assert spec["data"]["stride"] * SAMPLE_INTERVAL_S == 600  # 10-minute separation
+        assert WINDOW_STRIDE == 2
+        assert WINDOW_STRIDE * SAMPLE_INTERVAL_S == 600  # 10-minute separation
         assert spec["scenario"]["batch_size"] == 100
         assert memory_cfg.capacity == 10000
         assert memory_cfg.substitution_probability == 0.1

@@ -14,7 +14,7 @@ def write_tiny_spec(tmp_path, **extra):
         "out_dir": str(tmp_path / "out"),
         "days_per_phase": 2,
         "greenhouses": [{"name": "GH-A"}, {"name": "GH-C"}],
-        "data": {"window_len": 10, "stride": 2, "start_timestamp": 0},
+        "data": {"window_len": 10},
         "model": {"hidden_dim": 4, "dense_dim": 4, "learning_rate": 0.01},
         "memory": {"capacity": 50, "substitution_probability": 0.1, "strategy": "per-batch"},
         "scenario": {"batch_size": 20, "replay_size": 20, "eval_every": 3, "test_size": 30},
@@ -123,10 +123,25 @@ def test_run_missing_external_csv_has_no_generate_hint(tmp_path, capsys):
 
 
 def test_run_replay_size_zero_flag(tmp_path):
+    # the replay ablation is set in the spec; no flag sets it
     spec_path, doc = write_tiny_spec(tmp_path)
+    doc["scenario"]["replay_size"] = 0
+    spec_path.write_text(json.dumps(doc))
     assert main(["generate", "--spec", str(spec_path)]) == 0
-    assert main(["run", "--spec", str(spec_path), "--replay-size", "0"]) == 0
+    assert main(["run", "--spec", str(spec_path)]) == 0
     assert (tmp_path / "out" / "curve.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "baseline"])
+@pytest.mark.parametrize("flag, value", [("--replay-size", "0"), ("--memory-strategy", "per-sample")])
+def test_spec_settings_are_not_flags_exit_2(tmp_path, monkeypatch, capsys, command, flag, value):
+    monkeypatch.chdir(tmp_path)
+    phase = ["--phase", "GH-A"] if command == "baseline" else []
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--out", "out", flag, value, *phase])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_baseline_unknown_phase_exit_2(tmp_path, capsys):
@@ -344,6 +359,6 @@ def test_help_lists_flags(capsys):
         main(["run", "--help"])
     assert exc.value.code == 0
     text = capsys.readouterr().out
-    for flag in ("--spec", "--seed", "--out", "--preset", "--replay-size",
-                 "--memory-strategy", "--retention", "--dump-memory"):
+    for flag in ("--spec", "--seed", "--out", "--preset", "--retention", "--dump-memory"):
         assert flag in text
+    assert "--replay-size" not in text and "--memory-strategy" not in text

@@ -6,6 +6,8 @@ from pathlib import Path
 import pytest
 
 from ghreplay import experiment
+from ghreplay.climate import SAMPLE_INTERVAL_S
+from ghreplay.dataset import WINDOW_STRIDE
 from ghreplay.experiment import (
     SpecError,
     build_memory_config,
@@ -28,7 +30,7 @@ def tiny_spec(out_dir):
         "out_dir": str(out_dir),
         "days_per_phase": 2,
         "greenhouses": [{"name": "GH-A"}, {"name": "GH-C"}],
-        "data": {"window_len": 10, "stride": 2, "start_timestamp": 0},
+        "data": {"window_len": 10},
         "model": {"hidden_dim": 4, "dense_dim": 4, "learning_rate": 0.01},
         "memory": {"capacity": 50, "substitution_probability": 0.1, "strategy": "per-batch"},
         "scenario": {"batch_size": 20, "replay_size": 20, "eval_every": 3, "test_size": 30},
@@ -120,7 +122,7 @@ def test_config_builders_respect_spec():
 def test_paper_preset_protocol_constants():
     doc = paper_spec()
     assert doc["data"]["window_len"] == 250
-    assert doc["data"]["stride"] == 2
+    assert WINDOW_STRIDE == 2 and WINDOW_STRIDE * SAMPLE_INTERVAL_S == 600  # 10 minutes
     assert doc["scenario"]["batch_size"] == 100
     assert doc["memory"]["capacity"] == 10000
     assert doc["memory"]["substitution_probability"] == 0.1

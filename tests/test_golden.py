@@ -81,10 +81,10 @@ def int_digest(*arrays) -> str:
 @pytest.mark.parametrize("strategy", sorted(GOLDEN))
 def test_memory_trajectory_matches_golden_digest(tmp_path, strategy):
     spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps(SPEC), encoding="utf-8")
+    spec.write_text(json.dumps({**SPEC, "memory": {**SPEC["memory"], "strategy": strategy}}), encoding="utf-8")
     args = ["--preset", "desk", "--spec", str(spec), "--out", str(tmp_path / "out")]
     assert main(["generate", *args]) == 0
-    assert main(["run", *args, "--dump-memory", "--memory-strategy", strategy]) == 0
+    assert main(["run", *args, "--dump-memory"]) == 0
 
     memory_csv, slots = GOLDEN[strategy]
     assert hashlib.sha256((tmp_path / "out" / "memory.csv").read_bytes()).hexdigest() == memory_csv

@@ -553,6 +553,14 @@ def test_predict_batch_rejects_empty_batch():
 
 # --- chunks spread over CPUs ------------------------------------------------
 
+@pytest.mark.parametrize("count, expected", [(3, 3), (None, 1)])
+def test_usable_cpus_falls_back_to_cpu_count_without_affinity(monkeypatch, count, expected):
+    # where the platform has no affinity mask every CPU counts; cpu_count may not know them
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+    assert model._usable_cpus() == expected
+
+
 def test_predict_batch_bit_identical_for_any_cpu_count(monkeypatch):
     cfg = ModelConfig(hidden_dim=32, dense_dim=32, window_len=250)
     params = init_model(cfg, SeededRng(30))

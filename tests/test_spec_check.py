@@ -206,7 +206,7 @@ def test_checker_agrees_with_jsonschema_on_mutated_specs():
     docs = []
     for spec in (desk_spec(), paper_spec()):
         docs += [spec, *single_mutations(spec)]
-        docs += [random_mutation(rng, spec) for _ in range(1100)]
+        docs += [random_mutation(rng, spec) for _ in range(1200)]
     assert len(docs) >= 5000
     integral_floats = non_finite = rejected = 0
     for doc in docs:
@@ -278,6 +278,19 @@ def test_adam_constants_are_not_spec_keys_exit_2(tmp_path, capsys, key, value):
     assert main(["generate", "--spec", str(spec), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert f"model: Additional properties are not allowed ('{key}' unexpected)" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [("stride", 2), ("start_timestamp", 0)])
+def test_fixed_data_settings_are_not_spec_keys_exit_2(tmp_path, capsys, key, value):
+    # windows end every WINDOW_STRIDE records and series start at 0; a spec
+    # that names either, even at its value, is refused
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"data": {key: value}}))
+    out = tmp_path / "out"
+    assert main(["generate", "--spec", str(spec), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"data: Additional properties are not allowed ('{key}' unexpected)" in err
     assert not out.exists()
 
 

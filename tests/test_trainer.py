@@ -545,6 +545,15 @@ def test_curve_csv_roundtrip(tmp_path, tiny_phases):
     assert read_boundaries_csv(boundaries_path_for(path)) == result.curve.phase_starts
 
 
+def test_curve_csv_writes_numpy_floats_as_numbers(tmp_path):
+    # numpy 2's repr of a float64 is np.float64(0.1); the file must hold 0.1
+    point = _point(3, "GH-A", np.float64(0.1))
+    path = tmp_path / "curve.csv"
+    write_curve_csv(path, LearningCurve(points=[point]))
+    assert path.read_text().splitlines()[1] == "3,1,GH-A,0.1,0.1,0.1"
+    assert read_curve_csv(path) == [_point(3, "GH-A", 0.1)]
+
+
 def _point(update, phase, mse):
     return EvalPoint(
         update_index=update,
