@@ -27,6 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .atomic import atomic_open
+from .dataset import INPUT_FIELDS, TARGET_FIELDS
 from .memory import EpisodicMemory, MemoryConfig
 from .model import AdamState, ModelConfig, ModelParams, zeros_params
 from .rng import SeededRng
@@ -47,8 +48,7 @@ def save_checkpoint(path: str | Path, model_cfg: ModelConfig, state: TrainerStat
             arrays[f"{prefix}__{name}"] = arr
     arrays["adam_t"] = np.array(adam.t, dtype=np.int64)
 
-    arrays.update(state.memory.snapshot(model_cfg.window_len, model_cfg.input_dim,
-                                        model_cfg.output_dim))
+    arrays.update(state.memory.snapshot())
 
     meta = {
         "model_config": dataclasses.asdict(model_cfg),
@@ -86,22 +86,23 @@ def _checked_params(path, arrays, prefix: str, expected: ModelParams) -> ModelPa
                           for name, like in expected.items()})
 
 
-def _check_memory(path, arrays, cfg: ModelConfig, capacity: int) -> None:
-    """Check the memory arrays: a finite (R, input_dim) row block, at most
-    ``capacity`` slot rows that end whole windows inside it, finite
-    targets, timestamps and label ids into the stored label list."""
+def _check_memory(path, arrays, cfg: MemoryConfig) -> None:
+    """Check the memory arrays: a finite (R, D) row block with one column
+    per input field, at most ``capacity`` slot rows that end whole windows
+    inside it, finite targets, timestamps and label ids into the stored
+    label list."""
     inputs, labels, rows = arrays["mem_inputs"], arrays["mem_labels"], arrays["mem_rows"]
     n_rows = inputs.shape[0] if inputs.ndim else 0
-    _checked(path, arrays, "mem_inputs", (n_rows, cfg.input_dim))
+    _checked(path, arrays, "mem_inputs", (n_rows, len(INPUT_FIELDS)))
     _checked(path, arrays, "mem_labels", (labels.size,), finite=False)
     n = rows.shape[0] if rows.ndim else 0
     _checked(path, arrays, "mem_rows", (n,), finite=False, within=(cfg.window_len - 1, n_rows))
-    _checked(path, arrays, "mem_targets", (n, cfg.output_dim))
+    _checked(path, arrays, "mem_targets", (n, len(TARGET_FIELDS)))
     _checked(path, arrays, "mem_timestamps", (n,), finite=False)
     _checked(path, arrays, "mem_label_ids", (n,), finite=False, within=(0, len(labels)))
     _checked(path, arrays, "mem_observed_count", (), finite=False, within=(n, np.inf))
-    if n > capacity:
-        raise ValueError(f"{path}: array mem_rows has {n} slots, over the capacity {capacity}")
+    if n > cfg.capacity:
+        raise ValueError(f"{path}: array mem_rows has {n} slots, over the capacity {cfg.capacity}")
 
 
 def load_checkpoint(path: str | Path) -> tuple[ModelConfig, TrainerState]:
@@ -133,7 +134,7 @@ def load_checkpoint(path: str | Path) -> tuple[ModelConfig, TrainerState]:
         v=_checked_params(path, arrays, "adam_v", expected),
         t=int(_checked(path, arrays, "adam_t", (), finite=False, within=(0, np.inf))),
     )
-    _check_memory(path, arrays, model_cfg, memory_cfg.capacity)
+    _check_memory(path, arrays, memory_cfg)
     memory = EpisodicMemory.restore(memory_cfg, arrays)
     return model_cfg, TrainerState(params, adam, memory, replay_rng, memory_rng,
                                    update_index=adam.t)

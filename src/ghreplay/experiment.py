@@ -4,9 +4,10 @@ A spec names the greenhouses (generator presets, explicit parameters, or
 existing CSV paths), the model, memory and scenario settings, and the
 output directory. ``validate_spec`` checks it against ``EXPERIMENT_SCHEMA``
 (see ``schema``) before any work starts and names the first bad key by
-its dotted path; unknown keys are rejected. The configs built from a
-spec check themselves against the same schema parts, so a setting's
-bounds are stated once. Two built-in presets supply defaults: ``paper``
+its dotted path; unknown keys are rejected, and so is a key that a spec
+file gives twice in one object. The configs built from a spec check
+themselves against the same schema parts, so a setting's bounds are
+stated once. Two built-in presets supply defaults: ``paper``
 (protocol-scale constants: window 250, batches of 100, 10k-sample
 memory, substitution probability 0.1, evaluation every 3 updates,
 10k-sample test sets) and ``desk``, the same protocol scaled down to run
@@ -99,16 +100,29 @@ def _deep_merge(base: dict, override: dict) -> dict:
     return out
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's pairs as a dict; a key given twice raises ``SpecError``
+    rather than letting the last value win."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise SpecError(f"key {key!r} is repeated")
+        doc[key] = value
+    return doc
+
+
 def load_spec_file(path: str | Path) -> dict:
     path = Path(path)
     if not path.exists():
         raise SpecError(f"spec file not found: {path}")
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
     except UnicodeDecodeError:
         raise SpecError(f"{path}: not valid UTF-8") from None
     except json.JSONDecodeError as exc:
         raise SpecError(f"{path}: invalid JSON ({exc})") from None
+    except SpecError as exc:
+        raise SpecError(f"{path}: {exc}") from None
     if not isinstance(doc, dict):
         raise SpecError(f"{path}: spec must be a JSON object")
     return doc
@@ -143,11 +157,11 @@ def greenhouse_params(entry: dict) -> GreenhouseParams:
 
 
 def build_model_config(spec: dict) -> ModelConfig:
-    return ModelConfig(window_len=spec["data"]["window_len"], **spec["model"])
+    return ModelConfig(**spec["model"])
 
 
 def build_memory_config(spec: dict) -> MemoryConfig:
-    return MemoryConfig(**spec["memory"])
+    return MemoryConfig(window_len=spec["data"]["window_len"], **spec["memory"])
 
 
 def dataset_path(entry: dict, out_dir: Path) -> Path:

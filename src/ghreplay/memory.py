@@ -26,9 +26,11 @@ Index layout: the memory holds no window data. It keeps a row table
 per row), to which ``add_series`` appends the series of each
 ``dataset.Phase`` the memory observes, labeled with the phase's
 greenhouse; a window is named by the table row of its final record, and
-its inputs are the ``window_len`` table rows ending there. A slot is one
-such row in the ``rows`` array. Observing and replaying move integers
-only; the trainer gathers the windows of a batch in one step.
+its inputs are the ``config.window_len`` table rows ending there, and
+``add_series`` refuses a phase whose windows have another length. A
+slot is one such row in the ``rows`` array. Observing and replaying
+move integers only; the trainer gathers the windows of a batch in one
+step.
 ``snapshot`` compacts the table to the rows that stored windows cover,
 as a checkpoint's arrays, and ``restore`` rebuilds a memory from them.
 
@@ -45,7 +47,7 @@ from enum import Enum
 
 import numpy as np
 
-from .dataset import Phase
+from .dataset import INPUT_FIELDS, TARGET_FIELDS, Phase
 from .rng import SeededRng
 from .schema import EXPERIMENT_SCHEMA, check_fields
 
@@ -61,18 +63,14 @@ class MemoryConfig:
     capacity: int = 10000
     substitution_probability: float = 0.1
     strategy: SubstitutionStrategy = SubstitutionStrategy.PER_BATCH
+    window_len: int = 250  # the records in each stored window: the spec's data.window_len
 
-    SCHEMA = EXPERIMENT_SCHEMA["properties"]["memory"]["properties"]
+    SCHEMA = {**EXPERIMENT_SCHEMA["properties"]["memory"]["properties"],
+              "window_len": EXPERIMENT_SCHEMA["properties"]["data"]["properties"]["window_len"]}
 
     def __post_init__(self) -> None:
         check_fields(self, self.SCHEMA)
         self.strategy = SubstitutionStrategy(self.strategy)
-
-
-@dataclass
-class OccupancyStats:
-    counts: dict[str, int]
-    fractions: dict[str, float]
 
 
 class EpisodicMemory:
@@ -98,7 +96,11 @@ class EpisodicMemory:
 
     def add_series(self, phase: Phase) -> int:
         """Append a phase's series to the row table; returns the table row
-        of its first record, to add to the phase's own rows."""
+        of its first record, to add to the phase's own rows. A phase whose
+        windows have another length than the memory's is refused."""
+        if phase.window_len != self.config.window_len:
+            raise ValueError(f"phase {phase.label}: windows of {phase.window_len} records, "
+                             f"but the memory stores windows of {self.config.window_len}")
         if phase.label not in self.labels:
             self.labels.append(phase.label)
         label_id = self.labels.index(phase.label)
@@ -158,19 +160,19 @@ class EpisodicMemory:
         label_ids, timestamps = self.row_label_ids[rows].tolist(), self.timestamps[rows].tolist()
         return [(self.labels[i], ts) for i, ts in zip(label_ids, timestamps)]
 
-    def snapshot(self, window_len: int, input_dim: int, output_dim: int) -> dict[str, np.ndarray]:
+    def snapshot(self) -> dict[str, np.ndarray]:
         """The slots over the table rows their windows cover (``R`` rows,
         ``n`` slots), as the seven ``mem_*`` arrays of a checkpoint:
 
         * ``mem_inputs`` (R, D): every table row that some stored window
           covers, once, in table order, so each window stays ``window_len``
-          consecutive rows; ``input_dim`` is D for a memory without series;
+          consecutive rows;
         * ``mem_rows`` (n,): each slot's final-record row into that block,
           in ``[window_len - 1, R)``, with its target ``mem_targets`` (n, K),
           the timestamp of that record ``mem_timestamps`` (n,) and its index
           into ``mem_labels``, ``mem_label_ids`` (n,);
         * ``mem_observed_count``: the number of samples observed."""
-        ends = self.rows
+        ends, window_len = self.rows, self.config.window_len
         table_rows = len(self.timestamps)
         # +1 where a window starts, -1 past where it ends: rows with a positive
         # running sum lie inside some window
@@ -180,11 +182,11 @@ class EpisodicMemory:
         block_row = np.cumsum(covered) - 1
         keep = np.flatnonzero(covered)
         return {
-            "mem_inputs": self.inputs[keep] if len(keep) else np.zeros((0, input_dim)),
+            "mem_inputs": self.inputs[keep] if len(keep) else np.zeros((0, len(INPUT_FIELDS))),
             "mem_labels": np.array(self.labels, dtype=str),
             "mem_observed_count": np.array(self.observed_count, dtype=np.int64),
             "mem_rows": block_row[ends],
-            "mem_targets": self.targets[ends] if len(ends) else np.zeros((0, output_dim)),
+            "mem_targets": self.targets[ends] if len(ends) else np.zeros((0, len(TARGET_FIELDS))),
             "mem_timestamps": self.timestamps[ends],
             "mem_label_ids": self.row_label_ids[ends],
         }
@@ -208,10 +210,8 @@ class EpisodicMemory:
         memory.observed_count = int(arrays["mem_observed_count"])
         return memory
 
-    def occupancy_stats(self) -> OccupancyStats:
-        """Per-origin-label slot counts and fractions (fractions sum to 1)."""
-        total = len(self.rows)
+    def occupancy_stats(self) -> dict[str, float]:
+        """Each origin label's share of the slots, for the labels that hold
+        any (the shares sum to 1)."""
         per_id = np.bincount(self.label_ids, minlength=len(self.labels)).tolist()
-        counts = {label: count for label, count in zip(self.labels, per_id) if count}
-        fractions = {label: count / total for label, count in counts.items()}
-        return OccupancyStats(counts=counts, fractions=fractions)
+        return {label: count / len(self.rows) for label, count in zip(self.labels, per_id) if count}

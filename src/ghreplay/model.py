@@ -76,11 +76,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import stack_steps
+from .dataset import INPUT_FIELDS, TARGET_FIELDS, stack_steps
 from .rng import SeededRng
 from .schema import EXPERIMENT_SCHEMA, check_fields
 
-_SPEC = EXPERIMENT_SCHEMA["properties"]
 GATE_CACHE_BYTES = 8 * 2**20  # the largest gate cache a training forward keeps
 ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8  # Kingma & Ba's published constants
 
@@ -105,20 +104,16 @@ def _non_finite(what: str, x: np.ndarray, first_row: int) -> NonFiniteError:
 
 @dataclass
 class ModelConfig:
-    input_dim: int = 5
+    """The spec's model section. The input and output widths are not
+    settings: the CSV columns fix them (``dataset.INPUT_FIELDS`` and
+    ``TARGET_FIELDS``)."""
+
     hidden_dim: int = 32
     dense_dim: int = 32
-    output_dim: int = 2
-    window_len: int = 250
     learning_rate: float = 1e-3
     grad_clip: float | None = None   # max global grad norm, None = off
 
-    # the spec's model section and window length; the data's own widths
-    SCHEMA = {
-        **_SPEC["model"]["properties"],
-        "window_len": _SPEC["data"]["properties"]["window_len"],
-        **dict.fromkeys(("input_dim", "output_dim"), {"type": "integer", "minimum": 1}),
-    }
+    SCHEMA = EXPERIMENT_SCHEMA["properties"]["model"]["properties"]
 
     def __post_init__(self) -> None:
         check_fields(self, self.SCHEMA)
@@ -150,8 +145,8 @@ Gradients = ModelParams
 
 
 def zeros_params(cfg: ModelConfig) -> ModelParams:
-    h, d = cfg.hidden_dim, cfg.input_dim
-    dn, out = cfg.dense_dim, cfg.output_dim
+    h, d = cfg.hidden_dim, len(INPUT_FIELDS)
+    dn, out = cfg.dense_dim, len(TARGET_FIELDS)
     z = np.zeros
     return ModelParams(lstm=z((4 * h, d + h + 1)), w1=z((dn, h)), b1=z(dn), w2=z((out, dn)), b2=z(out))
 
@@ -166,7 +161,7 @@ def init_model(cfg: ModelConfig, rng: SeededRng) -> ModelParams:
     """Glorot weights drawn in a fixed order (the four input gates, the four
     recurrent gates, w1, w2); zero biases except the forget gate's at 1 so
     gradients flow through long windows from the start."""
-    h, d = cfg.hidden_dim, cfg.input_dim
+    h, d = cfg.hidden_dim, len(INPUT_FIELDS)
     params = zeros_params(cfg)
     gates = params.lstm.reshape(4, h, d + h + 1)  # a view: gate k's rows of [w | u | b]
     for k in range(4):
@@ -174,7 +169,7 @@ def init_model(cfg: ModelConfig, rng: SeededRng) -> ModelParams:
     for k in range(4):
         gates[k, :, d:-1] = _glorot(h, h, rng)
     params.w1 = _glorot(cfg.dense_dim, h, rng)
-    params.w2 = _glorot(cfg.output_dim, cfg.dense_dim, rng)
+    params.w2 = _glorot(len(TARGET_FIELDS), cfg.dense_dim, rng)
     gates[1, :, -1] = 1.0
     return params
 

@@ -152,7 +152,7 @@ def train_update(
     n_replay = min(replay_size, len(memory))
     replay = memory.draw_replay(n_replay, state.replay_rng)
     batch = np.concatenate([rows, replay])
-    inputs, targets = stack_samples(memory.inputs, memory.targets, batch, model_cfg.window_len)
+    inputs, targets = stack_samples(memory.inputs, memory.targets, batch, memory.config.window_len)
     try:
         loss, grads = backward(state.params, inputs, targets)
     except NonFiniteError as err:
@@ -195,19 +195,14 @@ def run_phase(
     ``retention_of`` (cadence is global: update counters carry across
     phases). The final partial batch is dropped so every update has the
     same size."""
-    if phase.window_len != model_cfg.window_len:
-        raise ValueError(
-            f"phase {phase.label}: windows of {phase.window_len} records, "
-            f"but the model takes {model_cfg.window_len}"
-        )
-    curve.phase_starts.append((phase.label, state.update_index))
     stream = phase.stream + state.memory.add_series(phase)
+    curve.phase_starts.append((phase.label, state.update_index))
     n_updates = len(stream) // scenario.batch_size
     for k in range(n_updates):
         batch = stream[k * scenario.batch_size : (k + 1) * scenario.batch_size]
         train_update(state, batch, model_cfg, scenario.replay_size)
         state.update_index += 1
-        fractions = state.memory.occupancy_stats().fractions
+        fractions = state.memory.occupancy_stats()
         for label in sorted(fractions):
             curve.memory.append((state.update_index, label, fractions[label]))
         if state.update_index % scenario.eval_every == 0:

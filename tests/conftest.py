@@ -11,9 +11,11 @@ from ghreplay.rng import SeededRng
 
 def add_rows(memory, label, n, input_dim=5, fill=0.5):
     """Append an n-record constant series to ``memory``'s row table under
-    ``label``; returns its n table rows, to observe as window ends."""
+    ``label``, as a phase of the memory's window length; returns its n
+    table rows, to observe as slots (the slot policy reads no window)."""
     offset = memory.add_series(Phase(label, np.full((n, input_dim), fill), np.full((n, 2), fill),
-                                     np.arange(n, dtype=np.int64), [], [], window_len=1))
+                                     np.arange(n, dtype=np.int64), [], [],
+                                     window_len=memory.config.window_len))
     return offset + np.arange(n, dtype=np.int64)
 
 
@@ -31,13 +33,13 @@ def lstm_blocks(params):
     return gates[:, :, : -hidden - 1], gates[:, :, -hidden - 1 : -1], gates[:, :, -1]
 
 
-def predict_stack(params, stack, **kwargs):
+def predict_stack(params, stack):
     """``predict_batch`` on a (B, T, D) stack of windows, laid out as the
     series ``stack.reshape(B * T, D)`` with windows ending at rows
     ``arange(B) * T + T - 1``."""
     batch, steps, dim = np.shape(stack)
     rows = np.arange(batch) * steps + steps - 1
-    return predict_batch(params, rows, np.reshape(stack, (batch * steps, dim)), steps, **kwargs)
+    return predict_batch(params, rows, np.reshape(stack, (batch * steps, dim)), steps)
 
 
 def build_phase(name, days, seed, window_len=50, stride=2, test_size=1000):

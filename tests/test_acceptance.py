@@ -44,9 +44,10 @@ def transfer_runs():
 
     Per seed: the transferred scenario (replay 100), the replay-free
     ablation, and a fresh GH-C baseline. Memory uses the library default
-    configuration (capacity 10000, p 0.1, per-batch)."""
+    configuration (capacity 10000, p 0.1, per-batch) at the desk windows
+    of 50."""
     runs = {}
-    memory_cfg = MemoryConfig()
+    memory_cfg = MemoryConfig(window_len=50)
     for seed in range(5):
         phase_a = build_phase("GH-A", days=30, seed=seed)
         phase_c = build_phase("GH-C", days=45, seed=seed)
@@ -89,9 +90,8 @@ def test_acceptance_1_gradient_correctness():
 def test_acceptance_2_protocol_constants():
     with report(2, "protocol constants"):
         spec = experiment.paper_spec()
-        model_cfg = experiment.build_model_config(spec)
         memory_cfg = experiment.build_memory_config(spec)
-        assert model_cfg.window_len == 250
+        assert memory_cfg.window_len == 250
         assert WINDOW_STRIDE == 2
         assert WINDOW_STRIDE * SAMPLE_INTERVAL_S == 600  # 10-minute separation
         assert spec["scenario"]["batch_size"] == 100
@@ -111,7 +111,7 @@ def test_acceptance_3_learning_progress():
                 phases=[phase], batch_size=100, replay_size=100,
                 eval_every=3, seed=seed,
             )
-            result = run_scenario(scenario, DESK_MODEL, MemoryConfig())
+            result = run_scenario(scenario, DESK_MODEL, MemoryConfig(window_len=50))
             mses = [p.mse_total for p in result.curve.points]
             assert len(mses) >= 6
             first3 = statistics.mean(mses[:3])

@@ -21,7 +21,7 @@ def rows_then_boom():
 
 
 def small_state(seed):
-    cfg = ModelConfig(hidden_dim=3, dense_dim=3, window_len=4)
+    cfg = ModelConfig(hidden_dim=3, dense_dim=3)
     root = SeededRng(seed)
     return cfg, trainer.TrainerState(init_model(cfg, root), init_adam(cfg),
                                      EpisodicMemory(MemoryConfig(capacity=2)),

@@ -18,7 +18,7 @@ WINDOW_LEN = 8
 def trained_state(seed=0, strategy=SubstitutionStrategy.PER_BATCH):
     """A model config and a ``TrainerState`` after three updates, its
     memory holding windows of two series."""
-    cfg = ModelConfig(hidden_dim=6, dense_dim=5, window_len=WINDOW_LEN, learning_rate=1e-2, grad_clip=None)
+    cfg = ModelConfig(hidden_dim=6, dense_dim=5, learning_rate=1e-2, grad_clip=None)
     params = init_model(cfg, SeededRng(seed))
     adam = init_adam(cfg)
     rng = SeededRng(seed + 1)
@@ -29,7 +29,8 @@ def trained_state(seed=0, strategy=SubstitutionStrategy.PER_BATCH):
         adam_step(params, grads, adam, cfg)
 
     memory = EpisodicMemory(
-        MemoryConfig(capacity=10, substitution_probability=0.25, strategy=strategy)
+        MemoryConfig(capacity=10, substitution_probability=0.25, strategy=strategy,
+                     window_len=WINDOW_LEN)
     )
     ends = []
     for label in ("GH-0", "GH-1"):
@@ -131,6 +132,43 @@ def test_checkpoint_restores_equivalent_replay_behavior(tmp_path, strategy):
     assert_same_windows(windows_of(memory, memory.rows), windows_of(bundle.memory, bundle.memory.rows))
 
 
+def test_checkpoint_keeps_the_memory_window_len(tmp_path):
+    # the window length is the memory's: stored with its config, not the model's
+    cfg, state = trained_state(seed=3)
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(path, cfg, state)
+    with np.load(path, allow_pickle=False) as data:
+        meta = json.loads(str(data["meta_json"][()]))
+    assert meta["memory_config"]["window_len"] == WINDOW_LEN
+    assert sorted(meta["model_config"]) == ["dense_dim", "grad_clip", "hidden_dim", "learning_rate"]
+    _, loaded = load_checkpoint(path)
+    assert loaded.memory.config == state.memory.config
+    assert loaded.memory.config.window_len == WINDOW_LEN
+    # restored, the memory still refuses a phase of another window length
+    with pytest.raises(ValueError, match="phase GH-2: windows of 9 records, "
+                                         "but the memory stores windows of 8"):
+        loaded.memory.add_series(Phase("GH-2", np.full((20, 5), 0.5), np.full((20, 2), 0.5),
+                                       np.arange(20, dtype=np.int64), [], [], WINDOW_LEN + 1))
+
+
+def test_load_checkpoint_refuses_a_checkpoint_with_the_window_len_in_the_model_config(tmp_path):
+    # the meta_json of a checkpoint written while the model config carried the
+    # data widths and the window length, and the memory config did not
+    cfg, state = trained_state(seed=2)
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(path, cfg, state)
+    with np.load(path, allow_pickle=False) as data:
+        arrays = dict(data)
+    meta = json.loads(str(arrays["meta_json"][()]))
+    meta["model_config"].update(input_dim=5, output_dim=2, window_len=WINDOW_LEN)
+    del meta["memory_config"]["window_len"]
+    arrays["meta_json"] = np.array(json.dumps(meta, sort_keys=True))
+    np.savez_compressed(path, **arrays)
+    with pytest.raises(ValueError, match=r"ckpt.npz: array meta_json: ModelConfig.__init__\(\) "
+                                         r"got an unexpected keyword argument 'input_dim'$"):
+        load_checkpoint(path)
+
+
 def test_checkpoint_empty_memory(tmp_path):
     cfg, state = trained_state(seed=6)
     state.memory = EpisodicMemory(MemoryConfig(capacity=4))
@@ -181,8 +219,8 @@ def without_meta(section, key):
         ("mem_timestamps", lambda a: a[1:], r"mem_timestamps has shape \(9,\), expected \(10,\)"),
         ("meta_json", with_meta("model_config", "learning_rate", -1.0),
          "meta_json: ModelConfig.learning_rate: -1.0 is less than or equal to the minimum of 0"),
-        ("meta_json", with_meta("model_config", "window_len", 0),
-         "meta_json: ModelConfig.window_len: 0 is less than the minimum of 1"),
+        ("meta_json", with_meta("memory_config", "window_len", 0),
+         "meta_json: MemoryConfig.window_len: 0 is less than the minimum of 1"),
         ("meta_json", with_meta("model_config", "grad_clip", -3.0),
          "meta_json: ModelConfig.grad_clip: -3.0 is less than or equal to the minimum of 0"),
         ("meta_json", with_meta("memory_config", "capacity", 0),

@@ -302,6 +302,23 @@ def test_repeated_greenhouse_name_exit_2_before_writing(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "text, key",
+    [('{"seed": 1, "seed": 2, "memory": {"capacity": 5}, "memory": {"capacity": 7}}', "seed"),
+     ('{"greenhouses": [{"name": "GH-A"}], "memory": {"capacity": 5, "capacity": 7}}', "capacity")],
+    ids=["top-level", "nested"],
+)
+def test_repeated_spec_key_exit_2_before_writing(tmp_path, capsys, text, key):
+    # json would keep the last value of a key given twice; the spec refuses it
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(text)
+    out = tmp_path / "out"
+    for command in ("generate", "run"):
+        assert main([command, "--spec", str(spec_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {spec_path}: key '{key}' is repeated\n"
+    assert not out.exists()
+
+
 def test_unknown_spec_key_exit_2(tmp_path, capsys):
     spec_path, doc = write_tiny_spec(tmp_path, mystery=1)
     assert main(["generate", "--spec", str(spec_path)]) == 2

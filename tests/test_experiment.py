@@ -112,10 +112,10 @@ def test_validate_spec_checks_each_greenhouse_source():
 def test_config_builders_respect_spec():
     doc = desk_spec()
     model_cfg = build_model_config(doc)
-    assert model_cfg.hidden_dim == 16 and model_cfg.window_len == 50
+    assert model_cfg.hidden_dim == 16
     assert model_cfg.learning_rate == 0.01
     mem_cfg = build_memory_config(doc)
-    assert mem_cfg.capacity == 2000
+    assert mem_cfg.capacity == 2000 and mem_cfg.window_len == 50
     assert mem_cfg.strategy is SubstitutionStrategy.PER_BATCH
 
 

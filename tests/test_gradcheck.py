@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from conftest import predict_stack
 
+from ghreplay.dataset import INPUT_FIELDS, TARGET_FIELDS
 from ghreplay.model import ModelConfig, backward, init_model, mse_loss
 from ghreplay.rng import SeededRng
 
@@ -20,17 +21,17 @@ def _loss_forward_only(params, x, t):
     return total
 
 
-def max_relative_gradient_error(seed, cfg=None, batch=3):
-    cfg = cfg or ModelConfig(input_dim=5, hidden_dim=4, dense_dim=4, window_len=6)
+def max_relative_gradient_error(seed, cfg=None, batch=3, steps=6):
+    cfg = cfg or ModelConfig(hidden_dim=4, dense_dim=4)
     params = init_model(cfg, SeededRng(seed))
     rng = SeededRng(seed + 1000)
     x = np.array(
         [
-            [[rng.uniform(0, 1) for _ in range(cfg.input_dim)] for _ in range(cfg.window_len)]
+            [[rng.uniform(0, 1) for _ in range(len(INPUT_FIELDS))] for _ in range(steps)]
             for _ in range(batch)
         ]
     )
-    t = np.array([[rng.uniform(0, 1) for _ in range(cfg.output_dim)] for _ in range(batch)])
+    t = np.array([[rng.uniform(0, 1) for _ in range(len(TARGET_FIELDS))] for _ in range(batch)])
     _, grads = backward(params, x, t)
 
     worst = 0.0
@@ -51,20 +52,20 @@ def max_relative_gradient_error(seed, cfg=None, batch=3):
 
 
 # at hidden 1 the bias gradient's batch sum is not np.sum's pairwise one
-HIDDEN_1 = ModelConfig(input_dim=5, hidden_dim=1, dense_dim=4, window_len=9)
+HIDDEN_1 = ModelConfig(hidden_dim=1, dense_dim=4)
 
 
 @pytest.mark.parametrize(
-    "seed, cfg, batch",
-    [pytest.param(seed, None, 3, id=str(seed)) for seed in range(5)]
-    + [pytest.param(seed, HIDDEN_1, 9, id=f"hidden1-{seed}") for seed in range(3)],
+    "seed, cfg, batch, steps",
+    [pytest.param(seed, None, 3, 6, id=str(seed)) for seed in range(5)]
+    + [pytest.param(seed, HIDDEN_1, 9, 9, id=f"hidden1-{seed}") for seed in range(3)],
 )
-def test_bptt_matches_finite_differences(seed, cfg, batch):
-    assert max_relative_gradient_error(seed, cfg, batch) < REL_TOL
+def test_bptt_matches_finite_differences(seed, cfg, batch, steps):
+    assert max_relative_gradient_error(seed, cfg, batch, steps) < REL_TOL
 
 
 def test_batch_gradient_is_mean_of_single_gradients():
-    cfg = ModelConfig(input_dim=5, hidden_dim=4, dense_dim=4, window_len=6)
+    cfg = ModelConfig(hidden_dim=4, dense_dim=4)
     params = init_model(cfg, SeededRng(123))
     rng = SeededRng(456)
     x = np.array(

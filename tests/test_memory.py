@@ -5,6 +5,7 @@ import pytest
 
 from conftest import add_rows
 from ghreplay import rng as rng_module
+from ghreplay.dataset import Phase
 from ghreplay.memory import EpisodicMemory, MemoryConfig, SubstitutionStrategy
 from ghreplay.rng import SeededRng
 
@@ -180,9 +181,21 @@ def test_memory_config_validation():
         ({"substitution_probability": 1.5},
          "MemoryConfig.substitution_probability: 1.5 is greater than the maximum of 1"),
         ({"strategy": "per-row"}, "MemoryConfig.strategy: 'per-row' is not one of"),
+        ({"window_len": 0}, "MemoryConfig.window_len: 0 is less than the minimum of 1"),
     ]:
         with pytest.raises(ValueError, match=message):
             MemoryConfig(**kwargs)
+
+
+def test_add_series_refuses_a_phase_of_another_window_length():
+    mem = EpisodicMemory(MemoryConfig(capacity=3, window_len=4))
+    add_rows(mem, "GH-A", 6)
+    phase = Phase("GH-B", np.zeros((6, 5)), np.zeros((6, 2)), np.arange(6, dtype=np.int64),
+                  [], [], window_len=5)
+    with pytest.raises(ValueError, match=r"^phase GH-B: windows of 5 records, "
+                                         r"but the memory stores windows of 4$"):
+        mem.add_series(phase)
+    assert mem.labels == ["GH-A"] and len(mem.timestamps) == len(mem.inputs) == 6  # nothing appended
 
 
 # --- replay draws -----------------------------------------------------------
@@ -231,15 +244,13 @@ def test_draw_replay_never_fabricates():
 
 def test_occupancy_single_label():
     mem = full_memory(25, PER_BATCH, label="GH-A")
-    stats = mem.occupancy_stats()
-    assert stats.counts == {"GH-A": 25}
-    assert stats.fractions == {"GH-A": 1.0}
+    assert len(mem) == 25
+    assert mem.occupancy_stats() == {"GH-A": 1.0}
 
 
 def test_occupancy_empty_memory():
     mem = EpisodicMemory(MemoryConfig(capacity=4))
-    stats = mem.occupancy_stats()
-    assert stats.counts == {} and stats.fractions == {}
+    assert mem.occupancy_stats() == {}
 
 
 def test_occupancy_sums_and_decay():
@@ -251,10 +262,10 @@ def test_occupancy_sums_and_decay():
         new = add_rows(mem, "new", k * 100)
         for batch_idx in range(k):
             mem.observe_batch(new[batch_idx * 100 : (batch_idx + 1) * 100], rng)
-        stats = mem.occupancy_stats()
-        assert sum(stats.counts.values()) == len(mem)
-        assert abs(sum(stats.fractions.values()) - 1.0) < 1e-12
-        old_fracs.append(stats.fractions.get("old", 0.0))
+        fractions = mem.occupancy_stats()
+        assert sum(round(f * len(mem)) for f in fractions.values()) == len(mem)
+        assert abs(sum(fractions.values()) - 1.0) < 1e-12
+        old_fracs.append(fractions.get("old", 0.0))
     assert abs(sum(old_fracs) / trials - 0.9 ** k) < 0.03
 
 
@@ -264,9 +275,8 @@ def test_occupancy_merges_series_with_one_label():
     mem.observe_batch(add_rows(mem, "A", 2), rng)
     mem.observe_batch(add_rows(mem, "B", 3), rng)
     mem.observe_batch(add_rows(mem, "A", 1), rng)
-    stats = mem.occupancy_stats()
-    assert stats.counts == {"A": 3, "B": 3}
-    assert stats.fractions == {"A": 0.5, "B": 0.5}
+    assert mem.labels == ["A", "B"] and np.bincount(mem.label_ids).tolist() == [3, 3]
+    assert mem.occupancy_stats() == {"A": 0.5, "B": 0.5}
 
 
 # --- stream oracle: the scalar sweeps the block draws replace ---------------

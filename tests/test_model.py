@@ -11,6 +11,7 @@ import pytest
 from conftest import lstm_blocks, predict_stack
 
 from ghreplay import linalg, model
+from ghreplay.dataset import INPUT_FIELDS, TARGET_FIELDS
 from ghreplay.linalg import SIGMOID, TANH
 from ghreplay.model import (
     AdamState,
@@ -29,8 +30,11 @@ from ghreplay.model import _check_inputs, _forward
 from ghreplay.rng import SeededRng
 
 
+WINDOW = 6  # the window length of the small models' tests
+
+
 def small_cfg(**kw):
-    defaults = dict(input_dim=5, hidden_dim=4, dense_dim=4, window_len=6)
+    defaults = dict(hidden_dim=4, dense_dim=4)
     defaults.update(kw)
     return ModelConfig(**defaults)
 
@@ -56,7 +60,7 @@ def test_init_biases():
 
 
 def test_init_shapes():
-    cfg = ModelConfig(input_dim=5, hidden_dim=7, dense_dim=3, output_dim=2, window_len=9)
+    cfg = ModelConfig(hidden_dim=7, dense_dim=3)
     p = init_model(cfg, SeededRng(1))
     assert p.lstm.shape == (4 * 7, 5 + 7 + 1)
     w, u, b = lstm_blocks(p)
@@ -74,7 +78,7 @@ def test_init_deterministic():
 
 def glorot_limits(cfg):
     """(rows, cols, limit) of each Glorot matrix, in init_model's draw order."""
-    h, d, dn, out = cfg.hidden_dim, cfg.input_dim, cfg.dense_dim, cfg.output_dim
+    h, d, dn, out = cfg.hidden_dim, len(INPUT_FIELDS), cfg.dense_dim, len(TARGET_FIELDS)
     shapes = [(h, d)] * 4 + [(h, h)] * 4 + [(dn, h), (out, dn)]
     return [(rows, cols, math.sqrt(6.0 / (rows + cols))) for rows, cols in shapes]
 
@@ -84,11 +88,10 @@ def glorot_matrices(params):
     return [*w, *u, params.w1, params.w2]
 
 
-@pytest.mark.parametrize("dims", [(1, 1, 1, 1), (5, 4, 4, 2), (3, 7, 2, 1)],
-                         ids=["1x1", "small", "uneven"])
+@pytest.mark.parametrize("dims", [(1, 1), (4, 4), (7, 2)], ids=["1x1", "small", "uneven"])
 def test_init_weights_within_glorot_bounds(dims):
-    d, h, dn, out = dims
-    cfg = ModelConfig(input_dim=d, hidden_dim=h, dense_dim=dn, output_dim=out)
+    h, dn = dims
+    cfg = ModelConfig(hidden_dim=h, dense_dim=dn)
     for seed in range(10):  # a 1x1 matrix's limit is sqrt(6 / 2) = sqrt(3)
         params = init_model(cfg, SeededRng(seed))
         for matrix, (rows, cols, limit) in zip(glorot_matrices(params), glorot_limits(cfg)):
@@ -98,7 +101,7 @@ def test_init_weights_within_glorot_bounds(dims):
 
 def test_init_draws_glorot_in_row_major_fixed_order():
     # the scalar loop each matrix's block draw stands for, matrix by matrix
-    cfg = ModelConfig(input_dim=5, hidden_dim=3, dense_dim=4, output_dim=2)
+    cfg = ModelConfig(hidden_dim=3, dense_dim=4)
     scalar = SeededRng(44)
     expected = [[scalar.uniform(-limit, limit) for _ in range(rows * cols)]
                 for rows, cols, limit in glorot_limits(cfg)]
@@ -129,13 +132,14 @@ def test_config_validation():
         ({"learning_rate": 0.0},
          "ModelConfig.learning_rate: 0.0 is less than or equal to the minimum of 0"),
         ({"hidden_dim": 4.0}, "ModelConfig.hidden_dim: 4.0 is not of type 'integer'"),
-        ({"input_dim": np.int64(5)}, "ModelConfig.input_dim: .* is not of type 'integer'"),
-        ({"window_len": 0}, "ModelConfig.window_len: 0 is less than the minimum of 1"),
+        ({"dense_dim": np.int64(5)}, "ModelConfig.dense_dim: .* is not of type 'integer'"),
     ]:
         with pytest.raises(ValueError, match=message):
             ModelConfig(**kwargs)
-    # Adam runs at its published constants, which are not settings
-    for name, value in [("adam_beta1", 0.9), ("adam_beta2", 0.999), ("adam_epsilon", 1e-8)]:
+    # Adam runs at its published constants, which are not settings; the CSV
+    # columns fix the widths, and the window length is the memory's
+    for name, value in [("adam_beta1", 0.9), ("adam_beta2", 0.999), ("adam_epsilon", 1e-8),
+                        ("input_dim", 5), ("output_dim", 2), ("window_len", 250)]:
         with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
             ModelConfig(**{name: value})
 
@@ -146,16 +150,16 @@ def test_forward_all_zero_params_outputs_exact_zero():
     cfg = small_cfg()
     params = zeros_params(cfg)
     rng = SeededRng(2)
-    pred = predict_stack(params, random_windows(rng, 1, cfg.window_len))
+    pred = predict_stack(params, random_windows(rng, 1, WINDOW))
     assert np.array_equal(pred, np.zeros((1, 2)))
 
 
 def test_forward_scalar_hand_computation():
     # hidden 1, dense 1, window 1: the whole network in plain floats
-    cfg = ModelConfig(input_dim=2, hidden_dim=1, dense_dim=1, output_dim=2, window_len=1)
+    cfg = ModelConfig(hidden_dim=1, dense_dim=1)
     p = zeros_params(cfg)
     w, u, b = lstm_blocks(p)
-    w[:, 0] = [[0.3, -0.1], [-0.2, 0.4], [0.5, 0.2], [0.7, -0.6]]  # gates i, f, o, g
+    w[:, 0, :2] = [[0.3, -0.1], [-0.2, 0.4], [0.5, 0.2], [0.7, -0.6]]  # gates i, f, o, g
     u[0] = 0.11  # unused at t=0 (h0 = 0) but set to catch misuse
     b[:, 0] = [0.1, 1.0, -0.3, 0.2]
     p.w1[:] = 0.9
@@ -163,7 +167,7 @@ def test_forward_scalar_hand_computation():
     p.w2[:] = [[-1.1], [0.8]]
     p.b2[:] = [0.4, -0.6]
 
-    x = [0.6, -0.4]
+    x = [0.6, -0.4, 0.0, 0.0, 0.0]  # the last three inputs meet zero weights
 
     def sig(v):
         return 1.0 / (1.0 + math.exp(-v))
@@ -183,7 +187,7 @@ def test_forward_scalar_hand_computation():
 
 
 def test_forward_protocol_scale_window_shape():
-    cfg = ModelConfig()  # defaults: window 250, hidden 32, output 2
+    cfg = ModelConfig()  # defaults: hidden 32, dense 32; paper windows of 250
     params = init_model(cfg, SeededRng(3))
     window = random_windows(SeededRng(4), 1, 250)
     pred = predict_stack(params, window)
@@ -193,7 +197,7 @@ def test_forward_protocol_scale_window_shape():
 def test_forward_deterministic_and_stateless():
     cfg = small_cfg()
     params = init_model(cfg, SeededRng(5))
-    window = random_windows(SeededRng(6), 1, cfg.window_len)
+    window = random_windows(SeededRng(6), 1, WINDOW)
     first = predict_stack(params, window)
     second = predict_stack(params, window)
     assert np.array_equal(first, second)
@@ -264,7 +268,7 @@ def test_mse_rejects_empty_and_mismatched():
 def test_predict_batch_of_one_equals_forward():
     cfg = small_cfg()
     params = init_model(cfg, SeededRng(9))
-    windows = random_windows(SeededRng(10), 1, cfg.window_len)
+    windows = random_windows(SeededRng(10), 1, WINDOW)
     training, _ = _forward(params, windows, keep_cache=True)
     assert np.array_equal(predict_stack(params, windows), training)
 
@@ -272,7 +276,7 @@ def test_predict_batch_of_one_equals_forward():
 def test_predict_batch_permutation_equivariant():
     cfg = small_cfg()
     params = init_model(cfg, SeededRng(11))
-    windows = random_windows(SeededRng(12), 8, cfg.window_len)
+    windows = random_windows(SeededRng(12), 8, WINDOW)
     perm = [3, 1, 7, 0, 6, 2, 5, 4]
     direct = predict_stack(params, windows)
     permuted = predict_stack(params, windows[perm])
@@ -282,7 +286,7 @@ def test_predict_batch_permutation_equivariant():
 def test_predict_batch_matches_individual_forwards(monkeypatch):
     cfg = small_cfg()
     params = init_model(cfg, SeededRng(13))
-    windows = random_windows(SeededRng(14), 100, cfg.window_len)
+    windows = random_windows(SeededRng(14), 100, WINDOW)
     monkeypatch.setattr(model, "CHUNK", 32)
     batched = predict_stack(params, windows)
     for b in range(100):
@@ -296,7 +300,7 @@ def test_gradients_zero_at_exact_fit():
     cfg = small_cfg()
     params = zeros_params(cfg)
     params.b2[:] = [0.25, 0.75]
-    x = random_windows(SeededRng(15), 3, cfg.window_len)
+    x = random_windows(SeededRng(15), 3, WINDOW)
     t = np.tile([0.25, 0.75], (3, 1))
     loss, grads = backward(params, x, t)
     assert loss == 0.0
@@ -310,14 +314,14 @@ def test_backward_reports_divergence_with_origin():
     params.w1[:] = 1e308  # blows up the dense layer input scale
     params.w2[:] = 1e308
     params.b2[:] = 1e308
-    x = random_windows(SeededRng(16), 2, cfg.window_len)
+    x = random_windows(SeededRng(16), 2, WINDOW)
     t = random_targets(SeededRng(17), 2)
     with np.errstate(over="ignore"), pytest.raises(model.NonFiniteError):
         backward(params, x, t)
 
 
 def test_backward_keeps_four_cache_blocks():
-    cfg = ModelConfig(hidden_dim=16, dense_dim=16, window_len=100)
+    cfg = ModelConfig(hidden_dim=16, dense_dim=16)
     params = init_model(cfg, SeededRng(36))
     rng = np.random.default_rng(37)
     inputs = rng.uniform(0.0, 1.0, (64, 100, 5))
@@ -337,7 +341,7 @@ def test_backward_keeps_four_cache_blocks():
 
 
 def test_backward_replays_gates_in_bounded_memory_at_paper_shape():
-    cfg = ModelConfig(hidden_dim=32, dense_dim=32, window_len=250)
+    cfg = ModelConfig(hidden_dim=32, dense_dim=32)
     params = init_model(cfg, SeededRng(38))
     rng = np.random.default_rng(39)
     inputs = rng.uniform(0.0, 1.0, (200, 250, 5))
@@ -357,7 +361,7 @@ def test_backward_replays_gates_in_bounded_memory_at_paper_shape():
 def test_predict_batch_step_scratch_is_bounded(monkeypatch):
     # one CPU, one 512-window chunk at paper shape
     monkeypatch.setattr(model, "_usable_cpus", lambda: 1)
-    cfg = ModelConfig(hidden_dim=32, dense_dim=32, window_len=250)
+    cfg = ModelConfig(hidden_dim=32, dense_dim=32)
     params = init_model(cfg, SeededRng(25))
     series = np.random.default_rng(26).uniform(0.0, 1.0, (250 + 511, 5))
     gather = 512 * 250 * 5 * 8  # the chunk's step-major windows
@@ -429,11 +433,11 @@ def test_adam_first_step_is_signed_learning_rate():
 
 
 def test_overfit_tiny_batch():
-    cfg = ModelConfig(hidden_dim=8, dense_dim=8, window_len=6, learning_rate=1e-2)
+    cfg = ModelConfig(hidden_dim=8, dense_dim=8, learning_rate=1e-2)
     params = init_model(cfg, SeededRng(20))
     adam = init_adam(cfg)
     rng = SeededRng(21)
-    x = random_windows(rng, 4, cfg.window_len)
+    x = random_windows(rng, 4, WINDOW)
     t = random_targets(rng, 4)
     losses = []
     for _ in range(200):
@@ -492,7 +496,7 @@ def _poison_b2(params, x):
 def test_kernel_rejects_non_finite_values(poison, entry):
     cfg = small_cfg()
     params = init_model(cfg, SeededRng(22))
-    x = random_windows(SeededRng(23), 3, cfg.window_len)
+    x = random_windows(SeededRng(23), 3, WINDOW)
     poison(params, x)
     with pytest.raises(model.NonFiniteError, match="non-finite") as err:
         if entry == "predict_batch":
@@ -511,7 +515,7 @@ def test_gate_overflow_names_its_row_and_step(monkeypatch, entry):
     # the hidden-major (4, H, B) gates still name that batch row alone
     cfg = small_cfg()
     params = init_model(cfg, SeededRng(22))
-    x = random_windows(SeededRng(23), 3, cfg.window_len)
+    x = random_windows(SeededRng(23), 3, WINDOW)
     x[2, 4, :] = 1e308
     threads = set()
 
@@ -562,7 +566,7 @@ def test_usable_cpus_falls_back_to_cpu_count_without_affinity(monkeypatch, count
 
 
 def test_predict_batch_bit_identical_for_any_cpu_count(monkeypatch):
-    cfg = ModelConfig(hidden_dim=32, dense_dim=32, window_len=250)
+    cfg = ModelConfig(hidden_dim=32, dense_dim=32)
     params = init_model(cfg, SeededRng(30))
     windows = np.random.default_rng(31).uniform(0.0, 1.0, (1100, 250, 5))  # last chunk ragged
     expected = np.concatenate(
@@ -588,7 +592,7 @@ def test_predict_batch_threads_raise_non_finite(monkeypatch, bad_chunks):
     # the error names the lowest failing chunk's rows whatever the CPU count
     cfg = small_cfg()
     params = init_model(cfg, SeededRng(32))
-    windows = np.random.default_rng(33).uniform(0.0, 1.0, (1100, cfg.window_len, 5))
+    windows = np.random.default_rng(33).uniform(0.0, 1.0, (1100, WINDOW, 5))
     for chunk in bad_chunks:
         windows[512 * chunk + 3, 2, 1] = np.nan
     for cpus in (1, 2, 3):
@@ -718,7 +722,7 @@ def reference_backward(params, inputs, targets):
 
 
 def test_predict_batch_bit_identical_to_reference_at_paper_shape():
-    cfg = ModelConfig(hidden_dim=32, dense_dim=32, window_len=250)
+    cfg = ModelConfig(hidden_dim=32, dense_dim=32)
     params = init_model(cfg, SeededRng(25))
     windows = np.random.default_rng(26).uniform(0.0, 1.0, (600, 250, 5))
     expected = np.concatenate(
@@ -728,7 +732,7 @@ def test_predict_batch_bit_identical_to_reference_at_paper_shape():
 
 
 def test_training_forward_bit_identical_to_reference_at_desk_shape():
-    cfg = ModelConfig(hidden_dim=16, dense_dim=16, window_len=50)
+    cfg = ModelConfig(hidden_dim=16, dense_dim=16)
     params = init_model(cfg, SeededRng(27))
     inputs = np.random.default_rng(28).uniform(0.0, 1.0, (200, 50, 5))
     expected_out, expected = reference_forward(params, inputs)
@@ -755,7 +759,7 @@ def test_training_forward_bit_identical_to_reference_at_desk_shape():
 
 def test_training_forward_without_gate_cache_bit_identical_to_reference_at_desk_shape(monkeypatch):
     monkeypatch.setattr(model, "GATE_CACHE_BYTES", 0)
-    cfg = ModelConfig(hidden_dim=16, dense_dim=16, window_len=50)
+    cfg = ModelConfig(hidden_dim=16, dense_dim=16)
     params = init_model(cfg, SeededRng(27))
     inputs = np.random.default_rng(28).uniform(0.0, 1.0, (200, 50, 5))
     expected_out, expected = reference_forward(params, inputs)
@@ -871,7 +875,7 @@ def assert_gradients_drift_within(params, inputs, targets):
 @pytest.mark.parametrize("budget", [model.GATE_CACHE_BYTES, 0], ids=["kept", "replayed"])
 def test_training_drift_from_per_gate_reference_at_desk_shape(monkeypatch, budget):
     monkeypatch.setattr(model, "GATE_CACHE_BYTES", budget)
-    cfg = ModelConfig(hidden_dim=16, dense_dim=16, window_len=50)
+    cfg = ModelConfig(hidden_dim=16, dense_dim=16)
     params = init_model(cfg, SeededRng(27))
     rng = np.random.default_rng(28)
     inputs = rng.uniform(0.0, 1.0, (200, 50, 5))
@@ -882,7 +886,7 @@ def test_training_drift_from_per_gate_reference_at_desk_shape(monkeypatch, budge
 
 
 def test_backward_drift_from_per_gate_reference_at_paper_shape():
-    cfg = ModelConfig(hidden_dim=32, dense_dim=32, window_len=250)
+    cfg = ModelConfig(hidden_dim=32, dense_dim=32)
     params = init_model(cfg, SeededRng(38))
     rng = np.random.default_rng(39)
     assert_gradients_drift_within(params, rng.uniform(0.0, 1.0, (200, 250, 5)),
@@ -890,7 +894,7 @@ def test_backward_drift_from_per_gate_reference_at_paper_shape():
 
 
 def test_predict_batch_drift_from_per_gate_reference_at_paper_shape():
-    cfg = ModelConfig(hidden_dim=32, dense_dim=32, window_len=250)
+    cfg = ModelConfig(hidden_dim=32, dense_dim=32)
     params = init_model(cfg, SeededRng(25))
     windows = np.random.default_rng(26).uniform(0.0, 1.0, (600, 250, 5))
     assert_drift_within(predict_stack(params, windows), per_gate_forward(params, windows)[0],
@@ -941,7 +945,7 @@ def test_backward_bit_identical_to_reference_at_segment_edges(monkeypatch, steps
 
     monkeypatch.setattr(model, "_forward", recording_forward)
     assert model._segment(steps) == math.ceil(math.sqrt(steps))
-    cfg = ModelConfig(hidden_dim=2, dense_dim=3, window_len=steps)
+    cfg = ModelConfig(hidden_dim=2, dense_dim=3)
     params = init_model(cfg, SeededRng(40 + steps))
     rng = np.random.default_rng(steps)
     assert_same_gradients(params, rng.uniform(0.0, 1.0, (1, steps, 5)), rng.uniform(0.0, 1.0, (1, 2)))
@@ -951,14 +955,14 @@ def test_backward_bit_identical_to_reference_at_segment_edges(monkeypatch, steps
 def test_backward_bit_identical_to_reference_at_paper_shape():
     # the gates (51.2 MB) do not fit GATE_CACHE_BYTES: this runs the replay
     assert 250 * 4 * 200 * 32 * 8 > model.GATE_CACHE_BYTES
-    cfg = ModelConfig(hidden_dim=32, dense_dim=32, window_len=250)
+    cfg = ModelConfig(hidden_dim=32, dense_dim=32)
     params = init_model(cfg, SeededRng(38))
     rng = np.random.default_rng(39)
     assert_same_gradients(params, rng.uniform(0.0, 1.0, (200, 250, 5)), rng.uniform(0.0, 1.0, (200, 2)))
 
 
 def test_backward_bit_identical_to_reference_at_desk_shape():
-    cfg = ModelConfig(hidden_dim=16, dense_dim=16, window_len=50, learning_rate=1e-2)
+    cfg = ModelConfig(hidden_dim=16, dense_dim=16, learning_rate=1e-2)
     params = init_model(cfg, SeededRng(34))
     adam = init_adam(cfg)
     rng = np.random.default_rng(35)

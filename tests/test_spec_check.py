@@ -86,9 +86,11 @@ def test_config_schemas_name_fields_and_reuse_the_spec_schema():
         names = {f.name for f in dataclasses.fields(config)}
         for name, sub in config.SCHEMA.items():
             assert name in names, f"{config.__name__}.SCHEMA names no field {name!r}"
-            # each bound is stated once: only the data's widths are not spec settings
-            if (config, name) not in ((ModelConfig, "input_dim"), (ModelConfig, "output_dim")):
-                assert id(sub) in spec_parts, f"{config.__name__}.{name}"
+            # each bound is stated once, in the spec schema
+            assert id(sub) in spec_parts, f"{config.__name__}.{name}"
+    # the model config is the spec's model section, no more and no less
+    assert ModelConfig.SCHEMA is EXPERIMENT_SCHEMA["properties"]["model"]["properties"]
+    assert [f.name for f in dataclasses.fields(ModelConfig)] == list(ModelConfig.SCHEMA)
 
 
 def test_strategy_enum_matches_substitution_strategy():

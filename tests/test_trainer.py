@@ -31,8 +31,8 @@ from ghreplay.trainer import (
     boundaries_path_for,
 )
 
-MODEL_CFG = ModelConfig(hidden_dim=8, dense_dim=8, window_len=10, learning_rate=1e-2)
-MEM_CFG = MemoryConfig(capacity=500, substitution_probability=0.1)
+MODEL_CFG = ModelConfig(hidden_dim=8, dense_dim=8, learning_rate=1e-2)
+MEM_CFG = MemoryConfig(capacity=500, substitution_probability=0.1, window_len=10)
 
 
 def synthetic_windows(n, label="GH-X", window_len=10, seed=0):
@@ -292,7 +292,7 @@ def test_evaluate_rejects_empty_test_set():
 def test_evaluate_never_stacks_the_whole_test_set(monkeypatch):
     # one CPU, so one 512-window chunk (an eighth of the set) is live at a time
     monkeypatch.setattr(model, "_usable_cpus", lambda: 1)
-    cfg = ModelConfig(hidden_dim=4, dense_dim=4, window_len=250)
+    cfg = ModelConfig(hidden_dim=4, dense_dim=4)
     params = init_model(cfg, SeededRng(12))
     phase = held_out_phase(np.full((4096, 2), 0.5), window_len=250)
     stack_bytes = 4096 * 250 * 5 * 8
@@ -364,6 +364,17 @@ def test_scenario_deterministic(tiny_phases):
     a = run_scenario(scenario, MODEL_CFG, MEM_CFG)
     b = run_scenario(scenario, MODEL_CFG, MEM_CFG)
     assert a.curve == b.curve
+
+
+def test_run_scenario_refuses_phases_of_another_window_length(tiny_phases):
+    scenario = ScenarioConfig(
+        phases=list(tiny_phases), batch_size=50, replay_size=20, eval_every=3, seed=5
+    )
+    for run in (lambda memory_cfg: run_scenario(scenario, MODEL_CFG, memory_cfg),
+                lambda memory_cfg: run_baseline(scenario, MODEL_CFG, memory_cfg, "GH-C")):
+        with pytest.raises(ValueError, match=r"^phase GH-\w: windows of 10 records, "
+                                             r"but the memory stores windows of 11$"):
+            run(dataclasses.replace(MEM_CFG, window_len=11))
 
 
 def test_single_phase_scenario_equals_baseline(tiny_phases):
@@ -493,8 +504,8 @@ def test_replay_toggle_does_not_change_memory_trajectory(tiny_phases):
     mk = lambda r: ScenarioConfig(
         phases=[phase_a, phase_c], batch_size=50, replay_size=r, eval_every=3, seed=12
     )
-    with_replay = run_scenario(mk(50), MODEL_CFG, MemoryConfig(capacity=500))
-    without = run_scenario(mk(0), MODEL_CFG, MemoryConfig(capacity=500))
+    with_replay = run_scenario(mk(50), MODEL_CFG, MemoryConfig(capacity=500, window_len=10))
+    without = run_scenario(mk(0), MODEL_CFG, MemoryConfig(capacity=500, window_len=10))
     slots_a = with_replay.state.memory.rows
     slots_b = without.state.memory.rows
     assert len(slots_a) == len(slots_b) == 500
