@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import experiment, trainer
 from .checkpoint import save_checkpoint
-from .experiment import SpecError
+from .schema import SpecError
 
 
 def _spec_overrides(args: argparse.Namespace) -> dict:
@@ -65,11 +65,12 @@ def cmd_run(args: argparse.Namespace) -> int:
     out_dir, scenario, model_cfg, memory_cfg = _set_up(args)
     result = trainer.run_scenario(scenario, model_cfg, memory_cfg, retention=args.retention)
 
-    _write_curve(out_dir / "curve.csv", result.curve)
+    _write_curve(out_dir / experiment.CURVE_CSV, result.curve)
     save_checkpoint(out_dir / "checkpoint.npz", model_cfg, result.state)
     print(f"wrote {out_dir / 'checkpoint.npz'}")
-    for wanted, name, write in ((args.retention, "retention.csv", trainer.write_retention_csv),
-                                (args.dump_memory, "memory.csv", trainer.write_memory_csv)):
+    for wanted, name, write in (
+            (args.retention, experiment.RETENTION_CSV, trainer.write_retention_csv),
+            (args.dump_memory, experiment.MEMORY_CSV, trainer.write_memory_csv)):
         if wanted:
             write(out_dir / name, result.curve)
             print(f"wrote {out_dir / name}")
@@ -79,7 +80,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_baseline(args: argparse.Namespace) -> int:
     out_dir, scenario, model_cfg, memory_cfg = _set_up(args)
     result = trainer.run_baseline(scenario, model_cfg, memory_cfg, args.phase)
-    _write_curve(out_dir / f"baseline_{args.phase}.csv", result.curve)
+    _write_curve(out_dir / f"{experiment.BASELINE_PREFIX}{args.phase}.csv", result.curve)
     return 0
 
 

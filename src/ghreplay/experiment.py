@@ -5,9 +5,10 @@ existing CSV paths), the model, memory and scenario settings, and the
 output directory. ``validate_spec`` checks it against ``EXPERIMENT_SCHEMA``
 (see ``schema``) before any work starts and names the first bad key by
 its dotted path; unknown keys are rejected, and so is a key that a spec
-file gives twice in one object. The configs built from a spec check
-themselves against the same schema parts, so a setting's bounds are
-stated once. Two built-in presets supply defaults: ``paper``
+file gives twice in one object, or a greenhouse name that holds a path
+separator or would overwrite an output file. The configs built from a
+spec check themselves against the same schema parts, so a setting's
+bounds are stated once. Two built-in presets supply defaults: ``paper``
 (protocol-scale constants: window 250, batches of 100, 10k-sample
 memory, substitution probability 0.1, evaluation every 3 updates,
 10k-sample test sets) and ``desk``, the same protocol scaled down to run
@@ -33,7 +34,13 @@ from .memory import MemoryConfig
 from .model import ModelConfig
 from .rng import SeededRng
 from .schema import EXPERIMENT_SCHEMA, SpecError, _schema_errors
-from .trainer import ScenarioConfig
+from .trainer import ScenarioConfig, boundaries_path_for
+
+# The CSVs ``run`` writes into the output directory, and the prefix of the
+# ones ``baseline --phase P`` writes there (``baseline_P.csv``), beside the
+# generated greenhouses' ``<name>.csv``, which must not take their names.
+CURVE_CSV, RETENTION_CSV, MEMORY_CSV = "curve.csv", "retention.csv", "memory.csv"
+BASELINE_PREFIX = "baseline_"
 
 
 def desk_spec() -> dict:
@@ -69,16 +76,21 @@ PRESET_SPECS = {"desk": desk_spec, "paper": paper_spec}
 
 def validate_spec(doc: dict) -> None:
     """Raise ``SpecError("<dotted.path>: <message>")`` for the first error by
-    path against ``EXPERIMENT_SCHEMA``, else for the first greenhouse that
-    repeats a name, gives both ``params`` and ``csv``, or gives neither
-    and names no built-in preset."""
+    path against ``EXPERIMENT_SCHEMA``, else for the first greenhouse whose
+    name holds a path separator or a NUL byte or repeats a name, that gives
+    both ``params`` and ``csv``, or gives neither and names no built-in
+    preset, or that is generated to a file ``run`` or ``baseline`` writes."""
     errors = list(_schema_errors(doc, EXPERIMENT_SCHEMA, ()))
     if errors:
         path, message = min(errors, key=lambda error: error[0])
         raise SpecError(f"{'.'.join(map(str, path)) or 'spec'}: {message}")
     names = [entry["name"] for entry in doc["greenhouses"]]
+    outputs = (CURVE_CSV, boundaries_path_for(CURVE_CSV).name, RETENTION_CSV, MEMORY_CSV)
     for k, entry in enumerate(doc["greenhouses"]):
         name = entry["name"]
+        if any(char in name for char in "/\\\0"):
+            raise SpecError(f"greenhouses.{k}.name: {name!r} holds '/', '\\' or a NUL byte; a "
+                            f"greenhouse name is a file name in the output directory")
         if name in names[:k]:
             raise SpecError(f"greenhouses.{k}.name: {name!r} is repeated; "
                             f"each greenhouse needs its own name")
@@ -88,6 +100,9 @@ def validate_spec(doc: dict) -> None:
         if "params" not in entry and "csv" not in entry and name not in PRESETS:
             raise SpecError(f"greenhouses.{k}.name: greenhouse {name!r} has no 'params' or "
                             f"'csv' and is not a built-in preset ({', '.join(sorted(PRESETS))})")
+        if "csv" not in entry and (f"{name}.csv" in outputs or name.startswith(BASELINE_PREFIX)):
+            raise SpecError(f"greenhouses.{k}.name: greenhouse {name!r} would be generated to "
+                            f"{name}.csv, a file that `run` or `baseline` writes")
 
 
 def _deep_merge(base: dict, override: dict) -> dict:

@@ -5,11 +5,11 @@ import pytest
 from conftest import lstm_blocks
 
 from ghreplay.checkpoint import LAYOUT, load_checkpoint, save_checkpoint
-from ghreplay.dataset import Phase
+from ghreplay.dataset import Phase, stack_samples
 from ghreplay.memory import EpisodicMemory, MemoryConfig, SubstitutionStrategy
 from ghreplay.model import ModelConfig, backward, init_adam, init_model, adam_step
 from ghreplay.rng import SeededRng
-from ghreplay.trainer import TrainerState, stack_samples
+from ghreplay.trainer import TrainerState
 
 
 WINDOW_LEN = 8

@@ -303,6 +303,26 @@ def test_repeated_greenhouse_name_exit_2_before_writing(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "name",
+    ["../escaped", "a/b", "a\\b", "ABS", "a\0b",
+     "curve", "curve_boundaries", "retention", "memory", "baseline_GH-A"],
+    ids=["parent", "slash", "backslash", "absolute", "nul",
+         "curve", "boundaries", "retention", "memory", "baseline"],
+)
+def test_greenhouse_name_that_is_a_path_or_an_output_exit_2_before_writing(tmp_path, capsys, name):
+    # the name becomes <out>/<name>.csv: a path would leave <out>, an output name would be
+    # overwritten by run or baseline
+    if name == "ABS":  # an absolute name under tmp_path, so a write that gets through stays there
+        name = str(tmp_path / "abs")
+    spec_path, doc = write_tiny_spec(tmp_path, greenhouses=[{"name": "GH-A"},
+                                                            {"name": name, "params": {}}])
+    for command in (["generate"], ["run"], ["baseline", "--phase", "GH-A"]):
+        assert main([*command, "--spec", str(spec_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: greenhouses.1.name: ")
+    assert list(tmp_path.rglob("*")) == [spec_path]
+
+
+@pytest.mark.parametrize(
     "text, key",
     [('{"seed": 1, "seed": 2, "memory": {"capacity": 5}, "memory": {"capacity": 7}}', "seed"),
      ('{"greenhouses": [{"name": "GH-A"}], "memory": {"capacity": 5, "capacity": 7}}', "capacity")],

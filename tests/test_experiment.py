@@ -9,7 +9,6 @@ from ghreplay import experiment
 from ghreplay.climate import SAMPLE_INTERVAL_S
 from ghreplay.dataset import WINDOW_STRIDE
 from ghreplay.experiment import (
-    SpecError,
     build_memory_config,
     build_model_config,
     build_phases,
@@ -22,6 +21,7 @@ from ghreplay.experiment import (
     validate_spec,
 )
 from ghreplay.memory import SubstitutionStrategy
+from ghreplay.schema import SpecError
 
 
 def tiny_spec(out_dir):
@@ -186,6 +186,10 @@ def test_external_csv_entry_skipped_by_generate(tmp_path):
     assert not (tmp_path / "real.csv").exists()
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert [g["name"] for g in manifest["greenhouses"]] == ["GH-A", "GH-C"]
+
+
+def test_greenhouse_read_from_csv_may_take_an_output_name():
+    validate_spec({**desk_spec(), "greenhouses": [{"name": "curve", "csv": "curve.csv"}]})
 
 
 def test_readme_library_use_runs_as_written(tmp_path, monkeypatch, capsys):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from conftest import lstm_blocks, predict_stack
 
+import ghreplay
 from ghreplay import linalg, model
 from ghreplay.dataset import INPUT_FIELDS, TARGET_FIELDS
 from ghreplay.linalg import SIGMOID, TANH
@@ -618,9 +619,17 @@ def python_with_blas_threads(preset, code):
 
 @pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])
 def test_import_pins_blas_threads_unless_set(preset, expected):
-    code = "import os, ghreplay; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    # the root imports nothing of its own, so the pin always precedes numpy
+    code = ("import os, sys, ghreplay; print(os.environ['OPENBLAS_NUM_THREADS']); "
+            "print(sorted(m for m in sys.modules if m == 'numpy' or m.startswith('ghreplay.')))")
     out = python_with_blas_threads(preset, code)
-    assert out.stdout.strip() == expected
+    assert out.stdout.splitlines() == [expected, "[]"]
+
+
+def test_version_is_the_pyproject_version():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
+    with open(Path(__file__).resolve().parent.parent / "pyproject.toml", "rb") as fh:
+        assert ghreplay.__version__ == tomllib.load(fh)["project"]["version"]
 
 
 @pytest.mark.parametrize("preset", [None, "2"], ids=["unset", "preset"])

@@ -16,16 +16,10 @@ import pytest
 
 from ghreplay.cli import main
 from ghreplay.climate import PRESETS, GreenhouseParams
-from ghreplay.experiment import (
-    EXPERIMENT_SCHEMA,
-    SpecError,
-    _schema_errors,
-    desk_spec,
-    paper_spec,
-    validate_spec,
-)
+from ghreplay.experiment import desk_spec, paper_spec, validate_spec
 from ghreplay.memory import MemoryConfig, SubstitutionStrategy
 from ghreplay.model import ModelConfig
+from ghreplay.schema import EXPERIMENT_SCHEMA, SpecError, _schema_errors
 from ghreplay.trainer import ScenarioConfig
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")

@@ -7,14 +7,13 @@ import pytest
 from conftest import lstm_blocks
 
 from ghreplay import model, trainer
-from ghreplay.dataset import stack_steps
+from ghreplay.dataset import Phase, stack_samples, stack_steps
 from ghreplay.memory import EpisodicMemory, MemoryConfig
 from ghreplay.model import ModelConfig, init_adam, init_model, zeros_params
 from ghreplay.rng import SeededRng
 from ghreplay.trainer import (
     EvalPoint,
     LearningCurve,
-    Phase,
     ScenarioConfig,
     TrainerState,
     compare_transfer,
@@ -24,7 +23,6 @@ from ghreplay.trainer import (
     run_baseline,
     run_phase,
     run_scenario,
-    stack_samples,
     train_update,
     write_boundaries_csv,
     write_curve_csv,
