@@ -2,9 +2,10 @@
 
 Matrices are 2-D C-contiguous numpy float64 arrays; numpy supplies the
 kernels. These wrappers pin down the contracts the model relies on:
-shape errors that name both operands, finite results, a sigmoid that
-never exponentiates a large positive argument, and activation
-derivatives expressed in terms of the activation *output*.
+shape errors that name both operands, finite results, the kernel's
+sigmoid 1 / (1 + exp(-x)), whose exp overflows silently below -709.78,
+and activation derivatives expressed in terms of the activation
+*output*.
 
 No module of the package imports this one: ``model.py`` runs the same
 arithmetic on numpy directly, and its bit-identity tests compare it with
@@ -48,13 +49,9 @@ def activation(kind: str, x: np.ndarray) -> np.ndarray:
     if not np.isfinite(x).all():
         raise ValueError(f"activation({kind}): input contains non-finite values")
     if kind == SIGMOID:
-        # branch form: exp() only ever sees non-positive arguments
-        out = np.empty_like(x)
-        pos = x >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        ex = np.exp(x[~pos])
-        out[~pos] = ex / (1.0 + ex)
-        return out
+        # below -709.78 exp(-x) is inf and the result 0, the limit
+        with np.errstate(over="ignore"):
+            return 1.0 / (1.0 + np.exp(-x))
     if kind == TANH:
         return np.tanh(x)
     return x.copy()

@@ -41,10 +41,12 @@ issues two GEMMs per step: the gate deltas times the step's operand
 transposed, the gradient of ``lstm`` at once, and its recurrent block
 transposed times the deltas, dh.
 Finiteness is checked at the boundaries, not per operation: the windows
-once on entry, the four gate pre-activations once per step, then the
-dense pre-activation and the outputs after the bias b2, in the one
-forward pass that training and prediction share; ``mse_loss`` checks
-the squared errors of training and evaluation alike. A failed check raises
+once on entry, where they and the LSTM weights are also bounded; the
+four gate pre-activations at every step only when that bound cannot
+rule out an overflow; then the dense pre-activation and the outputs
+after the bias b2, in the one forward pass that training and prediction
+share; ``mse_loss`` checks the squared errors of training and
+evaluation alike. A failed check raises
 ``NonFiniteError``, a ``ValueError`` that names the batch rows holding a
 non-finite value; the rows are found only once a check has failed, and
 ``trainer.train_update`` adds each row's greenhouse and timestamp.
@@ -225,19 +227,15 @@ def _check_inputs(params: ModelParams, inputs: np.ndarray, ndim: int) -> np.ndar
 def _sigmoid_inplace(x: np.ndarray, e: np.ndarray) -> None:
     """Sigmoid of finite x into x, with e a scratch buffer of x's shape.
 
-    Bit-identical to linalg.activation(SIGMOID, x): exp() only sees
-    -|x|, so 1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below.
-    The numerator is built in x itself once e holds exp(-|x|): the 0/1
-    mask x >= 0, then max(e, mask), which is that select without a
-    data-dependent branch, because 0 <= e <= 1.
+    Four passes, 1 / (1 + exp(-x)), bit-identical to
+    linalg.activation(SIGMOID, x). Below x = -709.78, exp(-x) overflows
+    to inf and the result is 0, the limit (the exact value is below
+    5.6e-309), so the caller runs it under np.errstate(over="ignore").
     """
-    np.abs(x, out=e)
-    np.negative(e, out=e)
+    np.negative(x, out=e)
     np.exp(e, out=e)
-    np.greater_equal(x, 0.0, out=x, casting="unsafe")
-    np.maximum(e, x, out=x)
     e += 1.0
-    np.divide(x, e, out=x)
+    np.divide(1.0, e, out=x)
 
 
 def _segment(steps: int) -> int:
@@ -262,7 +260,8 @@ def _stepper(params: ModelParams, batch: int):
     ones. The gates come out hidden-major, each a contiguous (H, B)
     block. One (3, H, B) scratch block holds the sigmoid's exp, then
     i * g in its first row, then tanh(c) there. With check, a non-finite
-    sum returns False."""
+    sum returns False. The sigmoid's exp may overflow to inf, so callers
+    run the step under np.errstate(over="ignore")."""
     hidden = params.lstm.shape[0] // 4
     operand = np.zeros((params.lstm.shape[1], batch))
     operand[-1] = 1.0
@@ -293,17 +292,28 @@ def _forward(
 ) -> tuple[np.ndarray, ForwardCache | None]:
     """The LSTM forward pass over a shape-checked (B, T, D) batch.
 
-    Finiteness is checked once per step on the four gate pre-activations,
-    as a non-finite weight, bias or state makes the step's product
-    non-finite. With keep_cache, c (and h, if the gates are not kept) is
-    copied out at each segment end, and the gates are written straight
-    into the BPTT cache if it keeps them; h, c and otherwise the gates
-    are scratch buffers updated in place. A failed check raises
-    ``NonFiniteError`` naming the batch rows involved, numbered from
-    ``first_row``.
+    The windows and weights are bounded once per call, by two reductions
+    each that make no temporary. As h = o * tanh(c) lies in [-1, 1] and
+    the operand's last row is 1, no gate pre-activation of any step
+    exceeds |lstm|.max() * (D + H + 1) * max(|inputs|.max(), 1). When that
+    bound is far below the float64 maximum, no step checks its gates;
+    otherwise each step checks its four gate pre-activations, as a
+    non-finite or huge weight, bias or state makes the step's product
+    non-finite, so the pass fails at the step where it first overflows.
+    With keep_cache, c (and h, if the gates are not kept) is copied out
+    at each segment end, and the gates are written straight into the
+    BPTT cache if it keeps them; h, c and otherwise the gates are scratch
+    buffers updated in place. A failed check raises ``NonFiniteError``
+    naming the batch rows involved, numbered from ``first_row``.
     """
-    if not np.isfinite(inputs).all():
+    x_max = max(inputs.max(), -inputs.min())  # NaN if the windows hold one
+    if not math.isfinite(x_max):
         raise _non_finite("windows contain", inputs, first_row)
+    w_max = max(params.lstm.max(), -params.lstm.min())
+    bound = float(w_max) * params.lstm.shape[1] * max(float(x_max), 1.0)
+    # the GEMM's rounding adds a relative (D + H + 1) * 2^-53 at most, far
+    # inside the margin to 1.8e308; a NaN weight fails the comparison
+    check = not bound < 1e300
     batch, steps, _ = inputs.shape
     step, h = _stepper(params, batch)
     shape = h.shape
@@ -323,7 +333,7 @@ def _forward(
         for t in range(steps):
             if gates_s is not None:
                 z = gates_s[t]
-            if not step(inputs[:, t, :], c, c, z):
+            if not step(inputs[:, t, :], c, c, z, check):
                 raise _non_finite(
                     f"LSTM step {t}: gate pre-activation contains", z.transpose(2, 0, 1), first_row
                 )
@@ -499,8 +509,9 @@ def backward(params: ModelParams, inputs: np.ndarray, targets: np.ndarray) -> tu
             else:
                 first = start
                 h_run[:] = cache.h_ends[start // segment - 1] if start else 0.0
-                for j in range(k + 1):
-                    step(inputs[:, start + j, :], c_seg[j], c_seg[j + 1], gates[j], check=False)
+                with np.errstate(over="ignore"):  # the sigmoid's exp, as in the forward
+                    for j in range(k + 1):
+                        step(inputs[:, start + j, :], c_seg[j], c_seg[j + 1], gates[j], check=False)
         z = gates[t - first]
         i, f, o, g = z
         c_prev = c_seg[k]

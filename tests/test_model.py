@@ -4,6 +4,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -384,17 +385,34 @@ def test_predict_batch_step_scratch_is_bounded(monkeypatch):
 SIGMOID_EDGES = [0.0, 5e-324, 1e-300, 36.7, 709.0, 745.0, 746.0, 1e308]
 
 
+def branch_sigmoid(x):
+    """The sigmoid's former branch form, kept as a drift oracle: exp() only
+    ever sees non-positive arguments, so 1 / (1 + exp(-x)) for x >= 0 and
+    exp(x) / (1 + exp(x)) below."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
 def test_sigmoid_inplace_bit_identical_to_linalg_at_edges():
-    # the kernel's sigmoid builds its numerator in its own input; in a
+    # the kernel's sigmoid writes its result into its own input; in a
     # (3, H, B) view of a (4, H, B) gate block, as the step runs it
     values = np.array([sign * v for v in SIGMOID_EDGES for sign in (1.0, -1.0)])
     z = np.empty((4, 5, 7))
     z[:3] = np.resize(values, (3, 5, 7))  # every edge in every gate
     z[3] = 0.25
     expected = linalg.activation(SIGMOID, z[:3])
-    model._sigmoid_inplace(z[:3], np.empty((3, 5, 7)))
+    branch = branch_sigmoid(z[:3])
+    with np.errstate(over="ignore"):  # exp(746) and exp(1e308) overflow, as in the step loop
+        model._sigmoid_inplace(z[:3], np.empty((3, 5, 7)))
     assert np.array_equal(z[:3].view(np.int64), expected.view(np.int64))
     assert (z[3] == 0.25).all()
+    # the branch form's bits but at -745, where it gives the smallest
+    # subnormal and the kernel 0: within one ulp at every edge
+    assert np.array_equal(np.unique(np.abs(z[:3] - branch)), [0.0, 5e-324])
 
 
 def test_adam_zero_gradients_leave_params_unchanged():
@@ -510,14 +528,9 @@ def test_kernel_rejects_non_finite_values(poison, entry):
         assert err.value.rows.tolist() == [0, 1, 2]
 
 
-@pytest.mark.parametrize("entry", ["predict_batch-helper", "backward-kept", "backward-replayed"])
-def test_gate_overflow_names_its_row_and_step(monkeypatch, entry):
-    # one window, not the first, overflows its gate products at a later step;
-    # the hidden-major (4, H, B) gates still name that batch row alone
-    cfg = small_cfg()
-    params = init_model(cfg, SeededRng(22))
-    x = random_windows(SeededRng(23), 3, WINDOW)
-    x[2, 4, :] = 1e308
+def assert_gate_overflow_at_step_4_in_row_2(monkeypatch, entry, params, x):
+    """``entry`` on the windows x must fail at step 4 naming batch row 2
+    alone, through a helper thread's chunk or in ``backward``."""
     threads = set()
 
     def recording_forward(*args, **kwargs):
@@ -539,6 +552,145 @@ def test_gate_overflow_names_its_row_and_step(monkeypatch, entry):
     assert str(err.value) == "LSTM step 4: gate pre-activation contains non-finite values in batch rows [2]"
     assert err.value.rows.tolist() == [2]
     assert len(threads) == (2 if entry == "predict_batch-helper" else 1)
+
+
+OVERFLOW_ENTRIES = ["predict_batch-helper", "backward-kept", "backward-replayed"]
+
+
+@pytest.mark.parametrize("entry", OVERFLOW_ENTRIES)
+def test_gate_overflow_names_its_row_and_step(monkeypatch, entry):
+    # one window, not the first, overflows its gate products at a later step;
+    # the hidden-major (4, H, B) gates still name that batch row alone
+    params = init_model(small_cfg(), SeededRng(22))
+    x = random_windows(SeededRng(23), 3, WINDOW)
+    x[2, 4, :] = 1e308
+    assert_gate_overflow_at_step_4_in_row_2(monkeypatch, entry, params, x)
+
+
+# --- the once-per-call bound on the gate pre-activations --------------------
+#
+# |h| <= 1 and the operand's last row is 1, so with bounded windows and
+# weights no gate pre-activation can overflow and no step checks its gates;
+# past the bound every step does, and errors and bits stay as they were.
+
+ENTRIES = ["predict_batch", "backward-kept", "backward-replayed"]
+
+
+def recorded_checks(monkeypatch):
+    """The list that collects the check flag of every kernel step from here on."""
+    checks = []
+    stepper = model._stepper
+
+    def recording_stepper(params, batch):
+        step, h = stepper(params, batch)
+
+        def recording_step(x_t, c_prev, c, z, check=True):
+            checks.append(check)
+            return step(x_t, c_prev, c, z, check)
+
+        return recording_step, h
+
+    monkeypatch.setattr(model, "_stepper", recording_stepper)
+    return checks
+
+
+def run_entry(monkeypatch, entry, params, x):
+    """Predictions, or gradients asserted bit-identical to the reference's."""
+    if entry == "predict_batch":
+        return predict_stack(params, x)
+    if entry == "backward-replayed":
+        monkeypatch.setattr(model, "GATE_CACHE_BYTES", 0)
+    return assert_same_gradients(params, x, random_targets(SeededRng(24), len(x)))
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_bounded_weights_and_windows_check_no_step(monkeypatch, entry):
+    checks = recorded_checks(monkeypatch)
+    params = init_model(small_cfg(), SeededRng(22))
+    run_entry(monkeypatch, entry, params, random_windows(SeededRng(23), 3, WINDOW))
+    # the forward's steps, then a replay's, which never checks
+    assert checks == [False] * (WINDOW if entry != "backward-replayed" else 2 * WINDOW)
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_finite_weight_past_the_bound_checks_every_step_and_keeps_its_bits(monkeypatch, entry):
+    checks = recorded_checks(monkeypatch)
+    params = init_model(small_cfg(), SeededRng(22))
+    lstm_blocks(params)[0][1, 0, 0] = -1e299  # unit 0's forget gate at 0; nothing overflows
+    x = random_windows(SeededRng(23), 3, WINDOW)
+    outputs = run_entry(monkeypatch, entry, params, x)
+    if entry == "predict_batch":
+        assert np.array_equal(outputs, reference_forward(params, x)[0])
+    assert checks[:WINDOW] == [True] * WINDOW
+
+
+@pytest.mark.parametrize("entry", OVERFLOW_ENTRIES)
+def test_finite_weight_overflow_names_its_row_and_step(monkeypatch, entry):
+    # input 0's weights of gate i pass the bound; only window 2's input 0 at
+    # step 4, the one value above 1, makes their product overflow
+    params = init_model(small_cfg(), SeededRng(22))
+    lstm_blocks(params)[0][0, :, 0] = 1e308
+    x = random_windows(SeededRng(23), 3, WINDOW)
+    x[2, 4, 0] = 2.0
+    assert_gate_overflow_at_step_4_in_row_2(monkeypatch, entry, params, x)
+
+
+def non_finite_error(entry, params, x):
+    """The NonFiniteError that ``entry``, predict_batch or backward, raises on the windows x."""
+    with pytest.raises(model.NonFiniteError) as err:
+        if entry == "predict_batch":
+            predict_stack(params, x)
+        else:
+            backward(params, x, random_targets(SeededRng(24), len(x)))
+    return err.value
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("block", [0, 1, 2], ids=["w", "u", "b"])
+@pytest.mark.parametrize("entry", ["predict_batch", "backward"])
+def test_non_finite_weight_fails_at_step_0(value, block, entry):
+    # unit 2 of the forget gate: its input weights, its recurrent weights
+    # (times the zero h of step 0) or its bias make every row's product non-finite
+    params = init_model(small_cfg(), SeededRng(22))
+    lstm_blocks(params)[block][1, 2] = value
+    err = non_finite_error(entry, params, random_windows(SeededRng(23), 3, WINDOW))
+    assert str(err) == "LSTM step 0: gate pre-activation contains non-finite values in batch rows [0, 1, 2]"
+    assert err.rows.tolist() == [0, 1, 2]
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("entry", ["predict_batch", "backward"])
+def test_non_finite_window_value_names_its_row(value, entry):
+    params = init_model(small_cfg(), SeededRng(22))
+    x = random_windows(SeededRng(23), 3, WINDOW)
+    x[1, 3, 2] = value
+    err = non_finite_error(entry, params, x)
+    assert str(err) == "windows contain non-finite values in batch rows [1]"
+    assert err.rows.tolist() == [1]
+
+
+@pytest.mark.parametrize("entry", ["predict_batch", "backward-kept-desk", "backward-replayed-paper"])
+def test_sigmoid_overflow_is_silent(entry):
+    # input 0's weights scaled up: sigmoid pre-activations far below -710,
+    # where exp(-x) overflows to inf and the gate is 0
+    hidden, steps = (32, 250) if entry.endswith("paper") else (16, 50)
+    params = init_model(ModelConfig(hidden_dim=hidden, dense_dim=hidden), SeededRng(30))
+    lstm_blocks(params)[0][:, :, 0] *= 1e4
+    rng = np.random.default_rng(31)
+    x = rng.uniform(0.0, 1.0, (200, steps, 5))
+    pre = params.lstm[: 3 * hidden] @ step_operand(x[:, 0, :], np.zeros((hidden, 200)))
+    assert pre.min() < -710
+    if entry != "predict_batch":
+        assert (4 * steps * hidden * 200 * 8 <= model.GATE_CACHE_BYTES) == entry.endswith("desk")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        if entry == "predict_batch":
+            assert np.isfinite(predict_stack(params, x)).all()
+        else:
+            loss, grads = backward(params, x, rng.uniform(0.0, 1.0, (200, 2)))
+            assert math.isfinite(loss)
+            for name, grad in grads.items():
+                assert np.isfinite(grad).all(), name
 
 
 def test_predict_batch_names_rows_of_later_chunks():
@@ -658,11 +810,15 @@ def step_operand(x_t, h):
     return np.concatenate((x_t.T, h, np.ones((1, h.shape[1]))))
 
 
-def reference_forward(params, inputs):
+def linalg_sigmoid(x):
+    return linalg.activation(SIGMOID, x)
+
+
+def reference_forward(params, inputs, sigmoid=linalg_sigmoid):
     """The LSTM forward pass against the checked linalg helpers: the four
     gate pre-activations as one product [w | u | b] @ [x_t; h; 1], then the
     activations and the cell recurrence gate by gate, hidden-major (H, B).
-    The kernel must reproduce its every bit."""
+    With linalg's sigmoid, the kernel must reproduce its every bit."""
     batch, steps, _ = inputs.shape
     hidden = params.lstm.shape[0] // 4
     cache = {name: np.empty((steps, hidden, batch)) for name in ("i", "f", "o", "g", "c", "tc", "h")}
@@ -670,9 +826,7 @@ def reference_forward(params, inputs):
     c = np.zeros((hidden, batch))
     for t in range(steps):
         pre = linalg.matmul(params.lstm, step_operand(inputs[:, t, :], h)).reshape(4, hidden, batch)
-        i = linalg.activation(SIGMOID, pre[0])
-        f = linalg.activation(SIGMOID, pre[1])
-        o = linalg.activation(SIGMOID, pre[2])
+        i, f, o = (sigmoid(a) for a in pre[:3])
         g = linalg.activation(TANH, pre[3])
         c = f * c + i * g
         tc = np.tanh(c)
@@ -684,14 +838,14 @@ def reference_forward(params, inputs):
     return linalg.matmul(dense, params.w2.T) + params.b2, cache
 
 
-def reference_backward(params, inputs, targets):
+def reference_backward(params, inputs, targets, sigmoid=linalg_sigmoid):
     """Loss and gradients on linalg.activation_grad, the gate deltas written
     gate by gate and stacked into (4H, B) for the kernel's two products per
     step: deltas @ [x_t; h_prev; 1]^T, the gradient of [w | u | b], and the
     stacked recurrent weights transposed @ deltas, dh. Returned as one array
     per gate (``w_i`` ... ``b_g``) plus the head's: backward must reproduce
     their every bit."""
-    outputs, cache = reference_forward(params, inputs)
+    outputs, cache = reference_forward(params, inputs, sigmoid)
     loss, _ = mse_loss(outputs, targets)
     batch, steps, dim = inputs.shape
     hidden = params.lstm.shape[0] // 4
@@ -908,6 +1062,58 @@ def test_predict_batch_drift_from_per_gate_reference_at_paper_shape():
     windows = np.random.default_rng(26).uniform(0.0, 1.0, (600, 250, 5))
     assert_drift_within(predict_stack(params, windows), per_gate_forward(params, windows)[0],
                         "outputs")
+
+
+# --- drift from the branch-form sigmoid -------------------------------------
+#
+# The kernel's sigmoid, and linalg's with it, is 1 / (1 + exp(-x)) in four
+# passes; it was the branch form, which never overflows. The stacked
+# reference on the branch form is a third oracle: the formula may move each
+# result by rounding, relative to the array's largest entry, and by nothing
+# more.
+
+def assert_gradients_drift_from_branch_sigmoid_within(params, inputs, targets):
+    expected_loss, expected = reference_backward(params, inputs, targets, branch_sigmoid)
+    loss, grads = backward(params, inputs, targets)
+    assert abs(loss - expected_loss) <= DRIFT * expected_loss
+    expected_lstm = np.concatenate(
+        [np.column_stack([expected[f"{kind}_{gate}"] for kind in "wub"]) for gate in GATES]
+    )
+    assert_drift_within(grads.lstm, expected_lstm, "lstm")
+    for name in ("w1", "b1", "w2", "b2"):
+        assert_drift_within(getattr(grads, name), expected[name], name)
+
+
+@pytest.mark.parametrize("budget", [model.GATE_CACHE_BYTES, 0], ids=["kept", "replayed"])
+def test_training_drift_from_branch_sigmoid_at_desk_shape(monkeypatch, budget):
+    monkeypatch.setattr(model, "GATE_CACHE_BYTES", budget)
+    cfg = ModelConfig(hidden_dim=16, dense_dim=16)
+    params = init_model(cfg, SeededRng(27))
+    rng = np.random.default_rng(28)
+    inputs = rng.uniform(0.0, 1.0, (200, 50, 5))
+    outputs, cache = _forward(params, _check_inputs(params, inputs, 3), keep_cache=True)
+    assert (cache.gates is None) == (budget == 0)
+    assert_drift_within(outputs, reference_forward(params, inputs, branch_sigmoid)[0], "outputs")
+    assert_gradients_drift_from_branch_sigmoid_within(params, inputs, rng.uniform(0.0, 1.0, (200, 2)))
+
+
+def test_backward_drift_from_branch_sigmoid_at_paper_shape():
+    cfg = ModelConfig(hidden_dim=32, dense_dim=32)
+    params = init_model(cfg, SeededRng(38))
+    rng = np.random.default_rng(39)
+    assert_gradients_drift_from_branch_sigmoid_within(
+        params, rng.uniform(0.0, 1.0, (200, 250, 5)), rng.uniform(0.0, 1.0, (200, 2))
+    )
+
+
+def test_predict_batch_drift_from_branch_sigmoid_at_paper_shape():
+    cfg = ModelConfig(hidden_dim=32, dense_dim=32)
+    params = init_model(cfg, SeededRng(25))
+    windows = np.random.default_rng(26).uniform(0.0, 1.0, (600, 250, 5))
+    expected = np.concatenate(
+        [reference_forward(params, windows[s : s + 512], branch_sigmoid)[0] for s in (0, 512)]
+    )
+    assert_drift_within(predict_stack(params, windows), expected, "outputs")
 
 
 def assert_same_gradients(params, inputs, targets):
