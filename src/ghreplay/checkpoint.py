@@ -22,6 +22,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import zipfile
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -59,6 +60,18 @@ def save_checkpoint(path: str | Path, model_cfg: ModelConfig, state: TrainerStat
     arrays["meta_json"] = np.array(json.dumps(meta, sort_keys=True))
     with atomic_open(path, "wb") as fh:
         np.savez_compressed(fh, **arrays)
+
+
+def _read(path, data, key: str) -> np.ndarray:
+    """The archive member ``key`` of the open checkpoint ``data``, refused
+    if it does not read, or reads as anything but an array."""
+    try:
+        arr = data[key]
+    except (OSError, EOFError, ValueError, zipfile.BadZipFile, zlib.error) as exc:
+        raise ValueError(f"{path}: array {key} is damaged: {exc}") from None
+    if not isinstance(arr, np.ndarray):  # np.load hands back a member without the npy magic as bytes
+        raise ValueError(f"{path}: array {key} is not an npy array")
+    return arr
 
 
 def _checked(path, arrays, key: str, shape: tuple, finite: bool = True,
@@ -115,7 +128,7 @@ def load_checkpoint(path: str | Path) -> tuple[ModelConfig, TrainerState]:
                 raise ValueError(f"{path}: array {key} is missing")
             if key not in LAYOUT:
                 raise ValueError(f"{path}: array {key} is not part of this checkpoint layout")
-        arrays = {key: data[key] for key in LAYOUT}
+        arrays = {key: _read(path, data, key) for key in LAYOUT}
     try:
         meta = json.loads(str(arrays["meta_json"][()]))
         model_cfg = ModelConfig(**meta["model_config"])

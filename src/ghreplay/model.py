@@ -455,9 +455,9 @@ def backward(params: ModelParams, inputs: np.ndarray, targets: np.ndarray) -> tu
     lstm's (4H, H) recurrent block, a strided view, times d_pre, which
     is dh_prev.
     """
+    inputs = _check_inputs(params, inputs, 3)
     if inputs.shape[0] == 0:
         raise ValueError("backward: empty batch")
-    inputs = _check_inputs(params, inputs, 3)
     outputs, cache = _forward(params, inputs, keep_cache=True)
     targets = np.asarray(targets, dtype=np.float64)
 

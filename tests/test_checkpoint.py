@@ -1,4 +1,6 @@
+import io
 import json
+import zipfile
 
 import numpy as np
 import pytest
@@ -302,6 +304,67 @@ def test_load_checkpoint_refuses_a_file_that_is_no_archive(tmp_path, contents):
     save_checkpoint(path, cfg, state)
     path.write_bytes(contents(path.read_bytes()))
     with pytest.raises(ValueError, match=r"^.*ckpt.npz: not a checkpoint archive \("):
+        load_checkpoint(path)
+
+
+def rewrite_member(path, name, change, compression=None):
+    """Rewrite the archive at ``path`` with member ``name``'s bytes replaced
+    by ``change(bytes)``, and every member stored with ``compression`` if given."""
+    with zipfile.ZipFile(path) as archive:
+        members = [(info, archive.read(info)) for info in archive.infolist()]
+    with zipfile.ZipFile(path, "w") as archive:
+        for info, data in members:
+            info.compress_type = info.compress_type if compression is None else compression
+            archive.writestr(info, change(data) if info.filename == name else data)
+
+
+def flip_member_byte(path, name, at, compression=None):
+    """Flip byte ``at`` of member ``name``'s data as stored in the archive at
+    ``path``, leaving the archive's recorded CRC as it was; first rewrite
+    the archive with ``compression`` if given."""
+    if compression is not None:
+        rewrite_member(path, name, lambda data: data, compression)
+    with zipfile.ZipFile(path) as archive:
+        info = archive.getinfo(name)
+    raw = bytearray(path.read_bytes())
+    header = info.header_offset
+    start = header + 30 + int.from_bytes(raw[header + 26:header + 28], "little") \
+        + int.from_bytes(raw[header + 28:header + 30], "little")
+    raw[start + at % info.compress_size] ^= 0xFF
+    path.write_bytes(bytes(raw))
+
+
+def object_array(data):
+    """An npy member holding a pickled object array, in place of ``data``."""
+    out = io.BytesIO()
+    np.save(out, np.array(["GH-0", None], dtype=object), allow_pickle=True)
+    return out.getvalue()
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        # the deflate stream's block header
+        (lambda path: flip_member_byte(path, "param__lstm.npy", at=0),
+         "param__lstm is damaged: Error -3 while decompressing data"),
+        # stored, not deflated: only the CRC catches the byte
+        (lambda path: flip_member_byte(path, "param__b2.npy", at=-1, compression=zipfile.ZIP_STORED),
+         "param__b2 is damaged: Bad CRC-32"),
+        (lambda path: rewrite_member(path, "adam_t.npy", lambda data: b"3"), "adam_t is not an npy array"),
+        # half of the ten slots' 80 bytes
+        (lambda path: rewrite_member(path, "mem_rows.npy", lambda data: data[:-40]),
+         "mem_rows is damaged: EOF: reading array data"),
+        (lambda path: rewrite_member(path, "mem_labels.npy", object_array),
+         "mem_labels is damaged: Object arrays cannot be loaded"),
+    ],
+    ids=["deflate-param__lstm", "crc-param__b2", "no-magic-adam_t", "truncated-mem_rows", "object-mem_labels"],
+)
+def test_load_checkpoint_names_a_damaged_member(tmp_path, damage, message):
+    cfg, state = trained_state(seed=6)
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(path, cfg, state)
+    damage(path)
+    with pytest.raises(ValueError, match=f"ckpt.npz: array {message}"):
         load_checkpoint(path)
 
 

@@ -708,6 +708,23 @@ def test_predict_batch_rejects_empty_batch():
         predict_stack(params, np.zeros((0, 6, 5)))
 
 
+def test_backward_on_nested_lists_equals_backward_on_the_array():
+    params = init_model(small_cfg(), SeededRng(30))
+    gen = np.random.default_rng(31)
+    x, t = gen.uniform(0.0, 1.0, (3, 6, 5)), gen.uniform(0.0, 1.0, (3, 2))
+    loss, grads = backward(params, x, t)
+    list_loss, list_grads = backward(params, x.tolist(), t.tolist())
+    assert list_loss == loss
+    for (name, grad), (_, list_grad) in zip(grads.items(), list_grads.items()):
+        assert list_grad.tobytes() == grad.tobytes(), name
+
+
+def test_backward_rejects_empty_batch():
+    params = init_model(small_cfg(), SeededRng(32))
+    with pytest.raises(ValueError, match="backward: empty batch"):
+        backward(params, np.zeros((0, 6, 5)), np.zeros((0, 2)))
+
+
 # --- chunks spread over CPUs ------------------------------------------------
 
 @pytest.mark.parametrize("count, expected", [(3, 3), (None, 1)])
