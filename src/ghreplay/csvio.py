@@ -1,6 +1,7 @@
 """CSV persistence for climate series.
 
-Schema (comma-separated, header required, UTF-8):
+Schema (comma-separated, header required, UTF-8 with or without a
+byte-order mark):
 
     timestamp,t_air,rh,radiation,co2,t_leaf,transpiration,photosynthesis
 
@@ -75,9 +76,10 @@ def read_records(path: str | Path) -> ClimateSeries:
 
 @contextmanager
 def _open_text(path: Path):
-    """``path`` opened for reading as UTF-8; a byte that is not UTF-8 fails
+    """``path`` opened for reading as UTF-8, skipping a leading byte-order
+    mark (Excel's "CSV UTF-8" writes one); a byte that is not UTF-8 fails
     with the file and the line of the first such byte, found only then."""
-    with path.open("r", encoding="utf-8", newline="") as fh:
+    with path.open("r", encoding="utf-8-sig", newline="") as fh:
         try:
             yield fh
         except UnicodeDecodeError:

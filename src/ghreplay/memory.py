@@ -35,9 +35,9 @@ step.
 as a checkpoint's arrays, and ``restore`` rebuilds a memory from them.
 
 The random draws are ``SeededRng``'s: a substitution sweep is
-``SeededRng.sweep`` and a replay draw ``SeededRng.randbelow_many``, each
-bit-identical to the loop of scalar calls it stands for, so this module
-keeps only the slot policy.
+``SeededRng.sweep``, bit-identical to the loop of scalar calls it
+stands for, and a replay draw is one ``randbelow`` per replayed sample,
+so this module keeps only the slot policy.
 """
 
 from __future__ import annotations
@@ -153,7 +153,7 @@ class EpisodicMemory:
             raise ValueError(f"draw_replay: n must be >= 0, got {n}")
         if n and not len(self.rows):
             raise ValueError("draw_replay: memory is empty")
-        return self.rows[rng.randbelow_many(n, len(self.rows))]
+        return self.rows[[rng.randbelow(len(self.rows)) for _ in range(n)]]
 
     def origins(self, rows) -> list[tuple[str, int]]:
         """Each table row's ``(greenhouse label, timestamp)``."""

@@ -23,18 +23,18 @@ et al. 2016, arXiv 1604.01946), and the state runs hidden-major: the
 gates come out as (4H, B), each gate a contiguous (H, B) block, and h
 and c are (H, B); the step's temporaries share one (3, H, B) scratch
 block.
-The cache holds the cell state at the end of each segment of
-ceil(sqrt(T)) steps, the final hidden state and, if they fit in
-``GATE_CACHE_BYTES`` (8 MiB), the four gates of every step as one
-(T, 4, H, B) block; otherwise (paper shapes) no gate, but the hidden
-state at each segment end. Just before BPTT walks a segment in reverse,
-it recomputes that segment's cell states from the last state before it,
-the zero state before the first segment (Chen et al. 2016, arXiv
-1604.06174): from the kept gates with the forward pass's three
+The cache holds the cell and hidden states at the end of each segment
+of ceil(sqrt(T)) steps and, if they fit in ``GATE_CACHE_BYTES``
+(8 MiB), the four gates of every step as one (T, 4, H, B) block;
+otherwise (paper shapes) no gate. Just before BPTT walks a segment in
+reverse, it recomputes that segment's cell states from the last state
+before it, the zero state before the first segment (Chen et al. 2016,
+arXiv 1604.06174): from the kept gates with the forward pass's three
 operations in its order, or by replaying the segment's steps, each
 writing its cell state straight into the segment's rows (Gruslys et al.
 2016, arXiv 1606.03401); it recomputes tanh(c) and h = o * tanh(c) one
-step back.
+step back, and a segment's first step reads the h kept at the end of
+the segment before.
 The same operations on the same inputs give the same bits, so the
 gradients are those a cache of every step's state would give. BPTT
 issues two GEMMs per step: the gate deltas times the step's operand
@@ -156,7 +156,7 @@ def zeros_params(cfg: ModelConfig) -> ModelParams:
 def _glorot(rows: int, cols: int, rng: SeededRng) -> np.ndarray:
     """Uniform Glorot weights, drawn in row-major order."""
     limit = math.sqrt(6.0 / (rows + cols))
-    return rng.uniforms(rows * cols, -limit, limit).reshape(rows, cols)
+    return np.array([rng.uniform(-limit, limit) for _ in range(rows * cols)]).reshape(rows, cols)
 
 
 def init_model(cfg: ModelConfig, rng: SeededRng) -> ModelParams:
@@ -190,19 +190,18 @@ def init_adam(cfg: ModelConfig) -> AdamState:
 @dataclass
 class ForwardCache:
     """Activations retained for backpropagation through time, hidden-major
-    as the step routine leaves them: the cell states at the segment ends,
-    steps K - 1, 2K - 1, ... and T - 1 for K = _segment(T), and either the
-    gates, if their (T, 4, H, B) block fits in GATE_CACHE_BYTES, or the
-    hidden states at the segment ends. BPTT recomputes the other states
-    one segment at a time, from the gates or by replaying the segment's
-    steps, and tanh(c) and h one step at a time as tanh(c) and
-    o * tanh(c). The windows are not kept: ``backward``, the one caller
-    that keeps a cache, holds them already."""
+    as the step routine leaves them: the cell and hidden states at the
+    segment ends, steps K - 1, 2K - 1, ... and T - 1 for K = _segment(T),
+    and the gates if their (T, 4, H, B) block fits in GATE_CACHE_BYTES.
+    BPTT recomputes the other states one segment at a time, from the
+    gates or by replaying the segment's steps, and tanh(c) and h one step
+    at a time as tanh(c) and o * tanh(c); a segment's first step takes
+    its h_prev from the end of the one before. The windows are not kept:
+    ``backward``, the one caller that keeps a cache, holds them already."""
 
-    gates: np.ndarray | None   # (T, 4, H, B) gates i, f, o and candidate g
+    gates: np.ndarray | None   # (T, 4, H, B) gates i, f, o and candidate g, if they fit
     c_ends: np.ndarray    # (ceil(T / K), H, B) segment-end cell states
-    h_ends: np.ndarray | None  # (ceil(T / K), H, B) segment-end hidden states, if no gates
-    h: np.ndarray         # (H, B) final hidden state
+    h_ends: np.ndarray    # (ceil(T / K), H, B) segment-end hidden states; the last is the final h
     dense: np.ndarray     # (B, dense) tanh layer output
 
 
@@ -300,11 +299,11 @@ def _forward(
     otherwise each step checks its four gate pre-activations, as a
     non-finite or huge weight, bias or state makes the step's product
     non-finite, so the pass fails at the step where it first overflows.
-    With keep_cache, c (and h, if the gates are not kept) is copied out
-    at each segment end, and the gates are written straight into the
-    BPTT cache if it keeps them; h, c and otherwise the gates are scratch
-    buffers updated in place. A failed check raises ``NonFiniteError``
-    naming the batch rows involved, numbered from ``first_row``.
+    With keep_cache, c and h are copied out at each segment end, and the
+    gates are written straight into the BPTT cache if it keeps them; h,
+    c and otherwise the gates are scratch buffers updated in place. A
+    failed check raises ``NonFiniteError`` naming the batch rows
+    involved, numbered from ``first_row``.
     """
     x_max = max(inputs.max(), -inputs.min())  # NaN if the windows hold one
     if not math.isfinite(x_max):
@@ -318,14 +317,13 @@ def _forward(
     step, h = _stepper(params, batch)
     shape = h.shape
     c = np.zeros(shape)
-    gates_s = h_ends = None
+    gates_s = None
     if keep_cache:
         segment = _segment(steps)
         c_ends = np.empty((-(-steps // segment),) + shape)
+        h_ends = np.empty_like(c_ends)
         if 4 * steps * h.nbytes <= GATE_CACHE_BYTES:
             gates_s = np.empty((steps, 4) + shape)
-        else:
-            h_ends = np.empty_like(c_ends)
     if gates_s is None:
         z = np.empty((4,) + shape)
 
@@ -339,8 +337,7 @@ def _forward(
                 )
             if keep_cache and ((t + 1) % segment == 0 or t == steps - 1):
                 c_ends[t // segment] = c
-                if h_ends is not None:
-                    h_ends[t // segment] = h
+                h_ends[t // segment] = h
 
         pre_dense = h.T @ params.w1.T + params.b1
         if not np.isfinite(pre_dense).all():
@@ -352,7 +349,7 @@ def _forward(
 
     if not keep_cache:
         return outputs, None
-    return outputs, ForwardCache(gates_s, c_ends, h_ends, h, dense)
+    return outputs, ForwardCache(gates_s, c_ends, h_ends, dense)
 
 
 def _usable_cpus() -> int:
@@ -444,11 +441,13 @@ def backward(params: ModelParams, inputs: np.ndarray, targets: np.ndarray) -> tu
     segment (the zero state before the first): as f * c_prev + i * g
     with the forward pass's operations in its order, or, without kept
     gates, by replaying the steps into one (K, 4, H, B) buffer and the
-    segment's K + 1 cell-state rows. tanh(c_prev) and h_prev = o_prev *
-    tanh(c_prev) are recomputed once per step (a replayed segment's first
-    h_prev is kept, step 0's is zero), and tanh(c_prev) is carried into
-    the next step as tanh(c). a (1 - a) of the sigmoid gates i, f and o
-    is one pass over their (3, H, B) block.
+    segment's K + 1 cell-state rows. Either way the segment's gates are
+    one local view, row k for step start + k. tanh(c_prev) is recomputed
+    once per step and carried into the next as tanh(c); h_prev is
+    o_prev * tanh(c_prev) from that view after a segment's first step,
+    and at its first step the kept h of the segment before (zero at
+    step 0). a (1 - a) of the sigmoid gates i, f and o is one pass over
+    their (3, H, B) block.
     Each step issues two GEMMs on the (4H, B) gate deltas d_pre: d_pre
     times the step's operand [x_t; h_prev; 1] transposed, the gradient
     of ``lstm``, into which h_prev is written; and the transpose of
@@ -488,9 +487,8 @@ def backward(params: ModelParams, inputs: np.ndarray, targets: np.ndarray) -> tu
     d_step = np.empty_like(d_lstm)
     segment = _segment(steps)
     c_seg = np.empty((segment + 1,) + shape)  # c_seg[k] is c_{t-1} at k = t % segment
-    gates, first = cache.gates, 0             # gates[t - first] are step t's gates
-    if gates is None:
-        gates = np.empty((segment, 4) + shape)
+    if cache.gates is None:
+        replayed = np.empty((segment, 4) + shape)
         step, h_run = _stepper(params, batch)
     tc = np.tanh(cache.c_ends[-1])
     for t in range(steps - 1, -1, -1):
@@ -501,24 +499,25 @@ def backward(params: ModelParams, inputs: np.ndarray, targets: np.ndarray) -> tu
             start = t - k
             c_seg[0] = cache.c_ends[start // segment - 1] if start else 0.0
             if cache.gates is not None:
+                gates = cache.gates[start : start + segment]  # gates[k] are step t's gates
                 for j in range(k):
-                    i, f, _, g = gates[start + j]
+                    i, f, _, g = gates[j]
                     np.multiply(f, c_seg[j], out=c_seg[j + 1])
                     np.multiply(i, g, out=s)
                     c_seg[j + 1] += s
             else:
-                first = start
+                gates = replayed
                 h_run[:] = cache.h_ends[start // segment - 1] if start else 0.0
                 with np.errstate(over="ignore"):  # the sigmoid's exp, as in the forward
                     for j in range(k + 1):
                         step(inputs[:, start + j, :], c_seg[j], c_seg[j + 1], gates[j], check=False)
-        z = gates[t - first]
+        z = gates[k]
         i, f, o, g = z
         c_prev = c_seg[k]
         np.tanh(c_prev, out=tc_prev)
-        if t > first:
-            np.multiply(gates[t - first - 1, 2], tc_prev, out=h_prev)
-        else:  # step 0, or a replayed segment's first step: the gates before it are gone
+        if k:
+            np.multiply(gates[k - 1, 2], tc_prev, out=h_prev)
+        else:  # a segment's first step: the h kept at the end of the one before
             h_prev[:] = cache.h_ends[t // segment - 1] if t else 0.0
         x_rows[:] = inputs[:, t, :].T
 
@@ -547,7 +546,7 @@ def backward(params: ModelParams, inputs: np.ndarray, targets: np.ndarray) -> tu
 
     return loss, Gradients(
         lstm=d_lstm,
-        w1=d_z1.T @ cache.h.T,
+        w1=d_z1.T @ cache.h_ends[-1].T,
         b1=d_z1.sum(axis=0),
         w2=d_out.T @ cache.dense,
         b2=d_out.sum(axis=0),

@@ -22,9 +22,11 @@ The recurrence is a counter: output k after a state s is the output
 function applied to s + k * gamma. ``peek_u64`` uses that form to compute
 a block of upcoming outputs at once in ``uint64`` arithmetic, and
 ``skip`` advances past the outputs a block draw used. Each block draw
-(``uniforms``, ``truncated_normals``, ``randbelow_many``, ``sweep``)
-returns the values of a loop of scalar calls and leaves the stream where
-that loop leaves it; no other module turns SplitMix64 outputs into values.
+(``sweep``, the memory's substitution sweep over every slot, and
+``truncated_normals``, the climate noise) returns the values of a loop
+of scalar calls and leaves the stream where that loop leaves it; no
+other module turns SplitMix64 outputs into values. Shorter draws, the
+replay indices and the initial weights, are loops of scalar calls.
 """
 
 from __future__ import annotations
@@ -122,12 +124,6 @@ class SeededRng:
     def uniform(self, low: float, high: float) -> float:
         return low + (high - low) * self.random()
 
-    def uniforms(self, n: int, low: float, high: float) -> np.ndarray:
-        """``n`` successive ``uniform(low, high)`` values as one array."""
-        values = low + (high - low) * _uniforms(self.peek_u64(n))
-        self.skip(n)
-        return values
-
     def randbelow(self, n: int) -> int:
         """Uniform integer in [0, n) by masked rejection (exactly uniform)."""
         mask = _rejection_mask(n)
@@ -137,20 +133,6 @@ class SeededRng:
             r = self.next_u64() & mask
             if r < n:
                 return r
-
-    def randbelow_many(self, n: int, m: int) -> np.ndarray:
-        """``[self.randbelow(m) for _ in range(n)]`` as an int64 array."""
-        if n == 0 or m == 1:
-            return np.zeros(n, dtype=np.int64)  # randbelow(1) draws nothing
-        mask = np.uint64(_rejection_mask(m))
-        size = _block_size(0, n, m)
-        while True:
-            low = (self.peek_u64(size) & mask).astype(np.int64)
-            accepted = np.flatnonzero(low < m)
-            if len(accepted) >= n:
-                self.skip(int(accepted[n - 1]) + 1)
-                return low[accepted[:n]]
-            size *= 2
 
     def sweep(self, count: int, p: float, m: int) -> tuple[np.ndarray, np.ndarray]:
         """The hits and picks of the scalar loop

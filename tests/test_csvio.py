@@ -161,3 +161,27 @@ def test_empty_file_is_an_error(tmp_path):
     path.write_text("", encoding="utf-8")
     with pytest.raises(ValueError, match="empty file"):
         read_records(path)
+
+
+BOM = b"\xef\xbb\xbf"  # the UTF-8 byte-order mark that Excel's "CSV UTF-8" export writes
+
+
+def test_byte_order_mark_is_skipped(tmp_path):
+    series = generate_series(PRESETS["GH-A"], days=1, rng=SeededRng(3))
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    write_records(plain, series)
+    marked.write_bytes(BOM + plain.read_bytes())
+    expected, back = read_records(plain), read_records(marked)
+    for name in COLUMNS:
+        assert np.array_equal(getattr(back, name), getattr(expected, name)), name
+
+
+def test_non_utf8_byte_after_a_byte_order_mark_names_its_line(tmp_path):
+    series = generate_series(PRESETS["GH-A"], days=1, rng=SeededRng(4))
+    path = tmp_path / "marked.csv"
+    write_records(path, series)
+    lines = path.read_bytes().split(b"\n")
+    lines[2] = b"\xff" + lines[2]
+    path.write_bytes(BOM + b"\n".join(lines))
+    with pytest.raises(ValueError, match=r"marked\.csv:3: not valid UTF-8$"):
+        read_records(path)

@@ -240,6 +240,23 @@ def test_draw_replay_never_fabricates():
     assert np.isin(mem.draw_replay(200, SeededRng(23)), mem.rows).all()
 
 
+@pytest.mark.parametrize("slots, n, seed, expected, next_u64", [
+    (1, 3, 7, [0, 0, 0], 7191089600892374487),  # one slot draws nothing
+    (8, 12, 3, [2, 6, 6, 0, 1, 0, 7, 1, 5, 5, 3, 0], 8857471719570398452),
+    (100, 12, 29, [73, 92, 75, 90, 93, 63, 87, 39, 9, 77, 30, 39], 18437781628272365943),
+    (10000, 6, 3, [5922, 2574, 7488, 3449, 6152, 5369], 9058503432725982842),
+])
+def test_draw_replay_pinned_rows(slots, n, seed, expected, next_u64):
+    """The replay stream itself, which the golden digests of the slots do
+    not cover: the rows drawn and the stream's next output, which pins the
+    rejections of a slot count that is not a power of two."""
+    mem = EpisodicMemory(MemoryConfig(capacity=slots, window_len=1))
+    mem.observe_batch(add_rows(mem, "a", slots)[::-1], SeededRng(0))  # slot i holds row slots - 1 - i
+    rng = SeededRng(seed)
+    assert mem.draw_replay(n, rng).tolist() == expected
+    assert rng.next_u64() == next_u64
+
+
 # --- occupancy --------------------------------------------------------------
 
 def test_occupancy_single_label():

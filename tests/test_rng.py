@@ -182,18 +182,6 @@ def block_draws(request, monkeypatch):
         monkeypatch.setattr(rng_module, "_block_size", lambda decisions, picks, m: 1)
 
 
-def test_randbelow_many_matches_scalar_loop(block_draws):
-    meta = SeededRng(40)
-    for m in BOUNDS:
-        for n in (0, 1, 7, 300):
-            seed = meta.next_u64()
-            scalar, block = SeededRng(seed), SeededRng(seed)
-            expected = [scalar.randbelow(m) for _ in range(n)]
-            values = block.randbelow_many(n, m)
-            assert values.dtype == np.int64 and values.tolist() == expected, (m, n)
-            assert block.get_state() == scalar.get_state(), (m, n)
-
-
 def test_sweep_matches_scalar_loop(block_draws):
     meta = SeededRng(41)
     for m in BOUNDS:
@@ -207,19 +195,9 @@ def test_sweep_matches_scalar_loop(block_draws):
                 assert block.get_state() == scalar.get_state(), (m, p, count)
 
 
-@pytest.mark.parametrize("low, high", [(0.0, 1.0), (-2.0, 3.0), (-0.3, 0.3)])
-def test_uniforms_match_scalar_uniform_calls(low, high):
-    for n in (0, 1, 5, 1000):
-        scalar, block = SeededRng(42 + n), SeededRng(42 + n)
-        values = block.uniforms(n, low, high)
-        # list equality on floats compares every bit but the sign of zero
-        assert values.tolist() == [scalar.uniform(low, high) for _ in range(n)]
-        assert block.get_state() == scalar.get_state()
-
-
 def test_block_draws_reject_a_bound_below_one():
     rng = SeededRng(43)
-    for draw in (rng.randbelow, lambda m: rng.randbelow_many(3, m), lambda m: rng.sweep(3, 0.5, m)):
+    for draw in (rng.randbelow, lambda m: rng.sweep(3, 0.5, m)):
         with pytest.raises(ValueError, match="bound must be positive"):
             draw(0)
     assert rng.get_state() == SeededRng(43).get_state()

@@ -563,6 +563,13 @@ def test_curve_csv_writes_numpy_floats_as_numbers(tmp_path):
     assert read_curve_csv(path) == [_point(3, "GH-A", 0.1)]
 
 
+def test_curve_csv_with_a_byte_order_mark_reads(tmp_path):
+    plain, marked = tmp_path / "curve.csv", tmp_path / "marked.csv"
+    write_curve_csv(plain, LearningCurve(points=[_point(3, "GH-A", 0.1), _point(6, "GH-B", 0.2)]))
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert read_curve_csv(marked) == read_curve_csv(plain)
+
+
 def _point(update, phase, mse):
     return EvalPoint(
         update_index=update,
