@@ -7,9 +7,9 @@ float64 payloads round-trip bit-exactly. The file is written to a
 temporary name and moved into place, so a failed save keeps the
 previous checkpoint. Loading refuses a file that is not a zip archive,
 checks every array and both stream states and names the file and the
-first bad entry; it returns the model config and a ``TrainerState``
-whose update counter is the Adam step count, one step per update in
-every checkpoint ``run`` writes.
+first bad entry; it returns the model config and a ``TrainerState``.
+The Adam step count ``adam_t`` is the run's only update counter: one
+step per update in every checkpoint ``run`` writes.
 
 The file holds exactly the arrays ``save_checkpoint`` writes, ``LAYOUT``:
 one per parameter and Adam moment, ``adam_t``, ``meta_json`` and the
@@ -37,8 +37,8 @@ from .trainer import TrainerState
 
 LAYOUT = (*(f"{prefix}__{field.name}" for prefix in ("param", "adam_m", "adam_v")
             for field in dataclasses.fields(ModelParams)),
-          "adam_t", "mem_inputs", "mem_labels", "mem_observed_count", "mem_rows",
-          "mem_targets", "mem_timestamps", "mem_label_ids", "meta_json")
+          "adam_t", "mem_inputs", "mem_labels", "mem_rows", "mem_targets",
+          "mem_timestamps", "mem_label_ids", "meta_json")
 
 
 def save_checkpoint(path: str | Path, model_cfg: ModelConfig, state: TrainerState) -> None:
@@ -113,7 +113,6 @@ def _check_memory(path, arrays, cfg: MemoryConfig) -> None:
     _checked(path, arrays, "mem_targets", (n, len(TARGET_FIELDS)))
     _checked(path, arrays, "mem_timestamps", (n,), finite=False)
     _checked(path, arrays, "mem_label_ids", (n,), finite=False, within=(0, len(labels)))
-    _checked(path, arrays, "mem_observed_count", (), finite=False, within=(n, np.inf))
     if n > cfg.capacity:
         raise ValueError(f"{path}: array mem_rows has {n} slots, over the capacity {cfg.capacity}")
 
@@ -149,5 +148,4 @@ def load_checkpoint(path: str | Path) -> tuple[ModelConfig, TrainerState]:
     )
     _check_memory(path, arrays, memory_cfg)
     memory = EpisodicMemory.restore(memory_cfg, arrays)
-    return model_cfg, TrainerState(params, adam, memory, replay_rng, memory_rng,
-                                   update_index=adam.t)
+    return model_cfg, TrainerState(params, adam, memory, replay_rng, memory_rng)

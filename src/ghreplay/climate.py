@@ -14,8 +14,8 @@ per measured field, and ``len()`` is its record count. The generator
 computes the noise-free climate, which depends only on the time of day,
 once per 5-minute slot of a day with scalar ``math`` code and repeats it
 for every day. It draws the noise of the whole series as one block of
-truncated normals (``SeededRng.truncated_normals``, the values of one
-scalar draw per value) and applies it with array arithmetic in the
+truncated normals (``SeededRng.truncated_normals``, the values of a
+scalar Box-Muller loop) and applies it with array arithmetic in the
 scalar order of operations, so a series has the bits a record-by-record
 loop gives.
 """

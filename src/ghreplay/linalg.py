@@ -2,10 +2,8 @@
 
 Matrices are 2-D C-contiguous numpy float64 arrays; numpy supplies the
 kernels. These wrappers pin down the contracts the model relies on:
-shape errors that name both operands, finite results, the kernel's
-sigmoid 1 / (1 + exp(-x)), whose exp overflows silently below -709.78,
-and activation derivatives expressed in terms of the activation
-*output*.
+shape errors that name both operands, finite results and the kernel's
+sigmoid 1 / (1 + exp(-x)), whose exp overflows silently below -709.78.
 
 No module of the package imports this one: ``model.py`` runs the same
 arithmetic on numpy directly, and its bit-identity tests compare it with
@@ -18,9 +16,6 @@ import numpy as np
 
 SIGMOID = "sigmoid"
 TANH = "tanh"
-LINEAR = "linear"
-
-_KINDS = (SIGMOID, TANH, LINEAR)
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -43,7 +38,7 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def activation(kind: str, x: np.ndarray) -> np.ndarray:
     """Elementwise nonlinearity; input must be finite."""
-    if kind not in _KINDS:
+    if kind not in (SIGMOID, TANH):
         raise ValueError(f"unknown activation kind {kind!r}")
     x = np.asarray(x, dtype=np.float64)
     if not np.isfinite(x).all():
@@ -52,18 +47,5 @@ def activation(kind: str, x: np.ndarray) -> np.ndarray:
         # below -709.78 exp(-x) is inf and the result 0, the limit
         with np.errstate(over="ignore"):
             return 1.0 / (1.0 + np.exp(-x))
-    if kind == TANH:
-        return np.tanh(x)
-    return x.copy()
-
-
-def activation_grad(kind: str, y: np.ndarray) -> np.ndarray:
-    """Derivative written in terms of the activation output y."""
-    if kind == SIGMOID:
-        return y * (1.0 - y)
-    if kind == TANH:
-        return 1.0 - y * y
-    if kind == LINEAR:
-        return np.ones_like(y)
-    raise ValueError(f"unknown activation kind {kind!r}")
+    return np.tanh(x)
 

@@ -84,7 +84,6 @@ class EpisodicMemory:
         self.timestamps = np.zeros(0, dtype=np.int64)
         self.row_label_ids = np.zeros(0, dtype=np.int64)
         self.rows = np.zeros(0, dtype=np.int64)
-        self.observed_count = 0
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -123,7 +122,6 @@ class EpisodicMemory:
         rows = np.asarray(rows, dtype=np.int64)
         if len(rows) == 0:
             raise ValueError("observe_batch: empty batch")
-        self.observed_count += len(rows)
         strategy = self.config.strategy
         room = self.config.capacity - len(self.rows)
         if room > 0:
@@ -162,7 +160,7 @@ class EpisodicMemory:
 
     def snapshot(self) -> dict[str, np.ndarray]:
         """The slots over the table rows their windows cover (``R`` rows,
-        ``n`` slots), as the seven ``mem_*`` arrays of a checkpoint:
+        ``n`` slots), as the six ``mem_*`` arrays of a checkpoint:
 
         * ``mem_inputs`` (R, D): every table row that some stored window
           covers, once, in table order, so each window stays ``window_len``
@@ -170,8 +168,7 @@ class EpisodicMemory:
         * ``mem_rows`` (n,): each slot's final-record row into that block,
           in ``[window_len - 1, R)``, with its target ``mem_targets`` (n, K),
           the timestamp of that record ``mem_timestamps`` (n,) and its index
-          into ``mem_labels``, ``mem_label_ids`` (n,);
-        * ``mem_observed_count``: the number of samples observed."""
+          into ``mem_labels``, ``mem_label_ids`` (n,)."""
         ends, window_len = self.rows, self.config.window_len
         table_rows = len(self.timestamps)
         # +1 where a window starts, -1 past where it ends: rows with a positive
@@ -184,7 +181,6 @@ class EpisodicMemory:
         return {
             "mem_inputs": self.inputs[keep] if len(keep) else np.zeros((0, len(INPUT_FIELDS))),
             "mem_labels": np.array(self.labels, dtype=str),
-            "mem_observed_count": np.array(self.observed_count, dtype=np.int64),
             "mem_rows": block_row[ends],
             "mem_targets": self.targets[ends] if len(ends) else np.zeros((0, len(TARGET_FIELDS))),
             "mem_timestamps": self.timestamps[ends],
@@ -207,7 +203,6 @@ class EpisodicMemory:
         memory.row_label_ids[rows] = arrays["mem_label_ids"]
         memory.inputs.flags.writeable = memory.targets.flags.writeable = False
         memory.rows, memory.labels = rows, [str(label) for label in arrays["mem_labels"]]
-        memory.observed_count = int(arrays["mem_observed_count"])
         return memory
 
     def occupancy_stats(self) -> dict[str, float]:

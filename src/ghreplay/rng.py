@@ -22,11 +22,14 @@ The recurrence is a counter: output k after a state s is the output
 function applied to s + k * gamma. ``peek_u64`` uses that form to compute
 a block of upcoming outputs at once in ``uint64`` arithmetic, and
 ``skip`` advances past the outputs a block draw used. Each block draw
-(``sweep``, the memory's substitution sweep over every slot, and
-``truncated_normals``, the climate noise) returns the values of a loop
-of scalar calls and leaves the stream where that loop leaves it; no
-other module turns SplitMix64 outputs into values. Shorter draws, the
-replay indices and the initial weights, are loops of scalar calls.
+returns the values of a scalar loop and leaves the stream where that
+loop leaves it: ``sweep``, the memory's substitution sweep over every
+slot, is a loop of ``random`` and ``randbelow`` calls, and
+``truncated_normals``, the climate noise, is a Box-Muller loop that
+``tests/test_scalar_oracles.py`` holds. No other module turns SplitMix64
+outputs into values. Shorter draws, the replay indices and the initial
+weights, are loops of scalar calls. A stream's whole state is the two
+integers of ``get_state``: its seed and its counter.
 """
 
 from __future__ import annotations
@@ -86,12 +89,11 @@ class SeededRng:
     never by sharing one instance.
     """
 
-    __slots__ = ("seed", "_state", "_gauss")
+    __slots__ = ("seed", "_state")
 
     def __init__(self, seed: int):
         self.seed = seed & _MASK64
         self._state = self.seed
-        self._gauss: float | None = None
 
     def __repr__(self) -> str:
         return f"SeededRng(seed=0x{self.seed:016x})"
@@ -174,33 +176,15 @@ class SeededRng:
                 return np.array(hits, dtype=np.int64), low[np.array(picks, dtype=np.int64)]
             size *= 2
 
-    def standard_normal(self) -> float:
-        """N(0, 1) via Box-Muller; the paired value is cached."""
-        if self._gauss is not None:
-            z = self._gauss
-            self._gauss = None
-            return z
-        # u1 in (0, 1] so the log never sees zero
-        u1 = ((self.next_u64() >> 11) + 1) * _INV_2_53
-        u2 = (self.next_u64() >> 11) * _INV_2_53
-        r = math.sqrt(-2.0 * math.log(u1))
-        theta = 2.0 * math.pi * u2
-        self._gauss = r * math.sin(theta)
-        return r * math.cos(theta)
-
-    def truncated_normal(self, limit: float = 3.0) -> float:
-        """Standard normal rejected until |z| <= limit."""
-        while True:
-            z = self.standard_normal()
-            if abs(z) <= limit:
-                return z
-
     def truncated_normals(self, n: int, limit: float = 3.0) -> np.ndarray:
-        """``n`` successive ``truncated_normal(limit)`` values as one array.
+        """``n`` standard normals with ``|z| <= limit``, as one array: by
+        Box-Muller, the cosine and then the sine of each pair of uniforms,
+        rejected until ``n`` are accepted.
 
-        The values and the stream state afterwards, the cached Box-Muller
-        partner included, are those of ``n`` scalar calls. The uniforms
-        come from ``peek_u64`` blocks and the square roots and products
+        The values and the stream state afterwards are those of the scalar
+        loop in ``tests/test_scalar_oracles.py``: a sine left after the
+        n-th value is dropped with its pair. The uniforms come from
+        ``peek_u64`` blocks and the square roots and products
         from numpy, which round as IEEE requires; ``log``, ``sin`` and
         ``cos`` stay on ``math``, because numpy's vectorized versions are
         not bit-for-bit the platform libm that the scalar calls use. A
@@ -209,11 +193,6 @@ class SeededRng:
         """
         pieces = []
         need = n
-        if need and self._gauss is not None:
-            z, self._gauss = self._gauss, None
-            if abs(z) <= limit:
-                pieces.append(np.array([z]))
-                need -= 1
         while need:
             pairs = (need + 1) // 2 + need // 256 + 4
             bits = self.peek_u64(2 * pairs) >> np.uint64(11)
@@ -227,10 +206,7 @@ class SeededRng:
             z = z.ravel()
             accepted = np.flatnonzero(np.abs(z) <= limit)[:need]
             if len(accepted) == need:
-                last = int(accepted[-1])
-                self.skip(2 * (last // 2 + 1))
-                if last % 2 == 0:  # a cosine: its sine stays cached
-                    self._gauss = float(z[last + 1])
+                self.skip(2 * (int(accepted[-1]) // 2 + 1))
             else:
                 self.skip(2 * pairs)
             pieces.append(z[accepted])
@@ -252,19 +228,15 @@ class SeededRng:
         return SeededRng(_mix64(self.seed ^ _fnv1a64(label)))
 
     def get_state(self) -> dict:
-        return {"seed": self.seed, "state": self._state, "gauss": self._gauss}
+        return {"seed": self.seed, "state": self._state}
 
     @classmethod
     def from_state(cls, state: dict) -> "SeededRng":
         """The stream that ``get_state`` gave ``state``: 64-bit unsigned
-        ``seed`` and ``state`` and a finite float or None ``gauss``."""
-        if not (isinstance(state, dict) and set(state) == {"seed", "state", "gauss"}
-                and all(type(state[k]) is int and 0 <= state[k] <= _MASK64
-                        for k in ("seed", "state"))
-                and (state["gauss"] is None
-                     or type(state["gauss"]) is float and math.isfinite(state["gauss"]))):
+        ``seed`` and ``state``."""
+        if not (isinstance(state, dict) and set(state) == {"seed", "state"}
+                and all(type(v) is int and 0 <= v <= _MASK64 for v in state.values())):
             raise ValueError(f"not a stream state: {state!r}")
         rng = cls(state["seed"])
         rng._state = state["state"]
-        rng._gauss = state["gauss"]
         return rng

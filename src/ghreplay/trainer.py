@@ -6,7 +6,7 @@ memory (drawn *before* the new batch is absorbed), then the test-set MSE
 of the current phase is logged every few updates. A scenario chains
 phases: one model and one memory persist across the greenhouse switches.
 A baseline reruns a single phase with a fresh model and empty memory,
-with its update counter offset so its curve overlays the scenario's.
+with its update indices offset so its curve overlays the scenario's.
 A run records into one ``LearningCurve``: its evaluations, phase starts,
 retention evaluations and the memory occupancy after every update; the
 CLI writes each part to its own CSV.
@@ -119,7 +119,6 @@ class TrainerState:
     memory: EpisodicMemory
     replay_rng: SeededRng
     memory_rng: SeededRng
-    update_index: int = 0
 
 
 @dataclass
@@ -188,30 +187,33 @@ def run_phase(
     model_cfg: ModelConfig,
     curve: LearningCurve,
     retention_of: list[Phase] = (),
+    offset: int = 0,
 ) -> None:
     """Consume one phase's stream batch by batch into ``curve``: the
     memory occupancy after every update, and every ``eval_every`` updates
     the MSE on the *current* phase's test set, then on each of
-    ``retention_of`` (cadence is global: update counters carry across
-    phases). The final partial batch is dropped so every update has the
+    ``retention_of``. An update's index is ``offset`` plus the Adam step
+    count after it, so the cadence is global: it carries across phases,
+    and a baseline started at ``offset`` evaluates where the scenario
+    does. The final partial batch is dropped so every update has the
     same size."""
     stream = phase.stream + state.memory.add_series(phase)
-    curve.phase_starts.append((phase.label, state.update_index))
+    curve.phase_starts.append((phase.label, offset + state.adam.t))
     n_updates = len(stream) // scenario.batch_size
     for k in range(n_updates):
         batch = stream[k * scenario.batch_size : (k + 1) * scenario.batch_size]
         train_update(state, batch, model_cfg, scenario.replay_size)
-        state.update_index += 1
+        update = offset + state.adam.t
         fractions = state.memory.occupancy_stats()
         for label in sorted(fractions):
-            curve.memory.append((state.update_index, label, fractions[label]))
-        if state.update_index % scenario.eval_every == 0:
-            eval_index = state.update_index // scenario.eval_every
-            curve.points.append(EvalPoint(state.update_index, eval_index, phase.label,
+            curve.memory.append((update, label, fractions[label]))
+        if update % scenario.eval_every == 0:
+            eval_index = update // scenario.eval_every
+            curve.points.append(EvalPoint(update, eval_index, phase.label,
                                           *_test_mse(state.params, phase)))
             for earlier in retention_of:
                 curve.retention.append(RetentionPoint(
-                    state.update_index, eval_index, phase.label, earlier.label,
+                    update, eval_index, phase.label, earlier.label,
                     *_test_mse(state.params, earlier)))
 
 
@@ -263,9 +265,8 @@ def run_baseline(
     update indices offset so the curve overlays the scenario's."""
     phase, offset = _locate_phase(scenario, phase_label)
     state = _fresh_state(scenario, model_cfg, memory_cfg)
-    state.update_index = offset
     curve = LearningCurve()
-    run_phase(state, phase, scenario, model_cfg, curve)
+    run_phase(state, phase, scenario, model_cfg, curve, offset=offset)
     return ScenarioResult(curve, state)
 
 

@@ -1,14 +1,7 @@
 import numpy as np
 import pytest
 
-from ghreplay.linalg import (
-    LINEAR,
-    SIGMOID,
-    TANH,
-    activation,
-    activation_grad,
-    matmul,
-)
+from ghreplay.linalg import SIGMOID, TANH, activation, matmul
 from ghreplay.rng import SeededRng
 
 
@@ -75,17 +68,9 @@ def test_tanh_odd_function():
     assert y[0, 3] == -y[0, 4]
 
 
-def test_linear_is_identity_copy():
-    x = np.array([[1.5, -2.5]])
-    y = activation(LINEAR, x)
-    assert np.array_equal(y, x)
-    y[0, 0] = 99.0
-    assert x[0, 0] == 1.5
-
-
 def test_all_activations_finite_up_to_1e6():
     x = np.array([[-1e6, -12.3, 0.0, 12.3, 1e6]])
-    for kind in (SIGMOID, TANH, LINEAR):
+    for kind in (SIGMOID, TANH):
         assert np.isfinite(activation(kind, x)).all()
 
 
@@ -97,25 +82,4 @@ def test_activation_rejects_non_finite_input():
 def test_activation_rejects_unknown_kind():
     with pytest.raises(ValueError, match="unknown activation"):
         activation("relu", np.zeros((1, 1)))
-
-
-def test_activation_grad_known_values():
-    assert activation_grad(SIGMOID, np.array([[0.5]]))[0, 0] == 0.25
-    assert activation_grad(TANH, np.array([[0.0]]))[0, 0] == 1.0
-    assert np.array_equal(activation_grad(LINEAR, np.zeros((2, 3))), np.ones((2, 3)))
-
-
-@pytest.mark.parametrize("kind", [SIGMOID, TANH, LINEAR])
-def test_activation_grad_matches_finite_differences(kind):
-    rng = SeededRng(3)
-    h = 1e-6
-    for _ in range(20):
-        x = rng.uniform(-4.0, 4.0)
-        y = activation(kind, np.array([[x]]))
-        grad = activation_grad(kind, y)[0, 0]
-        fd = (
-            activation(kind, np.array([[x + h]]))[0, 0]
-            - activation(kind, np.array([[x - h]]))[0, 0]
-        ) / (2 * h)
-        assert abs(grad - fd) < 1e-8
 

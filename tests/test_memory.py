@@ -42,7 +42,6 @@ def test_fill_phase_appends_in_order():
     assert len(mem) == 1 and mem.rows[0] == rows[0]
     mem.observe_batch(rows[1:], rng)
     assert mem.rows.tolist() == [0, 1, 2, 3, 4]
-    assert mem.observed_count == 5
 
 
 @pytest.mark.parametrize("strategy", [PER_ELEMENT, PER_SAMPLE, PER_BATCH])
@@ -72,7 +71,6 @@ def test_batch_straddling_fill_boundary():
     mem.observe_batch(overflow, rng)
     # first two fill the remaining slots, the other three drive a p=1 sweep
     assert len(mem) == 10
-    assert mem.observed_count == 13
     assert label_count(mem, "b") == 10
 
 
@@ -84,7 +82,6 @@ def test_zero_probability_keeps_memory_unchanged():
         before = mem.rows.copy()
         mem.observe_batch(np.repeat(add_rows(mem, "new", 1), 10), SeededRng(5))
         assert np.array_equal(mem.rows, before)
-        assert mem.observed_count == 30
 
 
 def test_per_element_copies_follow_binomial_mean():
@@ -98,7 +95,6 @@ def test_per_element_copies_follow_binomial_mean():
         )
         old, new = add_rows(mem, "x", 2)
         mem.rows = np.full(capacity, old)
-        mem.observed_count = capacity
         mem.observe_batch([new], rng)
         total += int(np.count_nonzero(mem.rows == new))
     mean = total / trials
@@ -130,7 +126,6 @@ def test_per_sample_discards_with_probability_1_minus_p():
     for row in add_rows(mem, "new", 2000):
         mem.observe_batch([row], rng)
     assert label_count(mem, "new") >= 9  # after 2000 draws at p=0.1 old content is nearly gone
-    assert mem.observed_count == 2010
 
 
 def test_per_batch_turnover_matches_probability():

@@ -827,6 +827,16 @@ def step_operand(x_t, h):
     return np.concatenate((x_t.T, h, np.ones((1, h.shape[1]))))
 
 
+def sigmoid_grad(y):
+    """The sigmoid's derivative in terms of its output y."""
+    return y * (1.0 - y)
+
+
+def tanh_grad(y):
+    """The tanh's derivative in terms of its output y."""
+    return 1.0 - y * y
+
+
 def linalg_sigmoid(x):
     return linalg.activation(SIGMOID, x)
 
@@ -856,7 +866,7 @@ def reference_forward(params, inputs, sigmoid=linalg_sigmoid):
 
 
 def reference_backward(params, inputs, targets, sigmoid=linalg_sigmoid):
-    """Loss and gradients on linalg.activation_grad, the gate deltas written
+    """Loss and gradients on sigmoid_grad and tanh_grad, the gate deltas written
     gate by gate and stacked into (4H, B) for the kernel's two products per
     step: deltas @ [x_t; h_prev; 1]^T, the gradient of [w | u | b], and the
     stacked recurrent weights transposed @ deltas, dh. Returned as one array
@@ -871,7 +881,7 @@ def reference_backward(params, inputs, targets, sigmoid=linalg_sigmoid):
     d_out = 2.0 * (outputs - targets) / (batch * targets.shape[1])
     grads["w2"] = d_out.T @ cache["dense"]
     grads["b2"] = d_out.sum(axis=0)
-    d_z1 = (d_out @ params.w2) * linalg.activation_grad(TANH, cache["dense"])
+    d_z1 = (d_out @ params.w2) * tanh_grad(cache["dense"])
     grads["w1"] = d_z1.T @ cache["h"][steps - 1].T
     grads["b1"] = d_z1.sum(axis=0)
     dh = (d_z1 @ params.w1).T
@@ -885,11 +895,11 @@ def reference_backward(params, inputs, targets, sigmoid=linalg_sigmoid):
         c_prev = cache["c"][t - 1] if t > 0 else np.zeros_like(tc)
         h_prev = cache["h"][t - 1] if t > 0 else np.zeros_like(tc)
 
-        da_o = dh * tc * linalg.activation_grad(SIGMOID, o)
-        dc = dc + dh * o * linalg.activation_grad(TANH, tc)
-        da_i = dc * g * linalg.activation_grad(SIGMOID, i)
-        da_f = dc * c_prev * linalg.activation_grad(SIGMOID, f)
-        da_g = dc * i * linalg.activation_grad(TANH, g)
+        da_o = dh * tc * sigmoid_grad(o)
+        dc = dc + dh * o * tanh_grad(tc)
+        da_i = dc * g * sigmoid_grad(i)
+        da_f = dc * c_prev * sigmoid_grad(f)
+        da_g = dc * i * tanh_grad(g)
 
         d_pre = np.concatenate((da_i, da_f, da_o, da_g))
         d_stacked += linalg.matmul(d_pre, step_operand(inputs[:, t, :], h_prev).T)
@@ -1010,7 +1020,7 @@ def per_gate_backward(params, inputs, targets):
     d_out = 2.0 * (outputs - targets) / (batch * targets.shape[1])
     grads.w2 = d_out.T @ cache["dense"]
     grads.b2 = d_out.sum(axis=0)
-    d_z1 = (d_out @ params.w2) * linalg.activation_grad(TANH, cache["dense"])
+    d_z1 = (d_out @ params.w2) * tanh_grad(cache["dense"])
     grads.w1 = d_z1.T @ cache["h"][steps - 1]
     grads.b1 = d_z1.sum(axis=0)
     dh = d_z1 @ params.w1
@@ -1022,11 +1032,11 @@ def per_gate_backward(params, inputs, targets):
         tc = cache["tc"][t]
         c_prev = cache["c"][t - 1] if t > 0 else np.zeros_like(tc)
         h_prev = cache["h"][t - 1] if t > 0 else np.zeros_like(tc)
-        da_o = dh * tc * linalg.activation_grad(SIGMOID, o)
-        dc = dc + dh * o * linalg.activation_grad(TANH, tc)
-        da_i = dc * g * linalg.activation_grad(SIGMOID, i)
-        da_f = dc * c_prev * linalg.activation_grad(SIGMOID, f)
-        da_g = dc * i * linalg.activation_grad(TANH, g)
+        da_o = dh * tc * sigmoid_grad(o)
+        dc = dc + dh * o * tanh_grad(tc)
+        da_i = dc * g * sigmoid_grad(i)
+        da_f = dc * c_prev * sigmoid_grad(f)
+        da_g = dc * i * tanh_grad(g)
         for k, da in enumerate((da_i, da_f, da_o, da_g)):
             d_w[k] += da.T @ inputs[:, t, :]
             d_u[k] += da.T @ h_prev

@@ -4,7 +4,7 @@ The scalar generator, the ``csv.writer`` output, the per-cell
 ``int()``/``float()`` parse and the line-by-line climate checks below are
 the reference: the columnar generator, writer and reader must reproduce
 them bit for bit, error messages included, and the block of truncated
-normals must equal one scalar draw per value, including the stream state
+normals must equal the scalar Box-Muller loop, including the stream state
 left behind.
 """
 
@@ -30,9 +30,39 @@ from ghreplay.csvio import COLUMNS, _int64, finite_float, read_records, read_tab
 from ghreplay.rng import SeededRng
 
 
+class ScalarNormals:
+    """Box-Muller on ``rng``, one value per call: the cosine of a pair of
+    uniforms, then its sine."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.sine = None
+
+    def standard_normal(self):
+        if self.sine is not None:
+            z, self.sine = self.sine, None
+            return z
+        # u1 in (0, 1] so the log never sees zero
+        u1 = ((self.rng.next_u64() >> 11) + 1) * 2.0 ** -53
+        u2 = (self.rng.next_u64() >> 11) * 2.0 ** -53
+        r = math.sqrt(-2.0 * math.log(u1))
+        theta = 2.0 * math.pi * u2
+        self.sine = r * math.sin(theta)
+        return r * math.cos(theta)
+
+    def truncated_normal(self, limit=3.0):
+        """A standard normal rejected until |z| <= limit."""
+        while True:
+            z = self.standard_normal()
+            if abs(z) <= limit:
+                return z
+
+
 def scalar_series(p, days, rng):
     """One tuple per record in COLUMNS order, drawing three scalar truncated
-    normals per record (temperature, transpiration, photosynthesis)."""
+    normals per record (temperature, transpiration, photosynthesis) from
+    one Box-Muller loop."""
+    normals = ScalarNormals(rng)
 
     def humidity(delta_t):
         return min(100.0, max(20.0, 85.0 - 2.5 * delta_t))
@@ -51,9 +81,9 @@ def scalar_series(p, days, rng):
         co2 = p.co2_night + (p.co2_day - p.co2_night) * rel
         transp = transpiration_rate(radiation, vapor_pressure_deficit(t_clean, rh_clean), p)
         photo = photosynthesis_rate(radiation, co2, p)
-        t_noise = rng.truncated_normal()
-        transp_noise = rng.truncated_normal()
-        photo_noise = rng.truncated_normal()
+        t_noise = normals.truncated_normal()
+        transp_noise = normals.truncated_normal()
+        photo_noise = normals.truncated_normal()
         t_air = t_clean + p.noise_sd * p.t_amp * t_noise
         records.append((
             ts,
@@ -108,25 +138,19 @@ def test_truncated_normals_equal_scalar_calls(count_peeks, cached, n, limit):
     for seed in range(4):
         block, scalar = SeededRng(seed), SeededRng(seed)
         if cached:
-            # a partner of either sign and size: some are rejected at small limits
-            assert block.standard_normal() == scalar.standard_normal()
-            assert block.get_state()["gauss"] is not None
-        expected = [scalar.truncated_normal(limit) for _ in range(n)]
+            # an earlier draw ends on a cosine: the sine its scalar loop holds is dropped
+            earlier = ScalarNormals(scalar)
+            assert block.truncated_normals(1, math.inf).tolist() == [earlier.standard_normal()]
+        normals = ScalarNormals(scalar)  # a sine it holds at the end is dropped
+        expected = [normals.truncated_normal(limit) for _ in range(n)]
         del count_peeks[:]
         values = block.truncated_normals(n, limit)
         assert values.dtype == np.float64 and values.tolist() == expected
         assert block.get_state() == scalar.get_state()
+        assert block.next_u64() == scalar.next_u64()
         if n > 100 and limit < 1.0:
             # the first block, sized for a 3-sigma limit, falls short
             assert len(count_peeks) > 1
-
-
-def test_truncated_normals_leave_partner_for_scalar_calls():
-    block, scalar = SeededRng(12), SeededRng(12)
-    for n in (3, 1, 4, 1, 5, 9, 2, 6):
-        assert block.truncated_normals(n).tolist() == [scalar.truncated_normal() for _ in range(n)]
-        assert block.get_state() == scalar.get_state()
-        assert block.standard_normal() == scalar.standard_normal()
 
 
 @pytest.mark.parametrize("name", sorted(PRESETS))

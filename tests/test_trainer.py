@@ -311,7 +311,7 @@ def test_run_phase_update_and_eval_counts():
     state = fresh_state(1)
     curve = LearningCurve()
     run_phase(state, phase, scenario, MODEL_CFG, curve)
-    assert state.update_index == 12
+    assert state.adam.t == 12
     assert len(curve.points) == 4
     assert [p.update_index for p in curve.points] == [3, 6, 9, 12]
     assert [p.eval_index for p in curve.points] == [1, 2, 3, 4]
@@ -324,7 +324,7 @@ def test_run_phase_below_one_batch_does_nothing():
     state = fresh_state(2)
     curve = LearningCurve()
     run_phase(state, phase, scenario, MODEL_CFG, curve)
-    assert state.update_index == 0
+    assert state.adam.t == 0
     assert curve.points == []
 
 
@@ -468,7 +468,7 @@ def test_baseline_unknown_phase_and_empty_stream():
         run_baseline(scenario, MODEL_CFG, MEM_CFG, "GH-Z")
     # a stream shorter than one batch trains nothing; the CLI refuses such a spec
     result = run_baseline(scenario, MODEL_CFG, MEM_CFG, "GH-X")
-    assert result.curve.points == [] and result.state.update_index == 0
+    assert result.curve.points == [] and result.state.adam.t == 0
 
 
 def test_retention_rows_cover_earlier_phases_only(tiny_phases):
