@@ -101,17 +101,24 @@ def _checked_params(path, arrays, prefix: str, expected: ModelParams) -> ModelPa
 
 def _check_memory(path, arrays, cfg: MemoryConfig) -> None:
     """Check the memory arrays: a finite (R, D) row block with one column
-    per input field, at most ``capacity`` slot rows that end whole windows
-    inside it, finite targets, timestamps and label ids into the stored
-    label list."""
+    per input field, distinct string labels, at most ``capacity`` slot
+    rows that end whole windows inside the block, finite targets, int64
+    timestamps and label ids into the stored label list."""
     inputs, labels, rows = arrays["mem_inputs"], arrays["mem_labels"], arrays["mem_rows"]
     n_rows = inputs.shape[0] if inputs.ndim else 0
     _checked(path, arrays, "mem_inputs", (n_rows, len(INPUT_FIELDS)))
     _checked(path, arrays, "mem_labels", (labels.size,), finite=False)
+    if labels.dtype.kind != "U":
+        raise ValueError(f"{path}: array mem_labels has dtype {labels.dtype}, expected strings")
+    names = labels.tolist()
+    repeated = [label for k, label in enumerate(names) if label in names[:k]]
+    if repeated:
+        raise ValueError(f"{path}: array mem_labels repeats the label {repeated[0]!r}")
     n = rows.shape[0] if rows.ndim else 0
     _checked(path, arrays, "mem_rows", (n,), finite=False, within=(cfg.window_len - 1, n_rows))
     _checked(path, arrays, "mem_targets", (n, len(TARGET_FIELDS)))
-    _checked(path, arrays, "mem_timestamps", (n,), finite=False)
+    # the memory's table holds int64 timestamps
+    _checked(path, arrays, "mem_timestamps", (n,), finite=False, within=(-2**63, 2**63))
     _checked(path, arrays, "mem_label_ids", (n,), finite=False, within=(0, len(labels)))
     if n > cfg.capacity:
         raise ValueError(f"{path}: array mem_rows has {n} slots, over the capacity {cfg.capacity}")

@@ -101,7 +101,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     for r in rows:
         print(
             f"{r.phase:<10} {r.boundary_update:>8} {r.transferred_mse:>12.6g} "
-            f"{r.fresh_mse:>12.6g} {r.ratio:>8.3g}  {r.result}"
+            f"{r.fresh_mse:>12.6g} {r.ratio:>8.3g}  {r.transfer_benefit}"
         )
     if args.out is not None:
         out_path = Path(args.out)

@@ -5,18 +5,19 @@ existing CSV paths), the model, memory and scenario settings, and the
 output directory. ``validate_spec`` checks it against ``EXPERIMENT_SCHEMA``
 (see ``schema``) before any work starts and names the first bad key by
 its dotted path; unknown keys are rejected, and so is a key that a spec
-file gives twice in one object, or a greenhouse name that holds a path
-separator or would overwrite an output file. The configs built from a
-spec check themselves against the same schema parts, so a setting's
-bounds are stated once. Two built-in presets supply defaults: ``paper``
-(protocol-scale constants: window 250, batches of 100, 10k-sample
-memory, substitution probability 0.1, evaluation every 3 updates,
-10k-sample test sets) and ``desk``, the same protocol scaled down to run
-in seconds. Windows end every ``WINDOW_STRIDE`` records, 10 minutes
-apart, in every run. Resolution order: preset defaults, then the spec
-file, then the ``--seed`` and ``--out`` flags. ``build_phases`` refuses a
-greenhouse whose windows leave no test set, or a stream shorter than one
-batch.
+file gives twice in one object, a greenhouse name that holds a path
+separator or would overwrite an output file, or a path that holds a NUL
+byte. The configs built from a spec check themselves against the same
+schema parts, so a setting's bounds are stated once. The two built-in
+presets are the only statement of a setting's value, as no config field
+has a default: ``paper`` (protocol-scale constants: window 250, batches
+of 100, 10k-sample memory, substitution probability 0.1, evaluation
+every 3 updates, 10k-sample test sets) and ``desk``, merged over it: the
+same protocol scaled down to run in seconds. Windows end every
+``WINDOW_STRIDE`` records, 10 minutes apart, in every run. Resolution
+order: the preset, then the spec file, then the ``--seed`` and ``--out``
+flags. ``build_phases`` refuses a greenhouse whose windows leave no test
+set, or a stream shorter than one batch.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ def paper_spec() -> dict:
         "days_per_phase": 365,
         "greenhouses": [{"name": "GH-A"}, {"name": "GH-B"}, {"name": "GH-C"}],
         "data": {"window_len": 250},
-        "model": {"hidden_dim": 32, "dense_dim": 32, "learning_rate": 0.001},
+        "model": {"hidden_dim": 32, "dense_dim": 32, "learning_rate": 0.001, "grad_clip": None},
         "memory": {"capacity": 10000, "substitution_probability": 0.1, "strategy": "per-batch"},
         "scenario": {"batch_size": 100, "replay_size": 100, "eval_every": 3, "test_size": 10000},
     }
@@ -77,9 +78,11 @@ PRESET_SPECS = {"desk": desk_spec, "paper": paper_spec}
 def validate_spec(doc: dict) -> None:
     """Raise ``SpecError("<dotted.path>: <message>")`` for the first error by
     path against ``EXPERIMENT_SCHEMA``, else for the first greenhouse whose
-    name holds a path separator or a NUL byte or repeats a name, that gives
-    both ``params`` and ``csv``, or gives neither and names no built-in
-    preset, or that is generated to a file ``run`` or ``baseline`` writes."""
+    name holds a path separator or a NUL byte or repeats a name, whose
+    ``csv`` holds a NUL byte, that gives both ``params`` and ``csv``, or
+    gives neither and names no built-in preset, or that is generated to a
+    file ``run`` or ``baseline`` writes, else for an ``out_dir`` that holds
+    a NUL byte."""
     errors = list(_schema_errors(doc, EXPERIMENT_SCHEMA, ()))
     if errors:
         path, message = min(errors, key=lambda error: error[0])
@@ -91,6 +94,9 @@ def validate_spec(doc: dict) -> None:
         if any(char in name for char in "/\\\0"):
             raise SpecError(f"greenhouses.{k}.name: {name!r} holds '/', '\\' or a NUL byte; a "
                             f"greenhouse name is a file name in the output directory")
+        if "\0" in entry.get("csv", ""):
+            raise SpecError(f"greenhouses.{k}.csv: {entry['csv']!r} holds a NUL byte, "
+                            f"which no file path can hold")
         if name in names[:k]:
             raise SpecError(f"greenhouses.{k}.name: {name!r} is repeated; "
                             f"each greenhouse needs its own name")
@@ -103,6 +109,8 @@ def validate_spec(doc: dict) -> None:
         if "csv" not in entry and (f"{name}.csv" in outputs or name.startswith(BASELINE_PREFIX)):
             raise SpecError(f"greenhouses.{k}.name: greenhouse {name!r} would be generated to "
                             f"{name}.csv, a file that `run` or `baseline` writes")
+    if "\0" in doc.get("out_dir", ""):
+        raise SpecError(f"out_dir: {doc['out_dir']!r} holds a NUL byte, which no file path can hold")
 
 
 def _deep_merge(base: dict, override: dict) -> dict:
@@ -143,19 +151,14 @@ def load_spec_file(path: str | Path) -> dict:
     return doc
 
 
-def resolve_spec(
-    spec_path: str | Path | None,
-    preset: str = "desk",
-    overrides: dict | None = None,
-) -> dict:
-    """Merge preset defaults, the spec file, and flag overrides (flags win)."""
+def resolve_spec(spec_path: str | Path | None, preset: str, overrides: dict) -> dict:
+    """Merge the preset, the spec file, and flag overrides (flags win)."""
     if preset not in PRESET_SPECS:
         raise SpecError(f"unknown preset {preset!r}, expected one of {sorted(PRESET_SPECS)}")
     doc = PRESET_SPECS[preset]()
     if spec_path is not None:
         doc = _deep_merge(doc, load_spec_file(spec_path))
-    if overrides:
-        doc = _deep_merge(doc, overrides)
+    doc = _deep_merge(doc, overrides)
     validate_spec(doc)
     return doc
 

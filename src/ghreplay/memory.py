@@ -13,7 +13,7 @@ of magnitude:
   (1-p)^observations, i.e. it is nearly gone after one 100-sample batch.
 * ``per-sample``: each observed sample overwrites one uniformly random
   slot with probability p, otherwise it is discarded.
-* ``per-batch`` (default): one sweep per observed batch; each slot is
+* ``per-batch`` (both presets): one sweep per observed batch; each slot is
   replaced with probability p by a uniformly drawn member of that batch.
   Old content decays like (1-p)^batches, which retains samples from a
   previous data source for many updates after a switch.
@@ -43,7 +43,6 @@ so this module keeps only the slot policy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -52,25 +51,22 @@ from .rng import SeededRng
 from .schema import EXPERIMENT_SCHEMA, check_fields
 
 
-class SubstitutionStrategy(str, Enum):
-    PER_ELEMENT = "per-element"
-    PER_SAMPLE = "per-sample"
-    PER_BATCH = "per-batch"
-
-
 @dataclass
 class MemoryConfig:
-    capacity: int = 10000
-    substitution_probability: float = 0.1
-    strategy: SubstitutionStrategy = SubstitutionStrategy.PER_BATCH
-    window_len: int = 250  # the records in each stored window: the spec's data.window_len
+    """The spec's memory section, with the spec's ``data.window_len``:
+    the records in each stored window. ``strategy`` is one of the
+    schema's ``memory.strategy`` names."""
+
+    capacity: int
+    substitution_probability: float
+    strategy: str
+    window_len: int
 
     SCHEMA = {**EXPERIMENT_SCHEMA["properties"]["memory"]["properties"],
               "window_len": EXPERIMENT_SCHEMA["properties"]["data"]["properties"]["window_len"]}
 
     def __post_init__(self) -> None:
         check_fields(self, self.SCHEMA)
-        self.strategy = SubstitutionStrategy(self.strategy)
 
 
 class EpisodicMemory:
@@ -122,7 +118,6 @@ class EpisodicMemory:
         rows = np.asarray(rows, dtype=np.int64)
         if len(rows) == 0:
             raise ValueError("observe_batch: empty batch")
-        strategy = self.config.strategy
         room = self.config.capacity - len(self.rows)
         if room > 0:
             self.rows = np.concatenate([self.rows, rows[:room]])
@@ -131,11 +126,11 @@ class EpisodicMemory:
             return
         p = self.config.substitution_probability
         capacity = len(self.rows)
-        if strategy is SubstitutionStrategy.PER_ELEMENT:
+        if self.config.strategy == "per-element":
             for row in rows.tolist():
                 hits, _ = rng.sweep(capacity, p, 1)
                 self.rows[hits] = row
-        elif strategy is SubstitutionStrategy.PER_SAMPLE:
+        elif self.config.strategy == "per-sample":
             hits, slots = rng.sweep(len(rows), p, capacity)
             # a later sample overwrites an earlier one in the same slot
             slots, last = np.unique(slots[::-1], return_index=True)

@@ -110,10 +110,10 @@ class ModelConfig:
     settings: the CSV columns fix them (``dataset.INPUT_FIELDS`` and
     ``TARGET_FIELDS``)."""
 
-    hidden_dim: int = 32
-    dense_dim: int = 32
-    learning_rate: float = 1e-3
-    grad_clip: float | None = None   # max global grad norm, None = off
+    hidden_dim: int
+    dense_dim: int
+    learning_rate: float
+    grad_clip: float | None   # max global grad norm, None = off
 
     SCHEMA = EXPERIMENT_SCHEMA["properties"]["model"]["properties"]
 
@@ -137,9 +137,6 @@ class ModelParams:
     def items(self):
         for f in dataclasses.fields(self):
             yield f.name, getattr(self, f.name)
-
-    def copy(self) -> "ModelParams":
-        return ModelParams(**{name: arr.copy() for name, arr in self.items()})
 
 
 # Gradients share the ModelParams layout: one array per parameter.
@@ -268,7 +265,7 @@ def _stepper(params: ModelParams, batch: int):
     scratch = np.empty((3, hidden, batch))
     work = scratch[0]
 
-    def step(x_t, c_prev, c, z, check=True) -> bool:
+    def step(x_t, c_prev, c, z, check) -> bool:
         x_rows[:] = x_t.T
         np.matmul(params.lstm, operand, out=z.reshape(4 * hidden, batch))
         if check and not np.isfinite(z).all():

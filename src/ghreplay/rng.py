@@ -95,9 +95,6 @@ class SeededRng:
         self.seed = seed & _MASK64
         self._state = self.seed
 
-    def __repr__(self) -> str:
-        return f"SeededRng(seed=0x{self.seed:016x})"
-
     def next_u64(self) -> int:
         out = _mix64(self._state)  # _mix64 adds the gamma step itself
         self._state = (self._state + _GOLDEN_GAMMA) & _MASK64

@@ -328,12 +328,7 @@ class CompareRow:
     transferred_mse: float
     fresh_mse: float
     ratio: float
-    transfer_benefit: bool
-
-    @property
-    def result(self) -> str:
-        """``transfer_benefit`` as written in the table: pass or fail."""
-        return "pass" if self.transfer_benefit else "fail"
+    transfer_benefit: str  # "pass" if the transferred model's MSE is below the fresh one's, else "fail"
 
 
 def compare_transfer(
@@ -369,7 +364,7 @@ def compare_transfer(
                 transferred_mse=transferred,
                 fresh_mse=fresh,
                 ratio=ratio,
-                transfer_benefit=transferred < fresh,
+                transfer_benefit="pass" if transferred < fresh else "fail",
             )
         )
     return rows
@@ -379,4 +374,4 @@ COMPARE_COLUMNS = tuple(f.name for f in fields(CompareRow))
 
 
 def write_compare_csv(path: str | Path, rows: list[CompareRow]) -> None:
-    _write_table(path, COMPARE_COLUMNS, ((*astuple(r)[:-1], r.result) for r in rows))
+    _write_table(path, COMPARE_COLUMNS, map(astuple, rows))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import ghreplay  # noqa: F401  first: it pins BLAS to one thread, which numpy reads as it loads
 import numpy as np
 import pytest
@@ -5,8 +7,23 @@ import pytest
 from ghreplay.climate import PRESETS, ClimateSeries, generate_series
 from ghreplay.csvio import COLUMNS
 from ghreplay.dataset import Normalizer, Phase, build_samples
+from ghreplay.experiment import build_memory_config, build_model_config, paper_spec
 from ghreplay.model import predict_batch
 from ghreplay.rng import SeededRng
+from ghreplay.schema import EXPERIMENT_SCHEMA
+
+# the memory strategies the spec names, in the schema's order
+STRATEGIES = EXPERIMENT_SCHEMA["properties"]["memory"]["properties"]["strategy"]["enum"]
+
+
+def model_config(**changes):
+    """The paper preset's model config with ``changes`` applied."""
+    return dataclasses.replace(build_model_config(paper_spec()), **changes)
+
+
+def memory_config(**changes):
+    """The paper preset's memory config with ``changes`` applied."""
+    return dataclasses.replace(build_memory_config(paper_spec()), **changes)
 
 
 def add_rows(memory, label, n, input_dim=5, fill=0.5):

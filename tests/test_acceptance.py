@@ -14,11 +14,11 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import add_rows, build_phase
+from conftest import add_rows, build_phase, memory_config, model_config
 from ghreplay.climate import SAMPLE_INTERVAL_S
 from ghreplay.cli import main
 from ghreplay.dataset import WINDOW_STRIDE, window_count
-from ghreplay.memory import EpisodicMemory, MemoryConfig, SubstitutionStrategy
+from ghreplay.memory import EpisodicMemory
 from ghreplay.rng import SeededRng
 from ghreplay.trainer import ScenarioConfig, run_baseline, run_scenario
 from ghreplay import experiment
@@ -43,11 +43,11 @@ def transfer_runs():
     """Shared GH-A -> GH-C runs for the transfer and forgetting criteria.
 
     Per seed: the transferred scenario (replay 100), the replay-free
-    ablation, and a fresh GH-C baseline. Memory uses the library default
+    ablation, and a fresh GH-C baseline. Memory uses the paper preset's
     configuration (capacity 10000, p 0.1, per-batch) at the desk windows
     of 50."""
     runs = {}
-    memory_cfg = MemoryConfig(window_len=50)
+    memory_cfg = memory_config(window_len=50)
     for seed in range(5):
         phase_a = build_phase("GH-A", days=30, seed=seed)
         phase_c = build_phase("GH-C", days=45, seed=seed)
@@ -111,7 +111,7 @@ def test_acceptance_3_learning_progress():
                 phases=[phase], batch_size=100, replay_size=100,
                 eval_every=3, seed=seed,
             )
-            result = run_scenario(scenario, DESK_MODEL, MemoryConfig(window_len=50))
+            result = run_scenario(scenario, DESK_MODEL, memory_config(window_len=50))
             mses = [p.mse_total for p in result.curve.points]
             assert len(mses) >= 6
             first3 = statistics.mean(mses[:3])
@@ -163,7 +163,7 @@ def test_acceptance_6_memory_statistics():
     with report(6, "memory statistics"):
         # (i) fill phase is exact at protocol capacity
         capacity = 10000
-        mem = EpisodicMemory(MemoryConfig(capacity=capacity))
+        mem = EpisodicMemory(memory_config(capacity=capacity))
         rng = SeededRng(1)
         rows = add_rows(mem, "fill", capacity)
         for start in range(0, capacity, 100):
@@ -174,7 +174,7 @@ def test_acceptance_6_memory_statistics():
             return int(np.count_nonzero(memory.label_ids == memory.labels.index(label))) / len(memory)
 
         # (ii) per-batch turnover within 3 sigma of p at capacity 10^4
-        mem2 = EpisodicMemory(MemoryConfig(capacity=capacity))
+        mem2 = EpisodicMemory(memory_config(capacity=capacity))
         rng2 = SeededRng(2)
         mem2.observe_batch(add_rows(mem2, "old", capacity), rng2)
         mem2.observe_batch(add_rows(mem2, "new", 100), rng2)
@@ -186,7 +186,7 @@ def test_acceptance_6_memory_statistics():
         rng3 = SeededRng(3)
         fractions = []
         for _ in range(trials):
-            mem3 = EpisodicMemory(MemoryConfig(capacity=cap3))
+            mem3 = EpisodicMemory(memory_config(capacity=cap3))
             mem3.observe_batch(add_rows(mem3, "old", cap3), rng3)
             new = add_rows(mem3, "new", k * 100)
             for b in range(k):
@@ -197,7 +197,7 @@ def test_acceptance_6_memory_statistics():
         # (iv) per-element strategy decimates old content within 66 observations
         assert 0.9 ** 66 < 1e-3
         mem4 = EpisodicMemory(
-            MemoryConfig(capacity=capacity, strategy=SubstitutionStrategy.PER_ELEMENT)
+            memory_config(capacity=capacity, strategy="per-element")
         )
         rng_fill = SeededRng(4)
         mem4.observe_batch(add_rows(mem4, "old", capacity), rng_fill)

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import series_rows
+from conftest import memory_config, model_config, series_rows
 from ghreplay import checkpoint, trainer
 from ghreplay.atomic import atomic_open
 from ghreplay.climate import PRESETS, generate_series
 from ghreplay.csvio import write_records
-from ghreplay.memory import EpisodicMemory, MemoryConfig
-from ghreplay.model import ModelConfig, init_adam, init_model
+from ghreplay.memory import EpisodicMemory
+from ghreplay.model import init_adam, init_model
 from ghreplay.rng import SeededRng
 
 
@@ -21,10 +21,10 @@ def rows_then_boom():
 
 
 def small_state(seed):
-    cfg = ModelConfig(hidden_dim=3, dense_dim=3)
+    cfg = model_config(hidden_dim=3, dense_dim=3)
     root = SeededRng(seed)
     return cfg, trainer.TrainerState(init_model(cfg, root), init_adam(cfg),
-                                     EpisodicMemory(MemoryConfig(capacity=2)),
+                                     EpisodicMemory(memory_config(capacity=2)),
                                      root.split("replay"), root.split("memory"))
 
 

@@ -4,12 +4,12 @@ import zipfile
 
 import numpy as np
 import pytest
-from conftest import lstm_blocks
+from conftest import STRATEGIES, lstm_blocks, memory_config, model_config
 
 from ghreplay.checkpoint import LAYOUT, load_checkpoint, save_checkpoint
 from ghreplay.dataset import Phase, stack_samples
-from ghreplay.memory import EpisodicMemory, MemoryConfig, SubstitutionStrategy
-from ghreplay.model import ModelConfig, backward, init_adam, init_model, adam_step
+from ghreplay.memory import EpisodicMemory
+from ghreplay.model import backward, init_adam, init_model, adam_step
 from ghreplay.rng import SeededRng
 from ghreplay.trainer import TrainerState
 
@@ -17,10 +17,10 @@ from ghreplay.trainer import TrainerState
 WINDOW_LEN = 8
 
 
-def trained_state(seed=0, strategy=SubstitutionStrategy.PER_BATCH):
+def trained_state(seed=0, strategy="per-batch"):
     """A model config and a ``TrainerState`` after three updates, its
     memory holding windows of two series."""
-    cfg = ModelConfig(hidden_dim=6, dense_dim=5, learning_rate=1e-2, grad_clip=None)
+    cfg = model_config(hidden_dim=6, dense_dim=5, learning_rate=1e-2, grad_clip=None)
     params = init_model(cfg, SeededRng(seed))
     adam = init_adam(cfg)
     rng = SeededRng(seed + 1)
@@ -31,8 +31,8 @@ def trained_state(seed=0, strategy=SubstitutionStrategy.PER_BATCH):
         adam_step(params, grads, adam, cfg)
 
     memory = EpisodicMemory(
-        MemoryConfig(capacity=10, substitution_probability=0.25, strategy=strategy,
-                     window_len=WINDOW_LEN)
+        memory_config(capacity=10, substitution_probability=0.25, strategy=strategy,
+                      window_len=WINDOW_LEN)
     )
     ends = []
     for label in ("GH-0", "GH-1"):
@@ -107,7 +107,7 @@ def test_checkpoint_load_and_save_rewrites_every_array(tmp_path):
                 (b[key].dtype, b[key].shape, b[key].tobytes()), key
 
 
-@pytest.mark.parametrize("strategy", list(SubstitutionStrategy), ids=lambda s: s.value)
+@pytest.mark.parametrize("strategy", STRATEGIES)
 def test_checkpoint_restores_equivalent_replay_behavior(tmp_path, strategy):
     cfg, state = trained_state(seed=5, strategy=strategy)
     memory = state.memory
@@ -171,7 +171,7 @@ def test_load_checkpoint_refuses_a_checkpoint_with_the_window_len_in_the_model_c
 
 def test_checkpoint_empty_memory(tmp_path):
     cfg, state = trained_state(seed=6)
-    state.memory = EpisodicMemory(MemoryConfig(capacity=4))
+    state.memory = EpisodicMemory(memory_config(capacity=4))
     path = tmp_path / "ckpt.npz"
     save_checkpoint(path, cfg, state)
     _, bundle = load_checkpoint(path)
@@ -216,6 +216,11 @@ def without_meta(section, key):
         ("mem_targets", lambda a: a[:, :1], r"mem_targets has shape \(10, 1\), expected \(10, 2\)"),
         ("mem_label_ids", lambda a: np.concatenate([a[:-1], [2]]), r"mem_label_ids has values outside \[0, 2\)"),
         ("mem_timestamps", lambda a: a[1:], r"mem_timestamps has shape \(9,\), expected \(10,\)"),
+        ("mem_timestamps", lambda a: a + 0.5, "mem_timestamps has dtype float64, expected integers"),
+        ("mem_timestamps", lambda a: a.astype(np.uint64) + np.uint64(2**63),
+         r"mem_timestamps has values outside \[-9223372036854775808, 9223372036854775808\)"),
+        ("mem_labels", lambda a: np.array([7, 8]), "mem_labels has dtype int64, expected strings"),
+        ("mem_labels", lambda a: a[[1, 1]], "mem_labels repeats the label 'GH-1'"),
         ("meta_json", with_meta("model_config", "learning_rate", -1.0),
          "meta_json: ModelConfig.learning_rate: -1.0 is less than or equal to the minimum of 0"),
         ("meta_json", with_meta("memory_config", "window_len", 0),
@@ -241,6 +246,12 @@ def without_meta(section, key):
          "meta_json: MemoryConfig.capacity: True is not of type 'integer'"),
         ("meta_json", with_meta("memory_config", "capacity", 9),
          "mem_rows has 10 slots, over the capacity 9"),
+        # a stored config states every field: none is filled from a default
+        ("meta_json", without_meta("memory_config", "strategy"),
+         r"meta_json: MemoryConfig.__init__\(\) missing 1 required positional argument: 'strategy'$"),
+        ("meta_json", without_meta("model_config", "learning_rate"),
+         r"meta_json: ModelConfig.__init__\(\) missing 1 required positional argument: "
+         r"'learning_rate'$"),
         ("adam_t", lambda a: np.array(-5), r"adam_t has values outside \[0, inf\)"),
         ("adam_t", None, "adam_t is missing"),
         ("meta_json", None, "meta_json is missing"),
@@ -259,11 +270,12 @@ def without_meta(section, key):
     ],
     ids=["inf-b2", "shape-u", "nan-adam_v", "short-mem_inputs", "nan-mem_targets", "nan-mem_inputs",
          "below-mem_rows", "beyond-mem_rows", "float-mem_rows", "shape-mem_targets",
-         "unknown-mem_label_ids", "short-mem_timestamps", "negative-learning_rate",
+         "unknown-mem_label_ids", "short-mem_timestamps", "float-mem_timestamps",
+         "uint64-mem_timestamps", "int-mem_labels", "repeated-mem_labels", "negative-learning_rate",
          "zero-window_len", "negative-grad_clip", "zero-capacity", "above-one-adam_beta1",
          "negative-adam_epsilon", "nan-adam_beta2", "inf-learning_rate", "float-hidden_dim",
-         "float-capacity", "bool-capacity", "capacity-below-slots",
-         "negative-adam_t", "missing-adam_t", "missing-meta_json", "float-adam_t",
+         "float-capacity", "bool-capacity", "capacity-below-slots", "missing-strategy",
+         "missing-learning_rate", "negative-adam_t", "missing-adam_t", "missing-meta_json", "float-adam_t",
          "non-dict-rng-state", "null-rng-state", "missing-rng-state",
          "state-beyond-64-bits", "negative-seed", "gauss-key"],
 )

@@ -323,6 +323,22 @@ def test_greenhouse_name_that_is_a_path_or_an_output_exit_2_before_writing(tmp_p
 
 
 @pytest.mark.parametrize(
+    "extra, key",
+    [({"out_dir": "a\0b"}, "out_dir"),
+     ({"greenhouses": [{"name": "GH-A"}, {"name": "ext", "csv": "a\0b.csv"}]}, "greenhouses.1.csv")],
+    ids=["out_dir", "csv"],
+)
+def test_nul_byte_in_a_spec_path_exit_2_before_writing(tmp_path, capsys, extra, key):
+    # no file path holds a NUL byte; the spec names the key before any file is opened
+    spec_path, doc = write_tiny_spec(tmp_path, **extra)
+    for command in ("generate", "run"):
+        assert main([command, "--spec", str(spec_path)]) == 2
+        assert re.match(f"^error: {key}: '.*' holds a NUL byte, which no file path can hold$",
+                        capsys.readouterr().err)
+    assert list(tmp_path.rglob("*")) == [spec_path]
+
+
+@pytest.mark.parametrize(
     "text, key",
     [('{"seed": 1, "seed": 2, "memory": {"capacity": 5}, "memory": {"capacity": 7}}', "seed"),
      ('{"greenhouses": [{"name": "GH-A"}], "memory": {"capacity": 5, "capacity": 7}}', "capacity")],

@@ -20,7 +20,6 @@ from ghreplay.experiment import (
     resolve_spec,
     validate_spec,
 )
-from ghreplay.memory import SubstitutionStrategy
 from ghreplay.schema import SpecError
 
 
@@ -81,12 +80,12 @@ def test_resolve_spec_merges_preset_file_and_flags(tmp_path):
 
 def test_resolve_spec_unknown_preset():
     with pytest.raises(SpecError, match="unknown preset"):
-        resolve_spec(None, preset="galaxy")
+        resolve_spec(None, "galaxy", {})
 
 
 def test_resolve_spec_missing_file(tmp_path):
     with pytest.raises(SpecError, match="spec file not found"):
-        resolve_spec(tmp_path / "nope.json")
+        resolve_spec(tmp_path / "nope.json", "desk", {})
 
 
 def test_greenhouse_params_resolution():
@@ -116,7 +115,7 @@ def test_config_builders_respect_spec():
     assert model_cfg.learning_rate == 0.01
     mem_cfg = build_memory_config(doc)
     assert mem_cfg.capacity == 2000 and mem_cfg.window_len == 50
-    assert mem_cfg.strategy is SubstitutionStrategy.PER_BATCH
+    assert mem_cfg.strategy == "per-batch"
 
 
 def test_paper_preset_protocol_constants():

@@ -6,10 +6,10 @@ entry at a time and recomputes the loss through the forward path only.
 
 import numpy as np
 import pytest
-from conftest import predict_stack
+from conftest import model_config, predict_stack
 
 from ghreplay.dataset import INPUT_FIELDS, TARGET_FIELDS
-from ghreplay.model import ModelConfig, backward, init_model, mse_loss
+from ghreplay.model import backward, init_model, mse_loss
 from ghreplay.rng import SeededRng
 
 FD_STEP = 1e-5
@@ -22,7 +22,7 @@ def _loss_forward_only(params, x, t):
 
 
 def max_relative_gradient_error(seed, cfg=None, batch=3, steps=6):
-    cfg = cfg or ModelConfig(hidden_dim=4, dense_dim=4)
+    cfg = cfg or model_config(hidden_dim=4, dense_dim=4)
     params = init_model(cfg, SeededRng(seed))
     rng = SeededRng(seed + 1000)
     x = np.array(
@@ -52,7 +52,7 @@ def max_relative_gradient_error(seed, cfg=None, batch=3, steps=6):
 
 
 # at hidden 1 the bias gradient's batch sum is not np.sum's pairwise one
-HIDDEN_1 = ModelConfig(hidden_dim=1, dense_dim=4)
+HIDDEN_1 = model_config(hidden_dim=1, dense_dim=4)
 
 
 @pytest.mark.parametrize(
@@ -65,7 +65,7 @@ def test_bptt_matches_finite_differences(seed, cfg, batch, steps):
 
 
 def test_batch_gradient_is_mean_of_single_gradients():
-    cfg = ModelConfig(hidden_dim=4, dense_dim=4)
+    cfg = model_config(hidden_dim=4, dense_dim=4)
     params = init_model(cfg, SeededRng(123))
     rng = SeededRng(456)
     x = np.array(

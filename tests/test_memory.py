@@ -3,20 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from conftest import add_rows
+from conftest import STRATEGIES, add_rows, memory_config
 from ghreplay import rng as rng_module
 from ghreplay.dataset import Phase
-from ghreplay.memory import EpisodicMemory, MemoryConfig, SubstitutionStrategy
+from ghreplay.memory import EpisodicMemory
 from ghreplay.rng import SeededRng
 
-PER_ELEMENT = SubstitutionStrategy.PER_ELEMENT
-PER_SAMPLE = SubstitutionStrategy.PER_SAMPLE
-PER_BATCH = SubstitutionStrategy.PER_BATCH
+PER_ELEMENT, PER_SAMPLE, PER_BATCH = "per-element", "per-sample", "per-batch"
 
 
 def full_memory(capacity, strategy, p=0.1, label="old"):
     mem = EpisodicMemory(
-        MemoryConfig(capacity=capacity, substitution_probability=p, strategy=strategy)
+        memory_config(capacity=capacity, substitution_probability=p, strategy=strategy)
     )
     rng = SeededRng(0)
     mem.observe_batch(add_rows(mem, label, capacity), rng)
@@ -35,7 +33,7 @@ def old_fraction(mem, old_label="old"):
 # --- fill phase -------------------------------------------------------------
 
 def test_fill_phase_appends_in_order():
-    mem = EpisodicMemory(MemoryConfig(capacity=5, strategy=PER_BATCH))
+    mem = EpisodicMemory(memory_config(capacity=5, strategy=PER_BATCH))
     rng = SeededRng(1)
     rows = add_rows(mem, "a", 5)
     mem.observe_batch([rows[0]], rng)
@@ -44,10 +42,10 @@ def test_fill_phase_appends_in_order():
     assert mem.rows.tolist() == [0, 1, 2, 3, 4]
 
 
-@pytest.mark.parametrize("strategy", [PER_ELEMENT, PER_SAMPLE, PER_BATCH])
+@pytest.mark.parametrize("strategy", STRATEGIES)
 def test_first_capacity_samples_present_exactly_once(strategy):
     capacity = 50
-    mem = EpisodicMemory(MemoryConfig(capacity=capacity, strategy=strategy))
+    mem = EpisodicMemory(memory_config(capacity=capacity, strategy=strategy))
     rng = SeededRng(2)
     rows = add_rows(mem, "a", capacity)
     for chunk_start in range(0, capacity, 7):
@@ -56,7 +54,7 @@ def test_first_capacity_samples_present_exactly_once(strategy):
 
 
 def test_batch_smaller_than_remaining_fill_is_pure_append():
-    mem = EpisodicMemory(MemoryConfig(capacity=100, strategy=PER_BATCH))
+    mem = EpisodicMemory(memory_config(capacity=100, strategy=PER_BATCH))
     rng = SeededRng(3)
     batch = add_rows(mem, "a", 30)
     mem.observe_batch(batch, rng)
@@ -64,7 +62,7 @@ def test_batch_smaller_than_remaining_fill_is_pure_append():
 
 
 def test_batch_straddling_fill_boundary():
-    mem = EpisodicMemory(MemoryConfig(capacity=10, substitution_probability=1.0, strategy=PER_BATCH))
+    mem = EpisodicMemory(memory_config(capacity=10, substitution_probability=1.0, strategy=PER_BATCH))
     rng = SeededRng(4)
     mem.observe_batch(add_rows(mem, "a", 8), rng)
     overflow = add_rows(mem, "b", 5)
@@ -77,7 +75,7 @@ def test_batch_straddling_fill_boundary():
 # --- substitution strategies ------------------------------------------------
 
 def test_zero_probability_keeps_memory_unchanged():
-    for strategy in (PER_ELEMENT, PER_SAMPLE, PER_BATCH):
+    for strategy in STRATEGIES:
         mem = full_memory(20, strategy, p=0.0)
         before = mem.rows.copy()
         mem.observe_batch(np.repeat(add_rows(mem, "new", 1), 10), SeededRng(5))
@@ -91,7 +89,7 @@ def test_per_element_copies_follow_binomial_mean():
     total = 0
     for _ in range(trials):
         mem = EpisodicMemory(
-            MemoryConfig(capacity=capacity, substitution_probability=p, strategy=PER_ELEMENT)
+            memory_config(capacity=capacity, substitution_probability=p, strategy=PER_ELEMENT)
         )
         old, new = add_rows(mem, "x", 2)
         mem.rows = np.full(capacity, old)
@@ -103,7 +101,7 @@ def test_per_element_copies_follow_binomial_mean():
 
 
 def test_per_element_wipes_old_content_within_66_observations():
-    # documents why per-element is not the default: (1 - 0.1)^66 < 0.001
+    # documents why neither preset uses per-element: (1 - 0.1)^66 < 0.001
     assert 0.9 ** 66 < 1e-3
     capacity = 10000
     mem = full_memory(capacity, PER_ELEMENT)
@@ -153,7 +151,7 @@ def test_per_batch_geometric_decay_over_batches():
 
 
 def test_capacity_never_exceeded_under_mixed_traffic():
-    cfg = MemoryConfig(capacity=17, substitution_probability=0.5, strategy=PER_BATCH)
+    cfg = memory_config(capacity=17, substitution_probability=0.5, strategy=PER_BATCH)
     mem = EpisodicMemory(cfg)
     rng = SeededRng(14)
     rows = add_rows(mem, "x", 120)
@@ -164,7 +162,7 @@ def test_capacity_never_exceeded_under_mixed_traffic():
 
 
 def test_observe_batch_rejects_empty():
-    mem = EpisodicMemory(MemoryConfig(capacity=3))
+    mem = EpisodicMemory(memory_config(capacity=3))
     with pytest.raises(ValueError, match="empty"):
         mem.observe_batch([], SeededRng(15))
 
@@ -179,11 +177,11 @@ def test_memory_config_validation():
         ({"window_len": 0}, "MemoryConfig.window_len: 0 is less than the minimum of 1"),
     ]:
         with pytest.raises(ValueError, match=message):
-            MemoryConfig(**kwargs)
+            memory_config(**kwargs)
 
 
 def test_add_series_refuses_a_phase_of_another_window_length():
-    mem = EpisodicMemory(MemoryConfig(capacity=3, window_len=4))
+    mem = EpisodicMemory(memory_config(capacity=3, window_len=4))
     add_rows(mem, "GH-A", 6)
     phase = Phase("GH-B", np.zeros((6, 5)), np.zeros((6, 2)), np.arange(6, dtype=np.int64),
                   [], [], window_len=5)
@@ -196,18 +194,18 @@ def test_add_series_refuses_a_phase_of_another_window_length():
 # --- replay draws -----------------------------------------------------------
 
 def test_draw_replay_zero_is_empty():
-    mem = EpisodicMemory(MemoryConfig(capacity=3))
+    mem = EpisodicMemory(memory_config(capacity=3))
     assert len(mem.draw_replay(0, SeededRng(16))) == 0
 
 
 def test_draw_replay_from_empty_memory_is_an_error():
-    mem = EpisodicMemory(MemoryConfig(capacity=3))
+    mem = EpisodicMemory(memory_config(capacity=3))
     with pytest.raises(ValueError, match="empty"):
         mem.draw_replay(1, SeededRng(17))
 
 
 def test_draw_replay_single_slot_repeats():
-    mem = EpisodicMemory(MemoryConfig(capacity=3))
+    mem = EpisodicMemory(memory_config(capacity=3))
     only = add_rows(mem, "only", 1)[0]
     mem.observe_batch([only], SeededRng(18))
     draws = mem.draw_replay(5, SeededRng(19))
@@ -216,7 +214,7 @@ def test_draw_replay_single_slot_repeats():
 
 
 def test_draw_replay_uniform_frequencies():
-    mem = EpisodicMemory(MemoryConfig(capacity=10))
+    mem = EpisodicMemory(memory_config(capacity=10))
     rng = SeededRng(20)
     mem.observe_batch(add_rows(mem, "a", 10), rng)
     draws = mem.draw_replay(100000, SeededRng(21))
@@ -228,7 +226,7 @@ def test_draw_replay_uniform_frequencies():
 
 
 def test_draw_replay_never_fabricates():
-    mem = EpisodicMemory(MemoryConfig(capacity=8))
+    mem = EpisodicMemory(memory_config(capacity=8))
     rng = SeededRng(22)
     add_rows(mem, "other", 5)
     mem.observe_batch(add_rows(mem, "a", 8), rng)
@@ -245,7 +243,7 @@ def test_draw_replay_pinned_rows(slots, n, seed, expected, next_u64):
     """The replay stream itself, which the golden digests of the slots do
     not cover: the rows drawn and the stream's next output, which pins the
     rejections of a slot count that is not a power of two."""
-    mem = EpisodicMemory(MemoryConfig(capacity=slots, window_len=1))
+    mem = EpisodicMemory(memory_config(capacity=slots, window_len=1))
     mem.observe_batch(add_rows(mem, "a", slots)[::-1], SeededRng(0))  # slot i holds row slots - 1 - i
     rng = SeededRng(seed)
     assert mem.draw_replay(n, rng).tolist() == expected
@@ -261,7 +259,7 @@ def test_occupancy_single_label():
 
 
 def test_occupancy_empty_memory():
-    mem = EpisodicMemory(MemoryConfig(capacity=4))
+    mem = EpisodicMemory(memory_config(capacity=4))
     assert mem.occupancy_stats() == {}
 
 
@@ -282,7 +280,7 @@ def test_occupancy_sums_and_decay():
 
 
 def test_occupancy_merges_series_with_one_label():
-    mem = EpisodicMemory(MemoryConfig(capacity=6))
+    mem = EpisodicMemory(memory_config(capacity=6))
     rng = SeededRng(25)
     mem.observe_batch(add_rows(mem, "A", 2), rng)
     mem.observe_batch(add_rows(mem, "B", 3), rng)
@@ -305,15 +303,15 @@ class ScalarMemory:
     def observe(self, row, rng):
         if len(self.slots) < self.capacity:
             self.slots.append(row)
-        elif self.strategy is PER_ELEMENT:
+        elif self.strategy == PER_ELEMENT:
             for idx in range(len(self.slots)):
                 if rng.random() < self.p:
                     self.slots[idx] = row
-        elif self.strategy is PER_SAMPLE and rng.random() < self.p:
+        elif self.strategy == PER_SAMPLE and rng.random() < self.p:
             self.slots[rng.randbelow(len(self.slots))] = row
 
     def observe_batch(self, batch, rng):
-        if self.strategy is not PER_BATCH:
+        if self.strategy != PER_BATCH:
             for row in batch:
                 self.observe(row, rng)
             return
@@ -337,19 +335,19 @@ def assert_same(scalar, mem, rng_scalar, rng_block):
 
 
 @pytest.mark.parametrize("tight_blocks", [False, True], ids=["blocks", "tight-blocks"])
-@pytest.mark.parametrize("strategy", [PER_BATCH, PER_ELEMENT, PER_SAMPLE])
+@pytest.mark.parametrize("strategy", STRATEGIES)
 def test_block_sweeps_match_scalar_stream(strategy, tight_blocks, monkeypatch):
     if tight_blocks:  # every block too short: exercises the peek-again path
         monkeypatch.setattr(rng_module, "_block_size", lambda decisions, picks, m: 1)
-    meta = SeededRng(26).split(strategy.value)
+    meta = SeededRng(26).split(strategy)
     for pool in (1, 2, 64, 100, 128, 129):
         for p in (0.0, 0.1, 1.0):
             capacity = meta.randbelow(300) + 1
             seed = meta.next_u64()
             rng_scalar, rng_block = SeededRng(seed), SeededRng(seed)
             scalar = ScalarMemory(capacity, p, strategy)
-            mem = EpisodicMemory(MemoryConfig(capacity=capacity, substitution_probability=p,
-                                              strategy=strategy))
+            mem = EpisodicMemory(memory_config(capacity=capacity, substitution_probability=p,
+                                               strategy=strategy))
             rows = add_rows(mem, "x", capacity + 2 * pool).tolist()
             fill, stream = rows[:capacity], rows[capacity:]
             for start in range(0, capacity, 97):

@@ -1,3 +1,4 @@
+import copy
 import math
 import os
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import lstm_blocks, predict_stack
+from conftest import lstm_blocks, model_config, predict_stack
 
 import ghreplay
 from ghreplay import linalg, model
@@ -38,7 +39,7 @@ WINDOW = 6  # the window length of the small models' tests
 def small_cfg(**kw):
     defaults = dict(hidden_dim=4, dense_dim=4)
     defaults.update(kw)
-    return ModelConfig(**defaults)
+    return model_config(**defaults)
 
 
 def random_windows(rng, batch, steps, dim=5):
@@ -62,7 +63,7 @@ def test_init_biases():
 
 
 def test_init_shapes():
-    cfg = ModelConfig(hidden_dim=7, dense_dim=3)
+    cfg = model_config(hidden_dim=7, dense_dim=3)
     p = init_model(cfg, SeededRng(1))
     assert p.lstm.shape == (4 * 7, 5 + 7 + 1)
     w, u, b = lstm_blocks(p)
@@ -93,7 +94,7 @@ def glorot_matrices(params):
 @pytest.mark.parametrize("dims", [(1, 1), (4, 4), (7, 2)], ids=["1x1", "small", "uneven"])
 def test_init_weights_within_glorot_bounds(dims):
     h, dn = dims
-    cfg = ModelConfig(hidden_dim=h, dense_dim=dn)
+    cfg = model_config(hidden_dim=h, dense_dim=dn)
     for seed in range(10):  # a 1x1 matrix's limit is sqrt(6 / 2) = sqrt(3)
         params = init_model(cfg, SeededRng(seed))
         for matrix, (rows, cols, limit) in zip(glorot_matrices(params), glorot_limits(cfg)):
@@ -103,7 +104,7 @@ def test_init_weights_within_glorot_bounds(dims):
 
 def test_init_draws_glorot_in_row_major_fixed_order():
     # the scalar loop each matrix's block draw stands for, matrix by matrix
-    cfg = ModelConfig(hidden_dim=3, dense_dim=4)
+    cfg = model_config(hidden_dim=3, dense_dim=4)
     scalar = SeededRng(44)
     expected = [[scalar.uniform(-limit, limit) for _ in range(rows * cols)]
                 for rows, cols, limit in glorot_limits(cfg)]
@@ -114,7 +115,7 @@ def test_init_draws_glorot_in_row_major_fixed_order():
 
 
 def test_init_glorot_mean_within_three_sigma():
-    cfg = ModelConfig(hidden_dim=100)
+    cfg = model_config(hidden_dim=100)
     u = lstm_blocks(init_model(cfg, SeededRng(4)))[1][0]  # 100 x 100
     limit = math.sqrt(6.0 / 200)
     sigma_mean = limit / math.sqrt(3.0 * u.size)
@@ -124,7 +125,7 @@ def test_init_glorot_mean_within_three_sigma():
 def test_init_rejects_bad_shape_before_drawing():
     rng = SeededRng(0)
     with pytest.raises(ValueError, match="hidden_dim"):
-        init_model(ModelConfig(hidden_dim=0), rng)
+        init_model(model_config(hidden_dim=0), rng)
     assert rng.get_state() == SeededRng(0).get_state()
 
 
@@ -137,7 +138,7 @@ def test_config_validation():
         ({"dense_dim": np.int64(5)}, "ModelConfig.dense_dim: .* is not of type 'integer'"),
     ]:
         with pytest.raises(ValueError, match=message):
-            ModelConfig(**kwargs)
+            model_config(**kwargs)
     # Adam runs at its published constants, which are not settings; the CSV
     # columns fix the widths, and the window length is the memory's
     for name, value in [("adam_beta1", 0.9), ("adam_beta2", 0.999), ("adam_epsilon", 1e-8),
@@ -158,7 +159,7 @@ def test_forward_all_zero_params_outputs_exact_zero():
 
 def test_forward_scalar_hand_computation():
     # hidden 1, dense 1, window 1: the whole network in plain floats
-    cfg = ModelConfig(hidden_dim=1, dense_dim=1)
+    cfg = model_config(hidden_dim=1, dense_dim=1)
     p = zeros_params(cfg)
     w, u, b = lstm_blocks(p)
     w[:, 0, :2] = [[0.3, -0.1], [-0.2, 0.4], [0.5, 0.2], [0.7, -0.6]]  # gates i, f, o, g
@@ -189,7 +190,7 @@ def test_forward_scalar_hand_computation():
 
 
 def test_forward_protocol_scale_window_shape():
-    cfg = ModelConfig()  # defaults: hidden 32, dense 32; paper windows of 250
+    cfg = model_config()  # the paper preset: hidden 32, dense 32; windows of 250
     params = init_model(cfg, SeededRng(3))
     window = random_windows(SeededRng(4), 1, 250)
     pred = predict_stack(params, window)
@@ -323,7 +324,7 @@ def test_backward_reports_divergence_with_origin():
 
 
 def test_backward_keeps_four_cache_blocks():
-    cfg = ModelConfig(hidden_dim=16, dense_dim=16)
+    cfg = model_config(hidden_dim=16, dense_dim=16)
     params = init_model(cfg, SeededRng(36))
     rng = np.random.default_rng(37)
     inputs = rng.uniform(0.0, 1.0, (64, 100, 5))
@@ -343,7 +344,7 @@ def test_backward_keeps_four_cache_blocks():
 
 
 def test_backward_replays_gates_in_bounded_memory_at_paper_shape():
-    cfg = ModelConfig(hidden_dim=32, dense_dim=32)
+    cfg = model_config(hidden_dim=32, dense_dim=32)
     params = init_model(cfg, SeededRng(38))
     rng = np.random.default_rng(39)
     inputs = rng.uniform(0.0, 1.0, (200, 250, 5))
@@ -363,7 +364,7 @@ def test_backward_replays_gates_in_bounded_memory_at_paper_shape():
 def test_predict_batch_step_scratch_is_bounded(monkeypatch):
     # one CPU, one 512-window chunk at paper shape
     monkeypatch.setattr(model, "_usable_cpus", lambda: 1)
-    cfg = ModelConfig(hidden_dim=32, dense_dim=32)
+    cfg = model_config(hidden_dim=32, dense_dim=32)
     params = init_model(cfg, SeededRng(25))
     series = np.random.default_rng(26).uniform(0.0, 1.0, (250 + 511, 5))
     gather = 512 * 250 * 5 * 8  # the chunk's step-major windows
@@ -418,7 +419,7 @@ def test_sigmoid_inplace_bit_identical_to_linalg_at_edges():
 def test_adam_zero_gradients_leave_params_unchanged():
     cfg = small_cfg()
     params = init_model(cfg, SeededRng(18))
-    before = params.copy()
+    before = copy.deepcopy(params)
     adam = init_adam(cfg)
     adam_step(params, zeros_params(cfg), adam, cfg)
     for (_, a), (_, b) in zip(params.items(), before.items()):
@@ -430,7 +431,7 @@ def test_adam_zero_learning_rate_leaves_params_unchanged():
     cfg = small_cfg()
     params = init_model(cfg, SeededRng(19))
     cfg.learning_rate = 0.0  # after init; adam_step itself must be inert
-    before = params.copy()
+    before = copy.deepcopy(params)
     grads = zeros_params(cfg)
     w, _, _ = lstm_blocks(grads)
     w[0] = 1.0
@@ -452,7 +453,7 @@ def test_adam_first_step_is_signed_learning_rate():
 
 
 def test_overfit_tiny_batch():
-    cfg = ModelConfig(hidden_dim=8, dense_dim=8, learning_rate=1e-2)
+    cfg = model_config(hidden_dim=8, dense_dim=8, learning_rate=1e-2)
     params = init_model(cfg, SeededRng(20))
     adam = init_adam(cfg)
     rng = SeededRng(21)
@@ -674,7 +675,7 @@ def test_sigmoid_overflow_is_silent(entry):
     # input 0's weights scaled up: sigmoid pre-activations far below -710,
     # where exp(-x) overflows to inf and the gate is 0
     hidden, steps = (32, 250) if entry.endswith("paper") else (16, 50)
-    params = init_model(ModelConfig(hidden_dim=hidden, dense_dim=hidden), SeededRng(30))
+    params = init_model(model_config(hidden_dim=hidden, dense_dim=hidden), SeededRng(30))
     lstm_blocks(params)[0][:, :, 0] *= 1e4
     rng = np.random.default_rng(31)
     x = rng.uniform(0.0, 1.0, (200, steps, 5))
@@ -736,7 +737,7 @@ def test_usable_cpus_falls_back_to_cpu_count_without_affinity(monkeypatch, count
 
 
 def test_predict_batch_bit_identical_for_any_cpu_count(monkeypatch):
-    cfg = ModelConfig(hidden_dim=32, dense_dim=32)
+    cfg = model_config(hidden_dim=32, dense_dim=32)
     params = init_model(cfg, SeededRng(30))
     windows = np.random.default_rng(31).uniform(0.0, 1.0, (1100, 250, 5))  # last chunk ragged
     expected = np.concatenate(
@@ -912,7 +913,7 @@ def reference_backward(params, inputs, targets, sigmoid=linalg_sigmoid):
 
 
 def test_predict_batch_bit_identical_to_reference_at_paper_shape():
-    cfg = ModelConfig(hidden_dim=32, dense_dim=32)
+    cfg = model_config(hidden_dim=32, dense_dim=32)
     params = init_model(cfg, SeededRng(25))
     windows = np.random.default_rng(26).uniform(0.0, 1.0, (600, 250, 5))
     expected = np.concatenate(
@@ -922,7 +923,7 @@ def test_predict_batch_bit_identical_to_reference_at_paper_shape():
 
 
 def test_training_forward_bit_identical_to_reference_at_desk_shape():
-    cfg = ModelConfig(hidden_dim=16, dense_dim=16)
+    cfg = model_config(hidden_dim=16, dense_dim=16)
     params = init_model(cfg, SeededRng(27))
     inputs = np.random.default_rng(28).uniform(0.0, 1.0, (200, 50, 5))
     expected_out, expected = reference_forward(params, inputs)
@@ -949,7 +950,7 @@ def test_training_forward_bit_identical_to_reference_at_desk_shape():
 
 def test_training_forward_without_gate_cache_bit_identical_to_reference_at_desk_shape(monkeypatch):
     monkeypatch.setattr(model, "GATE_CACHE_BYTES", 0)
-    cfg = ModelConfig(hidden_dim=16, dense_dim=16)
+    cfg = model_config(hidden_dim=16, dense_dim=16)
     params = init_model(cfg, SeededRng(27))
     inputs = np.random.default_rng(28).uniform(0.0, 1.0, (200, 50, 5))
     expected_out, expected = reference_forward(params, inputs)
@@ -1064,7 +1065,7 @@ def assert_gradients_drift_within(params, inputs, targets):
 @pytest.mark.parametrize("budget", [model.GATE_CACHE_BYTES, 0], ids=["kept", "replayed"])
 def test_training_drift_from_per_gate_reference_at_desk_shape(monkeypatch, budget):
     monkeypatch.setattr(model, "GATE_CACHE_BYTES", budget)
-    cfg = ModelConfig(hidden_dim=16, dense_dim=16)
+    cfg = model_config(hidden_dim=16, dense_dim=16)
     params = init_model(cfg, SeededRng(27))
     rng = np.random.default_rng(28)
     inputs = rng.uniform(0.0, 1.0, (200, 50, 5))
@@ -1075,7 +1076,7 @@ def test_training_drift_from_per_gate_reference_at_desk_shape(monkeypatch, budge
 
 
 def test_backward_drift_from_per_gate_reference_at_paper_shape():
-    cfg = ModelConfig(hidden_dim=32, dense_dim=32)
+    cfg = model_config(hidden_dim=32, dense_dim=32)
     params = init_model(cfg, SeededRng(38))
     rng = np.random.default_rng(39)
     assert_gradients_drift_within(params, rng.uniform(0.0, 1.0, (200, 250, 5)),
@@ -1083,7 +1084,7 @@ def test_backward_drift_from_per_gate_reference_at_paper_shape():
 
 
 def test_predict_batch_drift_from_per_gate_reference_at_paper_shape():
-    cfg = ModelConfig(hidden_dim=32, dense_dim=32)
+    cfg = model_config(hidden_dim=32, dense_dim=32)
     params = init_model(cfg, SeededRng(25))
     windows = np.random.default_rng(26).uniform(0.0, 1.0, (600, 250, 5))
     assert_drift_within(predict_stack(params, windows), per_gate_forward(params, windows)[0],
@@ -1113,7 +1114,7 @@ def assert_gradients_drift_from_branch_sigmoid_within(params, inputs, targets):
 @pytest.mark.parametrize("budget", [model.GATE_CACHE_BYTES, 0], ids=["kept", "replayed"])
 def test_training_drift_from_branch_sigmoid_at_desk_shape(monkeypatch, budget):
     monkeypatch.setattr(model, "GATE_CACHE_BYTES", budget)
-    cfg = ModelConfig(hidden_dim=16, dense_dim=16)
+    cfg = model_config(hidden_dim=16, dense_dim=16)
     params = init_model(cfg, SeededRng(27))
     rng = np.random.default_rng(28)
     inputs = rng.uniform(0.0, 1.0, (200, 50, 5))
@@ -1124,7 +1125,7 @@ def test_training_drift_from_branch_sigmoid_at_desk_shape(monkeypatch, budget):
 
 
 def test_backward_drift_from_branch_sigmoid_at_paper_shape():
-    cfg = ModelConfig(hidden_dim=32, dense_dim=32)
+    cfg = model_config(hidden_dim=32, dense_dim=32)
     params = init_model(cfg, SeededRng(38))
     rng = np.random.default_rng(39)
     assert_gradients_drift_from_branch_sigmoid_within(
@@ -1133,7 +1134,7 @@ def test_backward_drift_from_branch_sigmoid_at_paper_shape():
 
 
 def test_predict_batch_drift_from_branch_sigmoid_at_paper_shape():
-    cfg = ModelConfig(hidden_dim=32, dense_dim=32)
+    cfg = model_config(hidden_dim=32, dense_dim=32)
     params = init_model(cfg, SeededRng(25))
     windows = np.random.default_rng(26).uniform(0.0, 1.0, (600, 250, 5))
     expected = np.concatenate(
@@ -1186,7 +1187,7 @@ def test_backward_bit_identical_to_reference_at_segment_edges(monkeypatch, steps
 
     monkeypatch.setattr(model, "_forward", recording_forward)
     assert model._segment(steps) == math.ceil(math.sqrt(steps))
-    cfg = ModelConfig(hidden_dim=2, dense_dim=3)
+    cfg = model_config(hidden_dim=2, dense_dim=3)
     params = init_model(cfg, SeededRng(40 + steps))
     rng = np.random.default_rng(steps)
     assert_same_gradients(params, rng.uniform(0.0, 1.0, (1, steps, 5)), rng.uniform(0.0, 1.0, (1, 2)))
@@ -1196,14 +1197,14 @@ def test_backward_bit_identical_to_reference_at_segment_edges(monkeypatch, steps
 def test_backward_bit_identical_to_reference_at_paper_shape():
     # the gates (51.2 MB) do not fit GATE_CACHE_BYTES: this runs the replay
     assert 250 * 4 * 200 * 32 * 8 > model.GATE_CACHE_BYTES
-    cfg = ModelConfig(hidden_dim=32, dense_dim=32)
+    cfg = model_config(hidden_dim=32, dense_dim=32)
     params = init_model(cfg, SeededRng(38))
     rng = np.random.default_rng(39)
     assert_same_gradients(params, rng.uniform(0.0, 1.0, (200, 250, 5)), rng.uniform(0.0, 1.0, (200, 2)))
 
 
 def test_backward_bit_identical_to_reference_at_desk_shape():
-    cfg = ModelConfig(hidden_dim=16, dense_dim=16, learning_rate=1e-2)
+    cfg = model_config(hidden_dim=16, dense_dim=16, learning_rate=1e-2)
     params = init_model(cfg, SeededRng(34))
     adam = init_adam(cfg)
     rng = np.random.default_rng(35)

@@ -17,7 +17,7 @@ import pytest
 from ghreplay.cli import main
 from ghreplay.climate import PRESETS, GreenhouseParams
 from ghreplay.experiment import desk_spec, paper_spec, validate_spec
-from ghreplay.memory import MemoryConfig, SubstitutionStrategy
+from ghreplay.memory import MemoryConfig
 from ghreplay.model import ModelConfig
 from ghreplay.schema import EXPERIMENT_SCHEMA, SpecError, _schema_errors
 from ghreplay.trainer import ScenarioConfig
@@ -87,9 +87,14 @@ def test_config_schemas_name_fields_and_reuse_the_spec_schema():
     assert [f.name for f in dataclasses.fields(ModelConfig)] == list(ModelConfig.SCHEMA)
 
 
-def test_strategy_enum_matches_substitution_strategy():
-    enum = EXPERIMENT_SCHEMA["properties"]["memory"]["properties"]["strategy"]["enum"]
-    assert enum == [strategy.value for strategy in SubstitutionStrategy]
+def test_presets_state_every_config_field():
+    # the presets are the only statement of a setting's value: no config field has a default
+    for config in (ModelConfig, MemoryConfig):
+        assert all(f.default is dataclasses.MISSING for f in dataclasses.fields(config))
+    for preset in (paper_spec, desk_spec):
+        doc = preset()
+        assert list(doc["model"]) == [f.name for f in dataclasses.fields(ModelConfig)]
+        assert [*doc["memory"], "window_len"] == [f.name for f in dataclasses.fields(MemoryConfig)]
 
 
 def spec_paths(doc, path=()):

@@ -1,15 +1,16 @@
+import copy
 import dataclasses
 import statistics
 import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import lstm_blocks
+from conftest import lstm_blocks, memory_config, model_config
 
 from ghreplay import model, trainer
 from ghreplay.dataset import Phase, stack_samples, stack_steps
-from ghreplay.memory import EpisodicMemory, MemoryConfig
-from ghreplay.model import ModelConfig, init_adam, init_model, zeros_params
+from ghreplay.memory import EpisodicMemory
+from ghreplay.model import init_adam, init_model, zeros_params
 from ghreplay.rng import SeededRng
 from ghreplay.trainer import (
     EvalPoint,
@@ -29,8 +30,8 @@ from ghreplay.trainer import (
     boundaries_path_for,
 )
 
-MODEL_CFG = ModelConfig(hidden_dim=8, dense_dim=8, learning_rate=1e-2)
-MEM_CFG = MemoryConfig(capacity=500, substitution_probability=0.1, window_len=10)
+MODEL_CFG = model_config(hidden_dim=8, dense_dim=8, learning_rate=1e-2)
+MEM_CFG = memory_config(capacity=500, substitution_probability=0.1, window_len=10)
 
 
 def synthetic_windows(n, label="GH-X", window_len=10, seed=0):
@@ -54,7 +55,7 @@ def fresh_state(seed=0, memory_cfg=None):
     return TrainerState(
         params=init_model(MODEL_CFG, root.split("init")),
         adam=init_adam(MODEL_CFG),
-        memory=EpisodicMemory(memory_cfg or MemoryConfig(**vars(MEM_CFG))),
+        memory=EpisodicMemory(memory_cfg or dataclasses.replace(MEM_CFG)),
         replay_rng=root.split("replay"),
         memory_rng=root.split("memory"),
     )
@@ -290,7 +291,7 @@ def test_evaluate_rejects_empty_test_set():
 def test_evaluate_never_stacks_the_whole_test_set(monkeypatch):
     # one CPU, so one 512-window chunk (an eighth of the set) is live at a time
     monkeypatch.setattr(model, "_usable_cpus", lambda: 1)
-    cfg = ModelConfig(hidden_dim=4, dense_dim=4)
+    cfg = model_config(hidden_dim=4, dense_dim=4)
     params = init_model(cfg, SeededRng(12))
     phase = held_out_phase(np.full((4096, 2), 0.5), window_len=250)
     stack_bytes = 4096 * 250 * 5 * 8
@@ -502,8 +503,8 @@ def test_replay_toggle_does_not_change_memory_trajectory(tiny_phases):
     mk = lambda r: ScenarioConfig(
         phases=[phase_a, phase_c], batch_size=50, replay_size=r, eval_every=3, seed=12
     )
-    with_replay = run_scenario(mk(50), MODEL_CFG, MemoryConfig(capacity=500, window_len=10))
-    without = run_scenario(mk(0), MODEL_CFG, MemoryConfig(capacity=500, window_len=10))
+    with_replay = run_scenario(mk(50), MODEL_CFG, memory_config(capacity=500, window_len=10))
+    without = run_scenario(mk(0), MODEL_CFG, memory_config(capacity=500, window_len=10))
     slots_a = with_replay.state.memory.rows
     slots_b = without.state.memory.rows
     assert len(slots_a) == len(slots_b) == 500
@@ -522,7 +523,7 @@ def test_replay_toggle_identical_until_replay_engages(tiny_phases):
         batch2 = phase_a.stream[50:100] + offset
         train_update(state, batch1, MODEL_CFG, replay_size=r)
         results[r] = {
-            "after1": state.params.copy(),
+            "after1": copy.deepcopy(state.params),
             "state": state,
             "batch2": batch2,
         }
@@ -585,7 +586,7 @@ def test_compare_identical_curves_is_a_fail_marker():
     run_points = [_point(33, "GH-B", 0.05)]
     rows = compare_transfer(run_points, [("GH-A", 0), ("GH-B", 32)], [("GH-B", run_points)])
     assert rows[0].ratio == 1.0
-    assert rows[0].transfer_benefit is False
+    assert rows[0].transfer_benefit == "fail"
 
 
 def test_compare_quarter_ratio_passes():
@@ -593,7 +594,7 @@ def test_compare_quarter_ratio_passes():
     base_points = [_point(33, "GH-B", 0.08)]
     rows = compare_transfer(run_points, [("GH-B", 32)], [("GH-B", base_points)])
     assert rows[0].ratio == pytest.approx(0.25)
-    assert rows[0].transfer_benefit is True
+    assert rows[0].transfer_benefit == "pass"
     assert rows[0].boundary_update == 32
 
 
