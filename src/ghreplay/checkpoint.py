@@ -153,6 +153,9 @@ def load_checkpoint(path: str | Path) -> tuple[ModelConfig, TrainerState]:
         v=_checked_params(path, arrays, "adam_v", expected),
         t=int(_checked(path, arrays, "adam_t", (), finite=False, within=(0, np.inf))),
     )
+    for name, arr in adam.v.items():  # a mean of squared gradients, under Adam's square root
+        if (arr < 0).any():
+            raise ValueError(f"{path}: array adam_v__{name} has negative values")
     _check_memory(path, arrays, memory_cfg)
     memory = EpisodicMemory.restore(memory_cfg, arrays)
     return model_cfg, TrainerState(params, adam, memory, replay_rng, memory_rng)

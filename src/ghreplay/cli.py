@@ -54,7 +54,7 @@ def _set_up(args: argparse.Namespace):
 def _write_curve(curve_path: Path, curve: trainer.LearningCurve) -> None:
     """Write the curve and its phase boundaries next to it."""
     curve_path.parent.mkdir(parents=True, exist_ok=True)
-    boundaries_path = trainer.boundaries_path_for(curve_path)
+    boundaries_path = experiment.boundaries_path_for(curve_path)
     trainer.write_curve_csv(curve_path, curve)
     trainer.write_boundaries_csv(boundaries_path, curve)
     print(f"wrote {curve_path}")
@@ -66,8 +66,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     result = trainer.run_scenario(scenario, model_cfg, memory_cfg, retention=args.retention)
 
     _write_curve(out_dir / experiment.CURVE_CSV, result.curve)
-    save_checkpoint(out_dir / "checkpoint.npz", model_cfg, result.state)
-    print(f"wrote {out_dir / 'checkpoint.npz'}")
+    save_checkpoint(out_dir / experiment.CHECKPOINT_NPZ, model_cfg, result.state)
+    print(f"wrote {out_dir / experiment.CHECKPOINT_NPZ}")
     for wanted, name, write in (
             (args.retention, experiment.RETENTION_CSV, trainer.write_retention_csv),
             (args.dump_memory, experiment.MEMORY_CSV, trainer.write_memory_csv)):
@@ -87,11 +87,11 @@ def cmd_baseline(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     run_curve = Path(args.run_curve)
     run_points = trainer.read_curve_csv(run_curve)
-    run_starts = trainer.read_boundaries_csv(trainer.boundaries_path_for(run_curve))
+    run_starts = trainer.read_boundaries_csv(experiment.boundaries_path_for(run_curve))
     baselines = []
     for base_path in map(Path, args.baselines):
         points = trainer.read_curve_csv(base_path)
-        starts = trainer.read_boundaries_csv(trainer.boundaries_path_for(base_path))
+        starts = trainer.read_boundaries_csv(experiment.boundaries_path_for(base_path))
         if len(starts) != 1:
             raise ValueError(f"{base_path}: baseline must cover exactly one phase")
         baselines.append((starts[0][0], points))

@@ -12,6 +12,8 @@ its final record: the training ``stream`` and the held-out ``test_set``
 are arrays of such rows. The window ending at row e is
 ``inputs[e - window_len + 1 : e + 1]`` and its target is ``targets[e]``.
 ``build_samples`` streams every window; ``Phase.split`` holds some out.
+Rows are integers wherever they enter (``integer_rows``): a float row is
+refused rather than truncated, and a window is at least one record long.
 ``stack_steps`` gathers a batch of windows in one step, step-major
 (T, B, D), because the LSTM kernel reads one step of every window at a
 time; ``stack_samples`` returns that gather as a (B, T, D) view, with
@@ -56,9 +58,22 @@ DEFAULT_TARGET_BOUNDS = _read_only([
 ], np.float64)
 
 
+def integer_rows(rows, what: str) -> np.ndarray:
+    """``rows`` as an int64 array. A non-empty array of any dtype but an
+    integer one is refused rather than truncated; an empty list passes,
+    though ``np.asarray([])`` is float64. ``what`` names the rows."""
+    rows = np.asarray(rows)
+    if rows.size and not np.issubdtype(rows.dtype, np.integer):
+        raise ValueError(f"{what} rows must be integers, got dtype {rows.dtype}")
+    return rows.astype(np.int64, copy=False)
+
+
 def _check_window_rows(rows: np.ndarray, window_len: int, n_records: int, what: str) -> None:
-    """Raise unless every row of ``rows`` ends a whole window of a series
-    of ``n_records`` records; ``what`` names the rows in the message."""
+    """Raise unless ``window_len`` is at least 1 and every row of ``rows``
+    ends a whole window of a series of ``n_records`` records; ``what``
+    names the rows in the message."""
+    if window_len < 1:
+        raise ValueError(f"{what} rows: window_len must be at least 1, got {window_len}")
     if len(rows) and (rows.min() < window_len - 1 or rows.max() >= n_records):
         raise ValueError(f"{what} rows must lie in [{window_len - 1}, {n_records}), "
                          f"the final rows of whole windows")
@@ -81,8 +96,10 @@ class Phase:
         self.inputs = _read_only(self.inputs, np.float64)
         self.targets = _read_only(self.targets, np.float64)
         self.timestamps = _read_only(self.timestamps, np.int64)
-        self.stream = _read_only(self.stream, np.int64).reshape(-1)
-        self.test_set = _read_only(self.test_set, np.int64).reshape(-1)
+        self.stream = _read_only(integer_rows(self.stream, f"phase {self.label}: stream"),
+                                 np.int64).reshape(-1)
+        self.test_set = _read_only(integer_rows(self.test_set, f"phase {self.label}: test set"),
+                                   np.int64).reshape(-1)
         n = len(self.timestamps)
         if len(self.inputs) != n or len(self.targets) != n:
             raise ValueError(f"phase {self.label}: inputs, targets and timestamps need one row "

@@ -6,7 +6,8 @@ output directory. ``validate_spec`` checks it against ``EXPERIMENT_SCHEMA``
 (see ``schema``) before any work starts and names the first bad key by
 its dotted path; unknown keys are rejected, and so is a key that a spec
 file gives twice in one object, a greenhouse name that holds a path
-separator or would overwrite an output file, or a path that holds a NUL
+separator or would overwrite an output file, a greenhouse ``csv`` that a
+command writes into the output directory, or a path that holds a NUL
 byte. The configs built from a spec check themselves against the same
 schema parts, so a setting's bounds are stated once. The two built-in
 presets are the only statement of a setting's value, as no config field
@@ -35,13 +36,32 @@ from .memory import MemoryConfig
 from .model import ModelConfig
 from .rng import SeededRng
 from .schema import EXPERIMENT_SCHEMA, SpecError, _schema_errors
-from .trainer import ScenarioConfig, boundaries_path_for
+from .trainer import ScenarioConfig
 
-# The CSVs ``run`` writes into the output directory, and the prefix of the
-# ones ``baseline --phase P`` writes there (``baseline_P.csv``), beside the
-# generated greenhouses' ``<name>.csv``, which must not take their names.
+# The files ``generate`` and ``run`` write into the output directory, and the
+# prefix of the CSVs ``baseline --phase P`` writes there (``baseline_P.csv``),
+# beside the generated greenhouses' ``<name>.csv``, which must not take their
+# names; a greenhouse's ``csv`` must not be any of them.
 CURVE_CSV, RETENTION_CSV, MEMORY_CSV = "curve.csv", "retention.csv", "memory.csv"
+CHECKPOINT_NPZ, MANIFEST_JSON = "checkpoint.npz", "manifest.json"
 BASELINE_PREFIX = "baseline_"
+
+
+def boundaries_path_for(curve_path: str | Path) -> Path:
+    """The phase boundaries CSV written beside a curve CSV."""
+    curve_path = Path(curve_path)
+    return curve_path.with_name(curve_path.stem + "_boundaries.csv")
+
+
+OUTPUT_FILES = (CURVE_CSV, boundaries_path_for(CURVE_CSV).name, RETENTION_CSV, MEMORY_CSV,
+                CHECKPOINT_NPZ, MANIFEST_JSON)
+
+
+def _is_output(file_name: str) -> bool:
+    """Whether ``generate``, ``run`` or ``baseline`` writes ``file_name``
+    into the output directory, generated greenhouses aside."""
+    return file_name in OUTPUT_FILES or (file_name.startswith(BASELINE_PREFIX)
+                                         and file_name.endswith(".csv"))
 
 
 def desk_spec() -> dict:
@@ -79,16 +99,20 @@ def validate_spec(doc: dict) -> None:
     """Raise ``SpecError("<dotted.path>: <message>")`` for the first error by
     path against ``EXPERIMENT_SCHEMA``, else for the first greenhouse whose
     name holds a path separator or a NUL byte or repeats a name, whose
-    ``csv`` holds a NUL byte, that gives both ``params`` and ``csv``, or
-    gives neither and names no built-in preset, or that is generated to a
-    file ``run`` or ``baseline`` writes, else for an ``out_dir`` that holds
-    a NUL byte."""
+    ``csv`` holds a NUL byte or is a file a command writes into
+    ``out_dir``, that gives both ``params`` and ``csv``, or gives neither
+    and names no built-in preset, or that is generated to a file ``run``
+    or ``baseline`` writes; an ``out_dir`` that holds a NUL byte is
+    refused before any greenhouse."""
     errors = list(_schema_errors(doc, EXPERIMENT_SCHEMA, ()))
     if errors:
         path, message = min(errors, key=lambda error: error[0])
         raise SpecError(f"{'.'.join(map(str, path)) or 'spec'}: {message}")
+    if "\0" in doc.get("out_dir", ""):
+        raise SpecError(f"out_dir: {doc['out_dir']!r} holds a NUL byte, which no file path can hold")
     names = [entry["name"] for entry in doc["greenhouses"]]
-    outputs = (CURVE_CSV, boundaries_path_for(CURVE_CSV).name, RETENTION_CSV, MEMORY_CSV)
+    generated = {f"{entry['name']}.csv" for entry in doc["greenhouses"] if "csv" not in entry}
+    out_dir = Path(doc["out_dir"]).resolve() if "out_dir" in doc else None
     for k, entry in enumerate(doc["greenhouses"]):
         name = entry["name"]
         if any(char in name for char in "/\\\0"):
@@ -106,11 +130,14 @@ def validate_spec(doc: dict) -> None:
         if "params" not in entry and "csv" not in entry and name not in PRESETS:
             raise SpecError(f"greenhouses.{k}.name: greenhouse {name!r} has no 'params' or "
                             f"'csv' and is not a built-in preset ({', '.join(sorted(PRESETS))})")
-        if "csv" not in entry and (f"{name}.csv" in outputs or name.startswith(BASELINE_PREFIX)):
+        if "csv" not in entry and _is_output(f"{name}.csv"):
             raise SpecError(f"greenhouses.{k}.name: greenhouse {name!r} would be generated to "
                             f"{name}.csv, a file that `run` or `baseline` writes")
-    if "\0" in doc.get("out_dir", ""):
-        raise SpecError(f"out_dir: {doc['out_dir']!r} holds a NUL byte, which no file path can hold")
+        csv_path = Path(entry["csv"]).resolve() if "csv" in entry else None
+        if csv_path and csv_path.parent == out_dir and (_is_output(csv_path.name)
+                                                        or csv_path.name in generated):
+            raise SpecError(f"greenhouses.{k}.csv: {entry['csv']!r} is {csv_path.name} in the "
+                            f"output directory, a file that `generate`, `run` or `baseline` writes")
 
 
 def _deep_merge(base: dict, override: dict) -> dict:
@@ -206,7 +233,7 @@ def generate_datasets(spec: dict, out_dir: Path) -> list[Path]:
         written.append(path)
         manifest_entries.append({"name": params.name, "params": dataclasses.asdict(params)})
     manifest = {"seed": seed, "days_per_phase": days, "greenhouses": manifest_entries}
-    manifest_path = out_dir / "manifest.json"
+    manifest_path = out_dir / MANIFEST_JSON
     with atomic_open(manifest_path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     written.append(manifest_path)

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import INPUT_FIELDS, TARGET_FIELDS, Phase
+from .dataset import INPUT_FIELDS, TARGET_FIELDS, Phase, integer_rows
 from .rng import SeededRng
 from .schema import EXPERIMENT_SCHEMA, check_fields
 
@@ -115,7 +115,7 @@ class EpisodicMemory:
     def observe_batch(self, rows, rng: SeededRng) -> None:
         """Absorb a batch of table rows; under per-batch, run one
         substitution sweep, otherwise substitute sample by sample."""
-        rows = np.asarray(rows, dtype=np.int64)
+        rows = integer_rows(rows, "observe_batch")
         if len(rows) == 0:
             raise ValueError("observe_batch: empty batch")
         room = self.config.capacity - len(self.rows)

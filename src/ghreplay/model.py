@@ -78,7 +78,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import INPUT_FIELDS, TARGET_FIELDS, stack_steps
+from .dataset import INPUT_FIELDS, TARGET_FIELDS, integer_rows, stack_steps
 from .rng import SeededRng
 from .schema import EXPERIMENT_SCHEMA, check_fields
 
@@ -364,7 +364,9 @@ def predict_batch(
     params: ModelParams, rows: np.ndarray, inputs: np.ndarray, window_len: int
 ) -> np.ndarray:
     """Stateless predictions for the windows of the (N, D) series ``inputs``
-    that end at ``rows``, one output row per entry of ``rows``.
+    that end at ``rows``, one output row per entry of ``rows``. The rows
+    must be integers (a float row is refused, not truncated) and
+    ``window_len`` at least 1.
 
     The windows run in independent chunks of ``CHUNK``, dealt out as one
     contiguous block of chunks per usable CPU: the calling thread takes
@@ -380,7 +382,7 @@ def predict_batch(
     bit-identical for any CPU count; the chunk size does change bits.
     """
     inputs = _check_inputs(params, inputs, 2)
-    rows = np.asarray(rows, dtype=np.int64)
+    rows = integer_rows(rows, "predict_batch")
     if len(rows) == 0:
         raise ValueError("predict_batch: empty batch")
     starts = range(0, len(rows), CHUNK)

@@ -35,7 +35,7 @@ import numpy as np
 
 from .atomic import atomic_open
 from .csvio import finite_float, read_table
-from .dataset import Phase, stack_samples
+from .dataset import Phase, integer_rows, stack_samples
 from .memory import EpisodicMemory, MemoryConfig
 from .model import (
     AdamState,
@@ -122,13 +122,6 @@ class TrainerState:
 
 
 @dataclass
-class UpdateStats:
-    loss: float
-    new_count: int
-    replay_count: int
-
-
-@dataclass
 class ScenarioResult:
     curve: LearningCurve
     state: TrainerState
@@ -139,13 +132,13 @@ def train_update(
     rows: np.ndarray,
     model_cfg: ModelConfig,
     replay_size: int,
-) -> UpdateStats:
+) -> float:
     """One online update on the windows ending at ``rows`` of the memory's
     row table: train on new + replayed windows, then absorb the new batch
-    into memory. Replay is drawn before absorption so a window can never
-    be replayed in the same update that introduces it."""
+    into memory; returns the batch loss. Replay is drawn before absorption
+    so a window can never be replayed in the same update that introduces it."""
     memory = state.memory
-    rows = np.asarray(rows, dtype=np.int64)
+    rows = integer_rows(rows, "train_update")
     if len(rows) == 0:
         raise ValueError("train_update: empty batch")
     n_replay = min(replay_size, len(memory))
@@ -163,20 +156,14 @@ def train_update(
         clip_gradients(grads, model_cfg.grad_clip)
     adam_step(state.params, grads, state.adam, model_cfg)
     memory.observe_batch(rows, state.memory_rng)
-    return UpdateStats(loss=loss, new_count=len(rows), replay_count=len(replay))
+    return loss
 
 
-def evaluate(params: ModelParams, phase: Phase) -> tuple[float, np.ndarray]:
-    """MSE on the phase's test set, its windows gathered from the series chunk by chunk."""
-    if len(phase.test_set) == 0:
-        raise ValueError("evaluate: empty test set")
+def evaluate(params: ModelParams, phase: Phase) -> tuple[float, float, float]:
+    """The total, transpiration and photosynthesis MSE on the phase's test
+    set, its windows gathered from the series chunk by chunk."""
     predictions = predict_batch(params, phase.test_set, phase.inputs, phase.window_len)
-    return mse_loss(predictions, phase.targets[phase.test_set])
-
-
-def _test_mse(params: ModelParams, phase: Phase) -> tuple[float, float, float]:
-    """The total, transpiration and photosynthesis MSE on the phase's test set."""
-    total, per_output = evaluate(params, phase)
+    total, per_output = mse_loss(predictions, phase.targets[phase.test_set])
     return total, float(per_output[0]), float(per_output[1])
 
 
@@ -210,11 +197,11 @@ def run_phase(
         if update % scenario.eval_every == 0:
             eval_index = update // scenario.eval_every
             curve.points.append(EvalPoint(update, eval_index, phase.label,
-                                          *_test_mse(state.params, phase)))
+                                          *evaluate(state.params, phase)))
             for earlier in retention_of:
                 curve.retention.append(RetentionPoint(
                     update, eval_index, phase.label, earlier.label,
-                    *_test_mse(state.params, earlier)))
+                    *evaluate(state.params, earlier)))
 
 
 def _fresh_state(scenario: ScenarioConfig, model_cfg: ModelConfig, memory_cfg: MemoryConfig) -> TrainerState:
@@ -295,11 +282,6 @@ def write_curve_csv(path: str | Path, curve: LearningCurve) -> None:
 def read_curve_csv(path: str | Path) -> list[EvalPoint]:
     converters = (int, int, str, finite_float, finite_float, finite_float)
     return [EvalPoint(*row) for _, row in read_table(path, CURVE_COLUMNS, converters)]
-
-
-def boundaries_path_for(curve_path: str | Path) -> Path:
-    curve_path = Path(curve_path)
-    return curve_path.with_name(curve_path.stem + "_boundaries.csv")
 
 
 def write_boundaries_csv(path: str | Path, curve: LearningCurve) -> None:

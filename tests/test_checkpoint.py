@@ -206,6 +206,9 @@ def without_meta(section, key):
         ("param__lstm", lambda a: np.delete(a, 10, axis=1),
          r"param__lstm has shape \(24, 11\), expected \(24, 12\)"),
         ("adam_v__w1", lambda a: np.full_like(a, np.nan), "adam_v__w1 contains non-finite"),
+        # a mean of squares: one negative entry would turn w1 NaN under Adam's square root
+        ("adam_v__w1", lambda a: np.concatenate([[-a[0, 0]], a.ravel()[1:]]).reshape(a.shape),
+         "adam_v__w1 has negative values"),
         ("mem_inputs", lambda a: a[:, :4], r"mem_inputs has shape \(\d+, 4\), expected \(\d+, 5\)"),
         ("mem_targets", lambda a: np.vstack([[np.nan, a[0, 1]], a[1:]]), "mem_targets contains non-finite"),
         ("mem_inputs", lambda a: np.vstack([a[:3], [[np.nan] * 5], a[4:]]), "mem_inputs contains non-finite"),
@@ -268,7 +271,7 @@ def without_meta(section, key):
         ("meta_json", with_meta("rng_states", "replay", {"seed": 1, "state": 2, "gauss": None}),
          r"meta_json: not a stream state: \{'gauss': None, 'seed': 1, 'state': 2\}"),
     ],
-    ids=["inf-b2", "shape-u", "nan-adam_v", "short-mem_inputs", "nan-mem_targets", "nan-mem_inputs",
+    ids=["inf-b2", "shape-u", "nan-adam_v", "negative-adam_v", "short-mem_inputs", "nan-mem_targets", "nan-mem_inputs",
          "below-mem_rows", "beyond-mem_rows", "float-mem_rows", "shape-mem_targets",
          "unknown-mem_label_ids", "short-mem_timestamps", "float-mem_timestamps",
          "uint64-mem_timestamps", "int-mem_labels", "repeated-mem_labels", "negative-learning_rate",

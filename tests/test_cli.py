@@ -323,6 +323,35 @@ def test_greenhouse_name_that_is_a_path_or_an_output_exit_2_before_writing(tmp_p
 
 
 @pytest.mark.parametrize(
+    "file_name, spelled",
+    [("GH-A.csv", "out/GH-A.csv"), ("curve.csv", "out/curve.csv"),
+     ("curve_boundaries.csv", "out/curve_boundaries.csv"), ("retention.csv", "out/retention.csv"),
+     ("memory.csv", "out/memory.csv"), ("manifest.json", "out/manifest.json"),
+     ("checkpoint.npz", "out/checkpoint.npz"), ("baseline_GH-A.csv", "out/baseline_GH-A.csv"),
+     ("curve.csv", "elsewhere/../out/./curve.csv")],
+    ids=["generated", "curve", "boundaries", "retention", "memory", "manifest", "checkpoint",
+         "baseline", "unnormalized"],
+)
+def test_greenhouse_csv_that_a_command_writes_exit_2_before_writing(tmp_path, monkeypatch, capsys,
+                                                                    file_name, spelled):
+    # generate used to replace <out>/GH-A.csv with GH-A's series, and run <out>/curve.csv
+    # with the curve, so the greenhouse read from it was trained on another file
+    monkeypatch.chdir(tmp_path)  # the csv is given relative to the working directory
+    mine = tmp_path / "out" / file_name
+    mine.parent.mkdir()
+    mine.write_bytes(b"the user's own file\n")
+    spec_path, doc = write_tiny_spec(tmp_path, greenhouses=[{"name": "GH-A"},
+                                                            {"name": "mine", "csv": spelled}])
+    for command in (["generate"], ["run"], ["baseline", "--phase", "mine"]):
+        assert main([*command, "--spec", str(spec_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: greenhouses.1.csv: {spelled!r} is {file_name} in the output directory, "
+            f"a file that `generate`, `run` or `baseline` writes\n")
+    assert mine.read_bytes() == b"the user's own file\n"
+    assert sorted(tmp_path.rglob("*")) == [spec_path.parent / "out", mine, spec_path]
+
+
+@pytest.mark.parametrize(
     "extra, key",
     [({"out_dir": "a\0b"}, "out_dir"),
      ({"greenhouses": [{"name": "GH-A"}, {"name": "ext", "csv": "a\0b.csv"}]}, "greenhouses.1.csv")],

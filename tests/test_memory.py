@@ -167,6 +167,13 @@ def test_observe_batch_rejects_empty():
         mem.observe_batch([], SeededRng(15))
 
 
+def test_observe_batch_rejects_float_rows():
+    mem = EpisodicMemory(memory_config(capacity=3))
+    with pytest.raises(ValueError, match="^observe_batch rows must be integers, got dtype float64$"):
+        mem.observe_batch([4.9, 6.2], SeededRng(15))
+    assert len(mem) == 0
+
+
 def test_memory_config_validation():
     for kwargs, message in [
         ({"capacity": 0}, "MemoryConfig.capacity: 0 is less than the minimum of 1"),

@@ -709,6 +709,20 @@ def test_predict_batch_rejects_empty_batch():
         predict_stack(params, np.zeros((0, 6, 5)))
 
 
+def test_predict_batch_rejects_float_rows():
+    # 4.9 used to be truncated to row 4 without a word
+    params = init_model(small_cfg(), SeededRng(29))
+    with pytest.raises(ValueError, match="^predict_batch rows must be integers, got dtype float64$"):
+        predict_batch(params, [4.9], np.zeros((8, 5)), 3)
+
+
+def test_predict_batch_rejects_a_window_len_below_one():
+    # a window of 0 records used to fail inside numpy's maximum of a zero-size array
+    params = init_model(small_cfg(), SeededRng(29))
+    with pytest.raises(ValueError, match="^window rows: window_len must be at least 1, got 0$"):
+        predict_batch(params, [4], np.zeros((8, 5)), 0)
+
+
 def test_backward_on_nested_lists_equals_backward_on_the_array():
     params = init_model(small_cfg(), SeededRng(30))
     gen = np.random.default_rng(31)

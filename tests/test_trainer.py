@@ -9,6 +9,7 @@ from conftest import lstm_blocks, memory_config, model_config
 
 from ghreplay import model, trainer
 from ghreplay.dataset import Phase, stack_samples, stack_steps
+from ghreplay.experiment import boundaries_path_for
 from ghreplay.memory import EpisodicMemory
 from ghreplay.model import init_adam, init_model, zeros_params
 from ghreplay.rng import SeededRng
@@ -27,7 +28,6 @@ from ghreplay.trainer import (
     train_update,
     write_boundaries_csv,
     write_curve_csv,
-    boundaries_path_for,
 )
 
 MODEL_CFG = model_config(hidden_dim=8, dense_dim=8, learning_rate=1e-2)
@@ -94,6 +94,26 @@ def test_phase_rejects_rows_that_end_no_whole_window():
                   stream=bad, test_set=[], window_len=10)
 
 
+@pytest.mark.parametrize("window_len", [0, -3])
+def test_phase_rejects_a_window_len_below_one(window_len):
+    w = synthetic_windows(10)
+    with pytest.raises(ValueError, match=f"^phase GH-X: stream rows: window_len must be at least 1, "
+                                         f"got {window_len}$"):
+        Phase(label="GH-X", inputs=w.inputs, targets=w.targets, timestamps=w.timestamps,
+              stream=[], test_set=[], window_len=window_len)
+
+
+@pytest.mark.parametrize("field", ["stream", "test_set"])
+def test_phase_rejects_float_rows(field):
+    # the rows [9.9, 12.2] used to be stored as [9, 12]
+    w = synthetic_windows(10)
+    rows = {"stream": [], "test_set": [], field: [9.9, 12.2]}
+    with pytest.raises(ValueError, match=f"^phase GH-X: {field.replace('_', ' ')} rows must be "
+                                         f"integers, got dtype float64$"):
+        Phase(label="GH-X", inputs=w.inputs, targets=w.targets, timestamps=w.timestamps,
+              window_len=10, **rows)
+
+
 def test_phase_split_keeps_temporal_order_and_is_read_only():
     phase = Phase.split(synthetic_windows(10), [7, 2, 4])
     assert phase.test_set.tolist() == [11, 13, 16]
@@ -143,32 +163,44 @@ def test_stack_samples_equals_stacked_window_slices():
 
 # --- train_update ------------------------------------------------------------
 
-def test_first_update_has_no_replay():
+@pytest.fixture
+def trained_batch_sizes(monkeypatch):
+    """The number of windows in each batch that reaches ``backward``."""
+    sizes = []
+
+    def recording_backward(params, inputs, targets):
+        sizes.append(len(inputs))
+        return model.backward(params, inputs, targets)
+
+    monkeypatch.setattr(trainer, "backward", recording_backward)
+    return sizes
+
+
+def test_first_update_has_no_replay(trained_batch_sizes):
     state = fresh_state()
-    stats = train_update(state, synthetic_stream(state, 20), MODEL_CFG, replay_size=100)
-    assert stats.new_count == 20 and stats.replay_count == 0
+    loss = train_update(state, synthetic_stream(state, 20), MODEL_CFG, replay_size=100)
+    assert trained_batch_sizes == [20]
+    assert isinstance(loss, float) and loss > 0.0
     assert len(state.memory) == 20
 
 
-def test_replay_size_zero_is_pure_online():
+def test_replay_size_zero_is_pure_online(trained_batch_sizes):
     state = fresh_state()
     for start in range(3):
-        stats = train_update(
-            state, synthetic_stream(state, 20, seed=start), MODEL_CFG, replay_size=0
-        )
-        assert stats.replay_count == 0
+        train_update(state, synthetic_stream(state, 20, seed=start), MODEL_CFG, replay_size=0)
+    assert trained_batch_sizes == [20, 20, 20]
 
 
-def test_combined_minibatch_size_after_warmup():
+def test_combined_minibatch_size_after_warmup(trained_batch_sizes):
     state = fresh_state()
     train_update(state, synthetic_stream(state, 100, seed=1), MODEL_CFG, replay_size=100)
-    stats = train_update(state, synthetic_stream(state, 100, seed=2), MODEL_CFG, replay_size=100)
-    assert stats.new_count + stats.replay_count == 200
-    # partially filled memory caps the draw at what is stored
+    train_update(state, synthetic_stream(state, 100, seed=2), MODEL_CFG, replay_size=100)
+    assert trained_batch_sizes == [100, 100 + 100]
+    # partially filled memory caps the draw at the 30 samples it stores
     state2 = fresh_state()
     train_update(state2, synthetic_stream(state2, 30, seed=3), MODEL_CFG, replay_size=100)
-    stats2 = train_update(state2, synthetic_stream(state2, 30, seed=4), MODEL_CFG, replay_size=100)
-    assert stats2.replay_count == 30
+    train_update(state2, synthetic_stream(state2, 30, seed=4), MODEL_CFG, replay_size=100)
+    assert trained_batch_sizes[2:] == [30, 30 + 30]
 
 
 def test_replay_drawn_before_new_batch_enters_memory():
@@ -186,6 +218,14 @@ def test_replay_drawn_before_new_batch_enters_memory():
 def test_train_update_rejects_empty_batch():
     with pytest.raises(ValueError, match="empty"):
         train_update(fresh_state(), [], MODEL_CFG, replay_size=0)
+
+
+def test_train_update_rejects_float_rows():
+    state = fresh_state()
+    rows = synthetic_stream(state, 3)
+    with pytest.raises(ValueError, match="^train_update rows must be integers, got dtype float64$"):
+        train_update(state, rows + 0.5, MODEL_CFG, replay_size=0)
+    assert state.adam.t == 0 and len(state.memory) == 0
 
 
 def test_train_update_clips_the_gradients_it_hands_to_adam(monkeypatch):
@@ -250,8 +290,7 @@ def test_evaluate_perfect_model_is_zero():
     params = zeros_params(MODEL_CFG)
     params.b2[:] = [0.3, 0.6]
     test = held_out_phase(np.tile([0.3, 0.6], (5, 1)), fill=0.0)
-    total, per = evaluate(params, test)
-    assert total == 0.0 and np.array_equal(per, np.zeros(2))
+    assert evaluate(params, test) == (0.0, 0.0, 0.0)
 
 
 def test_evaluate_constant_half_predictor_near_one_twelfth():
@@ -260,7 +299,7 @@ def test_evaluate_constant_half_predictor_near_one_twelfth():
     params.b2[:] = 0.5
     rng = SeededRng(7)
     targets = np.array([[rng.random(), rng.random()] for _ in range(1000)])
-    total, _ = evaluate(params, held_out_phase(targets))
+    total, _, _ = evaluate(params, held_out_phase(targets))
     assert abs(total - 1.0 / 12.0) < 0.005
 
 
@@ -269,8 +308,8 @@ def test_evaluate_total_is_mean_of_outputs():
     params.b2[:] = [0.2, 0.9]
     rng = SeededRng(8)
     targets = np.array([[rng.random(), rng.random()] for _ in range(50)])
-    total, per = evaluate(params, held_out_phase(targets))
-    assert total == (per[0] + per[1]) / 2.0
+    total, transpiration, photosynthesis = evaluate(params, held_out_phase(targets))
+    assert total == (transpiration + photosynthesis) / 2.0
 
 
 def test_evaluate_overflowing_squared_errors_raise_non_finite():
