@@ -15,7 +15,7 @@ from pathlib import Path
 
 
 @contextmanager
-def atomic_open(path: str | Path, mode: str = "w", **kwargs):
+def atomic_open(path: str | Path, mode: str, **kwargs):
     """``open(path, mode, **kwargs)`` whose file replaces ``path`` on a clean exit."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")

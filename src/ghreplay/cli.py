@@ -20,19 +20,13 @@ from .checkpoint import save_checkpoint
 from .schema import SpecError
 
 
-def _spec_overrides(args: argparse.Namespace) -> dict:
-    overrides: dict = {}
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "out", None) is not None:
-        overrides["out_dir"] = args.out
-    return overrides
-
-
 def _resolve(args: argparse.Namespace) -> tuple[dict, Path]:
-    spec = experiment.resolve_spec(args.spec, args.preset, _spec_overrides(args))
-    out_dir = Path(spec["out_dir"])
-    return spec, out_dir
+    """The spec of ``generate``, ``run`` or ``baseline``, with the ``--seed``
+    and ``--out`` flags given, and its output directory."""
+    overrides = {key: value for key, value in (("seed", args.seed), ("out_dir", args.out))
+                 if value is not None}
+    spec = experiment.resolve_spec(args.spec, args.preset, overrides)
+    return spec, Path(spec["out_dir"])
 
 
 def cmd_generate(args: argparse.Namespace) -> int:

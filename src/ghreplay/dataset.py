@@ -11,7 +11,9 @@ series normalized once into read-only ``inputs`` (N, D) and ``targets``
 its final record: the training ``stream`` and the held-out ``test_set``
 are arrays of such rows. The window ending at row e is
 ``inputs[e - window_len + 1 : e + 1]`` and its target is ``targets[e]``.
-``build_samples`` streams every window; ``Phase.split`` holds some out.
+``build_samples`` streams every window, one ending every ``WINDOW_STRIDE``
+records (it takes no stride); ``Phase.split`` holds some out by their
+positions, integers in [0, number of windows), refusing any other.
 Rows are integers wherever they enter (``integer_rows``): a float row is
 refused rather than truncated, and a window is at least one record long.
 ``stack_steps`` gathers a batch of windows in one step, step-major
@@ -61,10 +63,11 @@ DEFAULT_TARGET_BOUNDS = _read_only([
 def integer_rows(rows, what: str) -> np.ndarray:
     """``rows`` as an int64 array. A non-empty array of any dtype but an
     integer one is refused rather than truncated; an empty list passes,
-    though ``np.asarray([])`` is float64. ``what`` names the rows."""
+    though ``np.asarray([])`` is float64. ``what`` names the rows in the
+    message, as ``"predict_batch rows"``."""
     rows = np.asarray(rows)
     if rows.size and not np.issubdtype(rows.dtype, np.integer):
-        raise ValueError(f"{what} rows must be integers, got dtype {rows.dtype}")
+        raise ValueError(f"{what} must be integers, got dtype {rows.dtype}")
     return rows.astype(np.int64, copy=False)
 
 
@@ -96,9 +99,9 @@ class Phase:
         self.inputs = _read_only(self.inputs, np.float64)
         self.targets = _read_only(self.targets, np.float64)
         self.timestamps = _read_only(self.timestamps, np.int64)
-        self.stream = _read_only(integer_rows(self.stream, f"phase {self.label}: stream"),
+        self.stream = _read_only(integer_rows(self.stream, f"phase {self.label}: stream rows"),
                                  np.int64).reshape(-1)
-        self.test_set = _read_only(integer_rows(self.test_set, f"phase {self.label}: test set"),
+        self.test_set = _read_only(integer_rows(self.test_set, f"phase {self.label}: test set rows"),
                                    np.int64).reshape(-1)
         n = len(self.timestamps)
         if len(self.inputs) != n or len(self.targets) != n:
@@ -116,10 +119,16 @@ class Phase:
 
     def split(self, test_positions) -> "Phase":
         """This phase's windows, in temporal order, with those at
-        ``test_positions`` held out and the rest streamed."""
+        ``test_positions`` held out and the rest streamed. A position is an
+        integer in [0, number of windows): a float, negative or too large
+        one is refused, naming the phase, not truncated or wrapped."""
         windows = np.sort(np.concatenate([self.stream, self.test_set]))
+        positions = integer_rows(list(test_positions), f"phase {self.label}: test positions")
+        if len(positions) and (positions.min() < 0 or positions.max() >= len(windows)):
+            raise ValueError(f"phase {self.label}: test positions must lie in "
+                             f"[0, {len(windows)}), the positions of its windows")
         held = np.zeros(len(windows), dtype=bool)
-        held[np.asarray(list(test_positions), dtype=np.int64)] = True
+        held[positions] = True
         return replace(self, stream=windows[~held], test_set=windows[held])
 
 
@@ -149,18 +158,14 @@ def window_count(n_records: int, window_len: int, stride: int) -> int:
     return (n_records - window_len) // stride + 1
 
 
-def build_samples(
-    series: ClimateSeries,
-    label: str,
-    window_len: int,
-    stride: int,
-    normalizer: Normalizer,
-) -> Phase:
-    """The series normalized once, streaming its windows in temporal order."""
-    count = window_count(len(series), window_len, stride)
+def build_samples(series: ClimateSeries, label: str, window_len: int,
+                  normalizer: Normalizer) -> Phase:
+    """The series normalized once, streaming its windows in temporal order,
+    one ending every ``WINDOW_STRIDE`` records; there is no other stride."""
+    count = window_count(len(series), window_len, WINDOW_STRIDE)
     inputs = np.column_stack([getattr(series, f) for f in INPUT_FIELDS])
     targets = np.column_stack([getattr(series, f) for f in TARGET_FIELDS])
-    stream = np.arange(count, dtype=np.int64) * stride + (window_len - 1)
+    stream = np.arange(count, dtype=np.int64) * WINDOW_STRIDE + (window_len - 1)
     # timestamps copied: the CSV reader's columns are views of its whole record table
     return Phase(label, normalizer.normalize(inputs, DEFAULT_INPUT_BOUNDS),
                  normalizer.normalize(targets, DEFAULT_TARGET_BOUNDS),

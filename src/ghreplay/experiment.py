@@ -31,7 +31,7 @@ from pathlib import Path
 from .atomic import atomic_open
 from .climate import PRESETS, GreenhouseParams, generate_series
 from .csvio import read_records, write_records
-from .dataset import WINDOW_STRIDE, Normalizer, Phase, build_samples
+from .dataset import Normalizer, Phase, build_samples
 from .memory import MemoryConfig
 from .model import ModelConfig
 from .rng import SeededRng
@@ -215,8 +215,19 @@ def dataset_path(entry: dict, out_dir: Path) -> Path:
     return out_dir / f"{entry['name']}.csv"
 
 
+def _check_out_dir(spec: dict, out_dir: Path) -> None:
+    """Raise ``SpecError`` unless ``out_dir`` is the spec's own ``out_dir``,
+    the one whose files ``validate_spec`` keeps a greenhouse's ``csv`` from naming."""
+    if Path(out_dir).resolve() != Path(spec["out_dir"]).resolve():
+        raise SpecError(f"output directory {str(out_dir)!r} is not the spec's out_dir "
+                        f"{spec['out_dir']!r}; pass the spec's own directory")
+
+
 def generate_datasets(spec: dict, out_dir: Path) -> list[Path]:
-    """Write one CSV per generated greenhouse plus a manifest of the inputs."""
+    """Write one CSV per generated greenhouse plus a manifest of the inputs
+    into ``out_dir``, which must resolve to ``spec["out_dir"]``: another
+    directory is refused before any file is written."""
+    _check_out_dir(spec, out_dir)
     seed = spec["seed"]
     days = spec["days_per_phase"]
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -241,7 +252,9 @@ def generate_datasets(spec: dict, out_dir: Path) -> list[Path]:
 
 
 def build_phases(spec: dict, out_dir: Path) -> tuple[list[Phase], Normalizer]:
-    """Load every greenhouse CSV and split windows into stream/test sets."""
+    """Load every greenhouse CSV and split windows into stream/test sets;
+    ``out_dir`` must resolve to ``spec["out_dir"]``, as for ``generate_datasets``."""
+    _check_out_dir(spec, out_dir)
     seed = spec["seed"]
     window_len = spec["data"]["window_len"]
     test_size = spec["scenario"]["test_size"]
@@ -255,7 +268,7 @@ def build_phases(spec: dict, out_dir: Path) -> tuple[list[Phase], Normalizer]:
             hint = "" if "csv" in entry else " (run `generate` first?)"
             raise SpecError(f"dataset file not found: {path}{hint}")
         series = read_records(path)
-        windows = build_samples(series, entry["name"], window_len, WINDOW_STRIDE, normalizer)
+        windows = build_samples(series, entry["name"], window_len, normalizer)
         if len(windows) <= test_size:
             raise SpecError(
                 f"greenhouse {entry['name']!r}: {len(windows)} windows is not "

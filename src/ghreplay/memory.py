@@ -115,7 +115,7 @@ class EpisodicMemory:
     def observe_batch(self, rows, rng: SeededRng) -> None:
         """Absorb a batch of table rows; under per-batch, run one
         substitution sweep, otherwise substitute sample by sample."""
-        rows = integer_rows(rows, "observe_batch")
+        rows = integer_rows(rows, "observe_batch rows")
         if len(rows) == 0:
             raise ValueError("observe_batch: empty batch")
         room = self.config.capacity - len(self.rows)

@@ -382,7 +382,7 @@ def predict_batch(
     bit-identical for any CPU count; the chunk size does change bits.
     """
     inputs = _check_inputs(params, inputs, 2)
-    rows = integer_rows(rows, "predict_batch")
+    rows = integer_rows(rows, "predict_batch rows")
     if len(rows) == 0:
         raise ValueError("predict_batch: empty batch")
     starts = range(0, len(rows), CHUNK)

@@ -138,7 +138,7 @@ def train_update(
     into memory; returns the batch loss. Replay is drawn before absorption
     so a window can never be replayed in the same update that introduces it."""
     memory = state.memory
-    rows = integer_rows(rows, "train_update")
+    rows = integer_rows(rows, "train_update rows")
     if len(rows) == 0:
         raise ValueError("train_update: empty batch")
     n_replay = min(replay_size, len(memory))

@@ -59,11 +59,11 @@ def predict_stack(params, stack):
     return predict_batch(params, rows, np.reshape(stack, (batch * steps, dim)), steps)
 
 
-def build_phase(name, days, seed, window_len=50, stride=2, test_size=1000):
+def build_phase(name, days, seed, window_len=50, test_size=1000):
     """Phase built the same way the experiment layer does, without CSV I/O."""
     rng = SeededRng(seed).split(f"generator/{name}")
     series = generate_series(PRESETS[name], days, rng)
-    windows = build_samples(series, name, window_len, stride, Normalizer())
+    windows = build_samples(series, name, window_len, Normalizer())
     test_rng = SeededRng(seed).split(f"test-sampling/{name}")
     return Phase.split(windows, test_rng.sample_indices(len(windows), test_size))
 
@@ -72,6 +72,6 @@ def build_phase(name, days, seed, window_len=50, stride=2, test_size=1000):
 def tiny_phases():
     """Two small phases (different greenhouses) for fast trainer tests."""
     return (
-        build_phase("GH-A", days=4, seed=11, window_len=10, stride=2, test_size=100),
-        build_phase("GH-C", days=4, seed=11, window_len=10, stride=2, test_size=100),
+        build_phase("GH-A", days=4, seed=11, window_len=10, test_size=100),
+        build_phase("GH-C", days=4, seed=11, window_len=10, test_size=100),
     )

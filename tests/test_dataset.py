@@ -8,6 +8,7 @@ from ghreplay.climate import PRESETS, generate_series
 from ghreplay.dataset import (
     DEFAULT_INPUT_BOUNDS,
     DEFAULT_TARGET_BOUNDS,
+    WINDOW_STRIDE,
     Normalizer,
     build_samples,
     window_count,
@@ -89,7 +90,7 @@ def test_no_clamping_on_generated_data():
     n = Normalizer()
     for name in PRESETS:
         series = generate_series(PRESETS[name], days=2, rng=SeededRng(4))
-        build_samples(series, name, 20, 2, n)
+        build_samples(series, name, 20, n)
     assert n.clamp_count == 0
 
 
@@ -114,18 +115,17 @@ def test_build_samples_counts_match_formula():
     rng = SeededRng(23)
     for _ in range(10):
         window_len = rng.randbelow(100) + 1
-        stride = rng.randbelow(8) + 1
-        samples = build_samples(series, "GH-A", window_len, stride, Normalizer())
-        assert len(samples) == window_count(len(series), window_len, stride)
+        samples = build_samples(series, "GH-A", window_len, Normalizer())
+        assert len(samples) == window_count(len(series), window_len, WINDOW_STRIDE)
 
 
 def test_build_samples_contiguous_targets_from_final_record():
     series = generate_series(PRESETS["GH-A"], days=1, rng=SeededRng(6))
     n = Normalizer()
-    windows = build_samples(series, "GH-A", window_len=12, stride=3, normalizer=n)
+    windows = build_samples(series, "GH-A", window_len=12, normalizer=n)
     assert windows.window_len == 12
     for w_idx, end in enumerate(windows.stream.tolist()):
-        start = w_idx * 3
+        start = w_idx * WINDOW_STRIDE
         assert end == start + 11
         assert windows.timestamps[end] == series.timestamp[end]
         window = windows.inputs[end - 11 : end + 1]
@@ -137,32 +137,33 @@ def test_build_samples_contiguous_targets_from_final_record():
 
 def test_build_samples_too_short_series():
     series = generate_series(PRESETS["GH-A"], days=1, rng=SeededRng(7))
-    windows = build_samples(series_rows(series, slice(5)), "GH-A", window_len=6, stride=1, normalizer=Normalizer())
+    windows = build_samples(series_rows(series, slice(5)), "GH-A", window_len=6, normalizer=Normalizer())
     assert len(windows) == 0 and windows.stream.shape == (0,)
 
 
 def test_build_samples_normalized_and_labeled():
     series = generate_series(PRESETS["GH-B"], days=1, rng=SeededRng(8))
-    windows = build_samples(series, "GH-B", 25, 2, Normalizer())
-    assert len(windows) == window_count(len(series), 25, 2)
+    windows = build_samples(series, "GH-B", 25, Normalizer())
+    assert len(windows) == window_count(len(series), 25, WINDOW_STRIDE)
     assert windows.label == "GH-B"
     assert windows.inputs.shape == (len(series), 5)
     assert windows.targets.shape == (len(series), 2)
     assert (windows.inputs >= 0.0).all() and (windows.inputs <= 1.0).all()
     assert (windows.targets >= 0.0).all() and (windows.targets <= 1.0).all()
-    assert (np.diff(windows.stream) == 2).all() and windows.stream[0] == 24
+    assert (np.diff(windows.stream) == WINDOW_STRIDE).all() and windows.stream[0] == 24
 
 
 def test_build_samples_streams_every_window():
     series = generate_series(PRESETS["GH-A"], days=1, rng=SeededRng(10))
-    phase = build_samples(series, "GH-A", 20, 3, Normalizer())
-    assert len(phase) == len(phase.stream) == window_count(len(series), 20, 3)
+    phase = build_samples(series, "GH-A", 20, Normalizer())
+    assert len(phase) == len(phase.stream) == window_count(len(series), 20, WINDOW_STRIDE)
+    assert phase.stream.tolist() == list(range(19, len(series), WINDOW_STRIDE))
     assert phase.test_set.shape == (0,) and phase.window_len == 20
 
 
 def test_build_samples_views_are_readonly():
     series = generate_series(PRESETS["GH-A"], days=1, rng=SeededRng(9))
-    windows = build_samples(series, "GH-A", 10, 2, Normalizer())
+    windows = build_samples(series, "GH-A", 10, Normalizer())
     for arr in (windows.inputs, windows.targets, windows.timestamps):
         with pytest.raises(ValueError):
             arr[0] = 2

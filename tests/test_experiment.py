@@ -187,6 +187,24 @@ def test_external_csv_entry_skipped_by_generate(tmp_path):
     assert [g["name"] for g in manifest["greenhouses"]] == ["GH-A", "GH-C"]
 
 
+@pytest.mark.parametrize("call", [generate_datasets, build_phases])
+def test_out_dir_other_than_the_specs_is_refused_before_any_file(tmp_path, call):
+    # validate_spec checks a csv against the spec's out_dir; generate_datasets wrote into
+    # the directory it was given, replacing mine's input with GH-A's series
+    out = tmp_path / "out"
+    out.mkdir()
+    mine = out / "GH-A.csv"
+    mine.write_bytes(b"the user's own series\n")
+    doc = tiny_spec(tmp_path / "elsewhere")
+    doc["greenhouses"] = [{"name": "GH-A"}, {"name": "mine", "csv": str(mine)}]
+    validate_spec(doc)
+    with pytest.raises(SpecError, match=f"^output directory {re.escape(repr(str(out)))} is not "
+                                        f"the spec's out_dir {re.escape(repr(doc['out_dir']))}"):
+        call(doc, out)
+    assert mine.read_bytes() == b"the user's own series\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+
+
 def test_greenhouse_read_from_csv_may_take_an_output_name():
     validate_spec({**desk_spec(), "greenhouses": [{"name": "curve", "csv": "curve.csv"}]})
 

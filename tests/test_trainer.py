@@ -132,6 +132,20 @@ def test_phase_split_counts_held_out_windows_and_resplits_them():
     assert len(phase.test_set) == 3  # the original is kept
 
 
+@pytest.mark.parametrize("positions, message", [
+    # held out rows 11 and 14, as [2, 5] does
+    pytest.param([2.7, 5.9], "must be integers, got dtype float64", id="float"),
+    # held out the last window
+    pytest.param([-1], r"must lie in \[0, 18\), the positions of its windows", id="negative"),
+    # raised numpy's bare IndexError
+    pytest.param([18], r"must lie in \[0, 18\), the positions of its windows", id="past-the-end"),
+])
+def test_phase_split_refuses_a_position_that_names_no_window(positions, message):
+    phase = synthetic_windows(18)
+    with pytest.raises(ValueError, match=f"^phase GH-X: test positions {message}$"):
+        phase.split(positions)
+
+
 def test_memory_add_series_appends_the_phase_series():
     state = fresh_state()
     first, second = make_phase(5, 3, label="GH-A", seed=1), make_phase(4, 2, label="GH-B", seed=2)
