@@ -4,18 +4,21 @@ A spec names the greenhouses (generator presets, explicit parameters, or
 existing CSV paths), the model, memory and scenario settings, and the
 output directory. ``validate_spec`` checks it against ``EXPERIMENT_SCHEMA``
 (see ``schema``) before any work starts and names the first bad key by
-its dotted path; unknown keys are rejected, and so is a key that a spec
-file gives twice in one object, a greenhouse name that holds a path
-separator or would overwrite an output file, a greenhouse ``csv`` that a
-command writes into the output directory, or a path that holds a NUL
-byte. The configs built from a spec check themselves against the same
-schema parts, so a setting's bounds are stated once. The two built-in
-presets are the only statement of a setting's value, as no config field
-has a default: ``paper`` (protocol-scale constants: window 250, batches
-of 100, 10k-sample memory, substitution probability 0.1, evaluation
-every 3 updates, 10k-sample test sets) and ``desk``, merged over it: the
-same protocol scaled down to run in seconds. Windows end every
-``WINDOW_STRIDE`` records, 10 minutes apart, in every run. Resolution
+its dotted path; unknown keys are rejected, and so is a spec that omits
+a key of the top level or of the ``data``, ``model``, ``memory`` or
+``scenario`` section, a key that a spec file gives twice in one object,
+a greenhouse name that holds a path separator or would overwrite an
+output file, a greenhouse ``csv`` that a command writes into the output
+directory, or a path that holds a NUL byte. The configs built from a
+spec check themselves against the same schema parts, so a setting's
+bounds are stated once. The two built-in presets are the only statement
+of a setting's value, as no config field has a default: ``paper``
+(protocol-scale constants: window 250, batches of 100, 10k-sample
+memory, evaluation every 3 updates, 10k-sample test sets) and ``desk``,
+merged over it: the same protocol scaled down to run in seconds. In
+every run, windows end every ``WINDOW_STRIDE`` records, 10 minutes
+apart, and the memory substitutes with ``SUBSTITUTION_PROBABILITY``,
+0.1; neither is a spec key. Resolution
 order: the preset, then the spec file, then the ``--seed`` and ``--out``
 flags. ``build_phases`` refuses a greenhouse whose windows leave no test
 set, or a stream shorter than one batch.
@@ -87,7 +90,7 @@ def paper_spec() -> dict:
         "greenhouses": [{"name": "GH-A"}, {"name": "GH-B"}, {"name": "GH-C"}],
         "data": {"window_len": 250},
         "model": {"hidden_dim": 32, "dense_dim": 32, "learning_rate": 0.001, "grad_clip": None},
-        "memory": {"capacity": 10000, "substitution_probability": 0.1, "strategy": "per-batch"},
+        "memory": {"capacity": 10000, "strategy": "per-batch"},
         "scenario": {"batch_size": 100, "replay_size": 100, "eval_every": 3, "test_size": 10000},
     }
 
@@ -108,11 +111,11 @@ def validate_spec(doc: dict) -> None:
     if errors:
         path, message = min(errors, key=lambda error: error[0])
         raise SpecError(f"{'.'.join(map(str, path)) or 'spec'}: {message}")
-    if "\0" in doc.get("out_dir", ""):
+    if "\0" in doc["out_dir"]:
         raise SpecError(f"out_dir: {doc['out_dir']!r} holds a NUL byte, which no file path can hold")
     names = [entry["name"] for entry in doc["greenhouses"]]
     generated = {f"{entry['name']}.csv" for entry in doc["greenhouses"] if "csv" not in entry}
-    out_dir = Path(doc["out_dir"]).resolve() if "out_dir" in doc else None
+    out_dir = Path(doc["out_dir"]).resolve()
     for k, entry in enumerate(doc["greenhouses"]):
         name = entry["name"]
         if any(char in name for char in "/\\\0"):

@@ -4,9 +4,10 @@ Samples arrive in batches, as an online update absorbs them
 (``observe_batch``); a single sample is a batch of one. The buffer
 starts empty and appends every observed sample until it reaches
 capacity (the fill phase). Once full, new samples displace
-stored ones under a configurable strategy; the strategies differ only in
-how often the substitution sweep runs, which changes turnover by orders
-of magnitude:
+stored ones with the protocol's fixed probability p,
+``SUBSTITUTION_PROBABILITY`` = 0.1, under a configurable strategy; the
+strategies differ only in how often the substitution sweep runs, which
+changes turnover by orders of magnitude:
 
 * ``per-element``: every stored slot is independently overwritten with
   probability p for *each* observed sample. Old content decays like
@@ -50,15 +51,17 @@ from .dataset import INPUT_FIELDS, TARGET_FIELDS, Phase, integer_rows
 from .rng import SeededRng
 from .schema import EXPERIMENT_SCHEMA, check_fields
 
+SUBSTITUTION_PROBABILITY = 0.1  # the paper's (arXiv 1908.01643), in every run; not a spec key
+
 
 @dataclass
 class MemoryConfig:
     """The spec's memory section, with the spec's ``data.window_len``:
     the records in each stored window. ``strategy`` is one of the
-    schema's ``memory.strategy`` names."""
+    schema's ``memory.strategy`` names. Every strategy substitutes with
+    the constant ``SUBSTITUTION_PROBABILITY``, not a setting."""
 
     capacity: int
-    substitution_probability: float
     strategy: str
     window_len: int
 
@@ -124,7 +127,7 @@ class EpisodicMemory:
             rows = rows[room:]
         if len(rows) == 0:
             return
-        p = self.config.substitution_probability
+        p = SUBSTITUTION_PROBABILITY
         capacity = len(self.rows)
         if self.config.strategy == "per-element":
             for row in rows.tolist():

@@ -448,10 +448,11 @@ def backward(params: ModelParams, inputs: np.ndarray, targets: np.ndarray) -> tu
     step 0). a (1 - a) of the sigmoid gates i, f and o is one pass over
     their (3, H, B) block.
     Each step issues two GEMMs on the (4H, B) gate deltas d_pre: d_pre
-    times the step's operand [x_t; h_prev; 1] transposed, the gradient
-    of ``lstm``, into which h_prev is written; and the transpose of
-    lstm's (4H, H) recurrent block, a strided view, times d_pre, which
-    is dh_prev.
+    times the step's batch-major (B, D + H + 1) operand [x_t, h_prev, 1],
+    the gradient of ``lstm`` (h_prev is written through a transposed
+    view, so neither operand of the product is transposed); and the
+    transpose of lstm's (4H, H) recurrent block, a strided view, times
+    d_pre, which is dh_prev.
     """
     inputs = _check_inputs(params, inputs, 3)
     if inputs.shape[0] == 0:
@@ -478,9 +479,9 @@ def backward(params: ModelParams, inputs: np.ndarray, targets: np.ndarray) -> tu
     da = np.empty((4,) + shape)
     d_pre = da.reshape(4 * hidden, batch)     # da with the gates stacked
     s, tc_prev = np.empty((2,) + shape)
-    operand = np.empty((dim + hidden + 1, batch))  # [x_t; h_prev; 1]
-    operand[-1] = 1.0
-    x_rows, h_prev = operand[:dim], operand[dim : dim + hidden]
+    operand = np.empty((batch, dim + hidden + 1))  # [x_t, h_prev, 1], batch-major
+    operand[:, -1] = 1.0
+    h_prev = operand[:, dim : dim + hidden].T      # hidden-major view
     u_t = params.lstm[:, dim : dim + hidden].T
     d_lstm = np.zeros_like(params.lstm)
     d_step = np.empty_like(d_lstm)
@@ -518,7 +519,7 @@ def backward(params: ModelParams, inputs: np.ndarray, targets: np.ndarray) -> tu
             np.multiply(gates[k - 1, 2], tc_prev, out=h_prev)
         else:  # a segment's first step: the h kept at the end of the one before
             h_prev[:] = cache.h_ends[t // segment - 1] if t else 0.0
-        x_rows[:] = inputs[:, t, :].T
+        operand[:, :dim] = inputs[:, t, :]
 
         np.subtract(1.0, z[:3], out=da[:3])   # a (1 - a) for i, f and o
         da[:3] *= z[:3]
@@ -538,7 +539,7 @@ def backward(params: ModelParams, inputs: np.ndarray, targets: np.ndarray) -> tu
         np.subtract(1.0, s, out=s)
         da[3] *= s
 
-        d_lstm += np.matmul(d_pre, operand.T, out=d_step)
+        d_lstm += np.matmul(d_pre, operand, out=d_step)
         np.matmul(u_t, d_pre, out=dh)
         dc *= f
         tc, tc_prev = tc_prev, tc

@@ -35,12 +35,18 @@ _GREENHOUSE_PARAMS_SCHEMA = {
     },
 }
 
+
+def _section(properties: dict) -> dict:
+    """An object that takes exactly ``properties``, each of them required."""
+    return {"type": "object", "additionalProperties": False, "required": list(properties),
+            "properties": properties}
+
+
+# the top level and each settings section state every key: a spec that
+# omits one is refused here rather than failing later as a KeyError
 EXPERIMENT_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["greenhouses"],
-    "properties": {
+    **_section({
         "seed": {"type": "integer", "minimum": 0, "maximum": 2**64 - 1},  # SeededRng's 64 bits
         "out_dir": {"type": "string", "minLength": 1},
         "days_per_phase": {"type": "integer", "minimum": 1},
@@ -58,46 +64,26 @@ EXPERIMENT_SCHEMA = {
                 },
             },
         },
-        "data": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "window_len": {"type": "integer", "minimum": 1},
-            },
-        },
-        "model": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "hidden_dim": {"type": "integer", "minimum": 1},
-                "dense_dim": {"type": "integer", "minimum": 1},
-                "learning_rate": {"type": "number", "exclusiveMinimum": 0},
-                "grad_clip": {"type": ["number", "null"], "exclusiveMinimum": 0},
-            },
-        },
-        "memory": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "capacity": {"type": "integer", "minimum": 1},
-                "substitution_probability": {"type": "number", "minimum": 0, "maximum": 1},
-                "strategy": {
-                    "type": "string",
-                    "enum": ["per-element", "per-sample", "per-batch"],
-                },
-            },
-        },
-        "scenario": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "batch_size": {"type": "integer", "minimum": 1},
-                "replay_size": {"type": "integer", "minimum": 0},
-                "eval_every": {"type": "integer", "minimum": 1},
-                "test_size": {"type": "integer", "minimum": 1},
-            },
-        },
-    },
+        "data": _section({
+            "window_len": {"type": "integer", "minimum": 1},
+        }),
+        "model": _section({
+            "hidden_dim": {"type": "integer", "minimum": 1},
+            "dense_dim": {"type": "integer", "minimum": 1},
+            "learning_rate": {"type": "number", "exclusiveMinimum": 0},
+            "grad_clip": {"type": ["number", "null"], "exclusiveMinimum": 0},
+        }),
+        "memory": _section({
+            "capacity": {"type": "integer", "minimum": 1},
+            "strategy": {"type": "string", "enum": ["per-element", "per-sample", "per-batch"]},
+        }),
+        "scenario": _section({
+            "batch_size": {"type": "integer", "minimum": 1},
+            "replay_size": {"type": "integer", "minimum": 0},
+            "eval_every": {"type": "integer", "minimum": 1},
+            "test_size": {"type": "integer", "minimum": 1},
+        }),
+    }),
 }
 
 

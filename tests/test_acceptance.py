@@ -18,7 +18,7 @@ from conftest import add_rows, build_phase, memory_config, model_config
 from ghreplay.climate import SAMPLE_INTERVAL_S
 from ghreplay.cli import main
 from ghreplay.dataset import WINDOW_STRIDE, window_count
-from ghreplay.memory import EpisodicMemory
+from ghreplay.memory import SUBSTITUTION_PROBABILITY, EpisodicMemory
 from ghreplay.rng import SeededRng
 from ghreplay.trainer import ScenarioConfig, run_baseline, run_scenario
 from ghreplay import experiment
@@ -96,7 +96,7 @@ def test_acceptance_2_protocol_constants():
         assert WINDOW_STRIDE * SAMPLE_INTERVAL_S == 600  # 10-minute separation
         assert spec["scenario"]["batch_size"] == 100
         assert memory_cfg.capacity == 10000
-        assert memory_cfg.substitution_probability == 0.1
+        assert SUBSTITUTION_PROBABILITY == 0.1
         assert spec["scenario"]["eval_every"] == 3
         assert spec["scenario"]["test_size"] == 10000
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from conftest import STRATEGIES, lstm_blocks, memory_config, model_config
 
+from ghreplay import memory as memory_module
 from ghreplay.checkpoint import LAYOUT, load_checkpoint, save_checkpoint
 from ghreplay.dataset import Phase, stack_samples
 from ghreplay.memory import EpisodicMemory
@@ -15,6 +16,13 @@ from ghreplay.trainer import TrainerState
 
 
 WINDOW_LEN = 8
+
+
+@pytest.fixture(autouse=True)
+def substitution_probability(monkeypatch):
+    """Sweeps at 0.25, not the protocol's 0.1: more of the few observed
+    windows displace stored ones."""
+    monkeypatch.setattr(memory_module, "SUBSTITUTION_PROBABILITY", 0.25)
 
 
 def trained_state(seed=0, strategy="per-batch"):
@@ -31,8 +39,7 @@ def trained_state(seed=0, strategy="per-batch"):
         adam_step(params, grads, adam, cfg)
 
     memory = EpisodicMemory(
-        memory_config(capacity=10, substitution_probability=0.25, strategy=strategy,
-                      window_len=WINDOW_LEN)
+        memory_config(capacity=10, strategy=strategy, window_len=WINDOW_LEN)
     )
     ends = []
     for label in ("GH-0", "GH-1"):
@@ -82,7 +89,6 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     assert loaded.adam.t == state.adam.t == 3
 
     assert loaded.memory.config.capacity == memory.config.capacity
-    assert loaded.memory.config.substitution_probability == memory.config.substitution_probability
     assert loaded.memory.config.strategy == memory.config.strategy
     assert len(loaded.memory) == len(memory) == 10
     assert_same_windows(windows_of(memory, memory.rows), windows_of(loaded.memory, loaded.memory.rows))
@@ -166,6 +172,23 @@ def test_load_checkpoint_refuses_a_checkpoint_with_the_window_len_in_the_model_c
     np.savez_compressed(path, **arrays)
     with pytest.raises(ValueError, match=r"ckpt.npz: array meta_json: ModelConfig.__init__\(\) "
                                          r"got an unexpected keyword argument 'input_dim'$"):
+        load_checkpoint(path)
+
+
+def test_load_checkpoint_refuses_a_checkpoint_with_a_substitution_probability(tmp_path):
+    # the meta_json of a checkpoint written while the substitution probability
+    # was a memory setting, at the value every run gave it
+    cfg, state = trained_state(seed=2)
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(path, cfg, state)
+    with np.load(path, allow_pickle=False) as data:
+        arrays = dict(data)
+    meta = json.loads(str(arrays["meta_json"][()]))
+    meta["memory_config"]["substitution_probability"] = 0.1
+    arrays["meta_json"] = np.array(json.dumps(meta, sort_keys=True))
+    np.savez_compressed(path, **arrays)
+    with pytest.raises(ValueError, match=r"ckpt.npz: array meta_json: MemoryConfig.__init__\(\) got an "
+                                         r"unexpected keyword argument 'substitution_probability'$"):
         load_checkpoint(path)
 
 

@@ -16,7 +16,7 @@ def write_tiny_spec(tmp_path, **extra):
         "greenhouses": [{"name": "GH-A"}, {"name": "GH-C"}],
         "data": {"window_len": 10},
         "model": {"hidden_dim": 4, "dense_dim": 4, "learning_rate": 0.01},
-        "memory": {"capacity": 50, "substitution_probability": 0.1, "strategy": "per-batch"},
+        "memory": {"capacity": 50, "strategy": "per-batch"},
         "scenario": {"batch_size": 20, "replay_size": 20, "eval_every": 3, "test_size": 30},
     }
     doc.update(extra)

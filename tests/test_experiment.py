@@ -20,6 +20,7 @@ from ghreplay.experiment import (
     resolve_spec,
     validate_spec,
 )
+from ghreplay.memory import SUBSTITUTION_PROBABILITY
 from ghreplay.schema import SpecError
 
 
@@ -30,8 +31,8 @@ def tiny_spec(out_dir):
         "days_per_phase": 2,
         "greenhouses": [{"name": "GH-A"}, {"name": "GH-C"}],
         "data": {"window_len": 10},
-        "model": {"hidden_dim": 4, "dense_dim": 4, "learning_rate": 0.01},
-        "memory": {"capacity": 50, "substitution_probability": 0.1, "strategy": "per-batch"},
+        "model": {"hidden_dim": 4, "dense_dim": 4, "learning_rate": 0.01, "grad_clip": None},
+        "memory": {"capacity": 50, "strategy": "per-batch"},
         "scenario": {"batch_size": 20, "replay_size": 20, "eval_every": 3, "test_size": 30},
     }
 
@@ -65,8 +66,24 @@ def test_day_length_out_of_range_rejected_before_work(tmp_path):
 
 
 def test_missing_greenhouses_rejected():
-    with pytest.raises(SpecError, match="greenhouses"):
-        validate_spec({"seed": 1})
+    doc = desk_spec()
+    del doc["greenhouses"]
+    with pytest.raises(SpecError, match="^spec: 'greenhouses' is a required property$"):
+        validate_spec(doc)
+
+
+def test_incomplete_spec_is_refused_naming_the_first_missing_key():
+    # without the required keys this spec passed, and generate_datasets then
+    # failed with a bare KeyError: 'out_dir'
+    doc = {"greenhouses": [{"name": "GH-A"}]}
+    with pytest.raises(SpecError, match="^spec: 'seed' is a required property$"):
+        validate_spec(doc)
+    for section in ("data", "model", "memory", "scenario"):
+        doc = desk_spec()
+        key = next(iter(doc[section]))
+        del doc[section][key]
+        with pytest.raises(SpecError, match=f"^{section}: '{key}' is a required property$"):
+            validate_spec(doc)
 
 
 def test_resolve_spec_merges_preset_file_and_flags(tmp_path):
@@ -124,7 +141,7 @@ def test_paper_preset_protocol_constants():
     assert WINDOW_STRIDE == 2 and WINDOW_STRIDE * SAMPLE_INTERVAL_S == 600  # 10 minutes
     assert doc["scenario"]["batch_size"] == 100
     assert doc["memory"]["capacity"] == 10000
-    assert doc["memory"]["substitution_probability"] == 0.1
+    assert SUBSTITUTION_PROBABILITY == 0.1
     assert doc["scenario"]["eval_every"] == 3
     assert doc["scenario"]["test_size"] == 10000
 

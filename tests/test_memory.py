@@ -4,18 +4,22 @@ import numpy as np
 import pytest
 
 from conftest import STRATEGIES, add_rows, memory_config
+from ghreplay import memory as memory_module
 from ghreplay import rng as rng_module
 from ghreplay.dataset import Phase
-from ghreplay.memory import EpisodicMemory
+from ghreplay.memory import SUBSTITUTION_PROBABILITY, EpisodicMemory
 from ghreplay.rng import SeededRng
 
 PER_ELEMENT, PER_SAMPLE, PER_BATCH = "per-element", "per-sample", "per-batch"
 
 
-def full_memory(capacity, strategy, p=0.1, label="old"):
-    mem = EpisodicMemory(
-        memory_config(capacity=capacity, substitution_probability=p, strategy=strategy)
-    )
+def substitute_with(monkeypatch, p):
+    """Run the memory's sweeps at probability ``p`` instead of the protocol's."""
+    monkeypatch.setattr(memory_module, "SUBSTITUTION_PROBABILITY", p)
+
+
+def full_memory(capacity, strategy, label="old"):
+    mem = EpisodicMemory(memory_config(capacity=capacity, strategy=strategy))
     rng = SeededRng(0)
     mem.observe_batch(add_rows(mem, label, capacity), rng)
     assert len(mem) == capacity
@@ -61,8 +65,9 @@ def test_batch_smaller_than_remaining_fill_is_pure_append():
     assert mem.rows.tolist() == batch.tolist()
 
 
-def test_batch_straddling_fill_boundary():
-    mem = EpisodicMemory(memory_config(capacity=10, substitution_probability=1.0, strategy=PER_BATCH))
+def test_batch_straddling_fill_boundary(monkeypatch):
+    substitute_with(monkeypatch, 1.0)
+    mem = EpisodicMemory(memory_config(capacity=10, strategy=PER_BATCH))
     rng = SeededRng(4)
     mem.observe_batch(add_rows(mem, "a", 8), rng)
     overflow = add_rows(mem, "b", 5)
@@ -74,9 +79,10 @@ def test_batch_straddling_fill_boundary():
 
 # --- substitution strategies ------------------------------------------------
 
-def test_zero_probability_keeps_memory_unchanged():
+def test_zero_probability_keeps_memory_unchanged(monkeypatch):
+    substitute_with(monkeypatch, 0.0)
     for strategy in STRATEGIES:
-        mem = full_memory(20, strategy, p=0.0)
+        mem = full_memory(20, strategy)
         before = mem.rows.copy()
         mem.observe_batch(np.repeat(add_rows(mem, "new", 1), 10), SeededRng(5))
         assert np.array_equal(mem.rows, before)
@@ -84,13 +90,11 @@ def test_zero_probability_keeps_memory_unchanged():
 
 def test_per_element_copies_follow_binomial_mean():
     # one observation sweeps all slots: copies ~ Binomial(10000, 0.1)
-    capacity, p, trials = 10000, 0.1, 200
+    capacity, p, trials = 10000, SUBSTITUTION_PROBABILITY, 200
     rng = SeededRng(6)
     total = 0
     for _ in range(trials):
-        mem = EpisodicMemory(
-            memory_config(capacity=capacity, substitution_probability=p, strategy=PER_ELEMENT)
-        )
+        mem = EpisodicMemory(memory_config(capacity=capacity, strategy=PER_ELEMENT))
         old, new = add_rows(mem, "x", 2)
         mem.rows = np.full(capacity, old)
         mem.observe_batch([new], rng)
@@ -111,15 +115,16 @@ def test_per_element_wipes_old_content_within_66_observations():
     assert old_fraction(mem) < 1e-3
 
 
-def test_per_sample_replaces_at_most_one_slot():
-    mem = full_memory(30, PER_SAMPLE, p=1.0)
+def test_per_sample_replaces_at_most_one_slot(monkeypatch):
+    substitute_with(monkeypatch, 1.0)
+    mem = full_memory(30, PER_SAMPLE)
     mem.observe_batch(add_rows(mem, "new", 1), SeededRng(7))
     assert label_count(mem, "new") == 1
     assert len(mem) == 30
 
 
 def test_per_sample_discards_with_probability_1_minus_p():
-    mem = full_memory(10, PER_SAMPLE, p=0.1)
+    mem = full_memory(10, PER_SAMPLE)
     rng = SeededRng(8)
     for row in add_rows(mem, "new", 2000):
         mem.observe_batch([row], rng)
@@ -127,8 +132,8 @@ def test_per_sample_discards_with_probability_1_minus_p():
 
 
 def test_per_batch_turnover_matches_probability():
-    capacity, p = 10000, 0.1
-    mem = full_memory(capacity, PER_BATCH, p=p)
+    capacity, p = 10000, SUBSTITUTION_PROBABILITY
+    mem = full_memory(capacity, PER_BATCH)
     rng = SeededRng(10)
     mem.observe_batch(add_rows(mem, "new", 100), rng)
     turnover = 1.0 - old_fraction(mem)
@@ -137,11 +142,11 @@ def test_per_batch_turnover_matches_probability():
 
 
 def test_per_batch_geometric_decay_over_batches():
-    capacity, p, k, trials = 1000, 0.1, 10, 50
+    capacity, k, trials = 1000, 10, 50
     rng = SeededRng(11)
     fractions = []
     for _ in range(trials):
-        mem = full_memory(capacity, PER_BATCH, p=p)
+        mem = full_memory(capacity, PER_BATCH)
         new = add_rows(mem, "new", k * 100)
         for batch_idx in range(k):
             mem.observe_batch(new[batch_idx * 100 : (batch_idx + 1) * 100], rng)
@@ -150,8 +155,9 @@ def test_per_batch_geometric_decay_over_batches():
     assert abs(mean - 0.9 ** k) < 0.03
 
 
-def test_capacity_never_exceeded_under_mixed_traffic():
-    cfg = memory_config(capacity=17, substitution_probability=0.5, strategy=PER_BATCH)
+def test_capacity_never_exceeded_under_mixed_traffic(monkeypatch):
+    substitute_with(monkeypatch, 0.5)
+    cfg = memory_config(capacity=17, strategy=PER_BATCH)
     mem = EpisodicMemory(cfg)
     rng = SeededRng(14)
     rows = add_rows(mem, "x", 120)
@@ -178,8 +184,6 @@ def test_memory_config_validation():
     for kwargs, message in [
         ({"capacity": 0}, "MemoryConfig.capacity: 0 is less than the minimum of 1"),
         ({"capacity": True}, "MemoryConfig.capacity: True is not of type 'integer'"),
-        ({"substitution_probability": 1.5},
-         "MemoryConfig.substitution_probability: 1.5 is greater than the maximum of 1"),
         ({"strategy": "per-row"}, "MemoryConfig.strategy: 'per-row' is not one of"),
         ({"window_len": 0}, "MemoryConfig.window_len: 0 is less than the minimum of 1"),
     ]:
@@ -349,12 +353,12 @@ def test_block_sweeps_match_scalar_stream(strategy, tight_blocks, monkeypatch):
     meta = SeededRng(26).split(strategy)
     for pool in (1, 2, 64, 100, 128, 129):
         for p in (0.0, 0.1, 1.0):
+            substitute_with(monkeypatch, p)
             capacity = meta.randbelow(300) + 1
             seed = meta.next_u64()
             rng_scalar, rng_block = SeededRng(seed), SeededRng(seed)
             scalar = ScalarMemory(capacity, p, strategy)
-            mem = EpisodicMemory(memory_config(capacity=capacity, substitution_probability=p,
-                                               strategy=strategy))
+            mem = EpisodicMemory(memory_config(capacity=capacity, strategy=strategy))
             rows = add_rows(mem, "x", capacity + 2 * pool).tolist()
             fill, stream = rows[:capacity], rows[capacity:]
             for start in range(0, capacity, 97):

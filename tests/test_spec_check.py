@@ -97,6 +97,20 @@ def test_presets_state_every_config_field():
         assert [*doc["memory"], "window_len"] == [f.name for f in dataclasses.fields(MemoryConfig)]
 
 
+def test_schema_requires_every_key_the_presets_state():
+    # a spec states every setting, at the top level and in each section; a
+    # greenhouse's params may stay partial, filled from its preset
+    schema = EXPERIMENT_SCHEMA
+    sections = [name for name, sub in schema["properties"].items() if "required" in sub]
+    assert sections == ["data", "model", "memory", "scenario"]
+    for preset in (paper_spec, desk_spec):
+        doc = preset()
+        assert schema["required"] == list(doc)
+        for name in sections:
+            assert schema["properties"][name]["required"] == list(doc[name]), name
+    assert "required" not in schema["properties"]["greenhouses"]["items"]["properties"]["params"]
+
+
 def spec_paths(doc, path=()):
     """Every path below ``doc``'s root, containers before their contents."""
     items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
@@ -253,7 +267,7 @@ def test_integer_fields_take_ints_that_fit_exit_2(tmp_path, capsys, key, value):
 
 
 @pytest.mark.parametrize("key, value, text", [
-    ("memory.substitution_probability", "nan", '{"memory": {"substitution_probability": NaN}}'),
+    ("model.learning_rate", "nan", '{"model": {"learning_rate": NaN}}'),
     ("greenhouses.0.params.noise_sd", "inf",
      '{"greenhouses": [{"name": "GH-Q", "params": {"noise_sd": Infinity}}]}'),
     ("model.learning_rate", "inf", '{"model": {"learning_rate": Infinity}}'),
@@ -279,6 +293,18 @@ def test_adam_constants_are_not_spec_keys_exit_2(tmp_path, capsys, key, value):
     assert main(["generate", "--spec", str(spec), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert f"model: Additional properties are not allowed ('{key}' unexpected)" in err
+    assert not out.exists()
+
+
+def test_substitution_probability_is_not_a_spec_key_exit_2(tmp_path, capsys):
+    # the memory substitutes with SUBSTITUTION_PROBABILITY; a spec that names
+    # it, even at its value, is refused
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"memory": {"substitution_probability": 0.1}}))
+    out = tmp_path / "out"
+    assert main(["generate", "--spec", str(spec), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "memory: Additional properties are not allowed ('substitution_probability' unexpected)" in err
     assert not out.exists()
 
 

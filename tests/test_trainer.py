@@ -31,7 +31,7 @@ from ghreplay.trainer import (
 )
 
 MODEL_CFG = model_config(hidden_dim=8, dense_dim=8, learning_rate=1e-2)
-MEM_CFG = memory_config(capacity=500, substitution_probability=0.1, window_len=10)
+MEM_CFG = memory_config(capacity=500, window_len=10)
 
 
 def synthetic_windows(n, label="GH-X", window_len=10, seed=0):
