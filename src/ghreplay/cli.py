@@ -80,6 +80,10 @@ def cmd_baseline(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     run_curve = Path(args.run_curve)
+    read = {path.resolve() for curve in (run_curve, *map(Path, args.baselines))
+            for path in (curve, experiment.boundaries_path_for(curve))}
+    if args.out is not None and Path(args.out).resolve() in read:
+        raise SpecError(f"--out {args.out}: compare reads this file; choose another path")
     run_points = trainer.read_curve_csv(run_curve)
     run_starts = trainer.read_boundaries_csv(experiment.boundaries_path_for(run_curve))
     baselines = []

@@ -57,7 +57,9 @@ class GreenhouseParams:
 
     Two houses with nearby parameters produce similar input-output
     mappings; shifting i_max, b_vpd or the CO2 setpoints produces the
-    domain shift the transfer experiments rely on.
+    domain shift the transfer experiments rely on. The field defaults are
+    GH-A's values, and the base of every custom greenhouse, whose
+    ``params`` adjust them.
     """
 
     name: str

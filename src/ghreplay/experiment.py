@@ -1,7 +1,8 @@
 """Experiment specs: one JSON document describing a full reproducible run.
 
-A spec names the greenhouses (generator presets, explicit parameters, or
-existing CSV paths), the model, memory and scenario settings, and the
+A spec names the greenhouses (existing CSV paths, or generated ones: the
+preset of the name, or GH-A's for another name, with any ``params``
+applied over it), the model, memory and scenario settings, and the
 output directory. ``validate_spec`` checks it against ``EXPERIMENT_SCHEMA``
 (see ``schema``) before any work starts and names the first bad key by
 its dotted path; unknown keys are rejected, and so is a spec that omits
@@ -197,11 +198,10 @@ def resolve_spec(spec_path: str | Path | None, preset: str, overrides: dict) -> 
 # building runtime objects from a validated spec
 
 def greenhouse_params(entry: dict) -> GreenhouseParams:
-    """A generated greenhouse's parameters: its ``params``, else its preset's."""
+    """A generated greenhouse's parameters: the preset of its name, or GH-A's
+    for a custom name, with its ``params`` applied over it."""
     name = entry["name"]
-    if "params" in entry:
-        return GreenhouseParams(name=name, **entry["params"])
-    return dataclasses.replace(PRESETS[name], name=name)
+    return dataclasses.replace(PRESETS.get(name, PRESETS["GH-A"]), name=name, **entry.get("params", {}))
 
 
 def build_model_config(spec: dict) -> ModelConfig:

@@ -436,6 +436,22 @@ def test_compare_missing_baseline_names_it(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: file not found: {missing}\n"
 
 
+@pytest.mark.parametrize("target", ["run/curve.csv", "run/curve_boundaries.csv",
+                                    "base/curve.csv", "base/curve_boundaries.csv"])
+def test_compare_out_onto_an_input_exit_2_writes_nothing(tmp_path, capsys, target):
+    run, base = tmp_path / "run", tmp_path / "base"
+    run.mkdir()
+    base.mkdir()
+    curve, baseline = write_one_phase_curve(run), write_one_phase_curve(base)
+    before = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
+    folder, name = target.split("/")
+    out = tmp_path / folder / ".." / folder / name  # another spelling of the same file
+    assert main(["compare", str(curve), str(baseline), "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: --out {out}: compare reads this file; "
+                                       f"choose another path\n")
+    assert {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()} == before
+
+
 def test_help_lists_flags(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["run", "--help"])

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -6,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from ghreplay import experiment
-from ghreplay.climate import SAMPLE_INTERVAL_S
+from ghreplay.climate import PRESETS, SAMPLE_INTERVAL_S
 from ghreplay.dataset import WINDOW_STRIDE
 from ghreplay.experiment import (
     build_memory_config,
@@ -105,10 +106,20 @@ def test_resolve_spec_missing_file(tmp_path):
         resolve_spec(tmp_path / "nope.json", "desk", {})
 
 
-def test_greenhouse_params_resolution():
+def test_greenhouse_params_resolution(tmp_path):
     assert greenhouse_params({"name": "GH-B"}).a_rad == pytest.approx(3.3e-4)
+    # a custom name's partial params are completed from GH-A
     custom = greenhouse_params({"name": "mine", "params": {"i_max": 700.0}})
-    assert custom.i_max == 700.0 and custom.name == "mine"
+    assert custom == dataclasses.replace(PRESETS["GH-A"], name="mine", i_max=700.0)
+    # a preset's name with params keeps every other value of that preset, not GH-A's
+    quiet_c = dataclasses.replace(PRESETS["GH-C"], noise_sd=0.0)
+    doc = tiny_spec(tmp_path / "out")
+    doc["greenhouses"] = [{"name": "GH-C", "params": {"noise_sd": 0.0}}]
+    validate_spec(doc)
+    assert greenhouse_params(doc["greenhouses"][0]) == quiet_c
+    generate_datasets(doc, tmp_path / "out")
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["greenhouses"] == [{"name": "GH-C", "params": dataclasses.asdict(quiet_c)}]
 
 
 def test_validate_spec_checks_each_greenhouse_source():
