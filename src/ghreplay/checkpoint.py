@@ -13,8 +13,11 @@ step per update in every checkpoint ``run`` writes.
 
 The file holds exactly the arrays ``save_checkpoint`` writes, ``LAYOUT``:
 one per parameter and Adam moment, ``adam_t``, ``meta_json`` and the
-memory's ``EpisodicMemory.snapshot``. A file with an array missing, or
-with any other array, is refused.
+memory's ``EpisodicMemory.snapshot``, which states each distinct slot
+row's target, timestamp and label once (``mem_row_*``). A file with an
+array missing, or with any other array, is refused; so is a file in
+the earlier layout that stated them per slot (``mem_targets``,
+``mem_timestamps``, ``mem_label_ids``).
 """
 
 from __future__ import annotations
@@ -37,8 +40,8 @@ from .trainer import TrainerState
 
 LAYOUT = (*(f"{prefix}__{field.name}" for prefix in ("param", "adam_m", "adam_v")
             for field in dataclasses.fields(ModelParams)),
-          "adam_t", "mem_inputs", "mem_labels", "mem_rows", "mem_targets",
-          "mem_timestamps", "mem_label_ids", "meta_json")
+          "adam_t", "mem_inputs", "mem_labels", "mem_rows", "mem_row_targets",
+          "mem_row_timestamps", "mem_row_label_ids", "meta_json")
 
 
 def save_checkpoint(path: str | Path, model_cfg: ModelConfig, state: TrainerState) -> None:
@@ -102,8 +105,9 @@ def _checked_params(path, arrays, prefix: str, expected: ModelParams) -> ModelPa
 def _check_memory(path, arrays, cfg: MemoryConfig) -> None:
     """Check the memory arrays: a finite (R, D) row block with one column
     per input field, distinct string labels, at most ``capacity`` slot
-    rows that end whole windows inside the block, finite targets, int64
-    timestamps and label ids into the stored label list."""
+    rows that end whole windows inside the block, and for each of the U
+    distinct slot rows a finite target, an int64 timestamp and a label id
+    into the stored label list."""
     inputs, labels, rows = arrays["mem_inputs"], arrays["mem_labels"], arrays["mem_rows"]
     n_rows = inputs.shape[0] if inputs.ndim else 0
     _checked(path, arrays, "mem_inputs", (n_rows, len(INPUT_FIELDS)))
@@ -116,10 +120,11 @@ def _check_memory(path, arrays, cfg: MemoryConfig) -> None:
         raise ValueError(f"{path}: array mem_labels repeats the label {repeated[0]!r}")
     n = rows.shape[0] if rows.ndim else 0
     _checked(path, arrays, "mem_rows", (n,), finite=False, within=(cfg.window_len - 1, n_rows))
-    _checked(path, arrays, "mem_targets", (n, len(TARGET_FIELDS)))
+    distinct = len(np.unique(rows))
+    _checked(path, arrays, "mem_row_targets", (distinct, len(TARGET_FIELDS)))
     # the memory's table holds int64 timestamps
-    _checked(path, arrays, "mem_timestamps", (n,), finite=False, within=(-2**63, 2**63))
-    _checked(path, arrays, "mem_label_ids", (n,), finite=False, within=(0, len(labels)))
+    _checked(path, arrays, "mem_row_timestamps", (distinct,), finite=False, within=(-2**63, 2**63))
+    _checked(path, arrays, "mem_row_label_ids", (distinct,), finite=False, within=(0, len(labels)))
     if n > cfg.capacity:
         raise ValueError(f"{path}: array mem_rows has {n} slots, over the capacity {cfg.capacity}")
 

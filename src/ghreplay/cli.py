@@ -23,6 +23,7 @@ from .schema import SpecError
 def _resolve(args: argparse.Namespace) -> tuple[dict, Path]:
     """The spec of ``generate``, ``run`` or ``baseline``, with the ``--seed``
     and ``--out`` flags given, and its output directory."""
+    experiment.check_path("--spec", args.spec or "")
     overrides = {key: value for key, value in (("seed", args.seed), ("out_dir", args.out))
                  if value is not None}
     spec = experiment.resolve_spec(args.spec, args.preset, overrides)
@@ -80,6 +81,9 @@ def cmd_baseline(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     run_curve = Path(args.run_curve)
+    for key, path in (("run_curve", run_curve), *(("baselines", path) for path in args.baselines),
+                      ("--out", args.out or "")):
+        experiment.check_path(key, path)
     read = {path.resolve() for curve in (run_curve, *map(Path, args.baselines))
             for path in (curve, experiment.boundaries_path_for(curve))}
     if args.out is not None and Path(args.out).resolve() in read:

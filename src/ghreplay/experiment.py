@@ -99,6 +99,14 @@ def paper_spec() -> dict:
 PRESET_SPECS = {"desk": desk_spec, "paper": paper_spec}
 
 
+def check_path(key: str, path: str | Path) -> None:
+    """Raise ``SpecError`` naming ``key`` if ``path`` holds a NUL byte, which
+    no file path can hold; the path is shown with ``repr``, so the message
+    holds no NUL byte either."""
+    if "\0" in str(path):
+        raise SpecError(f"{key}: {str(path)!r} holds a NUL byte, which no file path can hold")
+
+
 def validate_spec(doc: dict) -> None:
     """Raise ``SpecError("<dotted.path>: <message>")`` for the first error by
     path against ``EXPERIMENT_SCHEMA``, else for the first greenhouse whose
@@ -112,8 +120,7 @@ def validate_spec(doc: dict) -> None:
     if errors:
         path, message = min(errors, key=lambda error: error[0])
         raise SpecError(f"{'.'.join(map(str, path)) or 'spec'}: {message}")
-    if "\0" in doc["out_dir"]:
-        raise SpecError(f"out_dir: {doc['out_dir']!r} holds a NUL byte, which no file path can hold")
+    check_path("out_dir", doc["out_dir"])
     names = [entry["name"] for entry in doc["greenhouses"]]
     generated = {f"{entry['name']}.csv" for entry in doc["greenhouses"] if "csv" not in entry}
     out_dir = Path(doc["out_dir"]).resolve()
@@ -122,9 +129,7 @@ def validate_spec(doc: dict) -> None:
         if any(char in name for char in "/\\\0"):
             raise SpecError(f"greenhouses.{k}.name: {name!r} holds '/', '\\' or a NUL byte; a "
                             f"greenhouse name is a file name in the output directory")
-        if "\0" in entry.get("csv", ""):
-            raise SpecError(f"greenhouses.{k}.csv: {entry['csv']!r} holds a NUL byte, "
-                            f"which no file path can hold")
+        check_path(f"greenhouses.{k}.csv", entry.get("csv", ""))
         if name in names[:k]:
             raise SpecError(f"greenhouses.{k}.name: {name!r} is repeated; "
                             f"each greenhouse needs its own name")

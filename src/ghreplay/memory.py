@@ -33,7 +33,8 @@ slot is one such row in the ``rows`` array. Observing and replaying
 move integers only; the trainer gathers the windows of a batch in one
 step.
 ``snapshot`` compacts the table to the rows that stored windows cover,
-as a checkpoint's arrays, and ``restore`` rebuilds a memory from them.
+as a checkpoint's arrays, stating each distinct slot row's target,
+timestamp and label once, and ``restore`` rebuilds a memory from them.
 
 The random draws are ``SeededRng``'s: a substitution sweep is
 ``SeededRng.sweep``, bit-identical to the loop of scalar calls it
@@ -158,15 +159,19 @@ class EpisodicMemory:
 
     def snapshot(self) -> dict[str, np.ndarray]:
         """The slots over the table rows their windows cover (``R`` rows,
-        ``n`` slots), as the six ``mem_*`` arrays of a checkpoint:
+        ``n`` slots, ``U`` distinct slot rows), as the six ``mem_*`` arrays
+        of a checkpoint:
 
         * ``mem_inputs`` (R, D): every table row that some stored window
           covers, once, in table order, so each window stays ``window_len``
           consecutive rows;
         * ``mem_rows`` (n,): each slot's final-record row into that block,
-          in ``[window_len - 1, R)``, with its target ``mem_targets`` (n, K),
-          the timestamp of that record ``mem_timestamps`` (n,) and its index
-          into ``mem_labels``, ``mem_label_ids`` (n,)."""
+          in ``[window_len - 1, R)``;
+        * for each distinct slot row, in ascending order (the order of
+          ``np.unique(mem_rows)``), its target ``mem_row_targets`` (U, K),
+          the timestamp of that record ``mem_row_timestamps`` (U,) and its
+          index into ``mem_labels``, ``mem_row_label_ids`` (U,). A window
+          that fills several slots states these once."""
         ends, window_len = self.rows, self.config.window_len
         table_rows = len(self.timestamps)
         # +1 where a window starts, -1 past where it ends: rows with a positive
@@ -175,30 +180,31 @@ class EpisodicMemory:
                  - np.bincount(ends + 1, minlength=table_rows + 1))
         covered = np.cumsum(edges[:table_rows]) > 0
         block_row = np.cumsum(covered) - 1
-        keep = np.flatnonzero(covered)
+        keep, finals = np.flatnonzero(covered), np.unique(ends)
         return {
             "mem_inputs": self.inputs[keep] if len(keep) else np.zeros((0, len(INPUT_FIELDS))),
             "mem_labels": np.array(self.labels, dtype=str),
             "mem_rows": block_row[ends],
-            "mem_targets": self.targets[ends] if len(ends) else np.zeros((0, len(TARGET_FIELDS))),
-            "mem_timestamps": self.timestamps[ends],
-            "mem_label_ids": self.row_label_ids[ends],
+            "mem_row_targets": self.targets[finals] if len(finals) else np.zeros((0, len(TARGET_FIELDS))),
+            "mem_row_timestamps": self.timestamps[finals],
+            "mem_row_label_ids": self.row_label_ids[finals],
         }
 
     @classmethod
     def restore(cls, config: MemoryConfig, arrays: dict[str, np.ndarray]) -> EpisodicMemory:
         """The memory whose ``snapshot`` gave ``arrays``, which the caller
         has checked. Its row table is the snapshot's row block, holding a
-        target, a timestamp and a label id only at the slots' final rows."""
+        target, a timestamp and a label id only at the slots' final rows:
+        the ``mem_row_*`` arrays, scattered at ``np.unique(mem_rows)``."""
         memory = cls(config)
         memory.inputs, rows = arrays["mem_inputs"], arrays["mem_rows"].astype(np.int64)
-        n_rows = len(memory.inputs)
-        memory.targets = np.zeros((n_rows, arrays["mem_targets"].shape[1]))
+        n_rows, finals = len(memory.inputs), np.unique(rows)
+        memory.targets = np.zeros((n_rows, arrays["mem_row_targets"].shape[1]))
         memory.timestamps = np.zeros(n_rows, dtype=np.int64)
         memory.row_label_ids = np.full(n_rows, -1, dtype=np.int64)
-        memory.targets[rows] = arrays["mem_targets"]
-        memory.timestamps[rows] = arrays["mem_timestamps"]
-        memory.row_label_ids[rows] = arrays["mem_label_ids"]
+        memory.targets[finals] = arrays["mem_row_targets"]
+        memory.timestamps[finals] = arrays["mem_row_timestamps"]
+        memory.row_label_ids[finals] = arrays["mem_row_label_ids"]
         memory.inputs.flags.writeable = memory.targets.flags.writeable = False
         memory.rows, memory.labels = rows, [str(label) for label in arrays["mem_labels"]]
         return memory

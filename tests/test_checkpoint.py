@@ -138,6 +138,66 @@ def test_checkpoint_restores_equivalent_replay_behavior(tmp_path, strategy):
     assert_same_windows(windows_of(memory, memory.rows), windows_of(bundle.memory, bundle.memory.rows))
 
 
+def assert_fixture_rows(memory, strategy):
+    """The slot rows hold what the layout must get right: rows repeated in
+    several slots, or (per-sample) distinct rows out of ascending order."""
+    rows = memory.rows
+    if strategy == "per-sample":
+        assert len(np.unique(rows)) == len(rows) and (np.diff(rows) < 0).any()
+    else:
+        assert len(np.unique(rows)) < len(rows)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_snapshot_states_each_distinct_slot_row_once(tmp_path, strategy):
+    cfg, state = trained_state(seed=5, strategy=strategy)
+    memory = state.memory
+    assert_fixture_rows(memory, strategy)
+    snapshot = memory.snapshot()
+    finals = np.unique(memory.rows)
+    assert snapshot["mem_row_targets"].tobytes() == memory.targets[finals].tobytes()
+    assert snapshot["mem_row_timestamps"].tolist() == memory.timestamps[finals].tolist()
+    assert snapshot["mem_row_label_ids"].tolist() == memory.row_label_ids[finals].tolist()
+    assert len(snapshot["mem_rows"]) == len(memory.rows)
+
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(path, cfg, state)
+    _, loaded = load_checkpoint(path)
+    # every slot gets back its own window's target, timestamp and greenhouse
+    assert_same_windows(windows_of(memory, memory.rows), windows_of(loaded.memory, loaded.memory.rows))
+    assert loaded.memory.label_ids.tolist() == memory.label_ids.tolist()
+
+
+def per_slot_layout(arrays):
+    """The memory layout with one target, timestamp and label id per slot:
+    the ``mem_row_*`` arrays expanded to the slots, under their earlier names."""
+    rows = arrays["mem_rows"]
+    slot_entry = np.searchsorted(np.unique(rows), rows)
+    for old, new in (("mem_targets", "mem_row_targets"), ("mem_timestamps", "mem_row_timestamps"),
+                     ("mem_label_ids", "mem_row_label_ids")):
+        arrays[old] = arrays.pop(new)[slot_entry]
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_load_checkpoint_refuses_the_per_slot_layout(tmp_path, strategy):
+    cfg, state = trained_state(seed=5, strategy=strategy)
+    assert_fixture_rows(state.memory, strategy)
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(path, cfg, state)
+    with np.load(path, allow_pickle=False) as data:
+        arrays = dict(data)
+    per_slot_layout(arrays)
+    if strategy == "per-sample":
+        # all slots distinct: the per-slot arrays have the per-row shapes, but in
+        # slot order, so a shape check alone would put targets on other rows
+        per_row = state.memory.snapshot()["mem_row_targets"]
+        assert arrays["mem_targets"].shape == per_row.shape
+        assert arrays["mem_targets"].tobytes() != per_row.tobytes()
+    np.savez_compressed(path, **arrays)
+    with pytest.raises(ValueError, match="ckpt.npz: array mem_row_targets is missing$"):
+        load_checkpoint(path)
+
+
 def test_checkpoint_keeps_the_memory_window_len(tmp_path):
     # the window length is the memory's: stored with its config, not the model's
     cfg, state = trained_state(seed=3)
@@ -233,18 +293,21 @@ def without_meta(section, key):
         ("adam_v__w1", lambda a: np.concatenate([[-a[0, 0]], a.ravel()[1:]]).reshape(a.shape),
          "adam_v__w1 has negative values"),
         ("mem_inputs", lambda a: a[:, :4], r"mem_inputs has shape \(\d+, 4\), expected \(\d+, 5\)"),
-        ("mem_targets", lambda a: np.vstack([[np.nan, a[0, 1]], a[1:]]), "mem_targets contains non-finite"),
+        ("mem_row_targets", lambda a: np.vstack([[np.nan, a[0, 1]], a[1:]]),
+         "mem_row_targets contains non-finite"),
         ("mem_inputs", lambda a: np.vstack([a[:3], [[np.nan] * 5], a[4:]]), "mem_inputs contains non-finite"),
         ("mem_rows", lambda a: np.concatenate([[WINDOW_LEN - 2], a[1:]]),
          r"mem_rows has values outside \[7, \d+\)"),
         ("mem_rows", lambda a: a + 10_000, r"mem_rows has values outside \[7, \d+\)"),
         ("mem_rows", lambda a: a.astype(np.float64), "mem_rows has dtype float64, expected integers"),
-        ("mem_targets", lambda a: a[:, :1], r"mem_targets has shape \(10, 1\), expected \(10, 2\)"),
-        ("mem_label_ids", lambda a: np.concatenate([a[:-1], [2]]), r"mem_label_ids has values outside \[0, 2\)"),
-        ("mem_timestamps", lambda a: a[1:], r"mem_timestamps has shape \(9,\), expected \(10,\)"),
-        ("mem_timestamps", lambda a: a + 0.5, "mem_timestamps has dtype float64, expected integers"),
-        ("mem_timestamps", lambda a: a.astype(np.uint64) + np.uint64(2**63),
-         r"mem_timestamps has values outside \[-9223372036854775808, 9223372036854775808\)"),
+        # one entry per distinct slot row: the 10 slots hold 9 rows
+        ("mem_row_targets", lambda a: a[:, :1], r"mem_row_targets has shape \(9, 1\), expected \(9, 2\)"),
+        ("mem_row_label_ids", lambda a: np.concatenate([a[:-1], [2]]),
+         r"mem_row_label_ids has values outside \[0, 2\)"),
+        ("mem_row_timestamps", lambda a: a[1:], r"mem_row_timestamps has shape \(8,\), expected \(9,\)"),
+        ("mem_row_timestamps", lambda a: a + 0.5, "mem_row_timestamps has dtype float64, expected integers"),
+        ("mem_row_timestamps", lambda a: a.astype(np.uint64) + np.uint64(2**63),
+         r"mem_row_timestamps has values outside \[-9223372036854775808, 9223372036854775808\)"),
         ("mem_labels", lambda a: np.array([7, 8]), "mem_labels has dtype int64, expected strings"),
         ("mem_labels", lambda a: a[[1, 1]], "mem_labels repeats the label 'GH-1'"),
         ("meta_json", with_meta("model_config", "learning_rate", -1.0),
@@ -426,7 +489,7 @@ def whole_window_layout(arrays):
     arrays["mem_inputs"] = np.zeros((10, WINDOW_LEN, 5))
     arrays["mem_labels"] = np.array(["GH-0"] * 10)
     arrays["mem_end_ts"] = np.arange(10, dtype=np.int64)
-    for key in ("mem_rows", "mem_label_ids", "mem_timestamps"):
+    for key in ("mem_rows", "mem_row_label_ids", "mem_row_timestamps"):
         del arrays[key]
 
 

@@ -368,6 +368,30 @@ def test_nul_byte_in_a_spec_path_exit_2_before_writing(tmp_path, capsys, extra, 
 
 
 @pytest.mark.parametrize(
+    "args, key",
+    [(["compare", "cu\0rve.csv", "curve.csv"], "run_curve"),
+     (["compare", "curve.csv", "curve.csv", "base\0line.csv"], "baselines"),
+     (["compare", "curve.csv", "curve.csv", "--out", "x\0y.csv"], "--out"),
+     (["generate", "--spec", "s\0.json"], "--spec"),
+     (["run", "--spec", "s\0.json"], "--spec"),
+     (["baseline", "--phase", "GH-A", "--spec", "s\0.json"], "--spec")],
+    ids=["compare-run_curve", "compare-baseline", "compare-out", "generate-spec", "run-spec",
+         "baseline-spec"],
+)
+def test_nul_byte_in_a_path_argument_exit_2_names_it(tmp_path, monkeypatch, capsys, args, key):
+    # compare used to fail with a bare "embedded null byte", and --spec as a file not found
+    monkeypatch.chdir(tmp_path)  # the default output directory, and the curves, lie here
+    write_one_phase_curve(tmp_path)
+    before = sorted(tmp_path.rglob("*"))
+    assert main(args) == 2
+    out, err = capsys.readouterr()
+    assert "\0" not in err
+    assert re.match(f"^error: {re.escape(key)}: '.*' holds a NUL byte, which no file path can hold\n$", err)
+    assert out == ""
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize(
     "text, key",
     [('{"seed": 1, "seed": 2, "memory": {"capacity": 5}, "memory": {"capacity": 7}}', "seed"),
      ('{"greenhouses": [{"name": "GH-A"}], "memory": {"capacity": 5, "capacity": 7}}', "capacity")],

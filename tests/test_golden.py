@@ -93,4 +93,7 @@ def test_memory_trajectory_matches_golden_digest(tmp_path, strategy):
     assert hashlib.sha256((tmp_path / "out" / "memory.csv").read_bytes()).hexdigest() == memory_csv
     with np.load(tmp_path / "out" / "checkpoint.npz", allow_pickle=False) as data:
         assert data["mem_labels"].tolist() == ["GH-A", "GH-B", "GH-C"]
-        assert int_digest(data["mem_rows"], data["mem_label_ids"]) == slots
+        rows = data["mem_rows"]
+        # each slot's label id, from the one entry per distinct slot row
+        label_ids = data["mem_row_label_ids"][np.searchsorted(np.unique(rows), rows)]
+        assert int_digest(rows, label_ids) == slots

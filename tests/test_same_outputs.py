@@ -86,6 +86,30 @@ def test_each_difference_between_two_archives_is_one_error(trees, change, capsys
     assert len(lines) == 1 and lines[0].startswith("::error::")
 
 
+@pytest.mark.parametrize(
+    "changed, detail",
+    [({"w": np.arange(6.0).reshape(2, 3) + [0, 0, 1]},
+      "w differs from {ref}'s: float64 (2, 3) against float64 (2, 3), 2 of 6 elements' bytes differ"),
+     ({"w": np.arange(6.0).reshape(3, 2)}, "w differs from {ref}'s: float64 (3, 2) against float64 (2, 3)"),
+     ({"w": np.arange(6.0).reshape(2, 3).astype(np.float32)},
+      "w differs from {ref}'s: float32 (2, 3) against float64 (2, 3), all 6 elements' bytes differ"),
+     ({"w": np.arange(6.0).reshape(2, 3).view(np.int64)},
+      "w differs from {ref}'s: int64 (2, 3) against float64 (2, 3), 0 of 6 elements' bytes differ"),
+     # only the first differing array is reported
+     ({"w": np.zeros((2, 3)), "t": np.array(4)},
+      "w differs from {ref}'s: float64 (2, 3) against float64 (2, 3), 5 of 6 elements' bytes differ"),
+     ({"t": np.array(4)}, "t differs from {ref}'s: int64 () against int64 (), 1 of 1 elements' bytes differ")],
+    ids=["values", "shape", "dtype", "same-bytes", "first-only", "scalar"],
+)
+def test_a_differing_array_names_its_dtypes_shapes_and_elements(tmp_path, changed, detail, capsys):
+    # a layout change or a drift can be read from the message alone
+    reference, candidate = tmp_path / "reference.npz", tmp_path / "candidate.npz"
+    np.savez_compressed(reference, **arrays())
+    np.savez_compressed(candidate, **arrays(**changed))
+    assert compare(reference, candidate, capsys) == (
+        1, [f"::error::{candidate}: array {detail.format(ref=reference)}"])
+
+
 @pytest.mark.parametrize("whole_tree", [True, False], ids=["trees", "archives"])
 def test_archives_with_other_zip_timestamps_are_the_same(trees, whole_tree, capsys):
     reference, candidate = trees
